@@ -9,9 +9,10 @@ backward through the lambda-weighted fusion into the heads and extractors.
 
 Acting is graph-free: features, importance weights, and policy logits are
 computed as plain arrays while stepping the environment; the recorded
-observations are replayed in batch form for both backward passes (the
-replay reproduces the acting-time features exactly, since parameters do
-not change in between).
+observations are replayed in batch form for both backward passes, each
+modality's features as one (T, 32) matrix (the first replay reproduces the
+acting-time features to within 1e-12, since parameters do not change in
+between).
 """
 
 from __future__ import annotations
@@ -139,10 +140,13 @@ def sample_action(logits: np.ndarray, rng: np.random.Generator) -> int:
     """Draw from the categorical softmax(logits) distribution."""
     if not np.isfinite(logits).all():
         raise NumericalError(f"non-finite policy logits: {logits}")
-    z = logits - logits.max()
-    p = np.exp(z)
+    p = np.exp(logits - logits.max())
     p /= p.sum()
-    return int(rng.choice(len(p), p=p))
+    # the inverse-CDF draw of Generator.choice(len(p), p=p), without its
+    # per-call validation: the same uniform gives the same action
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def greedy_action(logits: np.ndarray) -> int:
@@ -324,7 +328,7 @@ class Trainer:
                     buf.features[m].append(feats[m])
                     buf.lambdas[m].append(lams[m])
 
-                self._record_step_traces(feats, lams, phase="train")
+                lam_means = self._record_step_traces(feats, lams, phase="train")
 
                 next_obs, reward, done = self.env.step(action)
                 buf.rewards.append(reward)
@@ -332,8 +336,8 @@ class Trainer:
                 self.env_steps += 1
                 self._ep_return += reward
                 self._ep_steps += 1
-                for m in self.modalities:
-                    self._ep_lambda_sums[m] += float(lams[m].mean())
+                for m, mean in zip(self.modalities, lam_means):
+                    self._ep_lambda_sums[m] += mean
                 if done:
                     self._finish_episode(phase="train")
                 else:
@@ -341,13 +345,14 @@ class Trainer:
                     self._obs_audio_class = self.env.last_audio_class
         return buf
 
-    def _record_step_traces(self, feats: dict, lams: dict, phase: str):
-        row = (phase, self.episode, self._ep_steps, self._obs_audio_class,
-               tuple(float(lams[m].mean()) for m in self.modalities))
-        self.lambda_rows.append(row)
+    def _record_step_traces(self, feats: dict, lams: dict, phase: str) -> tuple:
+        """Record the step's λ means and embeddings; returns the means in modality order."""
+        lam_means = tuple(float(lams[m].mean()) for m in self.modalities)
+        self.lambda_rows.append((phase, self.episode, self._ep_steps, self._obs_audio_class, lam_means))
         if self._ep_steps % self.embedding_every == 0:
-            for i, m in enumerate(self.modalities):
+            for m in self.modalities:
                 self.embedding_rows.append((phase, self.episode, self._ep_steps, m, feats[m].copy()))
+        return lam_means
 
     # -- updating ------------------------------------------------------------
 
@@ -423,9 +428,8 @@ class Trainer:
 
         # step two: recompute features under the updated extractors
         feats, finals = self._replay_features(buf, {m: s.detached() for m, s in initial_states.items()})
-        mats = {m: ad.concat([f.reshape((1, FEATURE_DIM)) for f in feats[m]], axis=0) for m in self.modalities}
-        lam_mats = self._lambda_matrices(mats)
-        fused = ad.concat([mats[m] * Value(np.asarray(lam_mats[m])) for m in self.modalities], axis=1)
+        lam_mats = self._lambda_matrices(feats)
+        fused = ad.concat([feats[m] * Value(np.asarray(lam_mats[m])) for m in self.modalities], axis=1)
 
         logits = self.head.actor_logits(fused)
         values = self.head.critic_values(fused)
@@ -488,12 +492,12 @@ class Trainer:
                     lams = self._lambda_arrays(feats)
                     logits = self.head.logits_array(self._fuse_array(feats, lams))
                     action = sample_action(logits, self.action_rng)
-                    self._record_step_traces(feats, lams, phase="eval")
+                    lam_means = self._record_step_traces(feats, lams, phase="eval")
                     next_obs, reward, done = self.env.step(action)
                     self._ep_return += reward
                     self._ep_steps += 1
-                    for m in self.modalities:
-                        self._ep_lambda_sums[m] += float(lams[m].mean())
+                    for m, mean in zip(self.modalities, lam_means):
+                        self._ep_lambda_sums[m] += mean
                     if not done:
                         self._obs = next_obs
                         self._obs_audio_class = self.env.last_audio_class

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Value
 
 log = logging.getLogger(__name__)
@@ -113,17 +112,17 @@ class SrlLossParts:
     td: float
 
 
-def srl_loss(sequences: list, cfg: AlignmentConfig, episode_starts=None) -> SrlLossParts:
+def srl_loss(mats: list, cfg: AlignmentConfig, episode_starts=None) -> SrlLossParts:
     """Combined representation loss over a rollout, computed batched.
 
-    ``sequences`` holds one list of per-step feature Values per modality.
-    The similarity term is averaged over timesteps so c_sim has the same
-    meaning at any rollout length. Exploits psi's symmetry: each unordered
-    modality pair is evaluated once and counted twice.
+    ``mats`` holds one (T, L) feature matrix per modality, row t being the
+    features of step t. The similarity term is averaged over timesteps so
+    c_sim has the same meaning at any rollout length. Exploits psi's
+    symmetry: each unordered modality pair is evaluated once and counted
+    twice.
     """
-    m = len(sequences)
-    t_len = len(sequences[0]) if m else 0
-    mats = [ad.concat([f.reshape((1, -1)) for f in seq], axis=0) for seq in sequences]
+    m = len(mats)
+    t_len = mats[0].data.shape[0] if m else 0
 
     sim_total = None
     if m >= 2:

@@ -33,6 +33,7 @@ __all__ = [
     "softmax",
     "stop_gradient",
     "lstm_cell",
+    "lstm_step",
     "transpose",
     "grad_check",
     "GradCheckReport",
@@ -645,48 +646,92 @@ def stop_gradient(x) -> Value:
     return Value(x.data.copy())
 
 
-@_register("lstm_cell")
-def lstm_cell(sx, w_hh, h, c) -> Value:
-    """One LSTM step fused into a single node (keeps step loops cheap).
+def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One LSTM step on plain arrays: the gate math of every ``lstm_cell`` step.
 
-    ``sx`` is the precomputed input drive W_ih @ x + b of length 4H with
-    gate layout [input, forget, cell, output]; ``w_hh`` is (4H, H).
-    Returns the concatenation [h', c'] of length 2H.
+    ``sx`` is the input drive W_ih @ x + b of length 4H with gate layout
+    [input, forget, cell, output]; ``w_hh`` is (4H, H). Returns (h', c',
+    gates), where gates holds the activations [i, f, g, o] of length 4H.
+    """
+    hd = h.shape[0]
+    z = sx + w_hh @ h
+    gates = 1.0 / (1.0 + np.exp(-z))
+    gates[2 * hd : 3 * hd] = np.tanh(z[2 * hd : 3 * hd])
+    c_new = gates[hd : 2 * hd] * c + gates[:hd] * gates[2 * hd : 3 * hd]
+    return gates[3 * hd :] * np.tanh(c_new), c_new, gates
+
+
+@_register("lstm_cell")
+def lstm_cell(sx, w_hh, h, c, starts=None) -> Value:
+    """An LSTM unrolled over a sequence of input drives, fused into a single node.
+
+    ``sx`` holds the precomputed drives W_ih @ x_t + b: a (T, 4H) matrix
+    with one row per step, or a (4H,) vector for a single step. ``w_hh`` is
+    (4H, H); ``h`` and ``c`` are the (H,) state before the first step.
+    ``starts[t]`` true resets the state to zero before step t (an episode
+    start), so no gradient crosses it. Returns the rows [h_t, c_t]: a
+    (T, 2H) matrix, or a (2H,) vector for a single step.
+
+    The backward runs backprop through time in one loop over the steps; the
+    ``w_hh`` gradient is a single (4H, T) @ (T, H) product.
     """
     sx, w_hh, h, c = _lift(sx), _lift(w_hh), _lift(h), _lift(c)
     hd = h.data.shape[0] if h.data.ndim == 1 else -1
-    if sx.data.shape != (4 * hd,) or w_hh.data.shape != (4 * hd, hd) or c.data.shape != (hd,):
+    single = sx.data.ndim == 1
+    drives = sx.data[None] if single else sx.data
+    if drives.ndim != 2 or drives.shape[1] != 4 * hd or w_hh.data.shape != (4 * hd, hd) or c.data.shape != (hd,):
         raise ShapeError(
-            f"lstm_cell: want sx (4H,), w_hh (4H,H), h (H,), c (H,); got {sx.data.shape}, {w_hh.data.shape}, {h.data.shape}, {c.data.shape}"
+            f"lstm_cell: want sx (4H,) or (T, 4H), w_hh (4H,H), h (H,), c (H,); got {sx.data.shape}, {w_hh.data.shape}, {h.data.shape}, {c.data.shape}"
         )
-    z = sx.data + w_hh.data @ h.data
-    gi = 1.0 / (1.0 + np.exp(-z[:hd]))
-    gf = 1.0 / (1.0 + np.exp(-z[hd : 2 * hd]))
-    gg = np.tanh(z[2 * hd : 3 * hd])
-    go = 1.0 / (1.0 + np.exp(-z[3 * hd :]))
-    c_new = gf * c.data + gi * gg
-    tc = np.tanh(c_new)
-    out_data = np.concatenate([go * tc, c_new])
+    n = drives.shape[0]
+    resets = np.zeros(n, dtype=bool) if starts is None else np.asarray(starts, dtype=bool)
+    if resets.shape != (n,):
+        raise ShapeError(f"lstm_cell: starts shape {resets.shape} != ({n},)")
+
+    zeros = np.zeros(hd)
+    h_in = np.empty((n, hd))  # state entering each step, after any reset
+    c_in = np.empty((n, hd))
+    gates = np.empty((n, 4 * hd))
+    out = np.empty((n, 2 * hd))
+    h_t, c_t = h.data, c.data
+    for t in range(n):
+        if resets[t]:
+            h_t, c_t = zeros, zeros
+        h_in[t], c_in[t] = h_t, c_t
+        h_t, c_t, gates[t] = lstm_step(drives[t], w_hh.data, h_t, c_t)
+        out[t, :hd], out[t, hd:] = h_t, c_t
+    out_data = out[0] if single else out
 
     def back(g):
-        gh, gc_out = g[:hd], g[hd:]
-        dc = gc_out + gh * go * (1.0 - tc * tc)
-        dz = np.concatenate(
-            [
-                dc * gg * gi * (1.0 - gi),
-                dc * c.data * gf * (1.0 - gf),
-                dc * gi * (1.0 - gg * gg),
-                gh * tc * go * (1.0 - go),
-            ]
-        )
+        g = g[None] if single else g
+        gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
+        tc = np.tanh(out[:, hd:])
+        # per-step factors of the input, forget and cell gate pre-activation
+        # gradients (times dc), and of the output gate one (times dh)
+        f_ifg = np.stack([gg * gi * (1.0 - gi), c_in * gf * (1.0 - gf), gi * (1.0 - gg * gg)], axis=1)
+        f_o = tc * go * (1.0 - go)
+        f_c = go * (1.0 - tc * tc)
+        dz = np.empty((n, 4, hd))
+        dh, dc_next = zeros, zeros  # adjoints flowing from step t+1 into the state after step t
+        w_t = w_hh.data.T
+        for t in range(n - 1, -1, -1):
+            gh = g[t, :hd] + dh
+            dc = g[t, hd:] + dc_next + gh * f_c[t]
+            dz[t, :3] = dc * f_ifg[t]
+            dz[t, 3] = gh * f_o[t]
+            if resets[t]:
+                dh, dc_next = zeros, zeros
+            else:
+                dh, dc_next = w_t @ dz[t].reshape(-1), dc * gf[t]
+        dz = dz.reshape(n, 4 * hd)
         if sx.requires_grad:
-            sx.grad += dz
+            sx.grad += dz[0] if single else dz
         if w_hh.requires_grad:
-            w_hh.grad += np.outer(dz, h.data)
+            w_hh.grad += dz.T @ h_in
         if h.requires_grad:
-            h.grad += w_hh.data.T @ dz
+            h.grad += dh
         if c.requires_grad:
-            c.grad += dc * gf
+            c.grad += dc_next
 
     return _node(out_data, (sx, w_hh, h, c), back, "lstm_cell")
 

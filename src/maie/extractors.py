@@ -6,9 +6,13 @@ three-layer TextCNN (3 filters, kernel 2 along the sequence). Every
 extractor ends in the same LSTM cell, and the LSTM output is the
 modality's feature vector, so all modalities share FEATURE_DIM = 32.
 
-Two forward paths produce the same numbers: ``forward`` consumes one
-timestep (used while acting), ``forward_sequence`` replays a whole rollout
-with the convolution batched over time (used for the two backward passes).
+Two forward paths produce the same numbers within 1e-12. ``forward``
+consumes one timestep while acting: it runs the convolutions through
+``autodiff.conv2d`` without recording a graph, and the input projection and
+LSTM step (``autodiff.lstm_step``) on plain arrays. ``forward_sequence``
+replays a whole rollout for the backward passes: one batched conv stack
+over time, one input projection for all steps, and the whole LSTM unroll in
+a single ``autodiff.lstm_cell`` node, episode resets included.
 """
 
 from __future__ import annotations
@@ -77,43 +81,32 @@ class _ExtractorBase:
         if tuple(obs.shape) != tuple(self.input_shape):
             raise ValueError(f"{self.name}: observation shape {obs.shape} != expected {self.input_shape}")
 
-    def _lstm_sequence(self, drives: Value, n: int, episode_starts, state: RecurrentState):
-        """Shared LSTM unroll over precomputed input drives of shape (4H, n)."""
-        w_hh = self.params["lstm.w_hh"]
-        b = self.params["lstm.b"]
-        h, c = state.h, state.c
-        feats = []
-        for t in range(n):
-            if episode_starts[t]:
-                h = Value(np.zeros(FEATURE_DIM))
-                c = Value(np.zeros(FEATURE_DIM))
-            hc = ad.lstm_cell(drives[:, t] + b, w_hh, h, c)
-            h = hc[:FEATURE_DIM]
-            c = hc[FEATURE_DIM:]
-            feats.append(h)
-        return feats, RecurrentState(h, c)
-
     def forward(self, obs: np.ndarray, state: RecurrentState):
-        """One timestep: returns (feature vector of length 32, new state)."""
+        """One timestep, graph-free: returns (feature vector of length 32, new state)."""
         self._check_obs(obs)
-        z = self._embed_single(obs)
-        sx = ad.matmul(self.params["lstm.w_ih"], z) + self.params["lstm.b"]
-        hc = ad.lstm_cell(sx, self.params["lstm.w_hh"], state.h, state.c)
-        h = hc[:FEATURE_DIM]
-        return h, RecurrentState(h, hc[FEATURE_DIM:])
+        p = self.params
+        with ad.no_grad():
+            z = self._embed_single(obs)
+        sx = p["lstm.w_ih"].data @ z + p["lstm.b"].data
+        h, c, _ = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h.data, state.c.data)
+        return Value(h), RecurrentState(Value(h), Value(c))
 
     def forward_sequence(self, observations, episode_starts, state: RecurrentState):
-        """Replay a rollout: batched conv over time, sequential LSTM.
+        """Replay a rollout: batched conv over time, then one fused LSTM unroll.
 
         ``episode_starts[t]`` true resets the recurrent state before step t.
-        Returns (list of per-step features, final state).
+        Returns the (T, 32) feature matrix and the final state, which is a
+        constant: gradients stop at the rollout's end.
         """
-        n = len(observations)
         for obs in observations:
             self._check_obs(obs)
-        z = self._embed_batch(observations)  # (n, K)
-        drives = ad.matmul(self.params["lstm.w_ih"], ad.transpose(z, (1, 0)))  # (4H, n)
-        return self._lstm_sequence(drives, n, episode_starts, state)
+        p = self.params
+        z = self._embed_batch(observations)  # (T, K)
+        sx = ad.matmul(z, ad.transpose(p["lstm.w_ih"], (1, 0))) + p["lstm.b"]  # (T, 4H)
+        hc = ad.lstm_cell(sx, p["lstm.w_hh"], state.h, state.c, starts=episode_starts)
+        last = hc.data[-1]
+        final = RecurrentState(Value(last[:FEATURE_DIM].copy()), Value(last[FEATURE_DIM:].copy()))
+        return hc[:, :FEATURE_DIM], final
 
 
 class ConvLstmExtractor(_ExtractorBase):
@@ -151,8 +144,8 @@ class ConvLstmExtractor(_ExtractorBase):
             ).relu()
         return x
 
-    def _embed_single(self, obs: np.ndarray) -> Value:
-        return self._conv_stack(Value(obs)).reshape((self.flat_dim,))
+    def _embed_single(self, obs: np.ndarray) -> np.ndarray:
+        return self._conv_stack(Value(obs)).data.reshape(self.flat_dim)
 
     def _embed_batch(self, observations) -> Value:
         x = Value(np.stack([np.asarray(o, dtype=np.float64) for o in observations]))
@@ -200,11 +193,10 @@ class TextExtractor(_ExtractorBase):
             ).relu()
         return x
 
-    def _embed_single(self, obs: np.ndarray) -> Value:
+    def _embed_single(self, obs: np.ndarray) -> np.ndarray:
         ids = np.asarray(obs, dtype=np.intp)
-        emb = self.params["embed.table"][(slice(None), ids)]  # (E, L)
-        x = emb.reshape((TEXT_EMBED_DIM, 1, self.seq_len))
-        return self._conv_stack(x).reshape((self.flat_dim,))
+        emb = self.params["embed.table"].data[:, ids]  # (E, L)
+        return self._conv_stack(Value(emb.reshape(TEXT_EMBED_DIM, 1, self.seq_len))).data.reshape(self.flat_dim)
 
     def _embed_batch(self, observations) -> Value:
         n = len(observations)

@@ -155,12 +155,20 @@ def case_stop_gradient(rng):
 
 def case_lstm_cell(rng):
     hd = 4
+    if rng.random() < 0.5:
+        sx_shape, starts = (4 * hd,), None
+    else:
+        # a sequence with a reset mid-way: the steps before it still feed h and c
+        t_len = int(rng.integers(3, 6))
+        starts = np.zeros(t_len, dtype=bool)
+        starts[rng.integers(1, t_len)] = True
+        sx_shape = (t_len, 4 * hd)
 
     def f(v):
-        return ad.lstm_cell(v[0], v[1], v[2], v[3]).square().sum()
+        return ad.lstm_cell(v[0], v[1], v[2], v[3], starts=starts).square().sum()
 
     return f, [
-        rng.normal(size=(4 * hd,)),
+        rng.normal(size=sx_shape),
         rng.normal(size=(4 * hd, hd)) * 0.5,
         rng.normal(size=(hd,)) * 0.5,
         rng.normal(size=(hd,)) * 0.5,

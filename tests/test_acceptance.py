@@ -76,8 +76,7 @@ def test_c01_gradient_fidelity():
         return al.temporal_discrimination_loss(seqs, "cosine")
 
     def f_srl(v):
-        seqs = [[v[i][t] for t in range(t_len)] for i in range(m)]
-        return al.srl_loss(seqs, al.AlignmentConfig(c_sim=0.7, c_td=0.2)).total
+        return al.srl_loss(list(v), al.AlignmentConfig(c_sim=0.7, c_td=0.2)).total
 
     for f in (f_sim, f_td, f_srl):
         rep = ad.grad_check(f, flats, rel_tol=1e-4)

@@ -31,6 +31,18 @@ def test_sampling_reproducible():
     assert a1 == a2
 
 
+def test_sampling_matches_generator_choice():
+    # the inverse-CDF draw takes the same uniform as Generator.choice(p=...)
+    logit_rng = np.random.default_rng(3)
+    ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for i in range(2000):
+        logits = logit_rng.normal(size=5) * (4.0 if i % 2 else 0.05)
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        assert ag.sample_action(logits, ours) == int(ref.choice(len(p), p=p))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
 def test_non_finite_logits_rejected():
     with pytest.raises(ag.NumericalError, match="logits"):
         ag.sample_action(np.array([np.nan, 0.0]), np.random.default_rng(0))

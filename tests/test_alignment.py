@@ -12,6 +12,11 @@ def V(x):
     return Value(np.asarray(x, dtype=np.float64))
 
 
+def _mats(seqs):
+    """Per-modality lists of per-step features -> the (T, L) matrices srl_loss takes."""
+    return [V(np.stack([f.data for f in seq])) for seq in seqs]
+
+
 def test_cosine_self_distance_is_zero():
     v = V([1.0, 2.0, -3.0])
     d = al.distance(v, v, "cosine")
@@ -92,14 +97,14 @@ def test_srl_zero_coefficients():
     rng = np.random.default_rng(1)
     seqs = [[V(rng.normal(size=4)) for _ in range(3)] for _ in range(2)]
     cfg = al.AlignmentConfig(c_sim=0.0, c_td=0.0)
-    assert al.srl_loss(seqs, cfg).total.item() == 0.0
+    assert al.srl_loss(_mats(seqs), cfg).total.item() == 0.0
 
 
 def test_srl_combines_linearly():
     rng = np.random.default_rng(2)
     seqs = [[V(rng.normal(size=5)) for _ in range(4)] for _ in range(2)]
     cfg = al.AlignmentConfig(c_sim=1.0, c_td=1.0)
-    parts = al.srl_loss(seqs, cfg)
+    parts = al.srl_loss(_mats(seqs), cfg)
     sim = np.mean([al.similarity_loss([s[t] for s in seqs], "cosine").item() for t in range(4)])
     td = al.temporal_discrimination_loss(seqs, "cosine").item()
     assert parts.total.item() == pytest.approx(sim + td, rel=1e-10)
@@ -113,7 +118,7 @@ def test_srl_batched_matches_loops_with_episode_mask():
     starts = [True, False, False, True, False, False]
     seqs = [[V(rng.normal(size=8)) for _ in range(t_len)] for _ in range(3)]
     cfg = al.AlignmentConfig(c_sim=0.3, c_td=0.2)
-    parts = al.srl_loss(seqs, cfg, episode_starts=starts)
+    parts = al.srl_loss(_mats(seqs), cfg, episode_starts=starts)
     sim = np.mean([al.similarity_loss([s[t] for s in seqs], "cosine").item() for t in range(t_len)])
     td = al.temporal_discrimination_loss(seqs, "cosine", episode_starts=starts).item()
     assert parts.total.item() == pytest.approx(0.3 * sim + 0.2 * td, rel=1e-9)
@@ -126,9 +131,8 @@ def test_srl_gradient_check(kind):
     flat = [rng.normal(size=(t_len, dim)) for _ in range(m)]
 
     def f(vals):
-        seqs = [[vals[i][t] for t in range(t_len)] for i in range(m)]
         cfg = al.AlignmentConfig(c_sim=0.5, c_td=0.3, distance_kind=kind)
-        return al.srl_loss(seqs, cfg).total
+        return al.srl_loss(list(vals), cfg).total
 
     report = ad.grad_check(f, flat, rel_tol=1e-4)
     assert report.ok, report.per_input

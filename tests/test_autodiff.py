@@ -196,6 +196,58 @@ def test_lstm_cell_matches_composed_ops():
     np.testing.assert_allclose(fused.data[hd:], c_new.data, atol=1e-14)
 
 
+def test_lstm_cell_sequence_matches_chained_steps():
+    # the (T, 4H) form is T single-step calls with zeroed state at each start,
+    # in its outputs and in the gradients of all four inputs
+    rng = np.random.default_rng(12)
+    hd, t_len = 5, 7
+    starts = [False, False, True, False, False, True, False]
+    arrays = [
+        rng.normal(size=(t_len, 4 * hd)),
+        rng.normal(size=(4 * hd, hd)) * 0.4,
+        rng.normal(size=(hd,)) * 0.5,
+        rng.normal(size=(hd,)) * 0.5,
+    ]
+    upstream = rng.normal(size=(t_len, 2 * hd))
+
+    fused_in = [ad.Value(a.copy(), requires_grad=True) for a in arrays]
+    fused = ad.lstm_cell(*fused_in, starts=starts)
+    ad.backward((fused * ad.Value(upstream)).sum())
+
+    chained_in = [ad.Value(a.copy(), requires_grad=True) for a in arrays]
+    sx, w_hh, h, c = chained_in
+    rows = []
+    for t in range(t_len):
+        if starts[t]:
+            h, c = ad.Value(np.zeros(hd)), ad.Value(np.zeros(hd))
+        hc = ad.lstm_cell(sx[t], w_hh, h, c)
+        h, c = hc[:hd], hc[hd:]
+        rows.append(hc.reshape((1, 2 * hd)))
+    chained = ad.concat(rows, axis=0)
+    ad.backward((chained * ad.Value(upstream)).sum())
+
+    np.testing.assert_allclose(fused.data, chained.data, rtol=0, atol=1e-12)
+    for a, b in zip(fused_in, chained_in):
+        assert np.abs(a.grad).max() > 0.0
+        np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
+
+
+def test_lstm_step_is_the_op_forward():
+    rng = np.random.default_rng(13)
+    hd = 6
+    sx, whh = rng.normal(size=(4 * hd,)), rng.normal(size=(4 * hd, hd)) * 0.3
+    h, c = rng.normal(size=(hd,)), rng.normal(size=(hd,))
+    h_new, c_new, _ = ad.lstm_step(sx, whh, h, c)
+    hc = ad.lstm_cell(sx, whh, h, c).data
+    np.testing.assert_array_equal(hc, np.concatenate([h_new, c_new]))
+
+
+def test_lstm_cell_rejects_bad_starts():
+    hd = 2
+    with pytest.raises(ad.ShapeError, match="starts"):
+        ad.lstm_cell(np.zeros((3, 4 * hd)), np.zeros((4 * hd, hd)), np.zeros(hd), np.zeros(hd), starts=[True, False])
+
+
 def test_slice_accumulates_repeated_indices():
     x = ad.Value(np.arange(4.0), requires_grad=True)
     out = x[np.array([1, 1, 2])]

@@ -121,6 +121,35 @@ def test_text_forward_sequence_matches_stepwise():
         np.testing.assert_allclose(a, b.data, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["visual", "text"])
+def test_replay_graph_size_is_independent_of_rollout_length(kind):
+    # one fused lstm_cell node per replay, however long the rollout
+    rng = np.random.default_rng(5)
+    if kind == "visual":
+        e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=5)
+        draw = lambda: _rand_obs(rng, VIS_SHAPE)  # noqa: E731
+    else:
+        e = ex.TextExtractor("text", vocab_size=19, seed=5)
+        draw = lambda: rng.integers(0, 19, size=12)  # noqa: E731
+    sizes = []
+    for t_len in (8, 32):
+        starts = [t % 5 == 0 for t in range(t_len)]
+        feats, _ = e.forward_sequence([draw() for _ in range(t_len)], starts, e.initial_state())
+        assert feats.shape == (t_len, ex.FEATURE_DIM)
+        nodes = ad.Graph.trace(feats.sum()).nodes
+        assert sum(n._op == "lstm_cell" for n in nodes) == 1
+        sizes.append(len(nodes))
+    assert sizes[0] == sizes[1]
+
+
+def test_forward_builds_no_graph():
+    rng = np.random.default_rng(7)
+    e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=7)
+    f, st = e.forward(_rand_obs(rng, VIS_SHAPE), e.initial_state())
+    assert not (f.requires_grad or st.h.requires_grad or st.c.requires_grad)
+    assert f._parents == ()
+
+
 def test_state_carries_within_episode():
     rng = np.random.default_rng(6)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=6)
