@@ -7,12 +7,14 @@ modality statistics absorb the rollout's features, the features are
 recomputed under the updated extractors, and the actor-critic losses run
 backward through the lambda-weighted fusion into the heads and extractors.
 
-Acting is graph-free: features, importance weights, and policy logits are
-computed as plain arrays while stepping the environment; the recorded
-observations are replayed in batch form for both backward passes, each
-modality's features as one (T, 32) matrix (the first replay reproduces the
-acting-time features to within 1e-12, since parameters do not change in
-between).
+Acting is graph-free: one ``_act_step`` serves training rollouts and
+evaluation, computing features, importance weights, and policy logits as
+plain arrays while stepping the environment. The recorded observations are
+replayed in batch form for both backward passes, each modality's features
+as one (T, 32) matrix (the first replay reproduces the acting-time features
+to within 1e-12, since parameters do not change in between). One λ rule,
+``_weights``, takes one step's (L,) features or a rollout's (T, L) stack,
+and gives each row of the stack the λ it gives that step alone.
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ class TrainConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 <= self.fixed_weight <= 1.0:
             raise ValueError("fixed_weight must lie in [0, 1]")
+        if not 0.0 < self.xi <= 1.0:
+            raise ValueError(f"xi must be in (0, 1], got {self.xi}")
+        if not self.stats_eps > 0.0:
+            raise ValueError(f"stats_eps must be > 0, got {self.stats_eps}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
 def _affine_params(rng, sizes, prefix):
@@ -203,9 +211,6 @@ class RolloutBuffer:
     rewards: list = field(default_factory=list)
     dones: list = field(default_factory=list)
     features: dict = field(default_factory=dict)  # modality -> list of (L,) arrays
-    lambdas: dict = field(default_factory=dict)  # modality -> list of (L,) arrays
-    values: list = field(default_factory=list)
-    audio_classes: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.actions)
@@ -255,20 +260,26 @@ class Trainer:
 
     # -- acting ------------------------------------------------------------
 
-    def _lambda_arrays(self, feats: dict) -> dict:
+    def _features(self, obs, states: dict) -> tuple:
+        """Graph-free forward of one observation; returns (features, new states)."""
+        obs_arrays = obs.modalities()
+        feats, new_states = {}, {}
+        for m in self.modalities:
+            f, new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m])
+            feats[m] = f.data
+        return feats, new_states
+
+    def _weights(self, feats: dict) -> dict:
+        """λ per modality for (L,) feature arrays or (T, L) stacks of them."""
         if self.use_ie:
             normalized = [self.stats[m].normalize_array(feats[m]) for m in self.modalities]
-            lams = en.importance(normalized)
-            return dict(zip(self.modalities, lams))
+            return dict(zip(self.modalities, en.importance(normalized)))
+        shape = feats[self.modalities[0]].shape
         if self.cfg.method == "fixed_weights":
-            return dict(zip(self.modalities, self._fixed_weights()))
-        return {m: np.ones(FEATURE_DIM) for m in self.modalities}
-
-    def _fixed_weights(self) -> list:
-        w = self.cfg.fixed_weight
-        m = len(self.modalities)
-        rest = (1.0 - w) / (m - 1) if m > 1 else 1.0
-        return [np.full(FEATURE_DIM, w if i == 0 else rest) for i in range(m)]
+            w = self.cfg.fixed_weight
+            rest = (1.0 - w) / (len(self.modalities) - 1) if len(self.modalities) > 1 else 1.0
+            return {m: np.full(shape, w if i == 0 else rest) for i, m in enumerate(self.modalities)}
+        return {m: np.ones(shape) for m in self.modalities}
 
     def _fuse_array(self, feats: dict, lams: dict) -> np.ndarray:
         return np.concatenate([lams[m] * feats[m] for m in self.modalities])
@@ -281,68 +292,67 @@ class Trainer:
         self._ep_steps = 0
         self._ep_lambda_sums = {m: 0.0 for m in self.modalities}
 
-    def _finish_episode(self, phase: str):
-        mean_lams = {
-            m: (self._ep_lambda_sums[m] / max(self._ep_steps, 1)) for m in self.modalities
-        }
-        row = {
-            "episode": self.episode,
-            "env_steps": self.env_steps,
-            "return": self._ep_return,
-            "success": int(self.env.last_success),
-            **self._last_losses,
-        }
-        for m in self.modalities:
-            row[f"lambda_{m}"] = mean_lams[m]
+    def _finish_episode(self, phase: str) -> dict:
+        """Close the episode and return its row: a metrics row in training, else an eval row."""
         if phase == "train":
+            row = {
+                "episode": self.episode,
+                "env_steps": self.env_steps,
+                "return": self._ep_return,
+                "success": int(self.env.last_success),
+                **self._last_losses,
+            }
+            for m in self.modalities:
+                row[f"lambda_{m}"] = self._ep_lambda_sums[m] / max(self._ep_steps, 1)
             self.metrics_rows.append(row)
+        else:
+            row = {
+                "episode": self.episode,
+                "return": self._ep_return,
+                "success": int(self.env.last_success),
+                "steps": self._ep_steps,
+            }
         self.episode += 1
         self._obs = None
+        return row
+
+    def _act_step(self, phase: str, buf: RolloutBuffer | None = None) -> dict | None:
+        """Take one graph-free step, recording it into ``buf`` in training.
+
+        Returns the episode's row when this step ended the episode, else None.
+        """
+        new_episode = self._obs is None
+        if new_episode:
+            self._begin_episode()
+        feats, self._states = self._features(self._obs, self._states)
+        lams = self._weights(feats)
+        action = sample_action(self.head.logits_array(self._fuse_array(feats, lams)), self.action_rng)
+        lam_means = self._record_step_traces(feats, lams, phase)
+        next_obs, reward, done = self.env.step(action)
+        if buf is not None:
+            buf.observations.append(self._obs)
+            buf.episode_starts.append(new_episode)
+            buf.actions.append(action)
+            buf.rewards.append(reward)
+            buf.dones.append(done)
+            for m in self.modalities:
+                buf.features[m].append(feats[m])
+            self.env_steps += 1
+        self._ep_return += reward
+        self._ep_steps += 1
+        for m, mean in zip(self.modalities, lam_means):
+            self._ep_lambda_sums[m] += mean
+        if done:
+            return self._finish_episode(phase)
+        self._obs = next_obs
+        self._obs_audio_class = self.env.last_audio_class
+        return None
 
     def collect_rollout(self) -> RolloutBuffer:
         """Act for T steps (graph-free), recording everything the updates need."""
-        cfg = self.cfg
-        buf = RolloutBuffer()
-        buf.features = {m: [] for m in self.modalities}
-        buf.lambdas = {m: [] for m in self.modalities}
-        with ad.no_grad():
-            for _ in range(cfg.rollout_length):
-                new_episode = self._obs is None
-                if new_episode:
-                    self._begin_episode()
-                obs_arrays = self._obs.modalities()
-                feats = {}
-                for m in self.modalities:
-                    f, self._states[m] = self.extractors[m].forward(obs_arrays[m], self._states[m])
-                    feats[m] = f.data
-                lams = self._lambda_arrays(feats)
-                fused = self._fuse_array(feats, lams)
-                logits = self.head.logits_array(fused)
-                action = sample_action(logits, self.action_rng)
-
-                buf.observations.append(self._obs)
-                buf.episode_starts.append(new_episode)
-                buf.actions.append(action)
-                buf.audio_classes.append(self._obs_audio_class)
-                for m in self.modalities:
-                    buf.features[m].append(feats[m])
-                    buf.lambdas[m].append(lams[m])
-
-                lam_means = self._record_step_traces(feats, lams, phase="train")
-
-                next_obs, reward, done = self.env.step(action)
-                buf.rewards.append(reward)
-                buf.dones.append(done)
-                self.env_steps += 1
-                self._ep_return += reward
-                self._ep_steps += 1
-                for m, mean in zip(self.modalities, lam_means):
-                    self._ep_lambda_sums[m] += mean
-                if done:
-                    self._finish_episode(phase="train")
-                else:
-                    self._obs = next_obs
-                    self._obs_audio_class = self.env.last_audio_class
+        buf = RolloutBuffer(features={m: [] for m in self.modalities})
+        for _ in range(self.cfg.rollout_length):
+            self._act_step("train", buf)
         return buf
 
     def _record_step_traces(self, feats: dict, lams: dict, phase: str) -> tuple:
@@ -366,27 +376,11 @@ class Trainer:
             )
         return feats, finals
 
-    def _lambda_matrices(self, mats: dict) -> dict:
-        t = next(iter(mats.values())).data.shape[0]
-        if self.use_ie:
-            normalized = [self.stats[m].normalize_array(mats[m].data) for m in self.modalities]
-            return dict(zip(self.modalities, en.importance(normalized)))
-        if self.cfg.method == "fixed_weights":
-            fixed = self._fixed_weights()
-            return {m: np.broadcast_to(w, (t, FEATURE_DIM)) for m, w in zip(self.modalities, fixed)}
-        return {m: np.ones((t, FEATURE_DIM)) for m in self.modalities}
-
     def _bootstrap_value(self, final_states: dict) -> float:
         if self._obs is None:
             return 0.0
-        with ad.no_grad():
-            obs_arrays = self._obs.modalities()
-            feats = {}
-            for m in self.modalities:
-                f, _ = self.extractors[m].forward(obs_arrays[m], final_states[m])
-                feats[m] = f.data
-            lams = self._lambda_arrays(feats)
-            return self.head.value_array(self._fuse_array(feats, lams))
+        feats, _ = self._features(self._obs, final_states)
+        return self.head.value_array(self._fuse_array(feats, self._weights(feats)))
 
     def _numerical_dump(self, buf: RolloutBuffer, extra: dict) -> dict:
         return {
@@ -428,8 +422,8 @@ class Trainer:
 
         # step two: recompute features under the updated extractors
         feats, finals = self._replay_features(buf, {m: s.detached() for m, s in initial_states.items()})
-        lam_mats = self._lambda_matrices(feats)
-        fused = ad.concat([feats[m] * Value(np.asarray(lam_mats[m])) for m in self.modalities], axis=1)
+        lams = self._weights({m: feats[m].data for m in self.modalities})
+        fused = en.fuse([feats[m] for m in self.modalities], [lams[m] for m in self.modalities])
 
         logits = self.head.actor_logits(fused)
         values = self.head.critic_values(fused)
@@ -479,38 +473,11 @@ class Trainer:
     def run_eval(self, episodes: int) -> list:
         """Roll episodes with frozen parameters and statistics; returns episode rows."""
         rows = []
-        with ad.no_grad():
-            for _ in range(episodes):
-                self._begin_episode()
-                done = False
-                while not done:
-                    obs_arrays = self._obs.modalities()
-                    feats = {}
-                    for m in self.modalities:
-                        f, self._states[m] = self.extractors[m].forward(obs_arrays[m], self._states[m])
-                        feats[m] = f.data
-                    lams = self._lambda_arrays(feats)
-                    logits = self.head.logits_array(self._fuse_array(feats, lams))
-                    action = sample_action(logits, self.action_rng)
-                    lam_means = self._record_step_traces(feats, lams, phase="eval")
-                    next_obs, reward, done = self.env.step(action)
-                    self._ep_return += reward
-                    self._ep_steps += 1
-                    for m, mean in zip(self.modalities, lam_means):
-                        self._ep_lambda_sums[m] += mean
-                    if not done:
-                        self._obs = next_obs
-                        self._obs_audio_class = self.env.last_audio_class
-                rows.append(
-                    {
-                        "episode": self.episode,
-                        "return": self._ep_return,
-                        "success": int(self.env.last_success),
-                        "steps": self._ep_steps,
-                    }
-                )
-                self._finish_episode(phase="eval")
-        self._obs = None  # next training rollout starts a fresh episode
+        for _ in range(episodes):
+            self._obs = None  # every evaluation episode starts fresh
+            while (row := self._act_step("eval")) is None:
+                pass
+            rows.append(row)
         return rows
 
     # -- checkpointing -------------------------------------------------------

@@ -8,6 +8,10 @@ discriminative over time while alignment pressure smooths it. The
 combined loss is c_sim * (per-timestep similarity, averaged over the
 rollout) + c_td * temporal term; its gradient reaches only the extractor
 parameters because nothing downstream of the features participates.
+
+``srl_loss`` is what training runs: both terms at once over (T, L) feature
+matrices. ``similarity_loss`` and ``temporal_discrimination_loss`` spell the
+terms out step by step as its reference; all three share ``distance``.
 """
 
 from __future__ import annotations
@@ -40,31 +44,23 @@ class AlignmentConfig:
 
 
 def distance(f_a: Value, f_b: Value, kind: str = "cosine") -> Value:
-    """Symmetric nonnegative distance between two equal-length feature vectors.
+    """Symmetric nonnegative distance between feature vectors, over the last axis.
 
+    Two (L,) vectors give a scalar; two (T, L) matrices give the (T,)
+    distances between corresponding rows.
     cosine: 1 - <a,b>/(|a||b| + eps), bounded in [0, 2].
     squared_euclidean: |a-b|^2 / L.
     """
     if f_a.data.shape != f_b.data.shape:
         raise ValueError(f"distance: feature lengths differ, {f_a.data.shape} vs {f_b.data.shape}")
     if kind == "cosine":
-        dot = (f_a * f_b).sum()
-        na = f_a.square().sum().sqrt()
-        nb = f_b.square().sum().sqrt()
+        dot = (f_a * f_b).sum(axis=-1)
+        na = f_a.square().sum(axis=-1).sqrt()
+        nb = f_b.square().sum(axis=-1).sqrt()
         return 1.0 - dot / (na * nb + COSINE_EPS)
     if kind == "squared_euclidean":
-        return (f_a - f_b).square().sum() / float(f_a.data.shape[-1])
+        return (f_a - f_b).square().sum(axis=-1) / float(f_a.data.shape[-1])
     raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def _rowwise_distance(a: Value, b: Value, kind: str) -> Value:
-    """Distance between corresponding rows of two (T, L) feature matrices."""
-    if kind == "cosine":
-        dot = (a * b).sum(axis=1)
-        na = a.square().sum(axis=1).sqrt()
-        nb = b.square().sum(axis=1).sqrt()
-        return 1.0 - dot / (na * nb + COSINE_EPS)
-    return (a - b).square().sum(axis=1) / float(a.data.shape[1])
 
 
 def similarity_loss(features: list, kind: str = "cosine") -> Value:
@@ -128,7 +124,7 @@ def srl_loss(mats: list, cfg: AlignmentConfig, episode_starts=None) -> SrlLossPa
     if m >= 2:
         for i in range(m):
             for j in range(i + 1, m):
-                d = _rowwise_distance(mats[i], mats[j], cfg.distance_kind).sum()
+                d = distance(mats[i], mats[j], cfg.distance_kind).sum()
                 sim_total = d if sim_total is None else sim_total + d
         sim_total = 2.0 * sim_total / float(t_len)
     else:
@@ -142,7 +138,7 @@ def srl_loss(mats: list, cfg: AlignmentConfig, episode_starts=None) -> SrlLossPa
         else:
             mask = np.array([0.0 if episode_starts[t + 1] else 1.0 for t in range(t_len - 1)])
         for mat in mats:
-            d = _rowwise_distance(mat[: t_len - 1], mat[1:], cfg.distance_kind)
+            d = distance(mat[: t_len - 1], mat[1:], cfg.distance_kind)
             masked = (d * Value(mask)).sum()
             td_total = masked if td_total is None else td_total + masked
         td_total = -td_total

@@ -38,7 +38,6 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     "Adam",
-    "adam_step",
     "clip_grad_norm",
     "zero_grads",
 ]
@@ -865,34 +864,6 @@ def grad_check(f, inputs, step: float = 1e-5, rel_tol: float = 1e-4) -> GradChec
 # ---------------------------------------------------------------------------
 
 
-def adam_step(params, lr: float, betas=(0.9, 0.999), eps: float = 1e-8, state: dict = None) -> dict:
-    """One Adam update in place; grads are left untouched for the caller to zero.
-
-    ``state`` maps id(param) -> [m, v, t] and is created/extended on first use.
-    """
-    if state is None:
-        state = {}
-    b1, b2 = betas
-    for p in params:
-        if p.grad is None:
-            raise ValueError("adam_step: parameter has no grad buffer")
-        st = state.get(id(p))
-        if st is None:
-            st = [np.zeros_like(p.data), np.zeros_like(p.data), 0]
-            state[id(p)] = st
-        m, v, t = st
-        t += 1
-        m *= b1
-        m += (1.0 - b1) * p.grad
-        v *= b2
-        v += (1.0 - b2) * (p.grad * p.grad)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        st[2] = t
-    return state
-
-
 class Adam:
     """Adam with per-parameter moment state; supports stepping parameter subsets."""
 
@@ -904,7 +875,28 @@ class Adam:
         self.state: dict = {}
 
     def step(self, params=None):
-        adam_step(self.params if params is None else params, self.lr, self.betas, self.eps, self.state)
+        """One Adam update in place; grads are left untouched for the caller to zero.
+
+        ``self.state`` maps id(param) -> [m, v, t] and grows on first use.
+        """
+        b1, b2 = self.betas
+        for p in self.params if params is None else params:
+            if p.grad is None:
+                raise ValueError("Adam.step: parameter has no grad buffer")
+            st = self.state.get(id(p))
+            if st is None:
+                st = [np.zeros_like(p.data), np.zeros_like(p.data), 0]
+                self.state[id(p)] = st
+            m, v, t = st
+            t += 1
+            m *= b1
+            m += (1.0 - b1) * p.grad
+            v *= b2
+            v += (1.0 - b2) * (p.grad * p.grad)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            st[2] = t
 
     def zero_grad(self, params=None):
         zero_grads(self.params if params is None else params)

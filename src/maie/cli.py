@@ -32,33 +32,20 @@ import numpy as np
 
 from . import envs
 from .agent import METHODS, NumericalError, TrainConfig, Trainer
-from .extractors import array_payload, load_arrays, load_into, payload_array
+from .alignment import DISTANCE_KINDS
+from .extractors import FEATURE_DIM, array_payload, load_into, payload_array
 
 METRICS_SCHEMA = "maie-metrics-v1"
-EMBED_DIM = 32
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TrainConfig):
+    """A TrainConfig plus the environment and where the run's artifacts go."""
+
     env: str = "hetero_nav"
-    method: str = "maie"
-    seed: int = 0
-    episodes: int = 100
     out: str = "runs/out"
     eval_episodes: int = 0
     max_env_steps: int | None = None
-    gamma: float = 0.99
-    rollout_length: int = 32
-    lr: float = 1e-4
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
-    c_sim: float = 0.1
-    c_td: float = 0.01
-    xi: float = 0.05
-    stats_eps: float = 1e-5
-    distance: str = "cosine"
-    grad_clip: float = 5.0
-    fixed_weight: float = 0.5
 
     def __post_init__(self):
         if self.env not in envs.ENV_NAMES:
@@ -67,12 +54,10 @@ class RunConfig:
             raise ValueError("episodes must be >= 1")
         if self.eval_episodes < 0:
             raise ValueError("eval_episodes must be >= 0")
-        self.train_config()  # validates the shared hyperparameters
+        super().__post_init__()
 
     def train_config(self) -> TrainConfig:
-        fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        payload = {k: v for k, v in dataclasses.asdict(self).items() if k in fields}
-        return TrainConfig(**payload)
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)})
 
 
 def _atomic_write(path: str, text: str):
@@ -124,7 +109,7 @@ def _write_lambda_trace(path: str, rows: list, modalities: list):
 
 
 def _write_embeddings(path: str, rows: list):
-    header = ["phase", "episode", "step", "modality"] + [f"f{i}" for i in range(EMBED_DIM)]
+    header = ["phase", "episode", "step", "modality"] + [f"f{i}" for i in range(FEATURE_DIM)]
     _write_csv(path, header, ((phase, ep, st, mod, *vec.tolist()) for phase, ep, st, mod, vec in rows))
 
 
@@ -283,24 +268,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--env", choices=envs.ENV_NAMES, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--episodes", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--eval-episodes", type=int, dest="eval_episodes", default=None)
-        p.add_argument("--max-env-steps", type=int, dest="max_env_steps", default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--rollout-length", type=int, dest="rollout_length", default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--entropy-coef", type=float, dest="entropy_coef", default=None)
-        p.add_argument("--value-coef", type=float, dest="value_coef", default=None)
-        p.add_argument("--c-sim", type=float, dest="c_sim", default=None)
-        p.add_argument("--c-td", type=float, dest="c_td", default=None)
-        p.add_argument("--xi", type=float, default=None)
-        p.add_argument("--stats-eps", type=float, dest="stats_eps", default=None)
-        p.add_argument("--distance", choices=("cosine", "squared_euclidean"), default=None)
-        p.add_argument("--grad-clip", type=float, dest="grad_clip", default=None)
-        p.add_argument("--fixed-weight", type=float, dest="fixed_weight", default=None)
+        # one --field-name flag per RunConfig field; sweep takes --methods in place of --method
+        choices = {"env": envs.ENV_NAMES, "distance": DISTANCE_KINDS}
+        for f in dataclasses.fields(RunConfig):
+            if f.name != "method":
+                kind = int if f.default is None else type(f.default)
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=kind,
+                               choices=choices.get(f.name), default=None)
 
     p_run = sub.add_parser("run", help="train one configuration")
     add_common(p_run)

@@ -7,12 +7,14 @@ softmax over |normalized| across modalities yields the importance
 coefficients lambda. The fused state concatenates lambda-weighted raw
 features; lambda, mu, and sigma are constants to the backward pass, so the
 adjoint reaching a modality is exactly lambda times the adjoint of its
-weighted slice.
+weighted slice. The baselines fuse the same way with constant lambda.
+``normalize`` is the graph form of ``ModalityStats.normalize_array``, which
+acting and training use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +55,6 @@ class ModalityStats:
     def normalize_array(self, f: np.ndarray) -> np.ndarray:
         """Plain-numpy normalization (graph-free path while acting)."""
         return (f - self.mu) * self.scale()
-
-
-def update_stats(batch_features, stats: ModalityStats) -> ModalityStats:
-    return stats.update(np.asarray(batch_features))
 
 
 def normalize(f: Value, stats: ModalityStats) -> Value:
@@ -104,36 +102,3 @@ def fuse(raw: list, lambdas: list) -> Value:
     weighted = [f * Value(np.asarray(lam)) for f, lam in zip(raw, lambdas)]
     axis = raw[0].data.ndim - 1
     return ad.concat(weighted, axis=axis)
-
-
-def fixed_weight_fuse(raw: list, weights) -> Value:
-    """Constant scalar weights per modality (fixed-weights baseline)."""
-    if len(raw) != len(weights):
-        raise ValueError("fixed_weight_fuse: one weight per modality required")
-    for w in weights:
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"fixed weight {w} outside [0, 1]")
-    weighted = [f * float(w) for f, w in zip(raw, weights)]
-    axis = raw[0].data.ndim - 1
-    return ad.concat(weighted, axis=axis)
-
-
-@dataclass
-class FeatureBundle:
-    """Everything derived from one step's per-modality features."""
-
-    raw: list
-    normalized: list = field(default_factory=list)
-    lam: list = field(default_factory=list)
-    weighted: list = field(default_factory=list)
-    fused: Value = None
-
-
-def enhance(features: list, stats: list) -> FeatureBundle:
-    """Full normalize -> importance -> fuse path for one step or a stack."""
-    normalized = [normalize(f, s) for f, s in zip(features, stats)]
-    lam = importance(normalized)
-    weighted = [f * Value(l) for f, l in zip(features, lam)]
-    axis = features[0].data.ndim - 1
-    fused = ad.concat(weighted, axis=axis)
-    return FeatureBundle(raw=features, normalized=normalized, lam=lam, weighted=weighted, fused=fused)

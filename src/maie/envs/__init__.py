@@ -22,22 +22,6 @@ def make_env(name: str, seed: int) -> GridEnv:
     raise ValueError(f"unknown environment {name!r}; choose from {ENV_NAMES}")
 
 
-def hetero_nav(seed: int) -> HeteroNavEnv:
-    return HeteroNavEnv(seed)
-
-
-def target_select(seed: int) -> TargetSelectEnv:
-    return TargetSelectEnv(seed)
-
-
-def av_navigation(seed: int) -> AvNavEnv:
-    return AvNavEnv(seed)
-
-
-def mining(seed: int, plus: bool = False) -> MiningEnv:
-    return MiningEnv(seed, plus=plus)
-
-
 __all__ = [
     "AUDIO_SIZE",
     "AudioRenderer",
@@ -50,9 +34,5 @@ __all__ = [
     "VOCAB",
     "encode_text",
     "make_env",
-    "hetero_nav",
-    "target_select",
-    "av_navigation",
-    "mining",
     "ENV_NAMES",
 ]

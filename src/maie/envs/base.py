@@ -9,10 +9,6 @@ continuous signal whose class structure dominates the noise.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +63,7 @@ class AudioRenderer:
 
 
 class GridEnv:
-    """Base class: bounded moves, step cap, replay log, seeded determinism.
+    """Base class: bounded moves, step cap, seeded determinism.
 
     Subclasses define ``_reset_state``, ``_transition`` (returning
     (reward, done)) and ``_observe``; they update ``last_audio_class``
@@ -84,8 +80,6 @@ class GridEnv:
         self.steps = 0
         self.last_audio_class = -1
         self.last_success = False
-        self.record_replay = False
-        self.replay: list = []
         self._done = True
 
     @property
@@ -117,34 +111,7 @@ class GridEnv:
             done = True  # cap reached, no bonus
         self._done = done
         obs = self._observe()
-        if self.record_replay:
-            self.replay.append(
-                {
-                    "step": self.steps,
-                    "action": int(action),
-                    "reward": float(reward),
-                    "done": bool(done),
-                    "rng": self.rng_hash(),
-                }
-            )
         return obs, float(reward), bool(done)
-
-    def rng_hash(self) -> str:
-        state = self.rng.bit_generator.state
-        return hashlib.sha1(repr(state).encode()).hexdigest()[:16]
-
-    def save_replay(self, path):
-        """Write the replay log as JSON lines (one step per line)."""
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                for entry in self.replay:
-                    fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
 
     def _bounded(self, pos, action):
         dr, dc = self.MOVES[action]

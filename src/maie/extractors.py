@@ -17,10 +17,6 @@ a single ``autodiff.lstm_cell`` node, episode resets included.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-
 import numpy as np
 
 from . import autodiff as ad
@@ -216,7 +212,7 @@ def build_extractor(modality: str, input_shape, seed: int, vocab_size: int | Non
     return ConvLstmExtractor(modality, input_shape, seed)
 
 
-# -- parameter serialization (JSON: name -> shape + row-major values) -------
+# -- parameter serialization (JSON: shape + row-major values) ----------------
 
 
 def array_payload(arr: np.ndarray) -> dict:
@@ -226,26 +222,6 @@ def array_payload(arr: np.ndarray) -> dict:
 
 def payload_array(payload: dict) -> np.ndarray:
     return np.asarray(payload["data"], dtype=np.float64).reshape(payload["shape"])
-
-
-def save_arrays(path: str, arrays: dict):
-    """Atomically write named arrays as JSON."""
-    payload = {name: array_payload(a.data if isinstance(a, Value) else a) for name, a in arrays.items()}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_arrays(path: str) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return {name: payload_array(entry) for name, entry in payload.items()}
 
 
 def load_into(named_params: dict, arrays: dict):

@@ -174,6 +174,18 @@ def test_config_rejects_unknown_method():
         ag.TrainConfig(method="attention")
 
 
+@pytest.mark.parametrize(
+    "name, value", [("xi", 0.0), ("xi", 2.0), ("stats_eps", 0.0), ("stats_eps", -1.0), ("lr", 0.0), ("lr", -1e-3)]
+)
+def test_config_rejects_out_of_range(name, value):
+    with pytest.raises(ValueError, match=name):
+        ag.TrainConfig(**{name: value})
+
+
+def test_config_accepts_range_edges():
+    ag.TrainConfig(xi=1.0, stats_eps=1e-12, lr=1e-12)
+
+
 # -- trainer -------------------------------------------------------------
 
 
@@ -212,6 +224,23 @@ def test_fixed_weights_lambdas():
     for _, _, _, _, lams in tr.lambda_rows:
         assert lams[0] == pytest.approx(0.9)
         assert lams[1] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("method", ag.METHODS)
+def test_weights_of_a_stack_match_each_row(method):
+    # the lambda a replay gives a step equals the lambda acting gives it
+    tr = _make_trainer(method=method, env_name="mining_plus", fixed_weight=0.7)
+    rng = np.random.default_rng(5)
+    for m in tr.modalities:
+        tr.stats[m].mu = rng.normal(size=32)
+        tr.stats[m].var = rng.uniform(0.5, 2.0, size=32)
+    stack = {m: 3.0 * rng.normal(size=(6, 32)) for m in tr.modalities}
+    lams = tr._weights(stack)
+    for t in range(6):
+        row = tr._weights({m: stack[m][t] for m in tr.modalities})
+        for m in tr.modalities:
+            assert lams[m].shape == (6, 32)
+            np.testing.assert_array_equal(lams[m][t], row[m])
 
 
 def test_maie_lambdas_on_simplex():

@@ -40,11 +40,17 @@ def test_distance_length_mismatch():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.sampled_from(["cosine", "squared_euclidean"]))
-def test_distance_symmetry(seed, kind):
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["cosine", "squared_euclidean"]), st.integers(0, 5))
+def test_distance_symmetry(seed, kind, t_len):
+    # t_len 0 draws two (8,) vectors, otherwise two (t_len, 8) matrices
     rng = np.random.default_rng(seed)
-    a, b = V(rng.normal(size=8)), V(rng.normal(size=8))
-    assert abs(al.distance(a, b, kind).item() - al.distance(b, a, kind).item()) < 1e-12
+    shape = (t_len, 8) if t_len else (8,)
+    a, b = V(rng.normal(size=shape)), V(rng.normal(size=shape))
+    d_ab = al.distance(a, b, kind).data
+    assert np.shape(d_ab) == shape[:-1]
+    assert np.abs(d_ab - al.distance(b, a, kind).data).max() < 1e-12
+    for t in range(t_len):  # each row of a matrix distance is the vector distance of that row
+        assert abs(d_ab[t] - al.distance(V(a.data[t]), V(b.data[t]), kind).item()) < 1e-12
 
 
 def test_similarity_zero_for_identical_modalities():

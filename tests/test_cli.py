@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -74,6 +75,37 @@ def test_invalid_env_rejected_before_work(tmp_path):
     rc = cli.main(["run", "--env", "labyrinth", "--out", str(tmp_path / "x")])
     assert rc != 0
     assert not (tmp_path / "x").exists()
+
+
+def test_out_of_range_xi_rejected_before_work(tmp_path):
+    rc = cli.main(["run", "--xi", "2.0", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert not (tmp_path / "x").exists()
+
+
+def _flag_value(f) -> tuple:
+    """A command-line value for RunConfig field ``f`` other than its default, and that value parsed."""
+    choices = {"env": "mining", "distance": "squared_euclidean", "method": "no_ie"}
+    if f.name in choices:
+        return choices[f.name], choices[f.name]
+    if f.default is None or isinstance(f.default, int):
+        return "7", 7
+    if isinstance(f.default, float):
+        return "0.25", 0.25
+    return "elsewhere", "elsewhere"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_every_config_field_has_a_flag(command):
+    parser = cli._build_parser()
+    assert ("method" in vars(parser.parse_args([command]))) == (command == "run")  # --method is run-only
+    for f in dataclasses.fields(RunConfig):
+        if f.name == "method" and command == "sweep":
+            continue
+        text, expected = _flag_value(f)
+        args = parser.parse_args([command, "--" + f.name.replace("_", "-"), text])
+        cfg = RunConfig(**cli._merge_config(args))
+        assert getattr(cfg, f.name) == expected != f.default, f.name
 
 
 def test_invalid_method_exit_code(capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from maie import autodiff as ad
 from maie import enhancement as en
+from maie.agent import TrainConfig
 from maie.autodiff import Value
 
 
@@ -140,32 +141,36 @@ def test_fuse_gradient_against_finite_differences():
 
 
 def test_fixed_weight_fuse_examples():
+    # the fixed-weights baseline fuses with constant lambda
     a, b = Value(np.array([1.0])), Value(np.array([1.0]))
-    np.testing.assert_array_equal(en.fixed_weight_fuse([a, b], [1.0, 1.0]).data, [1.0, 1.0])
-    np.testing.assert_array_equal(en.fixed_weight_fuse([a, b], [0.9, 0.1]).data, [0.9, 0.1])
+    np.testing.assert_array_equal(en.fuse([a, b], [np.full(1, 1.0), np.full(1, 1.0)]).data, [1.0, 1.0])
+    np.testing.assert_array_equal(en.fuse([a, b], [np.full(1, 0.9), np.full(1, 0.1)]).data, [0.9, 0.1])
 
 
 def test_fixed_weight_zero_blocks_gradient():
     a = Value(np.array([1.0, 2.0]), requires_grad=True)
     b = Value(np.array([3.0, 4.0]), requires_grad=True)
-    ad.backward(en.fixed_weight_fuse([a, b], [0.0, 1.0]).sum())
+    ad.backward(en.fuse([a, b], [np.zeros(2), np.ones(2)]).sum())
     np.testing.assert_array_equal(a.grad, [0.0, 0.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
 
 def test_fixed_weight_range_validation():
     with pytest.raises(ValueError, match="0, 1"):
-        en.fixed_weight_fuse([Value(np.ones(2))], [1.5])
+        TrainConfig(fixed_weight=1.5)
 
 
 def test_enhance_bundle_consistency():
+    # the full normalize -> importance -> fuse path for one step
     rng = np.random.default_rng(10)
     feats = [Value(rng.normal(size=4)) for _ in range(2)]
     stats = [en.ModalityStats.create(4) for _ in range(2)]
-    bundle = en.enhance(feats, stats)
-    for f, lam, w in zip(bundle.raw, bundle.lam, bundle.weighted):
-        np.testing.assert_array_equal(w.data, lam * f.data)  # exact elementwise product
-    np.testing.assert_array_equal(bundle.fused.data, np.concatenate([w.data for w in bundle.weighted]))
+    lam = en.importance([en.normalize(f, s) for f, s in zip(feats, stats)])
+    fused = en.fuse(feats, lam)
+    weighted = [l * f.data for f, l in zip(feats, lam)]
+    for i, w in enumerate(weighted):
+        np.testing.assert_array_equal(fused.data[4 * i : 4 * (i + 1)], w)  # exact elementwise product
+    np.testing.assert_array_equal(fused.data, np.concatenate(weighted))
 
 
 def test_stats_convergence_quick():

@@ -16,14 +16,14 @@ ALL_ENVS = list(envs.ENV_NAMES)
 
 
 def test_hetero_nav_layout():
-    env = envs.hetero_nav(seed=0)
+    env = envs.make_env("hetero_nav", 0)
     env.reset()
     assert env.agent == (0, 0)
     assert env.goal == (9, 9)
 
 
 def test_hetero_nav_step_cost():
-    env = envs.hetero_nav(seed=0)
+    env = envs.make_env("hetero_nav", 0)
     env.reset()
     _, reward, done = env.step(3)  # right
     assert env.agent == (0, 1)
@@ -32,7 +32,7 @@ def test_hetero_nav_step_cost():
 
 
 def test_hetero_nav_goal_reward():
-    env = envs.hetero_nav(seed=0)
+    env = envs.make_env("hetero_nav", 0)
     env.reset()
     total, success, _ = run_plan(env, PLANS["hetero_nav"](env))
     assert success
@@ -40,7 +40,7 @@ def test_hetero_nav_goal_reward():
 
 
 def test_hetero_nav_bearing_classes():
-    env = envs.hetero_nav(seed=1)
+    env = envs.make_env("hetero_nav", 1)
     env.reset()
     env.agent = (5, 5)
     env._observe()
@@ -54,7 +54,7 @@ def test_hetero_nav_bearing_classes():
 
 
 def test_target_select_audio_line():
-    env = envs.target_select(seed=3)
+    env = envs.make_env("target_select", 3)
     env.reset()
     assert env.agent[1] != env.LINE_COL
     assert env.last_audio_class == -1  # off the line: noise only
@@ -66,7 +66,7 @@ def test_target_select_audio_line():
 def test_target_select_same_seed_same_target_sequence():
     seq = []
     for _ in range(2):
-        env = envs.target_select(seed=17)
+        env = envs.make_env("target_select", 17)
         types = []
         for _ in range(10):
             env.reset()
@@ -77,7 +77,7 @@ def test_target_select_same_seed_same_target_sequence():
 
 
 def test_target_select_rewards():
-    env = envs.target_select(seed=5)
+    env = envs.make_env("target_select", 5)
     env.reset()
     correct = env.TARGET_1 if env.target_type == 1 else env.TARGET_2
     wrong = env.TARGET_2 if env.target_type == 1 else env.TARGET_1
@@ -94,7 +94,7 @@ def test_target_select_rewards():
 
 
 def test_target_select_targets_visually_identical():
-    env = envs.target_select(seed=7)
+    env = envs.make_env("target_select", 7)
     obs1 = env.reset()
     while env.target_type != 1:
         obs1 = env.reset()
@@ -108,7 +108,7 @@ def test_target_select_targets_visually_identical():
 
 
 def test_av_nav_audio_convention():
-    env = envs.av_navigation(seed=0)
+    env = envs.make_env("av_nav", 0)
     env.reset()
     env.agent = (env.GOAL[0], 7)  # right room, level with source
     env._observe()
@@ -122,7 +122,7 @@ def test_av_nav_audio_convention():
 
 
 def test_av_nav_left_room_source_is_corridor():
-    env = envs.av_navigation(seed=0)
+    env = envs.make_env("av_nav", 0)
     env.reset()
     env.agent = (env.CORRIDOR[0], 2)
     env._observe()
@@ -130,7 +130,7 @@ def test_av_nav_left_room_source_is_corridor():
 
 
 def test_av_nav_wall_blocks():
-    env = envs.av_navigation(seed=0)
+    env = envs.make_env("av_nav", 0)
     env.reset()
     env.agent = (3, 4)
     env.step(3)  # into the wall column: stays
@@ -141,7 +141,7 @@ def test_av_nav_wall_blocks():
 
 
 def test_av_nav_goal():
-    env = envs.av_navigation(seed=0)
+    env = envs.make_env("av_nav", 0)
     env.reset()
     total, success, steps = run_plan(env, PLANS["av_nav"](env))
     assert success and steps < env.max_steps
@@ -151,7 +151,7 @@ def test_av_nav_goal():
 
 
 def test_mining_audio_cue_near_ore():
-    env = envs.mining(seed=2)
+    env = envs.make_env("mining", 2)
     env.reset()
     env.agent = (env.ORE[0] - 1, env.ORE[1])
     env._observe()
@@ -162,7 +162,7 @@ def test_mining_audio_cue_near_ore():
 
 
 def test_mining_ore_blocks_movement():
-    env = envs.mining(seed=2)
+    env = envs.make_env("mining", 2)
     env.reset()
     env.agent = (env.ORE[0] - 1, env.ORE[1])
     env.step(1)  # down into the ore: blocked
@@ -170,7 +170,7 @@ def test_mining_ore_blocks_movement():
 
 
 def test_mining_wrong_tool_penalty():
-    env = envs.mining(seed=2)
+    env = envs.make_env("mining", 2)
     env.reset()
     env.agent = (env.ORE[0] - 1, env.ORE[1])
     _, reward, done = env.step(4)  # mine with no tool
@@ -179,7 +179,7 @@ def test_mining_wrong_tool_penalty():
 
 def test_mining_success_reward():
     for seed in range(4):
-        env = envs.mining(seed=seed)
+        env = envs.make_env("mining", seed)
         env.reset()
         total, success, _ = run_plan(env, PLANS["mining"](env))
         assert success
@@ -187,7 +187,7 @@ def test_mining_success_reward():
 
 
 def test_mining_tool_swap_returns_held_tool():
-    env = envs.mining(seed=0)
+    env = envs.make_env("mining", 0)
     env.reset()
     env.agent = env.TOOL_HOME["ax"]
     env.step(4)
@@ -199,7 +199,7 @@ def test_mining_tool_swap_returns_held_tool():
 
 
 def test_mining_plus_monster_hit():
-    env = envs.mining(seed=3, plus=True)
+    env = envs.make_env("mining_plus", 3)
     env.reset()
     env.agent = (7, 5)
     _, reward, done = env.step(3)  # step next to the monster; it pursues
@@ -209,7 +209,7 @@ def test_mining_plus_monster_hit():
 
 
 def test_mining_plus_text_events():
-    env = envs.mining(seed=1, plus=True)
+    env = envs.make_env("mining_plus", 1)
     obs = env.reset()
     np.testing.assert_array_equal(obs.text, encode_text(MESSAGES["task"]))
 
@@ -315,7 +315,7 @@ def test_invalid_action_rejected(name):
 
 
 def test_step_after_done_rejected():
-    env = envs.hetero_nav(seed=0)
+    env = envs.make_env("hetero_nav", 0)
     env.reset()
     env.agent = (9, 8)
     env.step(3)
@@ -324,7 +324,7 @@ def test_step_after_done_rejected():
 
 
 def test_episode_cap():
-    env = envs.hetero_nav(seed=0)
+    env = envs.make_env("hetero_nav", 0)
     env.reset()
     done = False
     for i in range(env.max_steps):
@@ -345,27 +345,3 @@ def test_audio_patterns_distinguishable():
             for a, b in itertools.combinations(patterns, 2)
         ]
         assert np.mean(dists) > 5 * envbase.AUDIO_NOISE_STD
-
-
-def test_replay_log(tmp_path):
-    env = envs.hetero_nav(seed=4)
-    env.record_replay = True
-    env.reset()
-    for a in (3, 3, 1):
-        env.step(a)
-    path = tmp_path / "replay.jsonl"
-    env.save_replay(path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 3
-    import json
-
-    entry = json.loads(lines[0])
-    assert set(entry) == {"step", "action", "reward", "done", "rng"}
-
-    # identical run reproduces identical rng hashes
-    env2 = envs.hetero_nav(seed=4)
-    env2.record_replay = True
-    env2.reset()
-    for a in (3, 3, 1):
-        env2.step(a)
-    assert [e["rng"] for e in env.replay] == [e["rng"] for e in env2.replay]
