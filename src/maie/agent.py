@@ -20,7 +20,7 @@ and gives each row of the stack the λ it gives that step alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,9 +107,6 @@ class PolicyValueHead:
 
     def named_parameters(self) -> dict:
         return {f"head.{k}": v for k, v in self.params.items()}
-
-    def actor_parameters(self) -> list:
-        return [v for k, v in self.params.items() if k.startswith("actor")]
 
     def critic_parameters(self) -> list:
         return [v for k, v in self.params.items() if k.startswith("critic")]
@@ -212,9 +209,6 @@ class RolloutBuffer:
     dones: list = field(default_factory=list)
     features: dict = field(default_factory=dict)  # modality -> list of (L,) arrays
 
-    def __len__(self):
-        return len(self.actions)
-
 
 class Trainer:
     """One environment, one agent, one thread; reentrant across seeded runs."""
@@ -265,8 +259,7 @@ class Trainer:
         obs_arrays = obs.modalities()
         feats, new_states = {}, {}
         for m in self.modalities:
-            f, new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m])
-            feats[m] = f.data
+            feats[m], new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m])
         return feats, new_states
 
     def _weights(self, feats: dict) -> dict:
@@ -504,6 +497,3 @@ class Trainer:
                 xi=float(entry["xi"]),
                 eps=float(entry["eps"]),
             )
-
-    def config_dict(self) -> dict:
-        return asdict(self.cfg)

@@ -9,9 +9,8 @@ combined loss is c_sim * (per-timestep similarity, averaged over the
 rollout) + c_td * temporal term; its gradient reaches only the extractor
 parameters because nothing downstream of the features participates.
 
-``srl_loss`` is what training runs: both terms at once over (T, L) feature
-matrices. ``similarity_loss`` and ``temporal_discrimination_loss`` spell the
-terms out step by step as its reference; all three share ``distance``.
+``srl_loss`` computes both terms at once over (T, L) feature matrices, with
+``distance`` evaluated row by row.
 """
 
 from __future__ import annotations
@@ -63,44 +62,6 @@ def distance(f_a: Value, f_b: Value, kind: str = "cosine") -> Value:
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def similarity_loss(features: list, kind: str = "cosine") -> Value:
-    """Sum of psi over all ordered modality pairs at one timestep."""
-    m = len(features)
-    if m < 2:
-        log.debug("similarity loss degenerate: %d modality", m)
-        return Value(0.0)
-    total = None
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            d = distance(features[i], features[j], kind)
-            total = d if total is None else total + d
-    return total
-
-
-def temporal_discrimination_loss(sequences: list, kind: str = "cosine", episode_starts=None) -> Value:
-    """Negated sum of consecutive-step distances per modality.
-
-    Pairs that straddle an episode boundary (episode_starts[t+1] true) are
-    skipped: features from different episodes carry no temporal relation.
-    """
-    if not sequences or len(sequences[0]) < 2:
-        log.debug("temporal discrimination degenerate: T < 2")
-        return Value(0.0)
-    t_len = len(sequences[0])
-    total = None
-    for seq in sequences:
-        for t in range(t_len - 1):
-            if episode_starts is not None and episode_starts[t + 1]:
-                continue
-            d = distance(seq[t], seq[t + 1], kind)
-            total = d if total is None else total + d
-    if total is None:
-        return Value(0.0)
-    return -total
-
-
 @dataclass
 class SrlLossParts:
     total: Value
@@ -115,7 +76,9 @@ def srl_loss(mats: list, cfg: AlignmentConfig, episode_starts=None) -> SrlLossPa
     features of step t. The similarity term is averaged over timesteps so
     c_sim has the same meaning at any rollout length. Exploits psi's
     symmetry: each unordered modality pair is evaluated once and counted
-    twice.
+    twice. Consecutive pairs that straddle an episode start
+    (``episode_starts[t+1]`` true) are left out of the temporal term:
+    features from different episodes carry no temporal relation.
     """
     m = len(mats)
     t_len = mats[0].data.shape[0] if m else 0

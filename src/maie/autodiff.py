@@ -24,14 +24,12 @@ __all__ = [
     "GraphError",
     "ShapeError",
     "backward",
-    "forward_op",
     "registered_ops",
     "no_grad",
     "matmul",
     "conv2d",
     "concat",
     "softmax",
-    "stop_gradient",
     "lstm_cell",
     "lstm_step",
     "transpose",
@@ -92,10 +90,6 @@ class Value:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Value":
-        """Copy of the data as a fresh constant leaf (blocks gradient flow)."""
-        return Value(self.data.copy())
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -139,17 +133,8 @@ class Value:
     def mean(self):
         return reduce_mean(self)
 
-    def abs(self):
-        return absolute(self)
-
     def relu(self):
         return relu(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
 
     def square(self):
         return square(self)
@@ -229,15 +214,6 @@ def _register(kind: str):
 def registered_ops() -> tuple:
     """Names of all registered op kinds."""
     return tuple(sorted(_OPS))
-
-
-def forward_op(kind: str, inputs, **attrs) -> Value:
-    """Apply a registered op by name. Unknown kinds are an error."""
-    try:
-        fn = _OPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {kind!r}; known: {', '.join(registered_ops())}") from None
-    return fn(*inputs, **attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +297,20 @@ def neg(a) -> Value:
 
 @_register("matmul")
 def matmul(a, b) -> Value:
-    """Matrix product for 1-D/2-D operands: (m,k)@(k,n), (m,k)@(k,), (k,)@(k,n)."""
+    """Matrix product of two 2-D operands: (m,k) @ (k,n)."""
     a, b = _lift(a), _lift(b)
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ShapeError(f"matmul: only 1-D/2-D operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != (bd.shape[0] if bd.ndim >= 1 else None):
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul: only 2-D operands, got {ad.shape} @ {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
     out_data = ad @ bd
 
     def back(g):
         if a.requires_grad:
-            if ad.ndim == 2 and bd.ndim == 2:
-                _accum(a, g @ bd.T)
-            elif ad.ndim == 2 and bd.ndim == 1:
-                _accum(a, np.outer(g, bd))
-            else:  # (k,) @ (k,n)
-                _accum(a, bd @ g)
+            a.grad += g @ bd.T
         if b.requires_grad:
-            if ad.ndim == 2 and bd.ndim == 2:
-                _accum(b, ad.T @ g)
-            elif ad.ndim == 2 and bd.ndim == 1:
-                _accum(b, ad.T @ g)
-            else:
-                _accum(b, np.outer(ad, g))
+            b.grad += ad.T @ g
 
     return _node(out_data, (a, b), back, "matmul")
 
@@ -379,17 +345,15 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int
 
 @_register("conv2d")
 def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
-    """2-D convolution of a (C,H,W) image, or a (N,C,H,W) batch, with (F,C,kh,kw) filters.
+    """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters.
 
     Output spatial size per dim: floor((n + 2p - k)/s) + 1. Implemented as
     im2col + matmul; the backward scatters through the same layout.
     """
     x, w = _lift(x), _lift(w)
-    if x.data.ndim not in (3, 4) or w.data.ndim != 4:
-        raise ShapeError(f"conv2d: need (C,H,W) or (N,C,H,W) input and (F,C,kh,kw) weights, got {x.data.shape}, {w.data.shape}")
-    batched = x.data.ndim == 4
-    xb = x.data if batched else x.data[None]
-    n, c, h, width = xb.shape
+    if x.data.ndim != 4 or w.data.ndim != 4:
+        raise ShapeError(f"conv2d: need (N,C,H,W) input and (F,C,kh,kw) weights, got {x.data.shape}, {w.data.shape}")
+    n, c, h, width = x.data.shape
     f, cw, kh, kw = w.data.shape
     if c != cw:
         raise ShapeError(f"conv2d: input channels {c} != weight channels {cw}")
@@ -400,7 +364,7 @@ def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"conv2d: kernel ({kh},{kw}) too large for padded input ({h + 2 * ph},{width + 2 * pw})")
 
-    xp = _pad_nchw(xb, ph, pw)
+    xp = _pad_nchw(x.data, ph, pw)
     cols = _im2col(xp, kh, kw, sh, sw, oh, ow)
     w_flat = w.data.reshape(f, -1)
     out_flat = w_flat @ cols
@@ -409,14 +373,10 @@ def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
         if bias.data.shape != (f,):
             raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({f},)")
         out_flat = out_flat + bias.data[:, None]
-    out_data = out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
-    if not batched:
-        out_data = out_data[0]
-    out_data = np.ascontiguousarray(out_data)
+    out_data = np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
 
     def back(g):
-        gb = g if batched else g[None]
-        g_flat = gb.transpose(1, 0, 2, 3).reshape(f, -1)
+        g_flat = g.transpose(1, 0, 2, 3).reshape(f, -1)
         if w.requires_grad:
             w.grad += (g_flat @ cols.T).reshape(w.data.shape)
         if bias is not None and bias.requires_grad:
@@ -427,8 +387,7 @@ def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += gcols[:, i, j].transpose(1, 0, 2, 3)
-            gx = gxp[:, :, ph : ph + h, pw : pw + width]
-            x.grad += gx if batched else gx[0]
+            x.grad += gxp[:, :, ph : ph + h, pw : pw + width]
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _node(out_data, parents, back, "conv2d")
@@ -529,17 +488,6 @@ def softmax(x, axis: int = -1) -> Value:
     return _node(s, (x,), back, "softmax_axis")
 
 
-@_register("abs")
-def absolute(x) -> Value:
-    x = _lift(x)
-
-    def back(g):
-        if x.requires_grad:
-            x.grad += g * np.sign(x.data)
-
-    return _node(np.abs(x.data), (x,), back, "abs")
-
-
 @_register("relu")
 def relu(x) -> Value:
     x = _lift(x)
@@ -550,30 +498,6 @@ def relu(x) -> Value:
             x.grad += g * (x.data > 0.0)
 
     return _node(out_data, (x,), back, "relu")
-
-
-@_register("tanh")
-def tanh(x) -> Value:
-    x = _lift(x)
-    t = np.tanh(x.data)
-
-    def back(g):
-        if x.requires_grad:
-            x.grad += g * (1.0 - t * t)
-
-    return _node(t, (x,), back, "tanh")
-
-
-@_register("sigmoid")
-def sigmoid(x) -> Value:
-    x = _lift(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
-
-    def back(g):
-        if x.requires_grad:
-            x.grad += g * s * (1.0 - s)
-
-    return _node(s, (x,), back, "sigmoid")
 
 
 @_register("sum")
@@ -638,13 +562,6 @@ def log(x) -> Value:
     return _node(np.log(x.data), (x,), back, "log")
 
 
-@_register("stop_gradient")
-def stop_gradient(x) -> Value:
-    """Exact identity in the forward pass; blocks all adjoint flow."""
-    x = _lift(x)
-    return Value(x.data.copy())
-
-
 def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
     """One LSTM step on plain arrays: the gate math of every ``lstm_cell`` step.
 
@@ -665,22 +582,20 @@ def lstm_cell(sx, w_hh, h, c, starts=None) -> Value:
     """An LSTM unrolled over a sequence of input drives, fused into a single node.
 
     ``sx`` holds the precomputed drives W_ih @ x_t + b: a (T, 4H) matrix
-    with one row per step, or a (4H,) vector for a single step. ``w_hh`` is
-    (4H, H); ``h`` and ``c`` are the (H,) state before the first step.
-    ``starts[t]`` true resets the state to zero before step t (an episode
-    start), so no gradient crosses it. Returns the rows [h_t, c_t]: a
-    (T, 2H) matrix, or a (2H,) vector for a single step.
+    with one row per step. ``w_hh`` is (4H, H); ``h`` and ``c`` are the (H,)
+    state before the first step. ``starts[t]`` true resets the state to
+    zero before step t (an episode start), so no gradient crosses it.
+    Returns the (T, 2H) matrix of rows [h_t, c_t].
 
     The backward runs backprop through time in one loop over the steps; the
     ``w_hh`` gradient is a single (4H, T) @ (T, H) product.
     """
     sx, w_hh, h, c = _lift(sx), _lift(w_hh), _lift(h), _lift(c)
     hd = h.data.shape[0] if h.data.ndim == 1 else -1
-    single = sx.data.ndim == 1
-    drives = sx.data[None] if single else sx.data
+    drives = sx.data
     if drives.ndim != 2 or drives.shape[1] != 4 * hd or w_hh.data.shape != (4 * hd, hd) or c.data.shape != (hd,):
         raise ShapeError(
-            f"lstm_cell: want sx (4H,) or (T, 4H), w_hh (4H,H), h (H,), c (H,); got {sx.data.shape}, {w_hh.data.shape}, {h.data.shape}, {c.data.shape}"
+            f"lstm_cell: want sx (T, 4H), w_hh (4H,H), h (H,), c (H,); got {sx.data.shape}, {w_hh.data.shape}, {h.data.shape}, {c.data.shape}"
         )
     n = drives.shape[0]
     resets = np.zeros(n, dtype=bool) if starts is None else np.asarray(starts, dtype=bool)
@@ -699,10 +614,8 @@ def lstm_cell(sx, w_hh, h, c, starts=None) -> Value:
         h_in[t], c_in[t] = h_t, c_t
         h_t, c_t, gates[t] = lstm_step(drives[t], w_hh.data, h_t, c_t)
         out[t, :hd], out[t, hd:] = h_t, c_t
-    out_data = out[0] if single else out
 
     def back(g):
-        g = g[None] if single else g
         gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
         tc = np.tanh(out[:, hd:])
         # per-step factors of the input, forget and cell gate pre-activation
@@ -724,7 +637,7 @@ def lstm_cell(sx, w_hh, h, c, starts=None) -> Value:
                 dh, dc_next = w_t @ dz[t].reshape(-1), dc * gf[t]
         dz = dz.reshape(n, 4 * hd)
         if sx.requires_grad:
-            sx.grad += dz[0] if single else dz
+            sx.grad += dz
         if w_hh.requires_grad:
             w_hh.grad += dz.T @ h_in
         if h.requires_grad:
@@ -732,7 +645,7 @@ def lstm_cell(sx, w_hh, h, c, starts=None) -> Value:
         if c.requires_grad:
             c.grad += dc_next
 
-    return _node(out_data, (sx, w_hh, h, c), back, "lstm_cell")
+    return _node(out, (sx, w_hh, h, c), back, "lstm_cell")
 
 
 # ---------------------------------------------------------------------------
@@ -897,9 +810,6 @@ class Adam:
             v_hat = v / (1.0 - b2**t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             st[2] = t
-
-    def zero_grad(self, params=None):
-        zero_grads(self.params if params is None else params)
 
     def state_arrays(self) -> dict:
         """Moment state keyed by position in the full param list (for checkpoints)."""

@@ -54,6 +54,8 @@ class RunConfig(TrainConfig):
             raise ValueError("episodes must be >= 1")
         if self.eval_episodes < 0:
             raise ValueError("eval_episodes must be >= 0")
+        if self.max_env_steps is not None and self.max_env_steps < 1:
+            raise ValueError(f"max_env_steps must be >= 1 or unset, got {self.max_env_steps}")
         super().__post_init__()
 
     def train_config(self) -> TrainConfig:
@@ -140,9 +142,9 @@ def load_checkpoint(path: str, trainer: Trainer):
 def run(cfg: RunConfig) -> int:
     """Execute one seeded training run and write its artifacts."""
     try:
-        os.makedirs(cfg.out, exist_ok=True)
         env = envs.make_env(cfg.env, cfg.seed)
         trainer = Trainer(env, cfg.train_config())
+        os.makedirs(cfg.out, exist_ok=True)
     except (ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1

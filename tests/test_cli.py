@@ -78,9 +78,12 @@ def test_invalid_env_rejected_before_work(tmp_path):
 
 
 def test_out_of_range_xi_rejected_before_work(tmp_path):
-    rc = cli.main(["run", "--xi", "2.0", "--out", str(tmp_path / "x")])
-    assert rc == 1
-    assert not (tmp_path / "x").exists()
+    # the alignment constants are checked when the trainer is built, the rest by RunConfig
+    for i, flags in enumerate((["--xi", "2.0"], ["--c-sim", "-1"], ["--c-td", "-1"],
+                               ["--max-env-steps", "0"], ["--max-env-steps", "-5"])):
+        out = tmp_path / f"x{i}"
+        assert cli.main(["run", *flags, "--out", str(out)]) == 1, flags
+        assert not out.exists(), flags
 
 
 def _flag_value(f) -> tuple:

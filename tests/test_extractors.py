@@ -60,7 +60,7 @@ def test_zero_observation_is_deterministic():
     obs = np.zeros(VIS_SHAPE)
     f1, _ = e.forward(obs, e.initial_state())
     f2, _ = e.forward(obs, e.initial_state())
-    np.testing.assert_array_equal(f1.data, f2.data)
+    np.testing.assert_array_equal(f1, f2)
 
 
 def test_different_observations_give_different_features():
@@ -69,7 +69,7 @@ def test_different_observations_give_different_features():
     st = e.initial_state()
     f1, _ = e.forward(_rand_obs(rng, VIS_SHAPE), st)
     f2, _ = e.forward(_rand_obs(rng, VIS_SHAPE), st)
-    assert np.abs(f1.data - f2.data).max() > 1e-9
+    assert np.abs(f1 - f2).max() > 1e-9
 
 
 def test_shape_mismatch_names_modality():
@@ -99,7 +99,7 @@ def test_forward_sequence_matches_stepwise():
             if s:
                 st = e.initial_state()
             f, st = e.forward(o, st)
-            stepped.append(f.data)
+            stepped.append(f)
 
         feats, _ = e.forward_sequence(obs, starts, e.initial_state())
         for a, b in zip(stepped, feats):
@@ -117,7 +117,7 @@ def test_text_forward_sequence_matches_stepwise():
         if s:
             st = e.initial_state()
         f, st = e.forward(o, st)
-        stepped.append(f.data)
+        stepped.append(f)
     feats, _ = e.forward_sequence(obs, starts, e.initial_state())
     for a, b in zip(stepped, feats):
         np.testing.assert_allclose(a, b.data, atol=1e-12)
@@ -145,11 +145,12 @@ def test_replay_graph_size_is_independent_of_rollout_length(kind):
 
 
 def test_forward_builds_no_graph():
+    # acting gives plain arrays: the features and the state carry no graph
     rng = np.random.default_rng(7)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=7)
     f, st = e.forward(_rand_obs(rng, VIS_SHAPE), e.initial_state())
-    assert not (f.requires_grad or st.h.requires_grad or st.c.requires_grad)
-    assert f._parents == ()
+    for arr in (f, st.h, st.c):
+        assert type(arr) is np.ndarray and arr.shape == (ex.FEATURE_DIM,)
 
 
 def test_state_carries_within_episode():
@@ -159,7 +160,7 @@ def test_state_carries_within_episode():
     st = e.initial_state()
     f1, st = e.forward(obs, st)
     f2, _ = e.forward(obs, st)
-    assert np.abs(f1.data - f2.data).max() > 1e-9  # same obs, different state
+    assert np.abs(f1 - f2).max() > 1e-9  # same obs, different state
 
 
 def test_detached_state_blocks_gradient():
@@ -167,8 +168,9 @@ def test_detached_state_blocks_gradient():
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=8)
     f, st = e.forward(_rand_obs(rng, VIS_SHAPE), e.initial_state())
     d = st.detached()
-    assert not d.h.requires_grad and not d.c.requires_grad
-    np.testing.assert_array_equal(d.h.data, st.h.data)
+    assert not (np.shares_memory(d.h, st.h) or np.shares_memory(d.c, st.c))
+    np.testing.assert_array_equal(d.h, st.h)
+    np.testing.assert_array_equal(d.c, st.c)
 
 
 @pytest.mark.parametrize("kind", ["visual", "text"])
@@ -213,7 +215,7 @@ def test_save_load_round_trip(tmp_path):
     obs = _rand_obs(rng, VIS_SHAPE)
     f1, _ = e.forward(obs, e.initial_state())
     f2, _ = e2.forward(obs, e2.initial_state())
-    np.testing.assert_array_equal(f1.data, f2.data)
+    np.testing.assert_array_equal(f1, f2)
 
 
 def test_load_into_rejects_shape_mismatch():
