@@ -33,6 +33,7 @@ from .extractors import FEATURE_DIM, build_extractor
 METHODS = ("maie", "concat", "fixed_weights", "no_align", "no_ie")
 
 LOG_EPS = 1e-12  # guards log of saturated softmax entries
+EMBEDDING_EVERY = 5  # embeddings.csv samples every this many steps of an episode
 
 
 class NumericalError(RuntimeError):
@@ -45,6 +46,8 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """Every hyperparameter, declared and checked here once; the modules take them as arguments."""
+
     gamma: float = 0.99
     rollout_length: int = 32
     lr: float = 1e-4
@@ -68,6 +71,12 @@ class TrainConfig:
             raise ValueError("rollout_length must be >= 2")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.episodes < 1:
+            raise ValueError("episodes must be >= 1")
+        if self.c_sim < 0 or self.c_td < 0:
+            raise ValueError(f"c_sim and c_td must be >= 0, got {self.c_sim} and {self.c_td}")
+        if self.distance not in al.DISTANCE_KINDS:
+            raise ValueError(f"distance must be one of {al.DISTANCE_KINDS}, got {self.distance!r}")
         if not 0.0 <= self.fixed_weight <= 1.0:
             raise ValueError("fixed_weight must lie in [0, 1]")
         if not 0.0 < self.xi <= 1.0:
@@ -227,13 +236,12 @@ class Trainer:
             len(self.modalities) * FEATURE_DIM, env.n_actions, seed=int(seeds[-2].generate_state(1)[0])
         )
         self.action_rng = np.random.default_rng(seeds[-1])
-        self.stats = {m: en.ModalityStats.create(FEATURE_DIM, xi=cfg.xi, eps=cfg.stats_eps) for m in self.modalities}
+        self.stats = {m: en.ModalityStats(mu=np.zeros(FEATURE_DIM), var=np.ones(FEATURE_DIM)) for m in self.modalities}
 
         self.phi_params = [p for m in self.modalities for p in self.extractors[m].parameters()]
         self.head_params = self.head.parameters()
         self.opt = ad.Adam(self.phi_params + self.head_params, lr=cfg.lr)
 
-        self.align_cfg = al.AlignmentConfig(c_sim=cfg.c_sim, c_td=cfg.c_td, distance_kind=cfg.distance)
         self.use_align = cfg.method in ("maie", "no_ie")
         self.use_ie = cfg.method in ("maie", "no_align")
 
@@ -250,7 +258,6 @@ class Trainer:
         self.metrics_rows: list = []
         self.lambda_rows: list = []
         self.embedding_rows: list = []
-        self.embedding_every = 5
 
     # -- acting ------------------------------------------------------------
 
@@ -265,7 +272,7 @@ class Trainer:
     def _weights(self, feats: dict) -> dict:
         """λ per modality for (L,) feature arrays or (T, L) stacks of them."""
         if self.use_ie:
-            normalized = [self.stats[m].normalize_array(feats[m]) for m in self.modalities]
+            normalized = [self.stats[m].normalize_array(feats[m], self.cfg.stats_eps) for m in self.modalities]
             return dict(zip(self.modalities, en.importance(normalized)))
         shape = feats[self.modalities[0]].shape
         if self.cfg.method == "fixed_weights":
@@ -352,7 +359,7 @@ class Trainer:
         """Record the step's λ means and embeddings; returns the means in modality order."""
         lam_means = tuple(float(lams[m].mean()) for m in self.modalities)
         self.lambda_rows.append((phase, self.episode, self._ep_steps, self._obs_audio_class, lam_means))
-        if self._ep_steps % self.embedding_every == 0:
+        if self._ep_steps % EMBEDDING_EVERY == 0:
             for m in self.modalities:
                 self.embedding_rows.append((phase, self.episode, self._ep_steps, m, feats[m].copy()))
         return lam_means
@@ -395,10 +402,9 @@ class Trainer:
         sim_val, td_val = 0.0, 0.0
         if self.use_align:
             # step one: representation loss into the extractors only
-            feats, _ = self._replay_features(buf, {m: s.detached() for m, s in initial_states.items()})
-            parts = al.srl_loss(
-                [feats[m] for m in self.modalities], self.align_cfg, episode_starts=buf.episode_starts
-            )
+            feats, _ = self._replay_features(buf, initial_states)
+            mats = [feats[m] for m in self.modalities]
+            parts = al.srl_loss(mats, cfg.c_sim, cfg.c_td, cfg.distance, episode_starts=buf.episode_starts)
             sim_val, td_val = parts.sim, parts.td
             if not np.isfinite(parts.total.data):
                 raise NumericalError("representation loss is non-finite", self._numerical_dump(buf, {"loss_srl": float(parts.total.data)}))
@@ -411,10 +417,10 @@ class Trainer:
         if self.use_ie:
             # the rollout is the statistics mini-batch
             for m in self.modalities:
-                self.stats[m].update(np.stack(buf.features[m]))
+                self.stats[m].update(np.stack(buf.features[m]), cfg.xi)
 
         # step two: recompute features under the updated extractors
-        feats, finals = self._replay_features(buf, {m: s.detached() for m, s in initial_states.items()})
+        feats, finals = self._replay_features(buf, initial_states)
         lams = self._weights({m: feats[m].data for m in self.modalities})
         fused = en.fuse([feats[m] for m in self.modalities], [lams[m] for m in self.modalities])
 
@@ -473,7 +479,7 @@ class Trainer:
             rows.append(row)
         return rows
 
-    # -- checkpointing -------------------------------------------------------
+    # -- parameters ----------------------------------------------------------
 
     def named_parameters(self) -> dict:
         out = {}
@@ -482,18 +488,3 @@ class Trainer:
         out.update(self.head.named_parameters())
         return out
 
-    def stats_payload(self) -> dict:
-        return {
-            m: {"mu": self.stats[m].mu.tolist(), "var": self.stats[m].var.tolist(),
-                "xi": self.stats[m].xi, "eps": self.stats[m].eps}
-            for m in self.modalities
-        }
-
-    def load_stats_payload(self, payload: dict):
-        for m, entry in payload.items():
-            self.stats[m] = en.ModalityStats(
-                mu=np.asarray(entry["mu"], dtype=np.float64),
-                var=np.asarray(entry["var"], dtype=np.float64),
-                xi=float(entry["xi"]),
-                eps=float(entry["eps"]),
-            )

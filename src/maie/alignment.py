@@ -10,7 +10,8 @@ rollout) + c_td * temporal term; its gradient reaches only the extractor
 parameters because nothing downstream of the features participates.
 
 ``srl_loss`` computes both terms at once over (T, L) feature matrices, with
-``distance`` evaluated row by row.
+``distance`` evaluated row by row. c_sim, c_td and the distance kind are
+``agent.TrainConfig`` fields, declared and checked there and passed in.
 """
 
 from __future__ import annotations
@@ -29,20 +30,7 @@ COSINE_EPS = 1e-8
 DISTANCE_KINDS = ("cosine", "squared_euclidean")
 
 
-@dataclass
-class AlignmentConfig:
-    c_sim: float = 0.1
-    c_td: float = 0.01
-    distance_kind: str = "cosine"
-
-    def __post_init__(self):
-        if self.c_sim < 0 or self.c_td < 0:
-            raise ValueError("scaling constants must be nonnegative")
-        if self.distance_kind not in DISTANCE_KINDS:
-            raise ValueError(f"distance_kind must be one of {DISTANCE_KINDS}")
-
-
-def distance(f_a: Value, f_b: Value, kind: str = "cosine") -> Value:
+def distance(f_a: Value, f_b: Value, kind: str) -> Value:
     """Symmetric nonnegative distance between feature vectors, over the last axis.
 
     Two (L,) vectors give a scalar; two (T, L) matrices give the (T,)
@@ -69,7 +57,7 @@ class SrlLossParts:
     td: float
 
 
-def srl_loss(mats: list, cfg: AlignmentConfig, episode_starts=None) -> SrlLossParts:
+def srl_loss(mats: list, c_sim: float, c_td: float, distance_kind: str, episode_starts=None) -> SrlLossParts:
     """Combined representation loss over a rollout, computed batched.
 
     ``mats`` holds one (T, L) feature matrix per modality, row t being the
@@ -87,7 +75,7 @@ def srl_loss(mats: list, cfg: AlignmentConfig, episode_starts=None) -> SrlLossPa
     if m >= 2:
         for i in range(m):
             for j in range(i + 1, m):
-                d = distance(mats[i], mats[j], cfg.distance_kind).sum()
+                d = distance(mats[i], mats[j], distance_kind).sum()
                 sim_total = d if sim_total is None else sim_total + d
         sim_total = 2.0 * sim_total / float(t_len)
     else:
@@ -101,7 +89,7 @@ def srl_loss(mats: list, cfg: AlignmentConfig, episode_starts=None) -> SrlLossPa
         else:
             mask = np.array([0.0 if episode_starts[t + 1] else 1.0 for t in range(t_len - 1)])
         for mat in mats:
-            d = distance(mat[: t_len - 1], mat[1:], cfg.distance_kind)
+            d = distance(mat[: t_len - 1], mat[1:], distance_kind)
             masked = (d * Value(mask)).sum()
             td_total = masked if td_total is None else td_total + masked
         td_total = -td_total
@@ -109,5 +97,5 @@ def srl_loss(mats: list, cfg: AlignmentConfig, episode_starts=None) -> SrlLossPa
         log.debug("temporal discrimination degenerate: T < 2")
         td_total = Value(0.0)
 
-    total = cfg.c_sim * sim_total + cfg.c_td * td_total
+    total = c_sim * sim_total + c_td * td_total
     return SrlLossParts(total=total, sim=float(sim_total.data), td=float(td_total.data))

@@ -777,14 +777,16 @@ def grad_check(f, inputs, step: float = 1e-5, rel_tol: float = 1e-4) -> GradChec
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with per-parameter moment state; supports stepping parameter subsets."""
 
-    def __init__(self, params, lr: float = 1e-4, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.state: dict = {}
 
     def step(self, params=None):
@@ -792,7 +794,7 @@ class Adam:
 
         ``self.state`` maps id(param) -> [m, v, t] and grows on first use.
         """
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         for p in self.params if params is None else params:
             if p.grad is None:
                 raise ValueError("Adam.step: parameter has no grad buffer")
@@ -808,26 +810,8 @@ class Adam:
             v += (1.0 - b2) * (p.grad * p.grad)
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             st[2] = t
-
-    def state_arrays(self) -> dict:
-        """Moment state keyed by position in the full param list (for checkpoints)."""
-        out = {}
-        for i, p in enumerate(self.params):
-            st = self.state.get(id(p))
-            if st is not None:
-                out[str(i)] = {"m": st[0], "v": st[1], "t": st[2]}
-        return out
-
-    def load_state_arrays(self, payload: dict):
-        for key, entry in payload.items():
-            p = self.params[int(key)]
-            self.state[id(p)] = [
-                np.asarray(entry["m"], dtype=np.float64).reshape(p.data.shape),
-                np.asarray(entry["v"], dtype=np.float64).reshape(p.data.shape),
-                int(entry["t"]),
-            ]
 
 
 def zero_grads(params):

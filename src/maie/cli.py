@@ -33,9 +33,11 @@ import numpy as np
 from . import envs
 from .agent import METHODS, NumericalError, TrainConfig, Trainer
 from .alignment import DISTANCE_KINDS
-from .extractors import FEATURE_DIM, array_payload, load_into, payload_array
+from .enhancement import ModalityStats
+from .extractors import FEATURE_DIM
 
 METRICS_SCHEMA = "maie-metrics-v1"
+CHECKPOINT_FORMAT = "maie-checkpoint-v1"
 
 
 @dataclass
@@ -50,8 +52,6 @@ class RunConfig(TrainConfig):
     def __post_init__(self):
         if self.env not in envs.ENV_NAMES:
             raise ValueError(f"env must be one of {envs.ENV_NAMES}, got {self.env!r}")
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
         if self.eval_episodes < 0:
             raise ValueError("eval_episodes must be >= 0")
         if self.max_env_steps is not None and self.max_env_steps < 1:
@@ -115,28 +115,72 @@ def _write_embeddings(path: str, rows: list):
     _write_csv(path, header, ((phase, ep, st, mod, *vec.tolist()) for phase, ep, st, mod, vec in rows))
 
 
+def _array_payload(arr: np.ndarray) -> dict:
+    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+
+
+def _checked(values, shape: tuple, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise ValueError(f"checkpoint {what}: shape {arr.shape} != {shape}")
+    return arr
+
+
 def save_checkpoint(path: str, trainer: Trainer):
+    """Write the parameters, the modality stats and Adam's moments as one JSON file.
+
+    Each stats entry records the xi and stats_eps it ran at; Adam's [m, v, t]
+    are keyed by the parameter's position in ``opt.params``.
+    """
+    cfg, opt = trainer.cfg, trainer.opt
     payload = {
-        "format": "maie-checkpoint-v1",
-        "params": {k: array_payload(v.data) for k, v in trainer.named_parameters().items()},
-        "stats": trainer.stats_payload(),
-        "adam": {k: {"m": array_payload(st["m"]), "v": array_payload(st["v"]), "t": st["t"]}
-                 for k, st in trainer.opt.state_arrays().items()},
+        "format": CHECKPOINT_FORMAT,
+        "params": {k: _array_payload(v.data) for k, v in trainer.named_parameters().items()},
+        "stats": {m: {"mu": st.mu.tolist(), "var": st.var.tolist(), "xi": cfg.xi, "eps": cfg.stats_eps}
+                  for m, st in trainer.stats.items()},
+        "adam": {str(i): {"m": _array_payload(st[0]), "v": _array_payload(st[1]), "t": st[2]}
+                 for i, p in enumerate(opt.params) if (st := opt.state.get(id(p))) is not None},
     }
     _atomic_write(path, json.dumps(payload, separators=(",", ":")))
 
 
 def load_checkpoint(path: str, trainer: Trainer):
+    """Restore a ``save_checkpoint`` file into a trainer of the same env and config.
+
+    Raises ValueError on another format, a stored shape that differs from its
+    parameter's, an Adam entry for no parameter, or stats saved at another xi
+    or stats_eps, and KeyError on a missing entry. The file is checked whole first, so a rejected one changes nothing.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    arrays = {k: payload_array(v) for k, v in payload["params"].items()}
-    load_into(trainer.named_parameters(), arrays)
-    trainer.load_stats_payload(payload["stats"])
-    adam = {
-        k: {"m": payload_array(v["m"]), "v": payload_array(v["v"]), "t": v["t"]}
-        for k, v in payload.get("adam", {}).items()
-    }
-    trainer.opt.load_state_arrays(adam)
+    if payload.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"checkpoint format {payload.get('format')!r} is not {CHECKPOINT_FORMAT!r}")
+    cfg, opt = trainer.cfg, trainer.opt
+    params = trainer.named_parameters()
+    arrays = {}
+    for name, p in params.items():
+        entry = payload["params"][name]
+        arrays[name] = _checked(np.reshape(entry["data"], entry["shape"]), p.data.shape, f"parameter {name}")
+    stats = {}
+    for m in trainer.modalities:
+        entry = payload["stats"][m]
+        if (entry["xi"], entry["eps"]) != (cfg.xi, cfg.stats_eps):
+            raise ValueError(f"checkpoint stats {m}: saved at xi={entry['xi']}, stats_eps={entry['eps']}, "
+                             f"but the trainer has xi={cfg.xi}, stats_eps={cfg.stats_eps}")
+        stats[m] = ModalityStats(mu=_checked(entry["mu"], (FEATURE_DIM,), f"stats {m} mu"),
+                                 var=_checked(entry["var"], (FEATURE_DIM,), f"stats {m} var"))
+    state = {}
+    for key, entry in payload["adam"].items():
+        if not 0 <= int(key) < len(opt.params):
+            raise ValueError(f"checkpoint adam {key}: no parameter at that position")
+        p = opt.params[int(key)]
+        m, v = (_checked(np.reshape(entry[k]["data"], entry[k]["shape"]), p.data.shape, f"adam {key} {k}")
+                for k in ("m", "v"))
+        state[id(p)] = [m, v, int(entry["t"])]
+    for name, p in params.items():
+        p.data[...] = arrays[name]
+    trainer.stats.update(stats)
+    opt.state.update(state)
 
 
 def run(cfg: RunConfig) -> int:

@@ -2,12 +2,15 @@
 
 Each modality keeps a running mean/variance, refreshed once per rollout
 from the rollout's features (population variance, then a soft update with
-decay xi). Features are normalized against those stats, and a per-dimension
-softmax over |normalized| across modalities yields the importance
-coefficients lambda. The fused state concatenates lambda-weighted raw
-features; lambda, mu, and sigma are constants to the backward pass, so the
-adjoint reaching a modality is exactly lambda times the adjoint of its
-weighted slice, and the normalization and importance run on plain arrays
+decay xi). Features are normalized against those stats, with eps added to
+the variance, and a per-dimension softmax over |normalized| across
+modalities yields the importance coefficients lambda. xi and eps are
+``agent.TrainConfig`` fields (``xi``, ``stats_eps``) passed to each call,
+so the stats hold only their two running arrays. The fused state
+concatenates lambda-weighted raw features; lambda, mu, and sigma are
+constants to the backward pass, so the adjoint reaching a modality is
+exactly lambda times the adjoint of its weighted slice, and the
+normalization and importance run on plain arrays
 (``ModalityStats.normalize_array``, ``importance``). The baselines fuse the
 same way with constant lambda.
 """
@@ -28,30 +31,24 @@ class ModalityStats:
 
     mu: np.ndarray
     var: np.ndarray
-    xi: float = 0.05
-    eps: float = 1e-5
 
-    @classmethod
-    def create(cls, dim: int, xi: float = 0.05, eps: float = 1e-5) -> "ModalityStats":
-        return cls(mu=np.zeros(dim), var=np.ones(dim), xi=xi, eps=eps)
-
-    def update(self, batch: np.ndarray) -> "ModalityStats":
-        """Blend batch statistics into the running values (training only)."""
+    def update(self, batch: np.ndarray, xi: float) -> "ModalityStats":
+        """Blend batch statistics into the running values with decay xi (training only)."""
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[0] < 1:
             raise ValueError("stats update needs a nonempty (k, L) batch")
         mu_b = batch.mean(axis=0)
         var_b = ((batch - mu_b) ** 2).mean(axis=0)  # population variance
-        self.mu = self.xi * mu_b + (1.0 - self.xi) * self.mu
-        self.var = self.xi * var_b + (1.0 - self.xi) * self.var
+        self.mu = xi * mu_b + (1.0 - xi) * self.mu
+        self.var = xi * var_b + (1.0 - xi) * self.var
         return self
 
-    def scale(self) -> np.ndarray:
-        return 1.0 / np.sqrt(self.var + self.eps)
+    def scale(self, eps: float) -> np.ndarray:
+        return 1.0 / np.sqrt(self.var + eps)
 
-    def normalize_array(self, f: np.ndarray) -> np.ndarray:
+    def normalize_array(self, f: np.ndarray, eps: float) -> np.ndarray:
         """Plain-numpy normalization (graph-free path while acting)."""
-        return (f - self.mu) * self.scale()
+        return (f - self.mu) * self.scale(eps)
 
 
 def importance(normalized: list) -> list:

@@ -24,7 +24,6 @@ from .autodiff import Value
 
 FEATURE_DIM = 32
 TEXT_EMBED_DIM = 8
-TEXT_SEQ_LEN = 12
 
 
 class RecurrentState:
@@ -159,15 +158,15 @@ class TextExtractor(_ExtractorBase):
     KERNEL = (1, 2)
     PADDING = (0, 1)
 
-    def __init__(self, name: str, vocab_size: int, seed: int, seq_len: int = TEXT_SEQ_LEN):
+    def __init__(self, name: str, input_shape: tuple, vocab_size: int, seed: int):
         self.name = name
         self.vocab_size = vocab_size
-        self.seq_len = seq_len
-        self.input_shape = (seq_len,)
+        self.input_shape = tuple(input_shape)
+        (self.seq_len,) = self.input_shape
         rng = np.random.default_rng(seed)
         self.params = {"embed.table": Value(_uniform(rng, (TEXT_EMBED_DIM, vocab_size), TEXT_EMBED_DIM), requires_grad=True)}
         in_ch = TEXT_EMBED_DIM
-        width = seq_len
+        width = self.seq_len
         for i in range(3):
             fan = in_ch * self.KERNEL[0] * self.KERNEL[1]
             self.params[f"conv{i + 1}.w"] = Value(
@@ -212,28 +211,6 @@ def build_extractor(modality: str, input_shape, seed: int, vocab_size: int | Non
     if modality == "text":
         if vocab_size is None:
             raise ValueError("text extractor needs vocab_size")
-        return TextExtractor(modality, vocab_size, seed)
+        return TextExtractor(modality, input_shape, vocab_size, seed)
     return ConvLstmExtractor(modality, input_shape, seed)
 
-
-# -- parameter serialization (JSON: shape + row-major values) ----------------
-
-
-def array_payload(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr)
-    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-
-
-def payload_array(payload: dict) -> np.ndarray:
-    return np.asarray(payload["data"], dtype=np.float64).reshape(payload["shape"])
-
-
-def load_into(named_params: dict, arrays: dict):
-    """Copy saved arrays into existing parameter Values, in place."""
-    for name, param in named_params.items():
-        if name not in arrays:
-            raise KeyError(f"checkpoint missing parameter {name}")
-        arr = arrays[name]
-        if arr.shape != param.data.shape:
-            raise ValueError(f"parameter {name}: shape {arr.shape} != {param.data.shape}")
-        param.data[...] = arr

@@ -30,7 +30,8 @@ def pipeline_grad_check() -> float:
     e1 = ex.ConvLstmExtractor("visual", (1, 5, 5), seed=31)
     e2 = ex.ConvLstmExtractor("audio", (1, 6, 6), seed=32)
     head = PolicyValueHead(input_dim=64, n_actions=3, seed=33)
-    stats = [en.ModalityStats.create(32) for _ in range(2)]
+    stats = [en.ModalityStats(mu=np.zeros(32), var=np.ones(32)) for _ in range(2)]
+    eps = TrainConfig().stats_eps
     obs1 = [rng.random((1, 5, 5)) for _ in range(2)]
     obs2 = [rng.random((1, 6, 6)) for _ in range(2)]
     starts = [True, False]
@@ -42,7 +43,7 @@ def pipeline_grad_check() -> float:
         f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
         mats = [f1, f2]  # (T, 32) feature matrices
         if lam_frozen is None:
-            lam_frozen = en.importance([s.normalize_array(m.data) for s, m in zip(stats, mats)])
+            lam_frozen = en.importance([s.normalize_array(m.data, eps) for s, m in zip(stats, mats)])
         fused = ad.concat([m * Value(l) for m, l in zip(mats, lam_frozen)], axis=1)
         logits = head.actor_logits(fused)
         values = head.critic_values(fused)
@@ -106,11 +107,10 @@ def alignment_effect(seed: int, max_steps: int = 500):
         return float(np.mean([al.distance(a, b, "cosine").item() for a, b in zip(f1, f2)]))
 
     d0 = mean_cross_distance()
-    cfg = al.AlignmentConfig(c_sim=1.0, c_td=0.0)
     for step in range(1, max_steps + 1):
         f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
         f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
-        loss = al.srl_loss([f1, f2], cfg).total
+        loss = al.srl_loss([f1, f2], 1.0, 0.0, "cosine").total
         ad.backward(loss)
         opt.step()
         ad.zero_grads(params)
@@ -133,11 +133,10 @@ def temporal_effect(seed: int, c_td: float, steps: int = 400) -> float:
     starts = [True] + [False] * (t_len - 1)
     params = e_const.parameters() + e_vary.parameters()
     opt = ad.Adam(params, lr=1e-3)
-    cfg = al.AlignmentConfig(c_sim=0.1, c_td=c_td)
     for _ in range(steps):
         f1, _ = e_const.forward_sequence(const_obs, starts, e_const.initial_state())
         f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
-        loss = al.srl_loss([f1, f2], cfg).total
+        loss = al.srl_loss([f1, f2], 0.1, c_td, "cosine").total
         ad.backward(loss)
         opt.step()
         ad.zero_grads(params)

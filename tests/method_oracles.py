@@ -51,12 +51,12 @@ def temporal_discrimination_loss(sequences: list, kind: str = "cosine", episode_
     return -total
 
 
-def normalize(f: Value, stats: ModalityStats) -> Value:
+def normalize(f: Value, stats: ModalityStats, eps: float) -> Value:
     """(f - mu)/sqrt(var + eps) with mu, sigma held constant in the graph.
 
     Accepts a single (L,) feature or a (T, L) stack of them.
     """
-    mu, sc = stats.mu, stats.scale()
+    mu, sc = stats.mu, stats.scale(eps)
     if f.data.ndim == 2:
         t = f.data.shape[0]
         mu = np.broadcast_to(mu, (t, mu.shape[0]))

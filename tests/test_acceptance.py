@@ -80,7 +80,7 @@ def test_c01_gradient_fidelity():
         return temporal_discrimination_loss(seqs, "cosine")
 
     def f_srl(v):
-        return al.srl_loss(list(v), al.AlignmentConfig(c_sim=0.7, c_td=0.2)).total
+        return al.srl_loss(list(v), 0.7, 0.2, "cosine").total
 
     for f in (f_sim, f_td, f_srl):
         rep = ad.grad_check(f, flats, rel_tol=1e-4)
@@ -91,11 +91,12 @@ def test_c01_gradient_fidelity():
     # frozen at its unperturbed value and enters the graph as a constant
     stats = [en.ModalityStats(mu=rng.normal(size=dim), var=rng.uniform(0.5, 2.0, size=dim)) for _ in range(m)]
     feats0 = [rng.normal(size=dim) for _ in range(m)]
-    lam_frozen = en.importance([s.normalize_array(f) for s, f in zip(stats, feats0)])
+    eps = TrainConfig().stats_eps
+    lam_frozen = en.importance([s.normalize_array(f, eps) for s, f in zip(stats, feats0)])
 
     def f_fuse(v):
         fused = en.fuse(list(v), lam_frozen)
-        norm = [normalize(x, s) for x, s in zip(v, stats)]
+        norm = [normalize(x, s, eps) for x, s in zip(v, stats)]
         return fused.square().sum() + ad.concat(norm, axis=0).square().sum()
 
     rep = ad.grad_check(f_fuse, feats0, rel_tol=1e-4)
@@ -150,9 +151,9 @@ def test_c03_stats_convergence():
     rng = np.random.default_rng(21)
     mu_star, var_star = 2.0, 1.5**2
     dim = 4
-    stats = en.ModalityStats.create(dim, xi=0.05)
+    stats = en.ModalityStats(mu=np.zeros(dim), var=np.ones(dim))
     for _ in range(500):
-        stats.update(rng.normal(2.0, 1.5, size=(32, dim)))
+        stats.update(rng.normal(2.0, 1.5, size=(32, dim)), xi=0.05)
     mu_err = float(np.abs(stats.mu - mu_star).max() / mu_star)
     var_err = float(np.abs(stats.var - var_star).max() / var_star)
     assert mu_err < 0.05, mu_err

@@ -175,7 +175,9 @@ def test_config_rejects_unknown_method():
 
 
 @pytest.mark.parametrize(
-    "name, value", [("xi", 0.0), ("xi", 2.0), ("stats_eps", 0.0), ("stats_eps", -1.0), ("lr", 0.0), ("lr", -1e-3)]
+    "name, value",
+    [("xi", 0.0), ("xi", 2.0), ("stats_eps", 0.0), ("stats_eps", -1.0), ("lr", 0.0), ("lr", -1e-3),
+     ("c_sim", -0.1), ("c_td", -0.1), ("distance", "kl"), ("episodes", 0)],
 )
 def test_config_rejects_out_of_range(name, value):
     with pytest.raises(ValueError, match=name):
@@ -183,7 +185,7 @@ def test_config_rejects_out_of_range(name, value):
 
 
 def test_config_accepts_range_edges():
-    ag.TrainConfig(xi=1.0, stats_eps=1e-12, lr=1e-12)
+    ag.TrainConfig(xi=1.0, stats_eps=1e-12, lr=1e-12, c_sim=0.0, c_td=0.0, episodes=1)
 
 
 # -- trainer -------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_squared_euclidean_example():
 
 def test_distance_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        al.distance(V([1.0, 2.0]), V([1.0, 2.0, 3.0]))
+        al.distance(V([1.0, 2.0]), V([1.0, 2.0, 3.0]), "cosine")
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,15 +104,13 @@ def test_temporal_short_sequence_degenerates_to_zero():
 def test_srl_zero_coefficients():
     rng = np.random.default_rng(1)
     seqs = [[V(rng.normal(size=4)) for _ in range(3)] for _ in range(2)]
-    cfg = al.AlignmentConfig(c_sim=0.0, c_td=0.0)
-    assert al.srl_loss(_mats(seqs), cfg).total.item() == 0.0
+    assert al.srl_loss(_mats(seqs), 0.0, 0.0, "cosine").total.item() == 0.0
 
 
 def test_srl_combines_linearly():
     rng = np.random.default_rng(2)
     seqs = [[V(rng.normal(size=5)) for _ in range(4)] for _ in range(2)]
-    cfg = al.AlignmentConfig(c_sim=1.0, c_td=1.0)
-    parts = al.srl_loss(_mats(seqs), cfg)
+    parts = al.srl_loss(_mats(seqs), 1.0, 1.0, "cosine")
     sim = np.mean([similarity_loss([s[t] for s in seqs], "cosine").item() for t in range(4)])
     td = temporal_discrimination_loss(seqs, "cosine").item()
     assert parts.total.item() == pytest.approx(sim + td, rel=1e-10)
@@ -125,8 +123,7 @@ def test_srl_batched_matches_loops_with_episode_mask():
     t_len = 6
     starts = [True, False, False, True, False, False]
     seqs = [[V(rng.normal(size=8)) for _ in range(t_len)] for _ in range(3)]
-    cfg = al.AlignmentConfig(c_sim=0.3, c_td=0.2)
-    parts = al.srl_loss(_mats(seqs), cfg, episode_starts=starts)
+    parts = al.srl_loss(_mats(seqs), 0.3, 0.2, "cosine", episode_starts=starts)
     sim = np.mean([similarity_loss([s[t] for s in seqs], "cosine").item() for t in range(t_len)])
     td = temporal_discrimination_loss(seqs, "cosine", episode_starts=starts).item()
     assert parts.total.item() == pytest.approx(0.3 * sim + 0.2 * td, rel=1e-9)
@@ -139,8 +136,7 @@ def test_srl_gradient_check(kind):
     flat = [rng.normal(size=(t_len, dim)) for _ in range(m)]
 
     def f(vals):
-        cfg = al.AlignmentConfig(c_sim=0.5, c_td=0.3, distance_kind=kind)
-        return al.srl_loss(list(vals), cfg).total
+        return al.srl_loss(list(vals), 0.5, 0.3, kind).total
 
     report = ad.grad_check(f, flat, rel_tol=1e-4)
     assert report.ok, report.per_input
@@ -176,10 +172,3 @@ def test_gradient_descent_on_temporal_increases_distance():
         cur = temporal_discrimination_loss([[Value(f.data) for f in seq]], "cosine").item()
         assert cur < prev + 1e-12  # loss down means distances up
         prev = cur
-
-
-def test_alignment_config_validation():
-    with pytest.raises(ValueError):
-        al.AlignmentConfig(c_sim=-0.1)
-    with pytest.raises(ValueError):
-        al.AlignmentConfig(distance_kind="kl")

@@ -246,16 +246,17 @@ def test_adam_first_step_is_unit_lr_step():
     # bias-corrected first step with constant grad 1 moves by ~ -lr
     p = ad.Value(np.array([0.0]), requires_grad=True)
     p.grad[:] = 1.0
-    opt = ad.Adam([p], lr=0.1, eps=1e-8)
+    opt = ad.Adam([p], lr=0.1)
     opt.step()
     np.testing.assert_allclose(p.data, [-0.1], atol=1e-8)
 
 
 def test_adam_two_steps_hand_evaluated():
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
+    assert (ad.ADAM_BETAS, ad.ADAM_EPS) == ((b1, b2), eps)
     p = ad.Value(np.array([0.0]), requires_grad=True)
     p.grad[:] = 1.0
-    opt = ad.Adam([p], lr=lr, betas=(b1, b2), eps=eps)
+    opt = ad.Adam([p], lr=lr)
     opt.step()
     opt.step()
 

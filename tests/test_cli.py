@@ -154,20 +154,120 @@ def test_embeddings_schema(tmp_path):
     assert len(lines) > 1
 
 
+def _trained_checkpoint(tmp_path, **kw):
+    """A maie trainer after two episodes, and the checkpoint it saved."""
+    cfg = _run_args(tmp_path, method="maie", **kw)
+    trainer = Trainer(envs.make_env(cfg.env, cfg.seed), cfg.train_config())
+    trainer.run()
+    path = tmp_path / "checkpoint.json"
+    cli.save_checkpoint(str(path), trainer)
+    return trainer, path
+
+
+def _fresh_trainer(tmp_path, seed=1):
+    cfg = _run_args(tmp_path, method="maie", seed=seed)
+    return Trainer(envs.make_env(cfg.env, cfg.seed), cfg.train_config())
+
+
+def _rewrite(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    bad = path.with_name("edited.json")
+    bad.write_text(json.dumps(payload))
+    return str(bad)
+
+
 def test_checkpoint_round_trip(tmp_path):
-    cfg = _run_args(tmp_path, method="maie", out=str(tmp_path / "ck"))
-    assert cli.run(cfg) == 0
+    trainer, path = _trained_checkpoint(tmp_path)
+    fresh = _fresh_trainer(tmp_path)
+    assert not np.array_equal(fresh.head.params["actor1.w"].data, trainer.head.params["actor1.w"].data)
+    cli.load_checkpoint(str(path), fresh)
 
-    env = envs.make_env(cfg.env, cfg.seed)
-    trainer = Trainer(env, cfg.train_config())
-    before = trainer.head.params["actor1.w"].data.copy()
-    cli.load_checkpoint(str(tmp_path / "ck" / "checkpoint.json"), trainer)
-    after = trainer.head.params["actor1.w"].data
-    assert not np.array_equal(before, after)
-    assert trainer.opt.state  # Adam moments restored
+    want, got = trainer.named_parameters(), fresh.named_parameters()
+    assert list(got) == list(want)
+    for name in want:
+        np.testing.assert_array_equal(got[name].data, want[name].data, err_msg=name)
+    for m in trainer.modalities:
+        assert trainer.stats[m].mu.any()
+        np.testing.assert_array_equal(fresh.stats[m].mu, trainer.stats[m].mu)
+        np.testing.assert_array_equal(fresh.stats[m].var, trainer.stats[m].var)
+    assert len(fresh.opt.state) == len(trainer.opt.state) == len(trainer.opt.params)
+    for p_want, p_got in zip(trainer.opt.params, fresh.opt.params):
+        m_want, v_want, t_want = trainer.opt.state[id(p_want)]
+        m_got, v_got, t_got = fresh.opt.state[id(p_got)]
+        np.testing.assert_array_equal(m_got, m_want)
+        np.testing.assert_array_equal(v_got, v_want)
+        assert t_got == t_want > 0
 
-    # stats restored too
-    assert any(trainer.stats[m].mu.any() for m in trainer.modalities)
+
+def test_checkpoint_load_restores_features(tmp_path):
+    # a trainer seeded differently computes the saved trainer's features after loading
+    trainer, path = _trained_checkpoint(tmp_path)
+    other = _fresh_trainer(tmp_path, seed=99)
+    obs = envs.make_env("hetero_nav", 5).reset().modalities()["visual"]
+    before, _ = other.extractors["visual"].forward(obs, other.extractors["visual"].initial_state())
+    cli.load_checkpoint(str(path), other)
+    want, _ = trainer.extractors["visual"].forward(obs, trainer.extractors["visual"].initial_state())
+    got, _ = other.extractors["visual"].forward(obs, other.extractors["visual"].initial_state())
+    assert not np.array_equal(before, want)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_checkpoint_rejects_parameter_shape_mismatch(tmp_path):
+    _, path = _trained_checkpoint(tmp_path)
+
+    def wrong_shape(payload):
+        payload["params"]["visual.conv1.w"] = {"shape": [2, 2], "data": [0.0] * 4}
+
+    with pytest.raises(ValueError, match="shape"):
+        cli.load_checkpoint(_rewrite(path, wrong_shape), _fresh_trainer(tmp_path))
+
+
+def test_checkpoint_rejects_unknown_format(tmp_path):
+    _, path = _trained_checkpoint(tmp_path)
+
+    def other_format(payload):
+        payload["format"] = "maie-checkpoint-v0"
+
+    with pytest.raises(ValueError, match="format"):
+        cli.load_checkpoint(_rewrite(path, other_format), _fresh_trainer(tmp_path))
+
+
+def test_checkpoint_rejects_transposed_adam_moment(tmp_path):
+    trainer, path = _trained_checkpoint(tmp_path)
+    w_hh = trainer.named_parameters()["visual.lstm.w_hh"]
+    key = str(next(i for i, p in enumerate(trainer.opt.params) if p is w_hh))
+
+    def transposed(payload):
+        m = payload["adam"][key]["m"]
+        m["data"] = np.reshape(m["data"], m["shape"]).T.reshape(-1).tolist()
+        m["shape"] = m["shape"][::-1]
+
+    fresh = _fresh_trainer(tmp_path)
+    before = {k: v.data.copy() for k, v in fresh.named_parameters().items()}
+    with pytest.raises(ValueError, match=r"adam .*\(32, 128\)"):
+        cli.load_checkpoint(_rewrite(path, transposed), fresh)
+    assert fresh.opt.state == {}  # a rejected file changes nothing
+    for name, p in fresh.named_parameters().items():
+        np.testing.assert_array_equal(p.data, before[name])
+
+
+def test_checkpoint_rejects_adam_entry_for_no_parameter(tmp_path):
+    # "-1" would otherwise index the last parameter, head.critic3.b
+    trainer, path = _trained_checkpoint(tmp_path)
+    last = str(len(trainer.opt.params) - 1)
+
+    def moved(payload):
+        payload["adam"]["-1"] = payload["adam"].pop(last)
+
+    with pytest.raises(ValueError, match="adam -1"):
+        cli.load_checkpoint(_rewrite(path, moved), _fresh_trainer(tmp_path))
+
+
+def test_checkpoint_rejects_stats_of_another_xi(tmp_path):
+    _, path = _trained_checkpoint(tmp_path, xi=0.2)
+    with pytest.raises(ValueError, match="xi=0.2"):
+        cli.load_checkpoint(str(path), _fresh_trainer(tmp_path))
 
 
 def test_no_temp_files_left_behind(tmp_path):

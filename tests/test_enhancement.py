@@ -10,23 +10,30 @@ from maie.autodiff import Value
 
 from method_oracles import normalize
 
+CFG = TrainConfig()  # the trainer's xi and stats_eps
+
+
+def _fresh(dim):
+    """The stats a trainer starts from: zero mean, unit variance."""
+    return en.ModalityStats(mu=np.zeros(dim), var=np.ones(dim))
+
 
 def test_normalize_centering():
-    stats = en.ModalityStats(mu=np.array([1.0, -2.0]), var=np.ones(2), eps=0.0)
-    out = normalize(Value(np.array([1.0, -2.0])), stats)
+    stats = en.ModalityStats(mu=np.array([1.0, -2.0]), var=np.ones(2))
+    out = normalize(Value(np.array([1.0, -2.0])), stats, 0.0)
     np.testing.assert_allclose(out.data, [0.0, 0.0])
 
 
 def test_normalize_hand_example():
     # (3 - 1) / sqrt(4 + 0) = 1
-    stats = en.ModalityStats(mu=np.array([1.0]), var=np.array([4.0]), eps=0.0)
-    out = normalize(Value(np.array([3.0])), stats)
+    stats = en.ModalityStats(mu=np.array([1.0]), var=np.array([4.0]))
+    out = normalize(Value(np.array([3.0])), stats, 0.0)
     np.testing.assert_allclose(out.data, [1.0])
 
 
 def test_normalize_zero_variance_guarded():
-    stats = en.ModalityStats(mu=np.zeros(3), var=np.zeros(3), eps=1e-5)
-    out = normalize(Value(np.array([1.0, -1.0, 0.5])), stats)
+    stats = en.ModalityStats(mu=np.zeros(3), var=np.zeros(3))
+    out = normalize(Value(np.array([1.0, -1.0, 0.5])), stats, 1e-5)
     assert np.isfinite(out.data).all()
 
 
@@ -34,29 +41,29 @@ def test_normalize_matrix_matches_per_row():
     rng = np.random.default_rng(0)
     stats = en.ModalityStats(mu=rng.normal(size=4), var=rng.uniform(0.5, 2, size=4))
     rows = rng.normal(size=(3, 4))
-    batched = normalize(Value(rows), stats).data
+    batched = normalize(Value(rows), stats, CFG.stats_eps).data
     for i in range(3):
-        np.testing.assert_allclose(batched[i], normalize(Value(rows[i]), stats).data, atol=1e-14)
+        np.testing.assert_allclose(batched[i], normalize(Value(rows[i]), stats, CFG.stats_eps).data, atol=1e-14)
 
 
 def test_update_stats_batch_statistics():
-    stats = en.ModalityStats.create(1, xi=1.0)
-    stats.update(np.array([[1.0], [3.0]]))
+    stats = _fresh(1)
+    stats.update(np.array([[1.0], [3.0]]), xi=1.0)
     np.testing.assert_allclose(stats.mu, [2.0])
     np.testing.assert_allclose(stats.var, [1.0])  # population variance, divisor |B|
 
 
 def test_update_stats_soft_blend():
-    stats = en.ModalityStats(mu=np.zeros(1), var=np.ones(1), xi=0.1)
-    stats.update(np.array([[2.0], [2.0]]))
+    stats = en.ModalityStats(mu=np.zeros(1), var=np.ones(1))
+    stats.update(np.array([[2.0], [2.0]]), xi=0.1)
     np.testing.assert_allclose(stats.mu, [0.2])
     np.testing.assert_allclose(stats.var, [0.9])  # batch var 0 blended with 1
 
 
 def test_update_stats_empty_batch_errors():
-    stats = en.ModalityStats.create(2)
+    stats = _fresh(2)
     with pytest.raises(ValueError, match="nonempty"):
-        stats.update(np.zeros((0, 2)))
+        stats.update(np.zeros((0, 2)), CFG.xi)
 
 
 def test_importance_symmetric_inputs():
@@ -123,7 +130,7 @@ def test_fuse_halving_lambda():
 def test_fuse_adjoint_is_lambda_times_upstream():
     rng = np.random.default_rng(8)
     raw = [Value(rng.normal(size=4), requires_grad=True) for _ in range(3)]
-    lam = en.importance([normalize(f, en.ModalityStats.create(4)).data for f in raw])
+    lam = en.importance([normalize(f, _fresh(4), CFG.stats_eps).data for f in raw])
     fused = en.fuse(raw, lam)
     g = rng.normal(size=12)
     ad.backward((fused * Value(g)).sum())
@@ -166,8 +173,8 @@ def test_enhance_bundle_consistency():
     # the full normalize -> importance -> fuse path for one step
     rng = np.random.default_rng(10)
     feats = [Value(rng.normal(size=4)) for _ in range(2)]
-    stats = [en.ModalityStats.create(4) for _ in range(2)]
-    lam = en.importance([normalize(f, s).data for f, s in zip(feats, stats)])
+    stats = [_fresh(4) for _ in range(2)]
+    lam = en.importance([normalize(f, s, CFG.stats_eps).data for f, s in zip(feats, stats)])
     fused = en.fuse(feats, lam)
     weighted = [l * f.data for f, l in zip(feats, lam)]
     for i, w in enumerate(weighted):
@@ -178,9 +185,9 @@ def test_enhance_bundle_consistency():
 def test_stats_convergence_quick():
     rng = np.random.default_rng(11)
     mu_star, sigma_star = 2.0, 1.5
-    stats = en.ModalityStats.create(4, xi=0.1)
+    stats = _fresh(4)
     for _ in range(300):
-        stats.update(rng.normal(mu_star, sigma_star, size=(64, 4)))
+        stats.update(rng.normal(mu_star, sigma_star, size=(64, 4)), xi=0.1)
     assert np.abs(stats.mu - mu_star).max() / mu_star < 0.1
     assert np.abs(stats.var - sigma_star**2).max() / sigma_star**2 < 0.15
 
@@ -189,6 +196,6 @@ def test_frozen_stats_give_identical_outputs():
     rng = np.random.default_rng(12)
     stats = en.ModalityStats(mu=rng.normal(size=4), var=rng.uniform(0.5, 2, size=4))
     f = rng.normal(size=4)
-    a = normalize(Value(f), stats).data
-    b = normalize(Value(f), stats).data
+    a = normalize(Value(f), stats, CFG.stats_eps).data
+    b = normalize(Value(f), stats, CFG.stats_eps).data
     np.testing.assert_array_equal(a, b)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from maie import extractors as ex
 
 VIS_SHAPE = (2, 10, 10)
 AUD_SHAPE = (1, 16, 16)
+TEXT_SHAPE = (12,)
 
 
 def _rand_obs(rng, shape):
@@ -49,10 +48,19 @@ def test_output_is_feature_dim():
 
 
 def test_text_output_is_feature_dim():
-    e = ex.TextExtractor("text", vocab_size=19, seed=3)
+    e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=3)
     ids = np.array([1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0])
     f, _ = e.forward(ids, e.initial_state())
     assert f.shape == (32,)
+
+
+def test_text_length_comes_from_the_modality_shape():
+    e = ex.build_extractor("text", (7,), seed=3, vocab_size=19)
+    assert e.input_shape == (7,)
+    f, _ = e.forward(np.arange(7) % 19, e.initial_state())
+    assert f.shape == (32,)
+    with pytest.raises(ValueError, match="shape"):
+        e.forward(np.zeros(12, dtype=int), e.initial_state())
 
 
 def test_zero_observation_is_deterministic():
@@ -79,7 +87,7 @@ def test_shape_mismatch_names_modality():
 
 
 def test_text_rejects_out_of_vocab_ids():
-    e = ex.TextExtractor("text", vocab_size=5, seed=0)
+    e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=5, seed=0)
     with pytest.raises(ValueError, match="vocabulary"):
         e.forward(np.array([0, 1, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0]), e.initial_state())
 
@@ -108,7 +116,7 @@ def test_forward_sequence_matches_stepwise():
 
 def test_text_forward_sequence_matches_stepwise():
     rng = np.random.default_rng(4)
-    e = ex.TextExtractor("text", vocab_size=19, seed=4)
+    e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=4)
     obs = [rng.integers(0, 19, size=12) for _ in range(5)]
     starts = [True, False, False, False, True]
     st = e.initial_state()
@@ -131,7 +139,7 @@ def test_replay_graph_size_is_independent_of_rollout_length(kind):
         e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=5)
         draw = lambda: _rand_obs(rng, VIS_SHAPE)  # noqa: E731
     else:
-        e = ex.TextExtractor("text", vocab_size=19, seed=5)
+        e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=5)
         draw = lambda: rng.integers(0, 19, size=12)  # noqa: E731
     sizes = []
     for t_len in (8, 32):
@@ -180,7 +188,7 @@ def test_gradient_check_through_extractor(kind):
         e = ex.ConvLstmExtractor("visual", (1, 5, 5), seed=9)
         obs = [_rand_obs(rng, (1, 5, 5)) for _ in range(2)]
     else:
-        e = ex.TextExtractor("text", vocab_size=7, seed=9)
+        e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=7, seed=9)
         obs = [rng.integers(0, 7, size=12) for _ in range(2)]
     starts = [True, False]
 
@@ -200,28 +208,6 @@ def test_gradient_check_through_extractor(kind):
 
     report = ad.grad_check(g, inputs, rel_tol=1e-4)
     assert report.ok, report.per_input
-
-
-def test_save_load_round_trip(tmp_path):
-    e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=13)
-    # the per-array JSON payload the checkpoint stores, through a file
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps({k: ex.array_payload(v.data) for k, v in e.named_parameters().items()}))
-    loaded = {k: ex.payload_array(v) for k, v in json.loads(path.read_text()).items()}
-
-    e2 = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=99)
-    ex.load_into(e2.named_parameters(), {f"visual.{k}": loaded[f"visual.{k}"] for k in e2.params})
-    rng = np.random.default_rng(0)
-    obs = _rand_obs(rng, VIS_SHAPE)
-    f1, _ = e.forward(obs, e.initial_state())
-    f2, _ = e2.forward(obs, e2.initial_state())
-    np.testing.assert_array_equal(f1, f2)
-
-
-def test_load_into_rejects_shape_mismatch():
-    e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=0)
-    with pytest.raises(ValueError, match="shape"):
-        ex.load_into({"visual.conv1.w": e.params["conv1.w"]}, {"visual.conv1.w": np.zeros((2, 2))})
 
 
 def test_forget_gate_bias_initialized_to_one():
