@@ -14,6 +14,7 @@ parallel threads or processes.
 from __future__ import annotations
 
 import contextvars
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,23 +325,25 @@ def _pair(v, name):
     return t
 
 
-def _pad_nchw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    if not (ph or pw):
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
-    out[:, :, ph : ph + h, pw : pw + w] = x
-    return out
+@functools.lru_cache(maxsize=64)
+def _gather_index(n: int, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int) -> np.ndarray:
+    """Read-only (C*kh*kw, N*oh*ow) positions in ``x.ravel()`` of each patch entry.
 
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int) -> np.ndarray:
-    """(N,C,Hp,Wp) -> (C*kh*kw, N*oh*ow) patch matrix."""
-    n, c = xp.shape[:2]
-    s0, s1, s2, s3 = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (c, kh, kw, n, oh, ow), (s1, s2, s3, s0, s2 * sh, s3 * sw), writeable=False
-    )
-    return win.reshape(c * kh * kw, n * oh * ow)
+    Rows run over (channel, tap row, tap column), columns over (sample,
+    output row, output column). A tap that falls in the zero padding points
+    at index N*C*H*W, one past the input: the forward reads a 0.0 there and
+    the backward drops what lands there.
+    """
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    rows = (np.arange(kh)[:, None] + sh * np.arange(oh) - ph)[None, :, None, None, :, None]
+    cols = (np.arange(kw)[:, None] + sw * np.arange(ow) - pw)[None, None, :, None, None, :]
+    planes = (np.arange(n) * c + np.arange(c)[:, None])[:, None, None, :, None, None]  # (c, 1, 1, n, 1, 1)
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    idx = np.where(inside, (planes * h + rows) * w + cols, n * c * h * w)
+    idx = np.ascontiguousarray(idx.reshape(c * kh * kw, n * oh * ow), dtype=np.intp)
+    idx.flags.writeable = False
+    return idx
 
 
 @_register("conv2d")
@@ -348,7 +351,10 @@ def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
     """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters.
 
     Output spatial size per dim: floor((n + 2p - k)/s) + 1. Implemented as
-    im2col + matmul; the backward scatters through the same layout.
+    im2col + matmul (Chellapilla et al. 2006): the patch matrix is one gather
+    through the cached ``_gather_index`` of this geometry, and the backward
+    sums the patch gradients back into the input with one ``np.bincount``
+    over the same index, tap by tap in the order of its rows.
     """
     x, w = _lift(x), _lift(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -364,8 +370,8 @@ def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"conv2d: kernel ({kh},{kw}) too large for padded input ({h + 2 * ph},{width + 2 * pw})")
 
-    xp = _pad_nchw(x.data, ph, pw)
-    cols = _im2col(xp, kh, kw, sh, sw, oh, ow)
+    idx = _gather_index(n, c, h, width, kh, kw, sh, sw, ph, pw)
+    cols = np.concatenate((x.data.ravel(), (0.0,)))[idx]
     w_flat = w.data.reshape(f, -1)
     out_flat = w_flat @ cols
     bias = _lift(b) if b is not None else None
@@ -382,12 +388,9 @@ def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
         if bias is not None and bias.requires_grad:
             bias.grad += g_flat.sum(axis=1)
         if x.requires_grad:
-            gcols = (w_flat.T @ g_flat).reshape(c, kh, kw, n, oh, ow)
-            gxp = np.zeros((n, c, h + 2 * ph, width + 2 * pw))
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += gcols[:, i, j].transpose(1, 0, 2, 3)
-            x.grad += gxp[:, :, ph : ph + h, pw : pw + width]
+            gcols = w_flat.T @ g_flat
+            gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
+            x.grad += gx[:-1].reshape(n, c, h, width)
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _node(out_data, parents, back, "conv2d")

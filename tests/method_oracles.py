@@ -6,6 +6,10 @@ plain arrays (``ModalityStats.normalize_array``). The functions here spell
 the same formulas out one timestep and one modality pair at a time, in graph
 form, so the tests can compare the batched code against them and
 gradient-check them.
+
+``conv2d_reference`` does the same for ``autodiff.conv2d``: it pads the input
+into a copy, reads the patch matrix through a strided view and scatters the
+input gradient back with one strided ``+=`` per kernel tap.
 """
 
 import numpy as np
@@ -62,3 +66,35 @@ def normalize(f: Value, stats: ModalityStats, eps: float) -> Value:
         mu = np.broadcast_to(mu, (t, mu.shape[0]))
         sc = np.broadcast_to(sc, (t, sc.shape[0]))
     return (f - Value(mu)) * Value(sc)
+
+
+def conv2d_reference(x, w, b, g, stride: tuple, padding: tuple):
+    """Output and (x, w, b) gradients of a (N,C,H,W) by (F,C,kh,kw) convolution.
+
+    ``g`` is the gradient arriving at the (N,F,oh,ow) output. The arithmetic
+    is that of ``autodiff.conv2d``, laid out through a padded copy instead of
+    a gather index.
+    """
+    n, c, h, width = x.shape
+    f, _, kh, kw = w.shape
+    (sh, sw), (ph, pw) = stride, padding
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (width + 2 * pw - kw) // sw + 1
+    xp = np.zeros((n, c, h + 2 * ph, width + 2 * pw))
+    xp[:, :, ph : ph + h, pw : pw + width] = x
+    s0, s1, s2, s3 = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (c, kh, kw, n, oh, ow), (s1, s2, s3, s0, s2 * sh, s3 * sw), writeable=False
+    )
+    cols = win.reshape(c * kh * kw, n * oh * ow)
+    w_flat = w.reshape(f, -1)
+    out = np.ascontiguousarray(((w_flat @ cols) + b[:, None]).reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+    g_flat = g.transpose(1, 0, 2, 3).reshape(f, -1)
+    gw = (g_flat @ cols.T).reshape(w.shape)
+    gb = g_flat.sum(axis=1)
+    gcols = (w_flat.T @ g_flat).reshape(c, kh, kw, n, oh, ow)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += gcols[:, i, j].transpose(1, 0, 2, 3)
+    return out, gxp[:, :, ph : ph + h, pw : pw + width], gw, gb

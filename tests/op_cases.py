@@ -59,14 +59,25 @@ def case_matmul(rng):
 
 
 def case_conv2d(rng):
-    stride = int(rng.integers(1, 3))
-    padding = int(rng.integers(0, 2))
-    xs = (int(rng.integers(1, 3)), 2, 5, 5)
+    # a 3x3 kernel with one stride and padding for both axes, as the visual
+    # and audio stacks take; the TextCNN's (1,2) kernel with (0,1) padding on
+    # a one-row input; or kernel, stride and padding drawn per axis
+    form = rng.integers(0, 3)
+    if form == 0:
+        kernel, stride, padding, hw = (3, 3), int(rng.integers(1, 3)), int(rng.integers(0, 2)), (5, 5)
+    elif form == 1:
+        kernel, stride, padding, hw = (1, 2), 1, (0, 1), (1, 5)
+    else:
+        kernel = tuple(int(k) for k in rng.integers(1, 4, size=2))
+        stride = tuple(int(s) for s in rng.integers(1, 3, size=2))
+        padding = tuple(int(p) for p in rng.integers(0, 2, size=2))
+        hw = (5, 4)
+    xs = (int(rng.integers(1, 3)), 2, *hw)
 
     def f(v):
         return ad.conv2d(v[0], v[1], v[2], stride=stride, padding=padding).square().sum()
 
-    return f, [rng.normal(size=xs), rng.normal(size=(3, 2, 3, 3)) * 0.5, rng.normal(size=(3,))]
+    return f, [rng.normal(size=xs), rng.normal(size=(3, 2, *kernel)) * 0.5, rng.normal(size=(3,))]
 
 
 def case_concat(rng):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from maie import autodiff as ad
+from maie.extractors import TEXT_EMBED_DIM, ConvLstmExtractor, TextExtractor
 
+from method_oracles import conv2d_reference
 from op_cases import CASES, check_op
 
 
@@ -36,6 +38,69 @@ def test_conv2d_output_shape():
 def test_conv2d_channel_mismatch_error():
     with pytest.raises(ad.ShapeError, match="channels"):
         ad.conv2d(ad.Value(np.zeros((1, 3, 8, 8))), ad.Value(np.zeros((4, 2, 3, 3))))
+
+
+def _stack_geometries(c, h, w, filters, kernel, stride, padding):
+    """(C, H, W) input of each of an extractor's three conv layers."""
+    out = []
+    for _ in range(3):
+        out.append((c, h, w))
+        c = filters
+        h = (h + 2 * padding[0] - kernel[0]) // stride[0] + 1
+        w = (w + 2 * padding[1] - kernel[1]) // stride[1] + 1
+    return out
+
+
+_CONV_SPECS = {
+    "convlstm": dict(filters=ConvLstmExtractor.FILTERS, kernel=(3, 3), stride=(2, 2), padding=(1, 1)),
+    "text": dict(filters=TextExtractor.FILTERS, kernel=TextExtractor.KERNEL, stride=(1, 1), padding=TextExtractor.PADDING),
+}
+# every conv layer of the five envs, once each: visual 2x10x10 (hetero_nav),
+# 3x10x10 (target_select, av_nav), 4x8x8 (mining) and 5x8x8 (mining_plus);
+# audio 1x16x16 through the same stack; text (8, 1, 12), the TextCNN's
+# embedding of 12 tokens
+CONV_GEOMETRIES = list(dict.fromkeys(
+    (geom, kind)
+    for shape, kind in [
+        ((2, 10, 10), "convlstm"),
+        ((3, 10, 10), "convlstm"),
+        ((4, 8, 8), "convlstm"),
+        ((5, 8, 8), "convlstm"),
+        ((1, 16, 16), "convlstm"),
+        ((TEXT_EMBED_DIM, 1, 12), "text"),
+    ]
+    for geom in _stack_geometries(*shape, **_CONV_SPECS[kind])
+))
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("geom,kind", CONV_GEOMETRIES, ids=[f"{k}-{c}x{h}x{w}" for (c, h, w), k in CONV_GEOMETRIES])
+def test_conv2d_bitwise_equals_padded_reference(geom, kind, batch):
+    spec = _CONV_SPECS[kind]
+    rng = np.random.default_rng(batch * 1000 + sum(geom))
+    x = rng.normal(size=(batch, *geom))
+    w = rng.normal(size=(spec["filters"], geom[0], *spec["kernel"]))
+    b = rng.normal(size=(spec["filters"],))
+    xv, wv, bv = (ad.Value(a, requires_grad=True) for a in (x, w, b))
+    out = ad.conv2d(xv, wv, bv, stride=spec["stride"], padding=spec["padding"])
+    g = rng.normal(size=out.shape)
+    ad.backward((out * ad.Value(g)).sum())
+    ref = conv2d_reference(x, w, b, g, spec["stride"], spec["padding"])
+    for got, want in zip((out.data, xv.grad, wv.grad, bv.grad), ref):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_gather_index_is_read_only_and_cache_bounded():
+    idx = ad._gather_index(2, 3, 5, 5, 3, 3, 2, 2, 1, 1)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+    maxsize = ad._gather_index.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(1, maxsize + 20):
+        ad._gather_index(n, 1, 3, 3, 3, 3, 1, 1, 1, 1)
+    assert ad._gather_index.cache_info().currsize <= maxsize
 
 
 def test_elementwise_shape_mismatch_names_op():

@@ -1,0 +1,117 @@
+"""Alternating untraced perfbench pairs of a base revision and the working tree.
+
+    python tools/bench_pairs.py --base HEAD~1 --seeds 801,802,803 --seconds 30 --out BENCH_8.json
+
+The base revision is extracted with ``git archive`` into a temporary
+directory. For each workload and each seed, ``perfbench/run.py --trace 0``
+runs once in the base tree and once in the working tree, each with its own
+copy of perfbench and of the program; which side runs first alternates from
+pair to pair, so a drift in the machine's speed falls on both sides alike.
+The output file holds every run's result, and per metric each side's median
+and quartiles and the number of pairs in which the working tree was better
+(``better`` is taken from BENCHMARK.json; ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+
+
+def extract(rev: str, dest: str) -> str:
+    """Write the files of ``rev`` under ``dest``; return the tree's path."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE, check=True)
+    tree = os.path.join(dest, "tree")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run in ``tree``; its final JSON line."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"bench_pairs: perfbench in {tree} exited {proc.returncode} on {workload} seed {seed}")
+    return json.loads(lines[-1])
+
+
+def summarize(runs: list, better: dict) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs the change won."""
+    out = {}
+    for name, direction in better.items():
+        sides = {side: [r[side]["metrics"][name]["value"] for r in runs] for side in ("base", "change")}
+        entry = {}
+        for side, values in sides.items():
+            q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+            entry[side] = {"median": med, "q1": q1, "q3": q3}
+        sign = 1.0 if direction == "higher" else -1.0
+        entry["change_better_pairs"] = sum(sign * (c - b) > 0 for b, c in zip(sides["base"], sides["change"]))
+        entry["pairs"] = len(runs)
+        entry["median_change_pct"] = 100.0 * (entry["change"]["median"] / entry["base"]["median"] - 1.0)
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare the working tree against")
+    parser.add_argument("--seeds", required=True, help="comma-separated perfbench seeds, one pair per seed")
+    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    parser.add_argument("--workloads", default=",".join(workloads), help="comma-separated subset of BENCHMARK.json's")
+    parser.add_argument("--out", required=True, help="path of the BENCH_<n>.json file to write")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    chosen = args.workloads.split(",")
+    unknown = sorted(set(chosen) - set(workloads))
+    if unknown or not seeds or min(seeds) < 0:
+        parser.error(f"need workloads from {workloads} (unknown: {unknown}) and seeds >= 0")
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    result = {
+        "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
+        "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+        "seconds": args.seconds,
+        "seeds": seeds,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        trees = {"base": extract(args.base, tmp), "change": ROOT}
+        for workload in chosen:
+            runs = []
+            for i, seed in enumerate(seeds):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                run = {"seed": seed, "first": order[0]}
+                for side in order:
+                    run[side] = perfbench(trees[side], workload, seed, args.seconds)
+                    op = run[side]["metrics"]["op_ms_p50"]["value"]
+                    print(f"{workload} seed {seed} {side:<6} op_ms_p50 {op:.2f} ms", file=sys.stderr, flush=True)
+                runs.append(run)
+            result["workloads"][workload] = {"summary": summarize(runs, better), "runs": runs}
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
