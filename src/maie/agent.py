@@ -15,6 +15,12 @@ as one (T, 32) matrix (the first replay reproduces the acting-time features
 to within 1e-12, since parameters do not change in between). One λ rule,
 ``_weights``, takes one step's (L,) features or a rollout's (T, L) stack,
 and gives each row of the stack the λ it gives that step alone.
+
+Each episode fact is stored once. The step count is the environment's
+``steps`` and the audio class its ``last_audio_class``; the λ trace
+(``lambda_rows``, one row of per-modality means per step) is the one
+record of λ, and a metrics row's λ is the mean of its episode's trace
+rows. Both backward passes go through one update step, ``Trainer._apply``.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ from . import autodiff as ad
 from . import alignment as al
 from . import enhancement as en
 from .autodiff import Value
-from .extractors import FEATURE_DIM, build_extractor
+from .extractors import FEATURE_DIM, build_extractor, uniform_init
 
 METHODS = ("maie", "concat", "fixed_weights", "no_align", "no_ie")
+LOSS_COLUMNS = ("loss_actor", "loss_critic", "loss_sim", "loss_td")  # the losses each metrics row carries
 
 LOG_EPS = 1e-12  # guards log of saturated softmax entries
 EMBEDDING_EVERY = 5  # embeddings.csv samples every this many steps of an episode
@@ -90,14 +97,9 @@ class TrainConfig:
 def _affine_params(rng, sizes, prefix):
     params = {}
     for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
-        params[f"{prefix}{i}.w"] = Value(_uniform(rng, (n_in, n_out), n_in), requires_grad=True)
-        params[f"{prefix}{i}.b"] = Value(_uniform(rng, (n_out,), n_in), requires_grad=True)
+        params[f"{prefix}{i}.w"] = Value(uniform_init(rng, (n_in, n_out), n_in), requires_grad=True)
+        params[f"{prefix}{i}.b"] = Value(uniform_init(rng, (n_out,), n_in), requires_grad=True)
     return params
-
-
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 class PolicyValueHead:
@@ -154,8 +156,7 @@ def sample_action(logits: np.ndarray, rng: np.random.Generator) -> int:
     """Draw from the categorical softmax(logits) distribution."""
     if not np.isfinite(logits).all():
         raise NumericalError(f"non-finite policy logits: {logits}")
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
+    p = ad.softmax_array(logits)
     # the inverse-CDF draw of Generator.choice(len(p), p=p), without its
     # per-call validation: the same uniform gives the same action
     cdf = p.cumsum()
@@ -246,14 +247,11 @@ class Trainer:
         self.use_ie = cfg.method in ("maie", "no_align")
 
         self._obs = None
-        self._obs_audio_class = -1
         self._states = {m: self.extractors[m].initial_state() for m in self.modalities}
         self.episode = 0
         self.env_steps = 0
         self._ep_return = 0.0
-        self._ep_steps = 0
-        self._ep_lambda_sums = {m: 0.0 for m in self.modalities}
-        self._last_losses = {"loss_actor": 0.0, "loss_critic": 0.0, "loss_sim": 0.0, "loss_td": 0.0}
+        self._last_losses = dict.fromkeys(LOSS_COLUMNS, 0.0)
 
         self.metrics_rows: list = []
         self.lambda_rows: list = []
@@ -286,14 +284,15 @@ class Trainer:
 
     def _begin_episode(self):
         self._obs = self.env.reset()
-        self._obs_audio_class = self.env.last_audio_class
         self._states = {m: self.extractors[m].initial_state() for m in self.modalities}
         self._ep_return = 0.0
-        self._ep_steps = 0
-        self._ep_lambda_sums = {m: 0.0 for m in self.modalities}
 
     def _finish_episode(self, phase: str) -> dict:
-        """Close the episode and return its row: a metrics row in training, else an eval row."""
+        """Close the episode and return its row: a metrics row in training, else an eval row.
+
+        A metrics row's λ per modality is the mean of the episode's λ-trace
+        rows, which are the last ``env.steps`` of ``lambda_rows``.
+        """
         if phase == "train":
             row = {
                 "episode": self.episode,
@@ -302,15 +301,18 @@ class Trainer:
                 "success": int(self.env.last_success),
                 **self._last_losses,
             }
-            for m in self.modalities:
-                row[f"lambda_{m}"] = self._ep_lambda_sums[m] / max(self._ep_steps, 1)
+            # np.mean along axis 0 adds the rows one by one in step order; the builtin
+            # sum compensates its float additions from Python 3.12 on and gives other bits
+            lam_means = np.mean([r[-1] for r in self.lambda_rows[-self.env.steps :]], axis=0)
+            for m, lam in zip(self.modalities, lam_means):
+                row[f"lambda_{m}"] = float(lam)
             self.metrics_rows.append(row)
         else:
             row = {
                 "episode": self.episode,
                 "return": self._ep_return,
                 "success": int(self.env.last_success),
-                "steps": self._ep_steps,
+                "steps": self.env.steps,
             }
         self.episode += 1
         self._obs = None
@@ -327,7 +329,7 @@ class Trainer:
         feats, self._states = self._features(self._obs, self._states)
         lams = self._weights(feats)
         action = sample_action(self.head.logits_array(self._fuse_array(feats, lams)), self.action_rng)
-        lam_means = self._record_step_traces(feats, lams, phase)
+        self._record_step_traces(feats, lams, phase)
         next_obs, reward, done = self.env.step(action)
         if buf is not None:
             buf.observations.append(self._obs)
@@ -339,13 +341,9 @@ class Trainer:
                 buf.features[m].append(feats[m])
             self.env_steps += 1
         self._ep_return += reward
-        self._ep_steps += 1
-        for m, mean in zip(self.modalities, lam_means):
-            self._ep_lambda_sums[m] += mean
         if done:
             return self._finish_episode(phase)
         self._obs = next_obs
-        self._obs_audio_class = self.env.last_audio_class
         return None
 
     def collect_rollout(self) -> RolloutBuffer:
@@ -355,14 +353,14 @@ class Trainer:
             self._act_step("train", buf)
         return buf
 
-    def _record_step_traces(self, feats: dict, lams: dict, phase: str) -> tuple:
-        """Record the step's λ means and embeddings; returns the means in modality order."""
+    def _record_step_traces(self, feats: dict, lams: dict, phase: str):
+        """Record the step's λ means, in modality order, and every few steps its embeddings."""
+        step = self.env.steps
         lam_means = tuple(float(lams[m].mean()) for m in self.modalities)
-        self.lambda_rows.append((phase, self.episode, self._ep_steps, self._obs_audio_class, lam_means))
-        if self._ep_steps % EMBEDDING_EVERY == 0:
+        self.lambda_rows.append((phase, self.episode, step, self.env.last_audio_class, lam_means))
+        if step % EMBEDDING_EVERY == 0:
             for m in self.modalities:
-                self.embedding_rows.append((phase, self.episode, self._ep_steps, m, feats[m].copy()))
-        return lam_means
+                self.embedding_rows.append((phase, self.episode, step, m, feats[m].copy()))
 
     # -- updating ------------------------------------------------------------
 
@@ -408,11 +406,7 @@ class Trainer:
             sim_val, td_val = parts.sim, parts.td
             if not np.isfinite(parts.total.data):
                 raise NumericalError("representation loss is non-finite", self._numerical_dump(buf, {"loss_srl": float(parts.total.data)}))
-            if parts.total.requires_grad:
-                ad.backward(parts.total)
-                ad.clip_grad_norm(self.phi_params, cfg.grad_clip)
-                self.opt.step(self.phi_params)
-                ad.zero_grads(self.phi_params)
+            self._apply(parts.total, self.phi_params)
 
         if self.use_ie:
             # the rollout is the statistics mini-batch
@@ -442,11 +436,7 @@ class Trainer:
                 "actor-critic loss is non-finite",
                 self._numerical_dump(buf, {"loss_actor": float(aloss.data), "loss_critic": float(closs.data)}),
             )
-        ad.backward(total)
-        all_params = self.phi_params + self.head_params
-        ad.clip_grad_norm(all_params, cfg.grad_clip)
-        self.opt.step(all_params)
-        ad.zero_grads(all_params)
+        self._apply(total, self.phi_params + self.head_params)
 
         # recurrent state for the next rollout keeps flowing from acting time
         metrics = {
@@ -457,8 +447,15 @@ class Trainer:
             "mean_return_target": float(returns.mean()),
             "wall_ms": (time.perf_counter() - t0) * 1e3,
         }
-        self._last_losses = {k: metrics[k] for k in ("loss_actor", "loss_critic", "loss_sim", "loss_td")}
+        self._last_losses = {k: metrics[k] for k in LOSS_COLUMNS}
         return metrics
+
+    def _apply(self, loss: Value, params: list):
+        """The one update step: backward, clip the global grad norm to grad_clip, Adam, zero the grads."""
+        ad.backward(loss)
+        ad.clip_grad_norm(params, self.cfg.grad_clip)
+        self.opt.step(params)
+        ad.zero_grads(params)
 
     def run(self, episodes: int | None = None, max_env_steps: int | None = None) -> list:
         """Train until the episode budget (or step cap) is reached."""

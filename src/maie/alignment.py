@@ -16,14 +16,11 @@ parameters because nothing downstream of the features participates.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Value
-
-log = logging.getLogger(__name__)
 
 COSINE_EPS = 1e-8
 
@@ -57,7 +54,7 @@ class SrlLossParts:
     td: float
 
 
-def srl_loss(mats: list, c_sim: float, c_td: float, distance_kind: str, episode_starts=None) -> SrlLossParts:
+def srl_loss(mats: list, c_sim: float, c_td: float, distance_kind: str, episode_starts) -> SrlLossParts:
     """Combined representation loss over a rollout, computed batched.
 
     ``mats`` holds one (T, L) feature matrix per modality, row t being the
@@ -70,32 +67,23 @@ def srl_loss(mats: list, c_sim: float, c_td: float, distance_kind: str, episode_
     """
     m = len(mats)
     t_len = mats[0].data.shape[0] if m else 0
+    if m < 2 or t_len < 2:
+        raise ValueError(f"srl_loss needs at least two modalities and two steps, got {m} and {t_len}")
 
     sim_total = None
-    if m >= 2:
-        for i in range(m):
-            for j in range(i + 1, m):
-                d = distance(mats[i], mats[j], distance_kind).sum()
-                sim_total = d if sim_total is None else sim_total + d
-        sim_total = 2.0 * sim_total / float(t_len)
-    else:
-        log.debug("similarity loss degenerate: %d modality", m)
-        sim_total = Value(0.0)
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = distance(mats[i], mats[j], distance_kind).sum()
+            sim_total = d if sim_total is None else sim_total + d
+    sim_total = 2.0 * sim_total / float(t_len)
 
+    mask = np.array([0.0 if episode_starts[t + 1] else 1.0 for t in range(t_len - 1)])
     td_total = None
-    if t_len >= 2:
-        if episode_starts is None:
-            mask = np.ones(t_len - 1)
-        else:
-            mask = np.array([0.0 if episode_starts[t + 1] else 1.0 for t in range(t_len - 1)])
-        for mat in mats:
-            d = distance(mat[: t_len - 1], mat[1:], distance_kind)
-            masked = (d * Value(mask)).sum()
-            td_total = masked if td_total is None else td_total + masked
-        td_total = -td_total
-    else:
-        log.debug("temporal discrimination degenerate: T < 2")
-        td_total = Value(0.0)
+    for mat in mats:
+        d = distance(mat[: t_len - 1], mat[1:], distance_kind)
+        masked = (d * Value(mask)).sum()
+        td_total = masked if td_total is None else td_total + masked
+    td_total = -td_total
 
     total = c_sim * sim_total + c_td * td_total
     return SrlLossParts(total=total, sim=float(sim_total.data), td=float(td_total.data))

@@ -31,6 +31,7 @@ __all__ = [
     "conv2d",
     "concat",
     "softmax",
+    "softmax_array",
     "lstm_cell",
     "lstm_step",
     "transpose",
@@ -347,8 +348,8 @@ def _gather_index(n: int, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw:
 
 
 @_register("conv2d")
-def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
-    """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters.
+def conv2d(x, w, b, *, stride=1, padding=0) -> Value:
+    """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters and (F,) biases.
 
     Output spatial size per dim: floor((n + 2p - k)/s) + 1. Implemented as
     im2col + matmul (Chellapilla et al. 2006): the patch matrix is one gather
@@ -356,13 +357,15 @@ def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
     sums the patch gradients back into the input with one ``np.bincount``
     over the same index, tap by tap in the order of its rows.
     """
-    x, w = _lift(x), _lift(w)
+    x, w, b = _lift(x), _lift(w), _lift(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need (N,C,H,W) input and (F,C,kh,kw) weights, got {x.data.shape}, {w.data.shape}")
     n, c, h, width = x.data.shape
     f, cw, kh, kw = w.data.shape
     if c != cw:
         raise ShapeError(f"conv2d: input channels {c} != weight channels {cw}")
+    if b.data.shape != (f,):
+        raise ShapeError(f"conv2d: bias shape {b.data.shape} != ({f},)")
     sh, sw = _pair(stride, "stride")
     ph, pw = _pair(padding, "padding")
     oh = (h + 2 * ph - kh) // sh + 1
@@ -373,27 +376,21 @@ def conv2d(x, w, b=None, *, stride=1, padding=0) -> Value:
     idx = _gather_index(n, c, h, width, kh, kw, sh, sw, ph, pw)
     cols = np.concatenate((x.data.ravel(), (0.0,)))[idx]
     w_flat = w.data.reshape(f, -1)
-    out_flat = w_flat @ cols
-    bias = _lift(b) if b is not None else None
-    if bias is not None:
-        if bias.data.shape != (f,):
-            raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({f},)")
-        out_flat = out_flat + bias.data[:, None]
+    out_flat = w_flat @ cols + b.data[:, None]
     out_data = np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
 
     def back(g):
         g_flat = g.transpose(1, 0, 2, 3).reshape(f, -1)
         if w.requires_grad:
             w.grad += (g_flat @ cols.T).reshape(w.data.shape)
-        if bias is not None and bias.requires_grad:
-            bias.grad += g_flat.sum(axis=1)
+        if b.requires_grad:
+            b.grad += g_flat.sum(axis=1)
         if x.requires_grad:
             gcols = w_flat.T @ g_flat
             gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
             x.grad += gx[:-1].reshape(n, c, h, width)
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _node(out_data, parents, back, "conv2d")
+    return _node(out_data, (x, w, b), back, "conv2d")
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +473,16 @@ def transpose(x, axes) -> Value:
 # ---------------------------------------------------------------------------
 
 
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of a plain array along ``axis``, shifted by the max for stability."""
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
 @_register("softmax_axis")
 def softmax(x, axis: int = -1) -> Value:
     x = _lift(x)
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / np.sum(e, axis=axis, keepdims=True)
+    s = softmax_array(x.data, axis)
 
     def back(g):
         if x.requires_grad:
@@ -581,7 +582,7 @@ def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
 
 
 @_register("lstm_cell")
-def lstm_cell(sx, w_hh, h, c, starts=None) -> Value:
+def lstm_cell(sx, w_hh, h, c, starts) -> Value:
     """An LSTM unrolled over a sequence of input drives, fused into a single node.
 
     ``sx`` holds the precomputed drives W_ih @ x_t + b: a (T, 4H) matrix
@@ -601,7 +602,7 @@ def lstm_cell(sx, w_hh, h, c, starts=None) -> Value:
             f"lstm_cell: want sx (T, 4H), w_hh (4H,H), h (H,), c (H,); got {sx.data.shape}, {w_hh.data.shape}, {h.data.shape}, {c.data.shape}"
         )
     n = drives.shape[0]
-    resets = np.zeros(n, dtype=bool) if starts is None else np.asarray(starts, dtype=bool)
+    resets = np.asarray(starts, dtype=bool)
     if resets.shape != (n,):
         raise ShapeError(f"lstm_cell: starts shape {resets.shape} != ({n},)")
 
@@ -659,16 +660,15 @@ def lstm_cell(sx, w_hh, h, c, starts=None) -> Value:
 class Graph:
     """Topologically ordered record of the ops reachable from one node.
 
-    Replaying ``run_backward`` over nodes that have already propagated
+    Running ``run_backward`` over nodes that have already propagated
     their adjoints raises GraphError instead of silently accumulating
     twice.
     """
 
-    __slots__ = ("nodes", "_used")
+    __slots__ = ("nodes",)
 
     def __init__(self, nodes: list):
         self.nodes = nodes
-        self._used = False
 
     @classmethod
     def trace(cls, root: Value) -> "Graph":
@@ -690,14 +690,11 @@ class Graph:
         return cls(order)
 
     def run_backward(self, root: Value):
-        if self._used:
-            raise GraphError("backward already ran on this graph; rebuild the forward pass first")
         for node in self.nodes:
             if node._backward is not None and node._spent:
                 raise GraphError(
                     f"double backward through op {node._op!r}; rebuild the forward pass before backpropagating again"
                 )
-        self._used = True
         root.grad += np.ones_like(root.data)
         for node in reversed(self.nodes):
             if node._backward is not None:

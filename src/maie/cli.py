@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import envs
-from .agent import METHODS, NumericalError, TrainConfig, Trainer
+from .agent import LOSS_COLUMNS, METHODS, NumericalError, TrainConfig, Trainer
 from .alignment import DISTANCE_KINDS
 from .enhancement import ModalityStats
 from .extractors import FEATURE_DIM
@@ -89,8 +89,7 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def write_metrics_csv(path: str, rows: list, modalities: list):
-    header = ["episode", "env_steps", "return", "success", "loss_actor", "loss_critic", "loss_sim", "loss_td"]
-    header += [f"lambda_{m}" for m in modalities]
+    header = ["episode", "env_steps", "return", "success", *LOSS_COLUMNS] + [f"lambda_{m}" for m in modalities]
     _write_csv(path, header, ([r[h] for h in header] for r in rows))
 
 
@@ -234,15 +233,16 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def final_window_stats(rows_or_path, window_fraction: float = 0.1) -> dict:
-    """Mean return/success over the last fraction of a run's episodes."""
-    if isinstance(rows_or_path, (str, os.PathLike)):
-        cols = read_metrics_csv(rows_or_path)
-        returns, successes = cols["return"], cols["success"]
-    else:
-        returns = np.asarray([r["return"] for r in rows_or_path])
-        successes = np.asarray([r["success"] for r in rows_or_path])
+def final_window_stats(path, window_fraction: float = 0.1) -> dict:
+    """Mean return/success over the last fraction of the episodes in a metrics.csv.
+
+    Raises ValueError when the run finished no episode.
+    """
+    cols = read_metrics_csv(path)
+    returns, successes = cols["return"], cols["success"]
     n = len(returns)
+    if n == 0:
+        raise ValueError("no finished episode")
     k = max(1, int(np.ceil(window_fraction * n)))
     return {"return": float(returns[-k:].mean()), "success": float(successes[-k:].mean()), "episodes": n}
 
@@ -260,12 +260,19 @@ def _sweep_worker(args) -> dict:
     code = run(cfg)
     result = {"method": method, "seed": seed, "status": code}
     if code == 0:
-        result.update(final_window_stats(os.path.join(cfg.out, "metrics.csv")))
+        try:
+            result.update(final_window_stats(os.path.join(cfg.out, "metrics.csv")))
+        except ValueError as e:
+            result["error"] = str(e)
     return result
 
 
 def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
-    """Run the method x seed cross product and summarize final-window returns."""
+    """Run the method x seed cross product and summarize final-window returns.
+
+    A run that fails or finishes no episode is reported on stderr and left
+    out of the summary; the sweep exits 1 when no run is left.
+    """
     if not seeds or not methods:
         print("sweep needs nonempty seed and method lists", file=sys.stderr)
         return 1
@@ -278,10 +285,11 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
     else:
         results = [_sweep_worker(t) for t in tasks]
 
-    ok = [r for r in results if r["status"] == 0]
-    failed = [r for r in results if r["status"] != 0]
-    for r in failed:
-        print(f"run failed: method={r['method']} seed={r['seed']} status={r['status']}", file=sys.stderr)
+    ok = [r for r in results if "return" in r]
+    for r in results:
+        if "return" not in r:
+            print(f"run failed: method={r['method']} seed={r['seed']} status={r['status']} {r.get('error', '')}".rstrip(),
+                  file=sys.stderr)
 
     rows = []
     for method in sorted(set(methods)):

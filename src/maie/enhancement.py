@@ -65,10 +65,7 @@ def importance(normalized: list) -> list:
     for a in arrs:
         if a.shape != shape:
             raise ValueError(f"importance: feature shapes differ, {a.shape} vs {shape}")
-    stack = np.abs(np.stack(arrs))
-    stack -= stack.max(axis=0, keepdims=True)
-    e = np.exp(stack)
-    lam = e / e.sum(axis=0, keepdims=True)
+    lam = ad.softmax_array(np.abs(np.stack(arrs)), axis=0)
     return [lam[i] for i in range(len(arrs))]
 
 

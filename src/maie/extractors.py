@@ -13,6 +13,10 @@ LSTM step (``autodiff.lstm_step``) on plain arrays. ``forward_sequence``
 replays a whole rollout for the backward passes: one batched conv stack
 over time, one input projection for all steps, and the whole LSTM unroll in
 a single ``autodiff.lstm_cell`` node, episode resets included.
+
+Both kinds build and run their convolutions through the same base-class
+code, driven by each class's FILTERS, KERNEL, STRIDE and PADDING; the
+LSTM's input size is measured by running that stack on a zero probe.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ class RecurrentState:
         return RecurrentState(self.h.copy(), self.c.copy())
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Weights drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)), the one initialiser of every layer."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -57,15 +62,37 @@ def _lstm_params(rng, input_dim: int) -> dict:
     bias = np.zeros(4 * FEATURE_DIM)
     bias[FEATURE_DIM : 2 * FEATURE_DIM] = 1.0  # forget-gate bias stabilizes early training
     return {
-        "lstm.w_ih": Value(_uniform(rng, (4 * FEATURE_DIM, input_dim), input_dim), requires_grad=True),
-        "lstm.w_hh": Value(_uniform(rng, (4 * FEATURE_DIM, FEATURE_DIM), FEATURE_DIM), requires_grad=True),
+        "lstm.w_ih": Value(uniform_init(rng, (4 * FEATURE_DIM, input_dim), input_dim), requires_grad=True),
+        "lstm.w_hh": Value(uniform_init(rng, (4 * FEATURE_DIM, FEATURE_DIM), FEATURE_DIM), requires_grad=True),
         "lstm.b": Value(bias, requires_grad=True),
     }
 
 
 class _ExtractorBase:
+    """Three conv layers, each followed by ReLU, then the LSTM over their flattened output.
+
+    Subclasses set the layers' ``FILTERS``, ``KERNEL``, ``STRIDE`` and
+    ``PADDING``, and how an observation becomes the (N, C, H, W) conv input.
+    """
+
     name: str
     input_shape: tuple
+
+    def _build_convs(self, rng: np.random.Generator, in_ch: int, probe: np.ndarray):
+        """Draw the conv layers into ``self.params``, then size ``flat_dim`` from a zero probe batch."""
+        for i in range(3):
+            fan = in_ch * self.KERNEL[0] * self.KERNEL[1]
+            self.params[f"conv{i + 1}.w"] = Value(uniform_init(rng, (self.FILTERS, in_ch, *self.KERNEL), fan), requires_grad=True)
+            self.params[f"conv{i + 1}.b"] = Value(uniform_init(rng, (self.FILTERS,), fan), requires_grad=True)
+            in_ch = self.FILTERS
+        with ad.no_grad():
+            self.flat_dim = self._conv_stack(Value(probe)).data.size
+
+    def _conv_stack(self, x: Value) -> Value:
+        for i in range(3):
+            w, b = self.params[f"conv{i + 1}.w"], self.params[f"conv{i + 1}.b"]
+            x = ad.conv2d(x, w, b, stride=self.STRIDE, padding=self.PADDING).relu()
+        return x
 
     def parameters(self) -> list:
         return list(self.params.values())
@@ -111,37 +138,18 @@ class _ExtractorBase:
 class ConvLstmExtractor(_ExtractorBase):
     """Visual/audio extractor: three 32-filter stride-2 convs, then the LSTM."""
 
-    KERNEL = 3
+    FILTERS = 32
+    KERNEL = (3, 3)
     STRIDE = 2
     PADDING = 1
-    FILTERS = 32
 
     def __init__(self, name: str, input_shape: tuple, seed: int):
         self.name = name
         self.input_shape = tuple(input_shape)
-        c, h, w = self.input_shape
         rng = np.random.default_rng(seed)
         self.params = {}
-        in_ch = c
-        for i in range(3):
-            fan = in_ch * self.KERNEL * self.KERNEL
-            self.params[f"conv{i + 1}.w"] = Value(
-                _uniform(rng, (self.FILTERS, in_ch, self.KERNEL, self.KERNEL), fan), requires_grad=True
-            )
-            self.params[f"conv{i + 1}.b"] = Value(_uniform(rng, (self.FILTERS,), fan), requires_grad=True)
-            in_ch = self.FILTERS
-        for _ in range(3):
-            h = (h + 2 * self.PADDING - self.KERNEL) // self.STRIDE + 1
-            w = (w + 2 * self.PADDING - self.KERNEL) // self.STRIDE + 1
-        self.flat_dim = self.FILTERS * h * w
+        self._build_convs(rng, self.input_shape[0], np.zeros((1, *self.input_shape)))
         self.params.update(_lstm_params(rng, self.flat_dim))
-
-    def _conv_stack(self, x: Value) -> Value:
-        for i in range(3):
-            x = ad.conv2d(
-                x, self.params[f"conv{i + 1}.w"], self.params[f"conv{i + 1}.b"], stride=self.STRIDE, padding=self.PADDING
-            ).relu()
-        return x
 
     def _embed_single(self, obs: np.ndarray) -> np.ndarray:
         return self._conv_stack(Value(obs[None])).data.reshape(self.flat_dim)
@@ -156,6 +164,7 @@ class TextExtractor(_ExtractorBase):
 
     FILTERS = 3
     KERNEL = (1, 2)
+    STRIDE = 1
     PADDING = (0, 1)
 
     def __init__(self, name: str, input_shape: tuple, vocab_size: int, seed: int):
@@ -164,18 +173,8 @@ class TextExtractor(_ExtractorBase):
         self.input_shape = tuple(input_shape)
         (self.seq_len,) = self.input_shape
         rng = np.random.default_rng(seed)
-        self.params = {"embed.table": Value(_uniform(rng, (TEXT_EMBED_DIM, vocab_size), TEXT_EMBED_DIM), requires_grad=True)}
-        in_ch = TEXT_EMBED_DIM
-        width = self.seq_len
-        for i in range(3):
-            fan = in_ch * self.KERNEL[0] * self.KERNEL[1]
-            self.params[f"conv{i + 1}.w"] = Value(
-                _uniform(rng, (self.FILTERS, in_ch, *self.KERNEL), fan), requires_grad=True
-            )
-            self.params[f"conv{i + 1}.b"] = Value(_uniform(rng, (self.FILTERS,), fan), requires_grad=True)
-            in_ch = self.FILTERS
-            width = width + 2 * self.PADDING[1] - self.KERNEL[1] + 1
-        self.flat_dim = self.FILTERS * width
+        self.params = {"embed.table": Value(uniform_init(rng, (TEXT_EMBED_DIM, vocab_size), TEXT_EMBED_DIM), requires_grad=True)}
+        self._build_convs(rng, TEXT_EMBED_DIM, np.zeros((1, TEXT_EMBED_DIM, 1, self.seq_len)))
         self.params.update(_lstm_params(rng, self.flat_dim))
 
     def _check_obs(self, obs: np.ndarray):
@@ -184,13 +183,6 @@ class TextExtractor(_ExtractorBase):
             raise ValueError(f"{self.name}: token sequence shape {obs.shape} != ({self.seq_len},)")
         if obs.max(initial=0) >= self.vocab_size or obs.min(initial=0) < 0:
             raise ValueError(f"{self.name}: token id outside vocabulary of size {self.vocab_size}")
-
-    def _conv_stack(self, x: Value) -> Value:
-        for i in range(3):
-            x = ad.conv2d(
-                x, self.params[f"conv{i + 1}.w"], self.params[f"conv{i + 1}.b"], stride=1, padding=self.PADDING
-            ).relu()
-        return x
 
     def _embed_single(self, obs: np.ndarray) -> np.ndarray:
         ids = np.asarray(obs, dtype=np.intp)

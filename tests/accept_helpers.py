@@ -110,7 +110,7 @@ def alignment_effect(seed: int, max_steps: int = 500):
     for step in range(1, max_steps + 1):
         f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
         f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
-        loss = al.srl_loss([f1, f2], 1.0, 0.0, "cosine").total
+        loss = al.srl_loss([f1, f2], 1.0, 0.0, "cosine", starts).total
         ad.backward(loss)
         opt.step()
         ad.zero_grads(params)
@@ -136,7 +136,7 @@ def temporal_effect(seed: int, c_td: float, steps: int = 400) -> float:
     for _ in range(steps):
         f1, _ = e_const.forward_sequence(const_obs, starts, e_const.initial_state())
         f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
-        loss = al.srl_loss([f1, f2], 0.1, c_td, "cosine").total
+        loss = al.srl_loss([f1, f2], 0.1, c_td, "cosine", starts).total
         ad.backward(loss)
         opt.step()
         ad.zero_grads(params)

@@ -144,7 +144,7 @@ def case_log(rng):
 def case_lstm_cell(rng):
     hd = 4
     if rng.random() < 0.5:
-        sx_shape, starts = (1, 4 * hd), None
+        sx_shape, starts = (1, 4 * hd), np.zeros(1, dtype=bool)
     else:
         # a sequence with a reset mid-way: the steps before it still feed h and c
         t_len = int(rng.integers(3, 6))

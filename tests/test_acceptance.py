@@ -80,7 +80,7 @@ def test_c01_gradient_fidelity():
         return temporal_discrimination_loss(seqs, "cosine")
 
     def f_srl(v):
-        return al.srl_loss(list(v), 0.7, 0.2, "cosine").total
+        return al.srl_loss(list(v), 0.7, 0.2, "cosine", [False] * t_len).total
 
     for f in (f_sim, f_td, f_srl):
         rep = ad.grad_check(f, flats, rel_tol=1e-4)

@@ -104,13 +104,13 @@ def test_temporal_short_sequence_degenerates_to_zero():
 def test_srl_zero_coefficients():
     rng = np.random.default_rng(1)
     seqs = [[V(rng.normal(size=4)) for _ in range(3)] for _ in range(2)]
-    assert al.srl_loss(_mats(seqs), 0.0, 0.0, "cosine").total.item() == 0.0
+    assert al.srl_loss(_mats(seqs), 0.0, 0.0, "cosine", [False] * 3).total.item() == 0.0
 
 
 def test_srl_combines_linearly():
     rng = np.random.default_rng(2)
     seqs = [[V(rng.normal(size=5)) for _ in range(4)] for _ in range(2)]
-    parts = al.srl_loss(_mats(seqs), 1.0, 1.0, "cosine")
+    parts = al.srl_loss(_mats(seqs), 1.0, 1.0, "cosine", [False] * 4)
     sim = np.mean([similarity_loss([s[t] for s in seqs], "cosine").item() for t in range(4)])
     td = temporal_discrimination_loss(seqs, "cosine").item()
     assert parts.total.item() == pytest.approx(sim + td, rel=1e-10)
@@ -136,7 +136,7 @@ def test_srl_gradient_check(kind):
     flat = [rng.normal(size=(t_len, dim)) for _ in range(m)]
 
     def f(vals):
-        return al.srl_loss(list(vals), 0.5, 0.3, kind).total
+        return al.srl_loss(list(vals), 0.5, 0.3, kind, [False] * t_len).total
 
     report = ad.grad_check(f, flat, rel_tol=1e-4)
     assert report.ok, report.per_input

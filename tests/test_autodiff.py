@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -31,13 +33,13 @@ def test_conv2d_output_shape():
     # floor((8 + 2*1 - 3)/2) + 1 = 4
     x = ad.Value(np.zeros((1, 3, 8, 8)))
     w = ad.Value(np.zeros((32, 3, 3, 3)))
-    out = ad.conv2d(x, w, stride=2, padding=1)
+    out = ad.conv2d(x, w, np.zeros(32), stride=2, padding=1)
     assert out.shape == (1, 32, 4, 4)
 
 
 def test_conv2d_channel_mismatch_error():
     with pytest.raises(ad.ShapeError, match="channels"):
-        ad.conv2d(ad.Value(np.zeros((1, 3, 8, 8))), ad.Value(np.zeros((4, 2, 3, 3))))
+        ad.conv2d(ad.Value(np.zeros((1, 3, 8, 8))), ad.Value(np.zeros((4, 2, 3, 3))), np.zeros(4))
 
 
 def _stack_geometries(c, h, w, filters, kernel, stride, padding):
@@ -115,9 +117,9 @@ def test_ops_take_only_their_one_form():
     with pytest.raises(ad.ShapeError, match="2-D"):
         ad.matmul(np.ones(3), np.ones((3, 2)))
     with pytest.raises(ad.ShapeError, match="N,C,H,W"):
-        ad.conv2d(np.zeros((3, 8, 8)), np.zeros((4, 3, 3, 3)))
+        ad.conv2d(np.zeros((3, 8, 8)), np.zeros((4, 3, 3, 3)), np.zeros(4))
     with pytest.raises(ad.ShapeError, match="T, 4H"):
-        ad.lstm_cell(np.zeros(8), np.zeros((8, 2)), np.zeros(2), np.zeros(2))
+        ad.lstm_cell(np.zeros(8), np.zeros((8, 2)), np.zeros(2), np.zeros(2), np.zeros(1, bool))
 
 
 def test_backward_sum_of_squares():
@@ -207,7 +209,8 @@ def test_grad_check_flags_nonfinite():
 
 @pytest.mark.parametrize("kind", sorted(CASES))
 def test_op_grad_check(kind):
-    worst = check_op(kind, n_cases=10, seed=hash(kind) % 2**31)
+    # crc32, not hash(): str hashes are salted per interpreter, so a failing draw could not be replayed
+    worst = check_op(kind, n_cases=10, seed=zlib.crc32(kind.encode()))
     assert worst < 1e-4
 
 
@@ -223,7 +226,7 @@ def test_lstm_cell_matches_composed_ops():
     h = rng.normal(size=(hd,)) * 0.5
     c = rng.normal(size=(hd,)) * 0.5
 
-    fused = ad.lstm_cell(ad.Value(sx[None]), ad.Value(whh), ad.Value(h), ad.Value(c))
+    fused = ad.lstm_cell(ad.Value(sx[None]), ad.Value(whh), ad.Value(h), ad.Value(c), np.zeros(1, bool))
 
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
@@ -262,7 +265,7 @@ def test_lstm_cell_sequence_matches_chained_steps():
     for t in range(t_len):
         if starts[t]:
             h, c = ad.Value(np.zeros(hd)), ad.Value(np.zeros(hd))
-        hc = ad.lstm_cell(sx[t : t + 1], w_hh, h, c)
+        hc = ad.lstm_cell(sx[t : t + 1], w_hh, h, c, np.zeros(1, bool))
         h, c = hc[0, :hd], hc[0, hd:]
         rows.append(hc)
     chained = ad.concat(rows, axis=0)
@@ -280,7 +283,7 @@ def test_lstm_step_is_the_op_forward():
     sx, whh = rng.normal(size=(4 * hd,)), rng.normal(size=(4 * hd, hd)) * 0.3
     h, c = rng.normal(size=(hd,)), rng.normal(size=(hd,))
     h_new, c_new, _ = ad.lstm_step(sx, whh, h, c)
-    hc = ad.lstm_cell(sx[None], whh, h, c).data
+    hc = ad.lstm_cell(sx[None], whh, h, c, np.zeros(1, bool)).data
     np.testing.assert_array_equal(hc, np.concatenate([h_new, c_new])[None])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maie import cli, envs
-from maie.agent import Trainer
+from maie.agent import LOSS_COLUMNS, Trainer
 from maie.cli import RunConfig, final_window_stats, read_metrics_csv
 
 
@@ -142,6 +142,30 @@ def test_lambda_trace_schema(tmp_path):
     # audio classes restricted to {-1, 0, 1} for mining
     classes = {line.split(",")[3] for line in lines[1:]}
     assert classes <= {"-1", "0", "1"}
+
+
+@pytest.mark.parametrize("env,method", [("hetero_nav", "maie"), ("mining_plus", "concat")])
+def test_metrics_lambda_is_the_mean_of_the_episode_trace(tmp_path, env, method):
+    # the λ trace is the one record of λ: each metrics row averages its episode's rows in step order
+    cfg = _run_args(tmp_path, env=env, method=method, seed=3, episodes=3, rollout_length=32)
+    assert cli.run(cfg) == 0
+    with open(tmp_path / "run" / "lambda_trace.csv") as fh:
+        header = fh.readline().strip().split(",")
+        trace = [line.strip().split(",") for line in fh]
+    cols = read_metrics_csv(tmp_path / "run" / "metrics.csv")
+    assert len(cols["episode"]) == 3
+    prev_steps = 0.0
+    for i, ep in enumerate(cols["episode"]):
+        rows = [r for r in trace if r[0] == "train" and float(r[1]) == ep]
+        assert [int(r[2]) for r in rows] == list(range(len(rows)))
+        assert len(rows) == cols["env_steps"][i] - prev_steps
+        prev_steps = cols["env_steps"][i]
+        for j, name in enumerate(header):
+            if name.startswith("lambda_"):
+                total = 0.0
+                for r in rows:
+                    total += float(r[j])
+                assert cols[name][i] == total / len(rows), (ep, name)
 
 
 def test_embeddings_schema(tmp_path):
@@ -305,7 +329,19 @@ def test_sweep_summary_ordering_and_std(tmp_path):
     assert float(row.split(",")[4]) == pytest.approx(np.std(finals))
 
 
-def test_final_window_stats_fraction():
-    rows = [{"return": float(i), "success": 1} for i in range(20)]
-    stats = final_window_stats(rows, window_fraction=0.1)
+def test_sweep_fails_when_no_run_finishes_an_episode(tmp_path, capsys):
+    out = tmp_path / "sw"
+    rc = cli.main(["sweep", "--env", "hetero_nav", "--methods", "maie,concat", "--seeds", "1,2",
+                   "--max-env-steps", "64", "--out", str(out)])
+    assert rc == 1
+    lines = (out / "summary.csv").read_text().strip().split("\n")
+    assert lines == ["env,method,seeds,final_return_mean,final_return_std,final_success_mean,final_success_std"]
+    assert capsys.readouterr().err.count("no finished episode") == 4
+
+
+def test_final_window_stats_fraction(tmp_path):
+    rows = [{"episode": i, "env_steps": i, "return": float(i), "success": 1,
+             **dict.fromkeys(LOSS_COLUMNS, 0.0), "lambda_visual": 1.0} for i in range(20)]
+    cli.write_metrics_csv(str(tmp_path / "metrics.csv"), rows, ["visual"])
+    stats = final_window_stats(str(tmp_path / "metrics.csv"), window_fraction=0.1)
     assert stats["return"] == pytest.approx(np.mean([18.0, 19.0]))

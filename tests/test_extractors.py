@@ -36,6 +36,16 @@ def test_conv_stack_parameter_count():
     assert conv_total == expected
 
 
+@pytest.mark.parametrize("shape,flat_dim", [
+    ((2, 10, 10), 128), ((3, 10, 10), 128), ((1, 16, 16), 128), ((4, 8, 8), 32), ((5, 8, 8), 32), ((12,), 45),
+])
+def test_flat_dim_of_every_env_geometry(shape, flat_dim):
+    # visual and audio inputs of the five envs, and the text token sequence
+    e = ex.build_extractor("text" if len(shape) == 1 else "visual", shape, seed=0, vocab_size=19)
+    assert e.flat_dim == flat_dim
+    assert e.params["lstm.w_ih"].data.shape == (4 * ex.FEATURE_DIM, flat_dim)
+
+
 def test_output_is_feature_dim():
     rng = np.random.default_rng(0)
     for e, shape in [
