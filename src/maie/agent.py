@@ -375,8 +375,7 @@ class Trainer:
         return feats, finals
 
     def _bootstrap_value(self, final_states: dict) -> float:
-        if self._obs is None:
-            return 0.0
+        """Value of the observation after a rollout that ended mid-episode."""
         feats, _ = self._features(self._obs, final_states)
         return self.head.value_array(self._fuse_array(feats, self._weights(feats)))
 

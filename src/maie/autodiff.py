@@ -25,7 +25,6 @@ __all__ = [
     "GraphError",
     "ShapeError",
     "backward",
-    "registered_ops",
     "no_grad",
     "matmul",
     "conv2d",
@@ -199,26 +198,6 @@ def _accum(p: Value, g: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# op registry
-# ---------------------------------------------------------------------------
-
-_OPS: dict = {}
-
-
-def _register(kind: str):
-    def deco(fn):
-        _OPS[kind] = fn
-        return fn
-
-    return deco
-
-
-def registered_ops() -> tuple:
-    """Names of all registered op kinds."""
-    return tuple(sorted(_OPS))
-
-
-# ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 
@@ -230,7 +209,6 @@ def _check_elementwise(op: str, a: Value, b: Value):
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
 
-@_register("add")
 def add(a, b) -> Value:
     a, b = _lift(a), _lift(b)
     _check_elementwise("add", a, b)
@@ -243,7 +221,6 @@ def add(a, b) -> Value:
     return _node(out_data, (a, b), back, "add")
 
 
-@_register("sub")
 def sub(a, b) -> Value:
     a, b = _lift(a), _lift(b)
     _check_elementwise("sub", a, b)
@@ -256,7 +233,6 @@ def sub(a, b) -> Value:
     return _node(out_data, (a, b), back, "sub")
 
 
-@_register("mul")
 def mul(a, b) -> Value:
     a, b = _lift(a), _lift(b)
     _check_elementwise("mul", a, b)
@@ -269,7 +245,6 @@ def mul(a, b) -> Value:
     return _node(out_data, (a, b), back, "mul")
 
 
-@_register("div")
 def div(a, b) -> Value:
     a, b = _lift(a), _lift(b)
     _check_elementwise("div", a, b)
@@ -282,7 +257,6 @@ def div(a, b) -> Value:
     return _node(out_data, (a, b), back, "div")
 
 
-@_register("neg")
 def neg(a) -> Value:
     a = _lift(a)
 
@@ -297,7 +271,6 @@ def neg(a) -> Value:
 # ---------------------------------------------------------------------------
 
 
-@_register("matmul")
 def matmul(a, b) -> Value:
     """Matrix product of two 2-D operands: (m,k) @ (k,n)."""
     a, b = _lift(a), _lift(b)
@@ -315,15 +288,6 @@ def matmul(a, b) -> Value:
             b.grad += ad.T @ g
 
     return _node(out_data, (a, b), back, "matmul")
-
-
-def _pair(v, name):
-    if isinstance(v, int):
-        return (v, v)
-    t = tuple(v)
-    if len(t) != 2:
-        raise ValueError(f"conv2d: {name} must be an int or a pair")
-    return t
 
 
 @functools.lru_cache(maxsize=64)
@@ -347,8 +311,7 @@ def _gather_index(n: int, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw:
     return idx
 
 
-@_register("conv2d")
-def conv2d(x, w, b, *, stride=1, padding=0) -> Value:
+def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters and (F,) biases.
 
     Output spatial size per dim: floor((n + 2p - k)/s) + 1. Implemented as
@@ -366,8 +329,7 @@ def conv2d(x, w, b, *, stride=1, padding=0) -> Value:
         raise ShapeError(f"conv2d: input channels {c} != weight channels {cw}")
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d: bias shape {b.data.shape} != ({f},)")
-    sh, sw = _pair(stride, "stride")
-    ph, pw = _pair(padding, "padding")
+    (sh, sw), (ph, pw) = stride, padding
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (width + 2 * pw - kw) // sw + 1
     if oh <= 0 or ow <= 0:
@@ -398,7 +360,6 @@ def conv2d(x, w, b, *, stride=1, padding=0) -> Value:
 # ---------------------------------------------------------------------------
 
 
-@_register("concat")
 def concat(values, axis: int = 0) -> Value:
     vals = [_lift(v) for v in values]
     if not vals:
@@ -425,7 +386,6 @@ def _is_advanced(key) -> bool:
     return any(isinstance(p, (list, np.ndarray)) for p in parts)
 
 
-@_register("slice")
 def narrow(x, key) -> Value:
     """Slice / index selection; the adjoint scatters back into the source."""
     x = _lift(x)
@@ -433,28 +393,24 @@ def narrow(x, key) -> Value:
     advanced = _is_advanced(key)
 
     def back(g):
-        if x.requires_grad:
-            if advanced:
-                np.add.at(x.grad, key, g)  # repeated indices must accumulate
-            else:
-                x.grad[key] += g
+        if advanced:
+            np.add.at(x.grad, key, g)  # repeated indices must accumulate
+        else:
+            x.grad[key] += g
 
     return _node(out_data, (x,), back, "slice")
 
 
-@_register("reshape")
 def reshape(x, shape) -> Value:
     x = _lift(x)
     out_data = x.data.reshape(shape).copy()
 
     def back(g):
-        if x.requires_grad:
-            x.grad += g.reshape(x.data.shape)
+        x.grad += g.reshape(x.data.shape)
 
     return _node(out_data, (x,), back, "reshape")
 
 
-@_register("transpose")
 def transpose(x, axes) -> Value:
     x = _lift(x)
     axes = tuple(axes)
@@ -462,8 +418,7 @@ def transpose(x, axes) -> Value:
     out_data = np.ascontiguousarray(np.transpose(x.data, axes))
 
     def back(g):
-        if x.requires_grad:
-            x.grad += np.transpose(g, inverse)
+        x.grad += np.transpose(g, inverse)
 
     return _node(out_data, (x,), back, "transpose")
 
@@ -479,89 +434,75 @@ def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-@_register("softmax_axis")
 def softmax(x, axis: int = -1) -> Value:
     x = _lift(x)
     s = softmax_array(x.data, axis)
 
     def back(g):
-        if x.requires_grad:
-            dot = np.sum(g * s, axis=axis, keepdims=True)
-            x.grad += s * (g - dot)
+        dot = np.sum(g * s, axis=axis, keepdims=True)
+        x.grad += s * (g - dot)
 
     return _node(s, (x,), back, "softmax_axis")
 
 
-@_register("relu")
 def relu(x) -> Value:
     x = _lift(x)
     out_data = np.maximum(x.data, 0.0)
 
     def back(g):
-        if x.requires_grad:
-            x.grad += g * (x.data > 0.0)
+        x.grad += g * (x.data > 0.0)
 
     return _node(out_data, (x,), back, "relu")
 
 
-@_register("sum")
 def reduce_sum(x, axis=None) -> Value:
     x = _lift(x)
     out_data = np.sum(x.data, axis=axis)
 
     def back(g):
-        if x.requires_grad:
-            if axis is None:
-                x.grad += g
-            else:
-                x.grad += np.expand_dims(g, axis)
+        if axis is None:
+            x.grad += g
+        else:
+            x.grad += np.expand_dims(g, axis)
 
     return _node(out_data, (x,), back, "sum")
 
 
-@_register("mean")
 def reduce_mean(x) -> Value:
     x = _lift(x)
     n = x.data.size
     out_data = np.mean(x.data)
 
     def back(g):
-        if x.requires_grad:
-            x.grad += g / n
+        x.grad += g / n
 
     return _node(out_data, (x,), back, "mean")
 
 
-@_register("square")
 def square(x) -> Value:
     x = _lift(x)
 
     def back(g):
-        if x.requires_grad:
-            x.grad += g * 2.0 * x.data
+        x.grad += g * 2.0 * x.data
 
     return _node(x.data * x.data, (x,), back, "square")
 
 
-@_register("sqrt")
 def sqrt(x) -> Value:
     x = _lift(x)
     r = np.sqrt(x.data)
 
     def back(g):
-        if x.requires_grad:
-            x.grad += g * 0.5 / r
+        x.grad += g * 0.5 / r
 
     return _node(r, (x,), back, "sqrt")
 
 
-@_register("log")
 def log(x) -> Value:
     x = _lift(x)
 
     def back(g):
-        if x.requires_grad:
-            x.grad += g / x.data
+        x.grad += g / x.data
 
     return _node(np.log(x.data), (x,), back, "log")
 
@@ -581,7 +522,6 @@ def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
     return gates[3 * hd :] * np.tanh(c_new), c_new, gates
 
 
-@_register("lstm_cell")
 def lstm_cell(sx, w_hh, h, c, starts) -> Value:
     """An LSTM unrolled over a sequence of input drives, fused into a single node.
 

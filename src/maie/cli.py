@@ -249,21 +249,14 @@ def final_window_stats(path, window_fraction: float = 0.1) -> dict:
 
 def _sweep_worker(args) -> dict:
     cfg_dict, method, seed = args
-    cfg_dict = dict(cfg_dict)
-    cfg_dict["method"] = method
-    cfg_dict["seed"] = seed
-    cfg_dict["out"] = os.path.join(cfg_dict["out"], f"{method}_seed{seed}")
+    out = os.path.join(cfg_dict["out"], f"{method}_seed{seed}")
+    result = {"method": method, "seed": seed, "status": 1}
     try:
-        cfg = RunConfig(**cfg_dict)
-    except ValueError as e:
-        return {"method": method, "seed": seed, "status": 1, "error": str(e)}
-    code = run(cfg)
-    result = {"method": method, "seed": seed, "status": code}
-    if code == 0:
-        try:
-            result.update(final_window_stats(os.path.join(cfg.out, "metrics.csv")))
-        except ValueError as e:
-            result["error"] = str(e)
+        result["status"] = run(RunConfig(**{**cfg_dict, "method": method, "seed": seed, "out": out}))
+        if result["status"] == 0:
+            result.update(final_window_stats(os.path.join(out, "metrics.csv")))
+    except Exception as e:  # one failed run is reported, and the sweep goes on
+        result["error"] = f"{type(e).__name__}: {e}"
     return result
 
 

@@ -4,22 +4,21 @@ from .base import AUDIO_SIZE, AudioRenderer, GridEnv, MultimodalObservation
 from .mining import VOCAB, MiningEnv, encode_text
 from .navigation import AvNavEnv, HeteroNavEnv, TargetSelectEnv
 
-ENV_NAMES = ("hetero_nav", "target_select", "av_nav", "mining", "mining_plus")
+_CONSTRUCTORS = {
+    "hetero_nav": HeteroNavEnv,
+    "target_select": TargetSelectEnv,
+    "av_nav": AvNavEnv,
+    "mining": lambda seed: MiningEnv(seed, plus=False),
+    "mining_plus": lambda seed: MiningEnv(seed, plus=True),
+}
+ENV_NAMES = tuple(_CONSTRUCTORS)
 
 
 def make_env(name: str, seed: int) -> GridEnv:
     """Build a benchmark environment by name."""
-    if name == "hetero_nav":
-        return HeteroNavEnv(seed)
-    if name == "target_select":
-        return TargetSelectEnv(seed)
-    if name == "av_nav":
-        return AvNavEnv(seed)
-    if name == "mining":
-        return MiningEnv(seed, plus=False)
-    if name == "mining_plus":
-        return MiningEnv(seed, plus=True)
-    raise ValueError(f"unknown environment {name!r}; choose from {ENV_NAMES}")
+    if name not in _CONSTRUCTORS:
+        raise ValueError(f"unknown environment {name!r}; choose from {ENV_NAMES}")
+    return _CONSTRUCTORS[name](seed)
 
 
 __all__ = [

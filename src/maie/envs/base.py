@@ -65,17 +65,20 @@ class AudioRenderer:
 class GridEnv:
     """Base class: bounded moves, step cap, seeded determinism.
 
-    Subclasses define ``_reset_state``, ``_transition`` (returning
-    (reward, done)) and ``_observe``; they update ``last_audio_class``
-    (-1 means noise) and ``last_success`` on terminal steps.
+    Subclasses pass the grid ``size`` and the visual ``channels`` and define
+    ``_reset_state``, ``_transition`` (returning (reward, done)) and
+    ``_observe``, which draws on ``_blank_visual()``; they update
+    ``last_audio_class`` (-1 means noise) and ``last_success`` on terminal
+    steps.
     """
 
     action_names: tuple = ("up", "down", "left", "right")
     MOVES = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}
+    max_steps = EPISODE_CAP
 
-    def __init__(self, seed: int, size: int, max_steps: int = EPISODE_CAP):
+    def __init__(self, seed: int, size: int, channels: int):
         self.size = size
-        self.max_steps = max_steps
+        self.channels = channels
         self.rng = np.random.default_rng(seed)
         self.steps = 0
         self.last_audio_class = -1
@@ -88,7 +91,10 @@ class GridEnv:
 
     @property
     def modality_shapes(self) -> dict:
-        raise NotImplementedError
+        return {"visual": (self.channels, self.size, self.size), "audio": (1, AUDIO_SIZE, AUDIO_SIZE)}
+
+    def _blank_visual(self) -> np.ndarray:
+        return np.zeros((self.channels, self.size, self.size))
 
     def reset(self) -> MultimodalObservation:
         self.steps = 0

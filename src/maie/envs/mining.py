@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AUDIO_SIZE, AudioRenderer, GridEnv, MultimodalObservation
+from .base import AudioRenderer, GridEnv, MultimodalObservation
 
 TEXT_LEN = 12
 
@@ -55,7 +55,6 @@ class MiningEnv(GridEnv):
     action_names = ("up", "down", "left", "right", "pick")
 
     GOLD, IRON = 0, 1  # audio cue classes; -1 is noise
-    ORE_NAMES = ("gold", "iron")
     TOOL_FOR = {GOLD: "ax", IRON: "stove"}
 
     ORE = (3, 3)
@@ -68,15 +67,16 @@ class MiningEnv(GridEnv):
     MONSTER_PENALTY = -100.0
 
     def __init__(self, seed: int, plus: bool = False):
-        super().__init__(seed, size=8)
+        super().__init__(seed, size=8, channels=5 if plus else 4)
         self.plus = plus
         self.audio = AudioRenderer(2)
+        # takes the seeded stream's first draw (an ore type that reset() then
+        # redraws); without it every later draw, and so every run, would shift
         self._reset_state()
 
     @property
     def modality_shapes(self) -> dict:
-        channels = 5 if self.plus else 4
-        shapes = {"visual": (channels, self.size, self.size), "audio": (1, AUDIO_SIZE, AUDIO_SIZE)}
+        shapes = super().modality_shapes
         if self.plus:
             shapes["text"] = (TEXT_LEN,)
         return shapes
@@ -145,8 +145,7 @@ class MiningEnv(GridEnv):
         return -1.0, False
 
     def _observe(self) -> MultimodalObservation:
-        channels = 5 if self.plus else 4
-        vis = np.zeros((channels, self.size, self.size))
+        vis = self._blank_visual()
         vis[0][self.agent] = 1.0
         vis[1][self.ORE] = 1.0  # both ore types use the same channel
         for i, tool in enumerate(("ax", "stove")):

@@ -18,54 +18,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AUDIO_SIZE, AudioRenderer, GridEnv, MultimodalObservation
-
-
-def _grid(size: int, channels: int) -> np.ndarray:
-    return np.zeros((channels, size, size))
+from .base import AudioRenderer, GridEnv, MultimodalObservation
 
 
 class HeteroNavEnv(GridEnv):
     """10x10 corner-to-corner navigation with bearing audio."""
 
-    # bearing classes: N, NE, E, SE, S, SW, W, NW
-    N_BEARINGS = 8
+    START = (0, 0)
+    GOAL = (9, 9)
+    # signs of the goal's offset (row, column) -> bearing class N, NE, E, SE, S, SW, W, NW
+    BEARINGS = {
+        (-1, 0): 0, (-1, 1): 1, (0, 1): 2, (1, 1): 3,
+        (1, 0): 4, (1, -1): 5, (0, -1): 6, (-1, -1): 7,
+    }
 
     def __init__(self, seed: int):
-        super().__init__(seed, size=10)
-        self.audio = AudioRenderer(self.N_BEARINGS)
-        self.goal = (9, 9)
-        self.agent = (0, 0)
-
-    @property
-    def modality_shapes(self) -> dict:
-        return {"visual": (2, self.size, self.size), "audio": (1, AUDIO_SIZE, AUDIO_SIZE)}
+        super().__init__(seed, size=10, channels=2)
+        self.audio = AudioRenderer(len(self.BEARINGS))
 
     def _reset_state(self):
-        self.agent = (0, 0)
-        self.goal = (9, 9)
+        self.agent = self.START
 
     def _bearing(self) -> int:
-        dr = self.goal[0] - self.agent[0]
-        dc = self.goal[1] - self.agent[1]
-        idx = {
-            (-1, 0): 0, (-1, 1): 1, (0, 1): 2, (1, 1): 3,
-            (1, 0): 4, (1, -1): 5, (0, -1): 6, (-1, -1): 7,
-        }
-        return idx.get((int(np.sign(dr)), int(np.sign(dc))), 2)
+        dr = self.GOAL[0] - self.agent[0]
+        dc = self.GOAL[1] - self.agent[1]
+        return self.BEARINGS.get((int(np.sign(dr)), int(np.sign(dc))), 2)
 
     def _transition(self, action: int):
         self.agent = self._bounded(self.agent, action)
-        if self.agent == self.goal:
+        if self.agent == self.GOAL:
             self.last_success = True
             return 1.0, True
         return -1.0, False
 
     def _observe(self) -> MultimodalObservation:
-        vis = _grid(self.size, 2)
+        vis = self._blank_visual()
         vis[0][self.agent] = 1.0
-        vis[1][self.goal] = 1.0
-        self.last_audio_class = -1 if self.agent == self.goal else self._bearing()
+        vis[1][self.GOAL] = 1.0
+        self.last_audio_class = -1 if self.agent == self.GOAL else self._bearing()
         return MultimodalObservation(vis, self.audio.render(self.last_audio_class, self.rng))
 
 
@@ -78,14 +68,9 @@ class TargetSelectEnv(GridEnv):
     START = (4, 0)
 
     def __init__(self, seed: int):
-        super().__init__(seed, size=10)
+        super().__init__(seed, size=10, channels=3)
         self.audio = AudioRenderer(2)
-        self.agent = self.START
         self.target_type = 1
-
-    @property
-    def modality_shapes(self) -> dict:
-        return {"visual": (3, self.size, self.size), "audio": (1, AUDIO_SIZE, AUDIO_SIZE)}
 
     def _reset_state(self):
         self.agent = self.START
@@ -103,7 +88,7 @@ class TargetSelectEnv(GridEnv):
         return -1.0, False
 
     def _observe(self) -> MultimodalObservation:
-        vis = _grid(self.size, 3)
+        vis = self._blank_visual()
         vis[0][self.agent] = 1.0
         vis[1][self.TARGET_1] = 1.0
         vis[1][self.TARGET_2] = 1.0  # targets render identically
@@ -125,13 +110,8 @@ class AvNavEnv(GridEnv):
     LEFT, RIGHT, STEREO = 0, 1, 2
 
     def __init__(self, seed: int):
-        super().__init__(seed, size=10)
+        super().__init__(seed, size=10, channels=3)
         self.audio = AudioRenderer(3)
-        self.agent = self.START
-
-    @property
-    def modality_shapes(self) -> dict:
-        return {"visual": (3, self.size, self.size), "audio": (1, AUDIO_SIZE, AUDIO_SIZE)}
 
     def _is_wall(self, pos) -> bool:
         return pos[1] == self.WALL_COL and pos != self.CORRIDOR
@@ -161,7 +141,7 @@ class AvNavEnv(GridEnv):
         return self.STEREO
 
     def _observe(self) -> MultimodalObservation:
-        vis = _grid(self.size, 3)
+        vis = self._blank_visual()
         vis[0][self.agent] = 1.0
         vis[1][:, self.WALL_COL] = 1.0
         vis[1][self.CORRIDOR] = 0.0

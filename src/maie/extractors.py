@@ -140,8 +140,8 @@ class ConvLstmExtractor(_ExtractorBase):
 
     FILTERS = 32
     KERNEL = (3, 3)
-    STRIDE = 2
-    PADDING = 1
+    STRIDE = (2, 2)
+    PADDING = (1, 1)
 
     def __init__(self, name: str, input_shape: tuple, seed: int):
         self.name = name
@@ -164,7 +164,7 @@ class TextExtractor(_ExtractorBase):
 
     FILTERS = 3
     KERNEL = (1, 2)
-    STRIDE = 1
+    STRIDE = (1, 1)
     PADDING = (0, 1)
 
     def __init__(self, name: str, input_shape: tuple, vocab_size: int, seed: int):

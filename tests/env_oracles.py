@@ -20,7 +20,7 @@ def _walk_to(env, target, actions):
 
 def hetero_nav_plan(env) -> list:
     actions = []
-    _walk_to(env, env.goal, actions)
+    _walk_to(env, env.GOAL, actions)
     return actions
 
 

@@ -1,4 +1,4 @@
-"""Randomized grad-check case generators, one per registered op kind.
+"""Randomized grad-check case generators, one per op kind that training records.
 
 Each generator returns (f, inputs) where f maps a list of Values to a
 scalar Value. Inputs are sampled away from kinks (relu at 0) and
@@ -64,9 +64,10 @@ def case_conv2d(rng):
     # a one-row input; or kernel, stride and padding drawn per axis
     form = rng.integers(0, 3)
     if form == 0:
-        kernel, stride, padding, hw = (3, 3), int(rng.integers(1, 3)), int(rng.integers(0, 2)), (5, 5)
+        s, p = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+        kernel, stride, padding, hw = (3, 3), (s, s), (p, p), (5, 5)
     elif form == 1:
-        kernel, stride, padding, hw = (1, 2), 1, (0, 1), (1, 5)
+        kernel, stride, padding, hw = (1, 2), (1, 1), (0, 1), (1, 5)
     else:
         kernel = tuple(int(k) for k in rng.integers(1, 4, size=2))
         stride = tuple(int(s) for s in rng.integers(1, 3, size=2))

@@ -43,7 +43,7 @@ def test_c01_gradient_fidelity():
     t0 = time.perf_counter()
     worst_overall = 0.0
 
-    # every registered op, >= 100 randomized cases each
+    # every op kind training records, >= 100 randomized cases each
     for i, kind in enumerate(sorted(CASES)):
         worst = check_op(kind, n_cases=100, seed=1000 + i, rel_tol=1e-4, step=1e-5)
         worst_overall = max(worst_overall, worst)

@@ -6,6 +6,8 @@ from maie import autodiff as ad
 from maie import envs
 from maie.autodiff import Value
 
+from op_cases import CASES
+
 
 # -- action sampling ---------------------------------------------------------
 
@@ -274,8 +276,9 @@ def test_maie_updates_stats_and_srl():
     assert metrics["loss_sim"] != 0.0
 
 
-def test_train_step_reaches_every_registered_op(monkeypatch):
-    # an op kind that no update of the full method records is one no run needs
+@pytest.fixture(scope="module")
+def recorded_kinds():
+    """Op kinds in the graphs of one full-method update on hetero_nav and one on mining_plus."""
     kinds = set()
     backward = ad.backward
 
@@ -283,9 +286,21 @@ def test_train_step_reaches_every_registered_op(monkeypatch):
         kinds.update(node._op for node in ad.Graph.trace(loss).nodes)
         backward(loss)
 
-    monkeypatch.setattr(ad, "backward", recording)
-    _make_trainer(method="maie").train_step()
-    assert set(ad.registered_ops()) - kinds == set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "backward", recording)
+        for env_name in ("hetero_nav", "mining_plus"):
+            _make_trainer(method="maie", env_name=env_name).train_step()
+    return kinds - {"leaf"}
+
+
+def test_training_records_every_case_kind(recorded_kinds):
+    # an op kind that no update of the full method records is one no run needs
+    assert set(CASES) - recorded_kinds == set()
+
+
+def test_every_recorded_kind_has_a_case(recorded_kinds):
+    # an op that training records but no grad-check case covers escapes c01
+    assert recorded_kinds - set(CASES) == set()
 
 
 def test_replay_matches_collection_features():

@@ -339,6 +339,17 @@ def test_sweep_fails_when_no_run_finishes_an_episode(tmp_path, capsys):
     assert capsys.readouterr().err.count("no finished episode") == 4
 
 
+def test_sweep_carries_on_past_a_failed_run(tmp_path, capsys):
+    out = tmp_path / "sw"
+    (out / "maie_seed1" / "metrics.csv").mkdir(parents=True)  # the maie run cannot write its metrics
+    rc = cli.main(["sweep", "--env", "hetero_nav", "--methods", "maie,concat", "--seeds", "1",
+                   "--max-env-steps", "300", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",")[1] for line in (out / "summary.csv").read_text().strip().split("\n")[1:]]
+    assert rows == ["concat"]
+    assert "run failed: method=maie seed=1 status=1 IsADirectoryError" in capsys.readouterr().err
+
+
 def test_final_window_stats_fraction(tmp_path):
     rows = [{"episode": i, "env_steps": i, "return": float(i), "success": 1,
              **dict.fromkeys(LOSS_COLUMNS, 0.0), "lambda_visual": 1.0} for i in range(20)]

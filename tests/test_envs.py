@@ -19,7 +19,7 @@ def test_hetero_nav_layout():
     env = envs.make_env("hetero_nav", 0)
     env.reset()
     assert env.agent == (0, 0)
-    assert env.goal == (9, 9)
+    assert env.GOAL == (9, 9)
 
 
 def test_hetero_nav_step_cost():
@@ -237,11 +237,24 @@ def test_vocab_closure():
         assert (ids < len(VOCAB)).all()
 
 
-def test_mining_plus_shapes_include_text():
-    env = envs.make_env("mining_plus", seed=0)
-    shapes = env.modality_shapes
-    assert shapes["text"] == (12,)
-    assert shapes["visual"][0] == 5
+_AUDIO = {"audio": (1, 16, 16)}
+MODALITY_SHAPES = {
+    "hetero_nav": {"visual": (2, 10, 10), **_AUDIO},
+    "target_select": {"visual": (3, 10, 10), **_AUDIO},
+    "av_nav": {"visual": (3, 10, 10), **_AUDIO},
+    "mining": {"visual": (4, 8, 8), **_AUDIO},
+    "mining_plus": {"visual": (5, 8, 8), **_AUDIO, "text": (12,)},
+}
+
+
+@pytest.mark.parametrize("name", ALL_ENVS)
+def test_modality_shapes(name):
+    assert envs.make_env(name, seed=0).modality_shapes == MODALITY_SHAPES[name]
+
+
+def test_make_env_rejects_unknown_name():
+    with pytest.raises(ValueError, match="unknown environment"):
+        envs.make_env("maze", 0)
 
 
 # -- generic contract properties -----------------------------------------

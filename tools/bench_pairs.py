@@ -7,9 +7,12 @@ directory. For each workload and each seed, ``perfbench/run.py --trace 0``
 runs once in the base tree and once in the working tree, each with its own
 copy of perfbench and of the program; which side runs first alternates from
 pair to pair, so a drift in the machine's speed falls on both sides alike.
-The output file holds every run's result, and per metric each side's median
-and quartiles and the number of pairs in which the working tree was better
-(``better`` is taken from BENCHMARK.json; ties count for neither side).
+The output file holds every run's result; per side the operations attempted
+and failed and the runs whose outputs were wrong; and per metric each side's
+median and quartiles and the number of pairs in which the working tree was
+better (``better`` is taken from BENCHMARK.json; ties count for neither side).
+perfbench exits 0 on wrong outputs too, so the script exits 1 after writing
+the file when any run was wrong or any operation failed.
 """
 
 from __future__ import annotations
@@ -53,8 +56,17 @@ def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change won."""
-    out = {}
+    """Each side's operation counts; per metric each side's median and quartiles, and the pairs the change won."""
+    out = {
+        "operations": {
+            side: {
+                "attempted": sum(r[side]["attempted"] for r in runs),
+                "failed": sum(r[side]["failed"] for r in runs),
+                "incorrect_runs": sum(not r[side]["correct"] for r in runs),
+            }
+            for side in ("base", "change")
+        }
+    }
     for name, direction in better.items():
         sides = {side: [r[side]["metrics"][name]["value"] for r in runs] for side in ("base", "change")}
         entry = {}
@@ -110,7 +122,20 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
+    unsound = unsound_workloads(result)
+    if unsound:
+        print(f"bench_pairs: wrong outputs or failed operations in {unsound}", file=sys.stderr)
+        return 1
     return 0
+
+
+def unsound_workloads(result: dict) -> list:
+    """Workloads in which a run of either side had wrong outputs or a failed operation."""
+    return [
+        name
+        for name, entry in result["workloads"].items()
+        if any(ops["failed"] or ops["incorrect_runs"] for ops in entry["summary"]["operations"].values())
+    ]
 
 
 if __name__ == "__main__":
