@@ -119,9 +119,6 @@ class PolicyValueHead:
     def named_parameters(self) -> dict:
         return {f"head.{k}": v for k, v in self.params.items()}
 
-    def critic_parameters(self) -> list:
-        return [v for k, v in self.params.items() if k.startswith("critic")]
-
     def _mlp(self, fused: Value, prefix: str) -> Value:
         h = ad.matmul(fused, self.params[f"{prefix}1.w"]) + self.params[f"{prefix}1.b"]
         h = h.relu()
@@ -356,7 +353,8 @@ class Trainer:
     def _record_step_traces(self, feats: dict, lams: dict, phase: str):
         """Record the step's λ means, in modality order, and every few steps its embeddings."""
         step = self.env.steps
-        lam_means = tuple(float(lams[m].mean()) for m in self.modalities)
+        # the bits of .mean(), without its Python-level wrapper
+        lam_means = tuple(float(lams[m].sum() / lams[m].size) for m in self.modalities)
         self.lambda_rows.append((phase, self.episode, step, self.env.last_audio_class, lam_means))
         if step % EMBEDDING_EVERY == 0:
             for m in self.modalities:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,14 +27,13 @@ __all__ = [
     "no_grad",
     "matmul",
     "conv2d",
+    "conv2d_array",
     "concat",
     "softmax",
     "softmax_array",
     "lstm_cell",
     "lstm_step",
     "transpose",
-    "grad_check",
-    "GradCheckReport",
     "Adam",
     "clip_grad_norm",
     "zero_grads",
@@ -87,9 +85,6 @@ class Value:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self):
         if self.grad is not None:
@@ -311,14 +306,31 @@ def _gather_index(n: int, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw:
     return idx
 
 
+def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: tuple, padding: tuple) -> tuple:
+    """The forward arithmetic of ``conv2d`` on plain arrays, without its checks.
+
+    Returns the (N,F,oh,ow) output and the (C*kh*kw, N*oh*ow) patch matrix,
+    gathered through the cached ``_gather_index`` of this geometry.
+    """
+    n, c, h, width = x.shape
+    f, _, kh, kw = w.shape
+    (sh, sw), (ph, pw) = stride, padding
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (width + 2 * pw - kw) // sw + 1
+    cols = np.concatenate((x.ravel(), (0.0,)))[_gather_index(n, c, h, width, kh, kw, sh, sw, ph, pw)]
+    out_flat = w.reshape(f, -1) @ cols + b[:, None]
+    return np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)), cols
+
+
 def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters and (F,) biases.
 
     Output spatial size per dim: floor((n + 2p - k)/s) + 1. Implemented as
-    im2col + matmul (Chellapilla et al. 2006): the patch matrix is one gather
-    through the cached ``_gather_index`` of this geometry, and the backward
-    sums the patch gradients back into the input with one ``np.bincount``
-    over the same index, tap by tap in the order of its rows.
+    im2col + matmul (Chellapilla et al. 2006) in ``conv2d_array``: the patch
+    matrix is one gather through the cached ``_gather_index`` of this
+    geometry, and the backward sums the patch gradients back into the input
+    with one ``np.bincount`` over the same index, tap by tap in the order of
+    its rows.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -330,16 +342,9 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d: bias shape {b.data.shape} != ({f},)")
     (sh, sw), (ph, pw) = stride, padding
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (width + 2 * pw - kw) // sw + 1
-    if oh <= 0 or ow <= 0:
+    if kh > h + 2 * ph or kw > width + 2 * pw:  # an output size below 1
         raise ShapeError(f"conv2d: kernel ({kh},{kw}) too large for padded input ({h + 2 * ph},{width + 2 * pw})")
-
-    idx = _gather_index(n, c, h, width, kh, kw, sh, sw, ph, pw)
-    cols = np.concatenate((x.data.ravel(), (0.0,)))[idx]
-    w_flat = w.data.reshape(f, -1)
-    out_flat = w_flat @ cols + b.data[:, None]
-    out_data = np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+    out_data, cols = conv2d_array(x.data, w.data, b.data, stride, padding)
 
     def back(g):
         g_flat = g.transpose(1, 0, 2, 3).reshape(f, -1)
@@ -348,7 +353,8 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
         if b.requires_grad:
             b.grad += g_flat.sum(axis=1)
         if x.requires_grad:
-            gcols = w_flat.T @ g_flat
+            gcols = w.data.reshape(f, -1).T @ g_flat
+            idx = _gather_index(n, c, h, width, kh, kw, sh, sw, ph, pw)
             gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
             x.grad += gx[:-1].reshape(n, c, h, width)
 
@@ -430,8 +436,8 @@ def transpose(x, axes) -> Value:
 
 def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax of a plain array along ``axis``, shifted by the max for stability."""
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def softmax(x, axis: int = -1) -> Value:
@@ -649,67 +655,6 @@ def backward(loss: Value):
     if not loss.requires_grad:
         raise GraphError("loss does not require grad; nothing was recorded")
     Graph.trace(loss).run_backward(loss)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    """Max relative error per checked input, |analytic-numeric|/max(1,|analytic|)."""
-
-    per_input: list = field(default_factory=list)
-    max_rel_err: float = 0.0
-    rel_tol: float = 1e-4
-
-    @property
-    def ok(self) -> bool:
-        return self.max_rel_err < self.rel_tol
-
-
-def _eval_scalar(f, inputs, which: int) -> float:
-    out = f(inputs)
-    val = float(out.data if isinstance(out, Value) else out)
-    if not np.isfinite(val):
-        raise ArithmeticError(f"grad_check: non-finite value while perturbing input {which}")
-    return val
-
-
-def grad_check(f, inputs, step: float = 1e-5, rel_tol: float = 1e-4) -> GradCheckReport:
-    """Compare backward() gradients of a scalar function against central differences.
-
-    ``f`` maps a list of Values to a scalar Value and must be deterministic.
-    """
-    if step <= 0:
-        raise ValueError("grad_check: step must be positive")
-    leaves = [Value(np.asarray(x.data if isinstance(x, Value) else x, dtype=np.float64).copy(), requires_grad=True) for x in inputs]
-    loss = f(leaves)
-    if not np.isfinite(loss.data).all():
-        raise ArithmeticError("grad_check: non-finite value in unperturbed evaluation (input -1)")
-    backward(loss)
-    analytic = [leaf.grad.copy() for leaf in leaves]
-
-    frozen = [Value(leaf.data) for leaf in leaves]
-    report = GradCheckReport(rel_tol=rel_tol)
-    for i, leaf in enumerate(frozen):
-        num = np.zeros_like(leaf.data)
-        flat = leaf.data.reshape(-1)
-        nflat = num.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            hi = _eval_scalar(f, frozen, i)
-            flat[j] = orig - step
-            lo = _eval_scalar(f, frozen, i)
-            flat[j] = orig
-            nflat[j] = (hi - lo) / (2.0 * step)
-        err = np.abs(analytic[i] - num) / np.maximum(1.0, np.abs(analytic[i]))
-        worst = float(err.max()) if err.size else 0.0
-        report.per_input.append(worst)
-        report.max_rel_err = max(report.max_rel_err, worst)
-    return report
 
 
 # ---------------------------------------------------------------------------

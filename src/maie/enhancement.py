@@ -54,19 +54,18 @@ class ModalityStats:
 def importance(normalized: list) -> list:
     """Per-dimension softmax of |normalized| across modalities.
 
-    Takes and returns plain arrays, each (L,) or (T, L): the coefficients
+    Takes and returns float64 arrays, each (L,) or (T, L): the coefficients
     are constants to any backward pass (the RL gradient treats lambda as a
     fixed multiplier).
     """
     if not normalized:
         raise ValueError("importance needs at least one modality")
-    arrs = [np.asarray(f, dtype=np.float64) for f in normalized]
-    shape = arrs[0].shape
-    for a in arrs:
+    shape = normalized[0].shape
+    for a in normalized:
         if a.shape != shape:
             raise ValueError(f"importance: feature shapes differ, {a.shape} vs {shape}")
-    lam = ad.softmax_array(np.abs(np.stack(arrs)), axis=0)
-    return [lam[i] for i in range(len(arrs))]
+    lam = ad.softmax_array(np.abs(np.stack(normalized)), axis=0)
+    return list(lam)
 
 
 def fuse(raw: list, lambdas: list) -> Value:

@@ -70,7 +70,6 @@ class TargetSelectEnv(GridEnv):
     def __init__(self, seed: int):
         super().__init__(seed, size=10, channels=3)
         self.audio = AudioRenderer(2)
-        self.target_type = 1
 
     def _reset_state(self):
         self.agent = self.START

@@ -7,16 +7,18 @@ extractor ends in the same LSTM cell, and the LSTM output is the
 modality's feature vector, so all modalities share FEATURE_DIM = 32.
 
 Two forward paths produce the same numbers within 1e-12. ``forward``
-consumes one timestep while acting: it runs the convolutions through
-``autodiff.conv2d`` without recording a graph, and the input projection and
-LSTM step (``autodiff.lstm_step``) on plain arrays. ``forward_sequence``
-replays a whole rollout for the backward passes: one batched conv stack
-over time, one input projection for all steps, and the whole LSTM unroll in
-a single ``autodiff.lstm_cell`` node, episode resets included.
+consumes one timestep while acting, entirely on plain arrays: the
+convolutions through ``autodiff.conv2d_array``, the forward arithmetic of
+``autodiff.conv2d``, then the input projection and the LSTM step
+(``autodiff.lstm_step``). ``forward_sequence`` replays a whole rollout for
+the backward passes: one batched ``autodiff.conv2d`` stack over time, one
+input projection for all steps, and the whole LSTM unroll in a single
+``autodiff.lstm_cell`` node, episode resets included.
 
 Both kinds build and run their convolutions through the same base-class
 code, driven by each class's FILTERS, KERNEL, STRIDE and PADDING; the
-LSTM's input size is measured by running that stack on a zero probe.
+LSTM's input size is measured by running the ``autodiff.conv2d`` stack on a
+zero probe, which also checks the conv geometry once at construction.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class _ExtractorBase:
     """Three conv layers, each followed by ReLU, then the LSTM over their flattened output.
 
     Subclasses set the layers' ``FILTERS``, ``KERNEL``, ``STRIDE`` and
-    ``PADDING``, and how an observation becomes the (N, C, H, W) conv input.
+    ``PADDING``, and how an observation becomes the (1, C, H, W) conv input
+    (``_conv_input``) and a rollout the (T, C, H, W) one (``_embed_batch``).
     """
 
     name: str
@@ -94,6 +97,13 @@ class _ExtractorBase:
             x = ad.conv2d(x, w, b, stride=self.STRIDE, padding=self.PADDING).relu()
         return x
 
+    def _conv_stack_array(self, x: np.ndarray) -> np.ndarray:
+        """``_conv_stack(Value(x)).data`` on plain arrays, for acting."""
+        for i in range(3):
+            w, b = self.params[f"conv{i + 1}.w"], self.params[f"conv{i + 1}.b"]
+            x = np.maximum(ad.conv2d_array(x, w.data, b.data, self.STRIDE, self.PADDING)[0], 0.0)
+        return x
+
     def parameters(self) -> list:
         return list(self.params.values())
 
@@ -111,8 +121,7 @@ class _ExtractorBase:
         """One timestep, graph-free: returns (the (32,) feature array, new state)."""
         self._check_obs(obs)
         p = self.params
-        with ad.no_grad():
-            z = self._embed_single(obs)
+        z = self._conv_stack_array(self._conv_input(obs)).reshape(self.flat_dim)
         sx = p["lstm.w_ih"].data @ z + p["lstm.b"].data
         h, c, _ = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h, state.c)
         return h, RecurrentState(h, c)
@@ -151,8 +160,8 @@ class ConvLstmExtractor(_ExtractorBase):
         self._build_convs(rng, self.input_shape[0], np.zeros((1, *self.input_shape)))
         self.params.update(_lstm_params(rng, self.flat_dim))
 
-    def _embed_single(self, obs: np.ndarray) -> np.ndarray:
-        return self._conv_stack(Value(obs[None])).data.reshape(self.flat_dim)
+    def _conv_input(self, obs: np.ndarray) -> np.ndarray:
+        return np.asarray(obs, dtype=np.float64)[None]
 
     def _embed_batch(self, observations) -> Value:
         x = Value(np.stack([np.asarray(o, dtype=np.float64) for o in observations]))
@@ -184,10 +193,9 @@ class TextExtractor(_ExtractorBase):
         if obs.max(initial=0) >= self.vocab_size or obs.min(initial=0) < 0:
             raise ValueError(f"{self.name}: token id outside vocabulary of size {self.vocab_size}")
 
-    def _embed_single(self, obs: np.ndarray) -> np.ndarray:
-        ids = np.asarray(obs, dtype=np.intp)
-        emb = self.params["embed.table"].data[:, ids]  # (E, L)
-        return self._conv_stack(Value(emb.reshape(1, TEXT_EMBED_DIM, 1, self.seq_len))).data.reshape(self.flat_dim)
+    def _conv_input(self, obs: np.ndarray) -> np.ndarray:
+        emb = self.params["embed.table"].data[:, np.asarray(obs, dtype=np.intp)]  # (E, L)
+        return emb.reshape(1, TEXT_EMBED_DIM, 1, self.seq_len)
 
     def _embed_batch(self, observations) -> Value:
         n = len(observations)

@@ -14,6 +14,8 @@ from maie.agent import PolicyValueHead, TrainConfig, Trainer, actor_loss, critic
 from maie.autodiff import Value
 from maie import envs
 
+from grad_check import grad_check
+
 
 # -- criterion 1: end-to-end pipeline gradient check -------------------------
 
@@ -80,7 +82,7 @@ def pipeline_grad_check() -> float:
                 holder[name] = orig
 
     inputs = [orig.data.copy() for _, _, orig in originals]
-    report = ad.grad_check(f, inputs, rel_tol=1e-4)
+    report = grad_check(f, inputs, rel_tol=1e-4)
     assert report.ok, report.per_input
     return report.max_rel_err
 
@@ -104,7 +106,7 @@ def alignment_effect(seed: int, max_steps: int = 500):
         with ad.no_grad():
             f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
             f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
-        return float(np.mean([al.distance(a, b, "cosine").item() for a, b in zip(f1, f2)]))
+        return float(np.mean([al.distance(a, b, "cosine").data.item() for a, b in zip(f1, f2)]))
 
     d0 = mean_cross_distance()
     for step in range(1, max_steps + 1):
@@ -142,7 +144,7 @@ def temporal_effect(seed: int, c_td: float, steps: int = 400) -> float:
         ad.zero_grads(params)
     with ad.no_grad():
         f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
-    return float(np.mean([al.distance(f2[t], f2[t + 1], "cosine").item() for t in range(t_len - 1)]))
+    return float(np.mean([al.distance(f2[t], f2[t + 1], "cosine").data.item() for t in range(t_len - 1)]))
 
 
 # -- criteria 6-9: seeded training runs ---------------------------------------

@@ -10,6 +10,8 @@ import numpy as np
 
 from maie import autodiff as ad
 
+from grad_check import grad_check
+
 
 def _away_from_zero(rng, shape, low=0.1):
     x = rng.uniform(low, 1.0, size=shape)
@@ -193,7 +195,7 @@ def check_op(kind: str, n_cases: int, seed: int = 0, rel_tol: float = 1e-4, step
     worst = 0.0
     for _ in range(n_cases):
         f, inputs = CASES[kind](rng)
-        report = ad.grad_check(f, inputs, step=step, rel_tol=rel_tol)
+        report = grad_check(f, inputs, step=step, rel_tol=rel_tol)
         worst = max(worst, report.max_rel_err)
         assert report.ok, f"{kind}: max rel err {report.max_rel_err:.3e} >= {rel_tol}"
     return worst

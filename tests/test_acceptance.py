@@ -25,6 +25,7 @@ from maie import extractors as ex
 from maie.agent import PolicyValueHead, TrainConfig, Trainer, actor_loss, critic_loss, log_probs_and_entropy
 from maie.autodiff import Value
 
+from grad_check import grad_check
 from method_oracles import normalize, similarity_loss, temporal_discrimination_loss
 from op_cases import CASES, check_op
 import accept_helpers as helpers
@@ -52,7 +53,7 @@ def test_c01_gradient_fidelity():
 
     # critic loss (half mean squared error) w.r.t. value inputs
     targets = rng.normal(size=5)
-    rep = ad.grad_check(lambda v: critic_loss(v[0], targets), [rng.normal(size=5)], rel_tol=1e-4)
+    rep = grad_check(lambda v: critic_loss(v[0], targets), [rng.normal(size=5)], rel_tol=1e-4)
     assert rep.ok, rep.per_input
     worst_overall = max(worst_overall, rep.max_rel_err)
 
@@ -64,7 +65,7 @@ def test_c01_gradient_fidelity():
         logp, ent = log_probs_and_entropy(v[0], actions)
         return actor_loss(logp, adv, ent, entropy_coef=0.01)
 
-    rep = ad.grad_check(f_actor, [rng.normal(size=(4, 3))], rel_tol=1e-4)
+    rep = grad_check(f_actor, [rng.normal(size=(4, 3))], rel_tol=1e-4)
     assert rep.ok, rep.per_input
     worst_overall = max(worst_overall, rep.max_rel_err)
 
@@ -83,7 +84,7 @@ def test_c01_gradient_fidelity():
         return al.srl_loss(list(v), 0.7, 0.2, "cosine", [False] * t_len).total
 
     for f in (f_sim, f_td, f_srl):
-        rep = ad.grad_check(f, flats, rel_tol=1e-4)
+        rep = grad_check(f, flats, rel_tol=1e-4)
         assert rep.ok, rep.per_input
         worst_overall = max(worst_overall, rep.max_rel_err)
 
@@ -99,7 +100,7 @@ def test_c01_gradient_fidelity():
         norm = [normalize(x, s, eps) for x, s in zip(v, stats)]
         return fused.square().sum() + ad.concat(norm, axis=0).square().sum()
 
-    rep = ad.grad_check(f_fuse, feats0, rel_tol=1e-4)
+    rep = grad_check(f_fuse, feats0, rel_tol=1e-4)
     assert rep.ok, rep.per_input
     worst_overall = max(worst_overall, rep.max_rel_err)
 

@@ -83,34 +83,34 @@ def test_returns_empty_buffer_errors():
 
 def test_critic_loss_zero_at_fit():
     values = Value(np.array([1.0, -2.0]))
-    assert ag.critic_loss(values, np.array([1.0, -2.0])).item() == 0.0
+    assert ag.critic_loss(values, np.array([1.0, -2.0])).data.item() == 0.0
 
 
 def test_critic_loss_single_step():
-    assert ag.critic_loss(Value(np.array([0.0])), np.array([1.0])).item() == pytest.approx(0.5)
+    assert ag.critic_loss(Value(np.array([0.0])), np.array([1.0])).data.item() == pytest.approx(0.5)
 
 
 def test_critic_loss_two_steps():
     loss = ag.critic_loss(Value(np.array([0.0, 0.0])), np.array([1.0, -1.0]))
-    assert loss.item() == pytest.approx(0.5)
+    assert loss.data.item() == pytest.approx(0.5)
 
 
 def test_actor_loss_zero_advantage():
     logp = Value(np.array([-1.0, -2.0]))
     ent = Value(np.array([0.0, 0.0]))
-    assert ag.actor_loss(logp, np.zeros(2), ent, entropy_coef=0.0).item() == 0.0
+    assert ag.actor_loss(logp, np.zeros(2), ent, entropy_coef=0.0).data.item() == 0.0
 
 
 def test_actor_loss_single_step():
     loss = ag.actor_loss(Value(np.array([-1.0])), np.array([2.0]), Value(np.array([0.0])), 0.0)
-    assert loss.item() == pytest.approx(2.0)
+    assert loss.data.item() == pytest.approx(2.0)
 
 
 def test_actor_loss_entropy_term():
     logits = Value(np.zeros((1, 4)))
     logp, ent = ag.log_probs_and_entropy(logits, [0])
     loss = ag.actor_loss(logp, np.zeros(1), ent, entropy_coef=0.5)
-    assert loss.item() == pytest.approx(-0.5 * np.log(4), abs=1e-9)
+    assert loss.data.item() == pytest.approx(-0.5 * np.log(4), abs=1e-9)
 
 
 def test_zero_rewards_zero_critic_give_zero_policy_gradient():
@@ -123,7 +123,7 @@ def test_zero_rewards_zero_critic_give_zero_policy_gradient():
     logits = Value(np.random.default_rng(0).normal(size=(4, 3)), requires_grad=True)
     logp, ent = ag.log_probs_and_entropy(logits, [0, 1, 2, 0])
     loss = ag.actor_loss(logp, adv, ent, entropy_coef=0.0)
-    assert loss.item() == 0.0
+    assert loss.data.item() == 0.0
     ad.backward(loss)
     np.testing.assert_allclose(logits.grad, 0.0, atol=1e-15)
 
@@ -133,15 +133,16 @@ def test_critic_regression_converges():
     head = ag.PolicyValueHead(input_dim=8, n_actions=2, seed=3)
     states = rng.normal(size=(16, 8))
     targets = rng.normal(size=16)
-    opt = ad.Adam(head.critic_parameters(), lr=3e-3)
+    critic = [v for k, v in head.params.items() if k.startswith("critic")]
+    opt = ad.Adam(critic, lr=3e-3)
     loss_val = None
     for _ in range(2000):
         values = head.critic_values(Value(states))
         loss = ag.critic_loss(values, targets)
         ad.backward(loss)
         opt.step()
-        ad.zero_grads(head.critic_parameters())
-        loss_val = loss.item()
+        ad.zero_grads(critic)
+        loss_val = loss.data.item()
         if loss_val < 1e-3:
             break
     assert loss_val < 1e-3

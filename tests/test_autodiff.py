@@ -6,6 +6,7 @@ import pytest
 from maie import autodiff as ad
 from maie.extractors import TEXT_EMBED_DIM, ConvLstmExtractor, TextExtractor
 
+from grad_check import grad_check
 from method_oracles import conv2d_reference
 from op_cases import CASES, check_op
 
@@ -91,6 +92,17 @@ def test_conv2d_bitwise_equals_padded_reference(geom, kind, batch):
     for got, want in zip((out.data, xv.grad, wv.grad, bv.grad), ref):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+    # acting calls the op's forward arithmetic directly: the same bits, contiguous
+    arr, _ = ad.conv2d_array(x, w, b, spec["stride"], spec["padding"])
+    assert arr.flags.c_contiguous and np.array_equal(arr, out.data)
+
+
+def test_conv2d_kernel_larger_than_padded_input_error():
+    w = np.zeros((1, 1, 5, 5))
+    with pytest.raises(ad.ShapeError, match="too large"):
+        ad.conv2d(np.zeros((1, 1, 2, 2)), w, np.zeros(1), stride=(1, 1), padding=(1, 1))
+    # a kernel exactly the padded size gives one output position
+    assert ad.conv2d(np.zeros((1, 1, 3, 3)), w, np.zeros(1), stride=(2, 2), padding=(1, 1)).shape == (1, 1, 1, 1)
 
 
 def test_gather_index_is_read_only_and_cache_bounded():
@@ -183,19 +195,19 @@ def test_concat_adjoint_by_perturbation():
         return ad.concat([v[0], v[1]], axis=0).square().sum()
 
     rng = np.random.default_rng(2)
-    report = ad.grad_check(f, [rng.normal(size=(3,)), rng.normal(size=(2,))])
+    report = grad_check(f, [rng.normal(size=(3,)), rng.normal(size=(2,))])
     assert report.ok
 
 
 def test_grad_check_square():
-    report = ad.grad_check(lambda v: v[0].square().sum(), [np.array([1.0, -2.0])])
+    report = grad_check(lambda v: v[0].square().sum(), [np.array([1.0, -2.0])])
     assert report.max_rel_err < 1e-6
 
 
 def test_grad_check_softmax_sum_is_flat():
     # softmax outputs sum to 1 identically, so the gradient is ~0 everywhere
     x = np.random.default_rng(5).normal(size=(4,))
-    report = ad.grad_check(lambda v: ad.softmax(v[0], axis=0).sum(), [x])
+    report = grad_check(lambda v: ad.softmax(v[0], axis=0).sum(), [x])
     assert report.max_rel_err < 1e-6
 
 
@@ -204,7 +216,7 @@ def test_grad_check_flags_nonfinite():
         return v[0].log().sum()
 
     with pytest.raises(ArithmeticError, match="input"):
-        ad.grad_check(f, [np.array([1.0, -1.0])])
+        grad_check(f, [np.array([1.0, -1.0])])
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))

@@ -8,6 +8,7 @@ from maie import enhancement as en
 from maie.agent import TrainConfig
 from maie.autodiff import Value
 
+from grad_check import grad_check
 from method_oracles import normalize
 
 CFG = TrainConfig()  # the trainer's xi and stats_eps
@@ -145,7 +146,7 @@ def test_fuse_gradient_against_finite_differences():
     def f(vals):
         return en.fuse(list(vals), lam).square().sum()
 
-    report = ad.grad_check(f, [rng.normal(size=4), rng.normal(size=4)])
+    report = grad_check(f, [rng.normal(size=4), rng.normal(size=4)])
     assert report.ok
 
 

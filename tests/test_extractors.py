@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from maie import autodiff as ad
+from maie import envs
 from maie import extractors as ex
+
+from grad_check import grad_check
 
 
 VIS_SHAPE = (2, 10, 10)
@@ -171,6 +174,67 @@ def test_forward_builds_no_graph():
         assert type(arr) is np.ndarray and arr.shape == (ex.FEATURE_DIM,)
 
 
+def _env_extractors():
+    """(extractor, observation) for every modality of the five envs, from a reset."""
+    for name in envs.ENV_NAMES:
+        env = envs.make_env(name, 0)
+        obs = env.reset().modalities()
+        for m, shape in env.modality_shapes.items():
+            yield ex.build_extractor(m, shape, seed=0, vocab_size=getattr(env, "vocab_size", None)), obs[m]
+
+
+def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
+    # the acting stack gives the bits of the autodiff stack, at batch 1, on all 13 conv geometries
+    geometries = set()
+    conv2d_array = ad.conv2d_array
+
+    def recording(x, w, b, stride, padding):
+        geometries.add((x.shape, w.shape, stride, padding))
+        return conv2d_array(x, w, b, stride, padding)
+
+    monkeypatch.setattr(ad, "conv2d_array", recording)
+    rng = np.random.default_rng(13)
+    for e, obs in _env_extractors():
+        noisy = rng.integers(0, e.vocab_size, size=obs.shape) if e.name == "text" else obs + rng.normal(size=obs.shape)
+        for o in (obs, noisy):
+            x = e._conv_input(o)
+            with ad.no_grad():
+                want = e._conv_stack(ad.Value(x)).data
+            got = e._conv_stack_array(x)
+            assert type(got) is np.ndarray and got.shape == want.shape
+            assert np.array_equal(got, want), e.name
+    assert len(geometries) == 13
+    assert all(shape[0] == 1 for shape, _, _, _ in geometries)
+
+
+def test_forward_creates_no_value_and_calls_no_conv2d(monkeypatch):
+    counts = {"values": 0, "conv2d": 0}
+    value_init, node, conv2d = ad.Value.__init__, ad._node, ad.conv2d
+
+    def counting_init(self, *args, **kwargs):
+        counts["values"] += 1
+        value_init(self, *args, **kwargs)
+
+    def counting_node(*args):
+        counts["values"] += 1
+        return node(*args)
+
+    def counting_conv2d(*args, **kwargs):
+        counts["conv2d"] += 1
+        return conv2d(*args, **kwargs)
+
+    pairs = list(_env_extractors())
+    monkeypatch.setattr(ad.Value, "__init__", counting_init)
+    monkeypatch.setattr(ad, "_node", counting_node)
+    monkeypatch.setattr(ad, "conv2d", counting_conv2d)
+    for e, obs in pairs:
+        e.forward(obs, e.initial_state())
+    assert counts == {"values": 0, "conv2d": 0}
+    for e, obs in pairs:  # the counters see the replay path's Values and convolutions
+        e.forward_sequence([obs], [True], e.initial_state())
+    assert counts["values"] > 0 and counts["conv2d"] == 3 * len(pairs)
+
+
 def test_state_carries_within_episode():
     rng = np.random.default_rng(6)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=6)
@@ -216,7 +280,7 @@ def test_gradient_check_through_extractor(kind):
             for name in checked:
                 e.params[name] = originals[name]
 
-    report = ad.grad_check(g, inputs, rel_tol=1e-4)
+    report = grad_check(g, inputs, rel_tol=1e-4)
     assert report.ok, report.per_input
 
 
