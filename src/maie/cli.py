@@ -8,8 +8,15 @@ Every run writes to its output directory:
     embeddings.csv    per-modality feature vectors sampled every few steps
     eval.csv          per-episode evaluation results (when --eval-episodes > 0)
     checkpoint.json   extractor/head parameters, modality stats, Adam moments
-    run_info.json     wall-clock totals and counters (kept out of metrics.csv
-                      so identical configs produce byte-identical metrics)
+    run_info.json     wall-clock totals, the seconds spent writing the
+                      artifacts and the checkpoint, and counters (kept out of
+                      metrics.csv so identical configs produce byte-identical
+                      metrics)
+
+``checkpoint.json`` (format ``maie-checkpoint-v2``) keeps the parameters and
+the stats as JSON number lists, and stores each of Adam's moments as base64
+of its raw little-endian float64 bytes next to its shape: the moments are two
+thirds of the floats, and float text is the slow part of saving them.
 
 All files are written atomically (temp file + rename). Exit codes:
 0 success, 1 configuration error, 2 numerical abort (a NaN dump is written).
@@ -18,9 +25,12 @@ All files are written atomically (temp file + rename). Exit codes:
 from __future__ import annotations
 
 import argparse
+import base64
+import contextlib
 import dataclasses
 import io
 import json
+import math
 import multiprocessing as mp
 import os
 import sys
@@ -37,7 +47,8 @@ from .enhancement import ModalityStats
 from .extractors import FEATURE_DIM
 
 METRICS_SCHEMA = "maie-metrics-v1"
-CHECKPOINT_FORMAT = "maie-checkpoint-v1"
+CHECKPOINT_FORMAT = "maie-checkpoint-v2"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -118,6 +129,21 @@ def _array_payload(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
 
+def _moment_text(arr: np.ndarray) -> str:
+    return base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _moment_array(text: str, shape: tuple, what: str) -> np.ndarray:
+    """Decode ``_moment_text`` strictly into a fresh writable array of the stored shape."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint {what}: not base64 ({e})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"checkpoint {what}: {len(raw)} bytes do not hold float64 shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def _checked(values, shape: tuple, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
@@ -129,7 +155,8 @@ def save_checkpoint(path: str, trainer: Trainer):
     """Write the parameters, the modality stats and Adam's moments as one JSON file.
 
     Each stats entry records the xi and stats_eps it ran at; Adam's [m, v, t]
-    are keyed by the parameter's position in ``opt.params``.
+    are keyed by the parameter's position in ``opt.params``, with the moments'
+    shape once and each moment as ``_moment_text``.
     """
     cfg, opt = trainer.cfg, trainer.opt
     payload = {
@@ -137,7 +164,7 @@ def save_checkpoint(path: str, trainer: Trainer):
         "params": {k: _array_payload(v.data) for k, v in trainer.named_parameters().items()},
         "stats": {m: {"mu": st.mu.tolist(), "var": st.var.tolist(), "xi": cfg.xi, "eps": cfg.stats_eps}
                   for m, st in trainer.stats.items()},
-        "adam": {str(i): {"m": _array_payload(st[0]), "v": _array_payload(st[1]), "t": st[2]}
+        "adam": {str(i): {"shape": list(st[0].shape), "t": st[2], "m": _moment_text(st[0]), "v": _moment_text(st[1])}
                  for i, p in enumerate(opt.params) if (st := opt.state.get(id(p))) is not None},
     }
     _atomic_write(path, json.dumps(payload, separators=(",", ":")))
@@ -147,8 +174,10 @@ def load_checkpoint(path: str, trainer: Trainer):
     """Restore a ``save_checkpoint`` file into a trainer of the same env and config.
 
     Raises ValueError on another format, a stored shape that differs from its
-    parameter's, an Adam entry for no parameter, or stats saved at another xi
-    or stats_eps, and KeyError on a missing entry. The file is checked whole first, so a rejected one changes nothing.
+    parameter's, an Adam entry for no parameter, an Adam moment that is not
+    base64 or whose byte count does not fit its stored shape, or stats saved at
+    another xi or stats_eps, and KeyError on a missing entry. The file is
+    checked whole first, so a rejected one changes nothing.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -173,7 +202,8 @@ def load_checkpoint(path: str, trainer: Trainer):
         if not 0 <= int(key) < len(opt.params):
             raise ValueError(f"checkpoint adam {key}: no parameter at that position")
         p = opt.params[int(key)]
-        m, v = (_checked(np.reshape(entry[k]["data"], entry[k]["shape"]), p.data.shape, f"adam {key} {k}")
+        shape = tuple(entry["shape"])
+        m, v = (_checked(_moment_array(entry[k], shape, f"adam {key} {k}"), p.data.shape, f"adam {key} {k}")
                 for k in ("m", "v"))
         state[id(p)] = [m, v, int(entry["t"])]
     for name, p in params.items():
@@ -205,8 +235,8 @@ def run(cfg: RunConfig) -> int:
         _atomic_write(dump_path, json.dumps({"error": str(e), **e.dump}, indent=2))
         print(f"numerical abort: {e}; rollout dump at {dump_path}", file=sys.stderr)
         return 2
-    wall = time.perf_counter() - t0
-
+    t1 = time.perf_counter()
+    wall = t1 - t0
     mods = trainer.modalities
     write_metrics_csv(os.path.join(cfg.out, "metrics.csv"), trainer.metrics_rows, mods)
     _write_lambda_trace(os.path.join(cfg.out, "lambda_trace.csv"), trainer.lambda_rows, mods)
@@ -217,12 +247,16 @@ def run(cfg: RunConfig) -> int:
             ["episode", "return", "success", "steps"],
             ([r["episode"], r["return"], r["success"], r["steps"]] for r in eval_rows),
         )
+    t2 = time.perf_counter()
     save_checkpoint(os.path.join(cfg.out, "checkpoint.json"), trainer)
+    t3 = time.perf_counter()
     _atomic_write(
         os.path.join(cfg.out, "run_info.json"),
         json.dumps(
             {
                 "wall_seconds": wall,
+                "artifacts_seconds": t2 - t1,
+                "checkpoint_seconds": t3 - t2,
                 "env_steps": trainer.env_steps,
                 "episodes": trainer.episode,
                 "ms_per_env_step": 1e3 * wall / max(trainer.env_steps, 1),
@@ -260,11 +294,31 @@ def _sweep_worker(args) -> dict:
     return result
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set BLAS_THREAD_VARS to one thread for the processes started inside; restore them after.
+
+    Concurrent runs each with a BLAS pool as wide as the machine oversubscribe
+    its cores; a worker process reads these variables when it imports numpy.
+    """
+    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
     """Run the method x seed cross product and summarize final-window returns.
 
     A run that fails or finishes no episode is reported on stderr and left
-    out of the summary; the sweep exits 1 when no run is left.
+    out of the summary; the sweep exits 1 when no run is left. With jobs > 1
+    the runs go to spawned worker processes with one BLAS thread each.
     """
     if not seeds or not methods:
         print("sweep needs nonempty seed and method lists", file=sys.stderr)
@@ -273,7 +327,7 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
     base_dict = dataclasses.asdict(base)
     tasks = [(base_dict, m, s) for m in methods for s in seeds]
     if jobs > 1:
-        with mp.get_context("spawn").Pool(processes=jobs) as pool:
+        with _one_blas_thread(), mp.get_context("spawn").Pool(processes=jobs) as pool:
             results = pool.map(_sweep_worker, tasks)
     else:
         results = [_sweep_worker(t) for t in tasks]

@@ -1,6 +1,8 @@
+import base64
 import dataclasses
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -257,23 +259,77 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
         cli.load_checkpoint(_rewrite(path, other_format), _fresh_trainer(tmp_path))
 
 
-def test_checkpoint_rejects_transposed_adam_moment(tmp_path):
-    trainer, path = _trained_checkpoint(tmp_path)
-    w_hh = trainer.named_parameters()["visual.lstm.w_hh"]
-    key = str(next(i for i, p in enumerate(trainer.opt.params) if p is w_hh))
-
-    def transposed(payload):
-        m = payload["adam"][key]["m"]
-        m["data"] = np.reshape(m["data"], m["shape"]).T.reshape(-1).tolist()
-        m["shape"] = m["shape"][::-1]
-
+def _assert_rejected_unchanged(bad_path, match, tmp_path):
+    """Loading ``bad_path`` raises ValueError matching ``match`` and leaves a fresh trainer as it was."""
     fresh = _fresh_trainer(tmp_path)
     before = {k: v.data.copy() for k, v in fresh.named_parameters().items()}
-    with pytest.raises(ValueError, match=r"adam .*\(32, 128\)"):
-        cli.load_checkpoint(_rewrite(path, transposed), fresh)
+    stats_before = {m: (st.mu.copy(), st.var.copy()) for m, st in fresh.stats.items()}
+    with pytest.raises(ValueError, match=match):
+        cli.load_checkpoint(bad_path, fresh)
     assert fresh.opt.state == {}  # a rejected file changes nothing
     for name, p in fresh.named_parameters().items():
         np.testing.assert_array_equal(p.data, before[name])
+    for m, (mu, var) in stats_before.items():
+        np.testing.assert_array_equal(fresh.stats[m].mu, mu)
+        np.testing.assert_array_equal(fresh.stats[m].var, var)
+
+
+def _adam_key(trainer, name):
+    p = trainer.named_parameters()[name]
+    return str(next(i for i, q in enumerate(trainer.opt.params) if q is p))
+
+
+def test_checkpoint_stores_adam_moments_as_float64_bytes(tmp_path):
+    trainer, path = _trained_checkpoint(tmp_path)
+    key = _adam_key(trainer, "visual.lstm.w_hh")
+    entry = json.loads(path.read_text())["adam"][key]
+    m, v, t = trainer.opt.state[id(trainer.named_parameters()["visual.lstm.w_hh"])]
+    assert entry["shape"] == [128, 32] and entry["t"] == t
+    assert base64.b64decode(entry["m"]) == m.astype("<f8").tobytes()
+    assert base64.b64decode(entry["v"]) == v.astype("<f8").tobytes()
+
+
+def test_checkpoint_rejects_transposed_adam_moment(tmp_path):
+    trainer, path = _trained_checkpoint(tmp_path)
+    key = _adam_key(trainer, "visual.lstm.w_hh")
+
+    def transposed(payload):
+        entry = payload["adam"][key]
+        m = np.frombuffer(base64.b64decode(entry["m"]), dtype="<f8").reshape(entry["shape"])
+        entry["m"] = base64.b64encode(np.ascontiguousarray(m.T).tobytes()).decode("ascii")
+        entry["shape"] = entry["shape"][::-1]
+
+    _assert_rejected_unchanged(_rewrite(path, transposed), r"adam .*\(32, 128\)", tmp_path)
+
+
+def test_checkpoint_rejects_adam_moment_one_float_short(tmp_path):
+    trainer, path = _trained_checkpoint(tmp_path)
+    key = _adam_key(trainer, "visual.lstm.w_hh")
+
+    def cut(payload):
+        entry = payload["adam"][key]
+        entry["v"] = base64.b64encode(base64.b64decode(entry["v"])[:-8]).decode("ascii")
+
+    _assert_rejected_unchanged(_rewrite(path, cut), rf"adam {key} v: 32760 bytes .*\(128, 32\)", tmp_path)
+
+
+def test_checkpoint_rejects_adam_moment_that_is_not_base64(tmp_path):
+    trainer, path = _trained_checkpoint(tmp_path)
+    key = _adam_key(trainer, "visual.lstm.w_hh")
+
+    def garbled(payload):
+        payload["adam"][key]["m"] = "*" + payload["adam"][key]["m"][1:]
+
+    _assert_rejected_unchanged(_rewrite(path, garbled), rf"adam {key} m: not base64", tmp_path)
+
+
+def test_checkpoint_rejects_v1_format(tmp_path):
+    _, path = _trained_checkpoint(tmp_path)
+
+    def v1(payload):
+        payload["format"] = "maie-checkpoint-v1"
+
+    _assert_rejected_unchanged(_rewrite(path, v1), "format 'maie-checkpoint-v1'", tmp_path)
 
 
 def test_checkpoint_rejects_adam_entry_for_no_parameter(tmp_path):
@@ -292,6 +348,13 @@ def test_checkpoint_rejects_stats_of_another_xi(tmp_path):
     _, path = _trained_checkpoint(tmp_path, xi=0.2)
     with pytest.raises(ValueError, match="xi=0.2"):
         cli.load_checkpoint(str(path), _fresh_trainer(tmp_path))
+
+
+def test_run_info_splits_out_the_write_seconds(tmp_path):
+    assert cli.run(_run_args(tmp_path)) == 0
+    info = json.loads((tmp_path / "run" / "run_info.json").read_text())
+    for key in ("wall_seconds", "artifacts_seconds", "checkpoint_seconds"):
+        assert isinstance(info[key], float) and info[key] >= 0.0, key
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -348,6 +411,29 @@ def test_sweep_carries_on_past_a_failed_run(tmp_path, capsys):
     rows = [line.split(",")[1] for line in (out / "summary.csv").read_text().strip().split("\n")[1:]]
     assert rows == ["concat"]
     assert "run failed: method=maie seed=1 status=1 IsADirectoryError" in capsys.readouterr().err
+
+
+def test_parallel_sweep_pins_blas_threads_in_its_workers_only(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "")
+    before = dict(os.environ)
+    spawn = cli.mp.get_context("spawn")
+    seen = []
+
+    def pool(processes):  # the real spawn pool, asked first what its workers' environment holds
+        workers = spawn.Pool(processes=processes)
+        seen.append(workers.map(os.getenv, cli.BLAS_THREAD_VARS))
+        return workers
+
+    monkeypatch.setattr(cli, "mp", types.SimpleNamespace(get_context=lambda method: types.SimpleNamespace(Pool=pool)))
+    cfg = _run_args(tmp_path, out=str(tmp_path / "sw"))
+    assert cli.sweep(cfg, seeds=[1], methods=["concat"], jobs=2) == 0
+    assert seen == [["1", "1", "1"]]
+    assert dict(os.environ) == before
+    assert cli.run(_run_args(tmp_path, out=str(tmp_path / "solo"))) == 0
+    assert (tmp_path / "sw" / "concat_seed1" / "metrics.csv").read_bytes() == \
+        (tmp_path / "solo" / "metrics.csv").read_bytes()
 
 
 def test_final_window_stats_fraction(tmp_path):
