@@ -9,7 +9,12 @@ backward through the lambda-weighted fusion into the heads and extractors.
 
 Acting is graph-free: one ``_act_step`` serves training rollouts and
 evaluation, computing features, importance weights, and policy logits as
-plain arrays while stepping the environment. The recorded observations are
+plain arrays while stepping the environment. Parameters cannot change while
+acting, so each modality's LSTM input drive is memoised by observation
+bytes for that span only: ``collect_rollout`` makes fresh memos for each
+rollout and ``run_eval`` for each episode, so they hold at most
+``rollout_length`` and ``EPISODE_CAP`` entries; the bootstrap value after
+an update uses none. The recorded observations are
 replayed in batch form for both backward passes, each modality's features
 as one (T, 32) matrix (the first replay reproduces the acting-time features
 to within 1e-12, since parameters do not change in between). One λ rule,
@@ -256,12 +261,17 @@ class Trainer:
 
     # -- acting ------------------------------------------------------------
 
-    def _features(self, obs, states: dict) -> tuple:
-        """Graph-free forward of one observation; returns (features, new states)."""
+    def _features(self, obs, states: dict, drives: dict | None = None) -> tuple:
+        """Graph-free forward of one observation; returns (features, new states).
+
+        ``drives``, when given, maps each modality to its memo of LSTM input
+        drives (see ``_ExtractorBase.forward``).
+        """
         obs_arrays = obs.modalities()
         feats, new_states = {}, {}
         for m in self.modalities:
-            feats[m], new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m])
+            memo = drives[m] if drives is not None else None
+            feats[m], new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m], memo)
         return feats, new_states
 
     def _weights(self, feats: dict) -> dict:
@@ -315,15 +325,17 @@ class Trainer:
         self._obs = None
         return row
 
-    def _act_step(self, phase: str, buf: RolloutBuffer | None = None) -> dict | None:
+    def _act_step(self, phase: str, drives: dict, buf: RolloutBuffer | None = None) -> dict | None:
         """Take one graph-free step, recording it into ``buf`` in training.
 
-        Returns the episode's row when this step ended the episode, else None.
+        ``drives`` holds one input-drive memo per modality, valid while the
+        parameters stay as they are. Returns the episode's row when this
+        step ended the episode, else None.
         """
         new_episode = self._obs is None
         if new_episode:
             self._begin_episode()
-        feats, self._states = self._features(self._obs, self._states)
+        feats, self._states = self._features(self._obs, self._states, drives)
         lams = self._weights(feats)
         action = sample_action(self.head.logits_array(self._fuse_array(feats, lams)), self.action_rng)
         self._record_step_traces(feats, lams, phase)
@@ -346,8 +358,9 @@ class Trainer:
     def collect_rollout(self) -> RolloutBuffer:
         """Act for T steps (graph-free), recording everything the updates need."""
         buf = RolloutBuffer(features={m: [] for m in self.modalities})
+        drives = {m: {} for m in self.modalities}  # no parameter changes during a rollout
         for _ in range(self.cfg.rollout_length):
-            self._act_step("train", buf)
+            self._act_step("train", drives, buf)
         return buf
 
     def _record_step_traces(self, feats: dict, lams: dict, phase: str):
@@ -468,7 +481,8 @@ class Trainer:
         rows = []
         for _ in range(episodes):
             self._obs = None  # every evaluation episode starts fresh
-            while (row := self._act_step("eval")) is None:
+            drives = {m: {} for m in self.modalities}  # at most one entry per step of the episode
+            while (row := self._act_step("eval", drives)) is None:
                 pass
             rows.append(row)
         return rows

@@ -8,10 +8,10 @@ Every run writes to its output directory:
     embeddings.csv    per-modality feature vectors sampled every few steps
     eval.csv          per-episode evaluation results (when --eval-episodes > 0)
     checkpoint.json   extractor/head parameters, modality stats, Adam moments
-    run_info.json     wall-clock totals, the seconds spent writing the
-                      artifacts and the checkpoint, and counters (kept out of
-                      metrics.csv so identical configs produce byte-identical
-                      metrics)
+    run_info.json     wall-clock totals, the seconds spent evaluating and
+                      writing the artifacts and the checkpoint, and counters
+                      (kept out of metrics.csv so identical configs produce
+                      byte-identical metrics)
 
 ``checkpoint.json`` (format ``maie-checkpoint-v2``) keeps the parameters and
 the stats as JSON number lists, and stores each of Adam's moments as base64
@@ -229,6 +229,7 @@ def run(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     try:
         trainer.run(episodes=cfg.episodes, max_env_steps=cfg.max_env_steps)
+        t_eval = time.perf_counter()
         eval_rows = trainer.run_eval(cfg.eval_episodes) if cfg.eval_episodes else []
     except NumericalError as e:
         dump_path = os.path.join(cfg.out, "nan_dump.json")
@@ -236,7 +237,6 @@ def run(cfg: RunConfig) -> int:
         print(f"numerical abort: {e}; rollout dump at {dump_path}", file=sys.stderr)
         return 2
     t1 = time.perf_counter()
-    wall = t1 - t0
     mods = trainer.modalities
     write_metrics_csv(os.path.join(cfg.out, "metrics.csv"), trainer.metrics_rows, mods)
     _write_lambda_trace(os.path.join(cfg.out, "lambda_trace.csv"), trainer.lambda_rows, mods)
@@ -254,12 +254,13 @@ def run(cfg: RunConfig) -> int:
         os.path.join(cfg.out, "run_info.json"),
         json.dumps(
             {
-                "wall_seconds": wall,
+                "wall_seconds": t1 - t0,
+                "eval_seconds": t1 - t_eval,
                 "artifacts_seconds": t2 - t1,
                 "checkpoint_seconds": t3 - t2,
                 "env_steps": trainer.env_steps,
                 "episodes": trainer.episode,
-                "ms_per_env_step": 1e3 * wall / max(trainer.env_steps, 1),
+                "ms_per_env_step": 1e3 * (t_eval - t0) / max(trainer.env_steps, 1),
             },
             indent=2,
         ),

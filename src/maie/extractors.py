@@ -10,10 +10,14 @@ Two forward paths produce the same numbers within 1e-12. ``forward``
 consumes one timestep while acting, entirely on plain arrays: the
 convolutions through ``autodiff.conv2d_array``, the forward arithmetic of
 ``autodiff.conv2d``, then the input projection and the LSTM step
-(``autodiff.lstm_step``). ``forward_sequence`` replays a whole rollout for
-the backward passes: one batched ``autodiff.conv2d`` stack over time, one
-input projection for all steps, and the whole LSTM unroll in a single
-``autodiff.lstm_cell`` node, episode resets included.
+(``autodiff.lstm_step``). Given a memo dict, ``forward`` computes the LSTM
+input drive (conv stack plus input projection) once per distinct
+observation and reads it back when the same bytes recur, as grids and text
+often do within an episode; the hit is the very array the miss computed,
+so every output is bitwise the same. ``forward_sequence`` replays a whole
+rollout for the backward passes: one batched ``autodiff.conv2d`` stack over
+time, one input projection for all steps, and the whole LSTM unroll in a
+single ``autodiff.lstm_cell`` node, episode resets included.
 
 Both kinds build and run their convolutions through the same base-class
 code, driven by each class's FILTERS, KERNEL, STRIDE and PADDING; the
@@ -117,12 +121,26 @@ class _ExtractorBase:
         if tuple(obs.shape) != tuple(self.input_shape):
             raise ValueError(f"{self.name}: observation shape {obs.shape} != expected {self.input_shape}")
 
-    def forward(self, obs: np.ndarray, state: RecurrentState):
-        """One timestep, graph-free: returns (the (32,) feature array, new state)."""
+    def forward(self, obs: np.ndarray, state: RecurrentState, drives: dict | None = None):
+        """One timestep, graph-free: returns (the (32,) feature array, new state).
+
+        ``drives``, when given, memoises the LSTM input drive (conv stack
+        plus input projection) by the observation's ``(dtype.str, bytes)``:
+        a hit reads the drive a miss stored. The caller keeps the dict only
+        while no parameter can change. The observation is checked and the
+        LSTM steps on every call.
+        """
         self._check_obs(obs)
         p = self.params
-        z = self._conv_stack_array(self._conv_input(obs)).reshape(self.flat_dim)
-        sx = p["lstm.w_ih"].data @ z + p["lstm.b"].data
+        key = sx = None
+        if drives is not None:
+            key = (obs.dtype.str, obs.tobytes())
+            sx = drives.get(key)
+        if sx is None:
+            z = self._conv_stack_array(self._conv_input(obs)).reshape(self.flat_dim)
+            sx = p["lstm.w_ih"].data @ z + p["lstm.b"].data
+            if key is not None:
+                drives[key] = sx
         h, c, _ = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h, state.c)
         return h, RecurrentState(h, c)
 

@@ -5,6 +5,7 @@ from maie import agent as ag
 from maie import autodiff as ad
 from maie import envs
 from maie.autodiff import Value
+from maie.envs.base import EPISODE_CAP
 
 from op_cases import CASES
 
@@ -376,3 +377,99 @@ def test_lambda_weighted_adjoint_through_train_pipeline():
     # after backward, each intermediate's .grad holds its accumulated adjoint
     for mat, w, lam in zip(mats, weighted, lams):
         np.testing.assert_allclose(mat.grad, lam * w.grad, atol=1e-10)
+
+
+# -- the acting memo -----------------------------------------------------------
+
+
+def _uncached(tr):
+    """Make every extractor of ``tr`` drop the input-drive memo it is handed."""
+    for e in tr.extractors.values():
+        e.forward = lambda obs, state, drives=None, forward=e.forward: forward(obs, state)
+    return tr
+
+
+def _count_memos(tr) -> dict:
+    """Per modality, each memo ``tr`` hands its extractor, as [memo, calls], in order of first use."""
+    memos = {m: [] for m in tr.modalities}
+    for m, e in tr.extractors.items():
+        def counting(obs, state, drives=None, forward=e.forward, seen=memos[m]):
+            if not seen or seen[-1][0] is not drives:
+                seen.append([drives, 0])
+            seen[-1][1] += 1
+            return forward(obs, state, drives)
+
+        e.forward = counting
+    return memos
+
+
+def _record_actions(tr) -> list:
+    actions, step = [], tr.env.step
+    tr.env.step = lambda action: (actions.append(action), step(action))[1]
+    return actions
+
+
+@pytest.mark.parametrize("env_name", list(envs.ENV_NAMES))
+def test_acting_memo_changes_no_result(env_name):
+    # a training rollout, then an evaluation episode, each beside a twin that never memoises
+    cached, plain = _make_trainer(env_name=env_name, seed=2), _uncached(_make_trainer(env_name=env_name, seed=2))
+    memos = _count_memos(cached)
+    actions = {id(tr): _record_actions(tr) for tr in (cached, plain)}
+    bufs = [tr.collect_rollout() for tr in (cached, plain)]
+    for m in cached.modalities:
+        for a, b in zip(bufs[0].features[m], bufs[1].features[m], strict=True):
+            np.testing.assert_array_equal(a, b)
+    assert cached.run_eval(1) == plain.run_eval(1)
+    assert actions[id(cached)] == actions[id(plain)]
+    assert cached.lambda_rows == plain.lambda_rows
+    for a, b in zip(cached.embedding_rows, plain.embedding_rows, strict=True):
+        assert a[:4] == b[:4]
+        np.testing.assert_array_equal(a[4], b[4])
+
+    # one memo per modality for the rollout and one for the episode, each at most one entry per step
+    episode_steps = cached.env.steps
+    for m in cached.modalities:
+        (rollout_memo, rollout_calls), (episode_memo, episode_calls) = memos[m]
+        assert (rollout_calls, episode_calls) == (cached.cfg.rollout_length, episode_steps)
+        assert len(rollout_memo) <= cached.cfg.rollout_length and len(episode_memo) <= EPISODE_CAP
+    assert len(memos["audio"][1][0]) == episode_steps  # noisy audio never repeats
+    assert len(memos["visual"][1][0]) < episode_steps  # the grid does
+
+
+def test_acting_memo_lives_only_while_parameters_are_fixed(monkeypatch):
+    # after updates, and after a conv weight is changed by hand between rollouts, every
+    # bootstrap value and feature equals a never-memoising twin's and an uncached forward's
+    bufs, boots = {}, {}
+    collect, bootstrap = ag.Trainer.collect_rollout, ag.Trainer._bootstrap_value
+
+    def keep_buf(self):
+        bufs.setdefault(id(self), []).append(collect(self))
+        return bufs[id(self)][-1]
+
+    def keep_bootstrap(self, final_states):
+        boots.setdefault(id(self), []).append(bootstrap(self, final_states))
+        return boots[id(self)][-1]
+
+    monkeypatch.setattr(ag.Trainer, "collect_rollout", keep_buf)
+    monkeypatch.setattr(ag.Trainer, "_bootstrap_value", keep_bootstrap)
+    cached, plain = _make_trainer(seed=4), _uncached(_make_trainer(seed=4))
+    for _ in range(3):
+        for tr in (cached, plain):
+            tr.train_step()
+    assert boots[id(cached)] and boots[id(cached)] == boots[id(plain)]
+
+    for tr in (cached, plain):
+        tr.extractors["visual"].params["conv1.w"].data[0, 0, 1, 1] += 0.5
+    obs = cached._obs
+    assert obs is not None  # the next rollout continues the episode
+    expected = {m: cached.extractors[m].forward(obs.modalities()[m], cached._states[m])[0] for m in cached.modalities}
+    for tr in (cached, plain):
+        tr.collect_rollout()
+    new, twin = bufs[id(cached)][-1], bufs[id(plain)][-1]
+    for m in cached.modalities:
+        np.testing.assert_array_equal(new.features[m][0], expected[m])
+        for a, b in zip(new.features[m], twin.features[m], strict=True):
+            np.testing.assert_array_equal(a, b)
+    # a memo kept from the last rollout would have been read: its grids recur in this one
+    seen = {o.visual.tobytes() for o in bufs[id(cached)][-2].observations}
+    assert any(o.visual.tobytes() in seen for o in new.observations)

@@ -8,7 +8,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BETTER = {"op_ms_p50": "lower", "env_steps_per_s": "higher"}
+METRICS = {"op_ms_p50": {"better": "lower", "bound": 0.25}, "env_steps_per_s": {"better": "higher", "bound": 0.25}}
 
 
 def _side(op_ms, steps, correct=True, attempted=10, failed=0):
@@ -25,13 +25,13 @@ def _runs():
 
 
 def test_summary_counts_operations_and_incorrect_runs():
-    ops = bench_pairs.summarize(_runs(), BETTER)["operations"]
+    ops = bench_pairs.summarize(_runs(), METRICS)["operations"]
     assert ops["base"] == {"attempted": 30, "failed": 0, "incorrect_runs": 0}
     assert ops["change"] == {"attempted": 30, "failed": 3, "incorrect_runs": 1}
 
 
 def test_summary_medians_and_pairs_won():
-    summary = bench_pairs.summarize(_runs(), BETTER)
+    summary = bench_pairs.summarize(_runs(), METRICS)
     op = summary["op_ms_p50"]
     assert op["base"]["median"] == 11.0 and op["change"]["median"] == 10.0
     assert op["change_better_pairs"] == 2  # the tie at 12.0 counts for neither side
@@ -43,7 +43,50 @@ def test_unsound_workloads_names_wrong_or_failed_runs():
     runs = _runs()
     clean = [r for r in runs if r["seed"] != 2]
     result = {"workloads": {
-        "clean": {"summary": bench_pairs.summarize(clean, BETTER)},
-        "faulty": {"summary": bench_pairs.summarize(runs, BETTER)},
+        "clean": {"summary": bench_pairs.summarize(clean, METRICS)},
+        "faulty": {"summary": bench_pairs.summarize(runs, METRICS)},
     }}
     assert bench_pairs.unsound_workloads(result) == ["faulty"]
+
+
+def _pairs(base_steps, change_steps):
+    return [
+        {"seed": i, "first": "base", "base": _side(10.0, b), "change": _side(10.0, c)}
+        for i, (b, c) in enumerate(zip(base_steps, change_steps))
+    ]
+
+
+def test_gain_shown_needs_nine_pairs_in_ten_and_a_gain_beyond_the_base_iqr():
+    base = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]  # IQR 4.5
+    won_all = bench_pairs.summarize(_pairs(base, [b + 10.0 for b in base]), METRICS)["env_steps_per_s"]
+    assert won_all["change_better_pairs"] == 10 and won_all["gain_shown"]
+    nine = [b + 10.0 for b in base[:9]] + [base[9] - 1.0]
+    assert bench_pairs.summarize(_pairs(base, nine), METRICS)["env_steps_per_s"]["gain_shown"]
+    eight = [b + 10.0 for b in base[:8]] + [base[8] - 1.0, base[9] - 1.0]
+    assert not bench_pairs.summarize(_pairs(base, eight), METRICS)["env_steps_per_s"]["gain_shown"]
+    within_iqr = bench_pairs.summarize(_pairs(base, [b + 4.0 for b in base]), METRICS)["env_steps_per_s"]
+    assert within_iqr["change_better_pairs"] == 10 and not within_iqr["gain_shown"]
+
+
+def test_gain_shown_reads_the_direction_of_lower_is_better_metrics():
+    runs = [
+        {"seed": i, "first": "base", "base": _side(10.0 + 0.1 * i, 100.0), "change": _side(8.0 + 0.1 * i, 100.0)}
+        for i in range(10)
+    ]
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert summary["op_ms_p50"]["gain_shown"] and not summary["op_ms_p50"]["worse_beyond_bound"]
+    assert not summary["env_steps_per_s"]["gain_shown"]  # all ties
+
+
+def test_worse_beyond_bound_compares_the_medians_against_the_metric_bound():
+    base = [100.0] * 5
+    summary = bench_pairs.summarize(_pairs(base, [76.0] * 5), METRICS)
+    assert not summary["env_steps_per_s"]["worse_beyond_bound"]  # 24% worse, bound 25%
+    summary = bench_pairs.summarize(_pairs(base, [74.0] * 5), METRICS)
+    assert summary["env_steps_per_s"]["worse_beyond_bound"] and not summary["env_steps_per_s"]["gain_shown"]
+    slower = [
+        {"seed": i, "first": "base", "base": _side(10.0, 100.0), "change": _side(12.6, 100.0)} for i in range(5)
+    ]
+    summary = bench_pairs.summarize(slower, METRICS)
+    assert summary["op_ms_p50"]["worse_beyond_bound"]  # 26% slower
+    assert not summary["env_steps_per_s"]["worse_beyond_bound"]

@@ -351,10 +351,17 @@ def test_checkpoint_rejects_stats_of_another_xi(tmp_path):
 
 
 def test_run_info_splits_out_the_write_seconds(tmp_path):
-    assert cli.run(_run_args(tmp_path)) == 0
-    info = json.loads((tmp_path / "run" / "run_info.json").read_text())
-    for key in ("wall_seconds", "artifacts_seconds", "checkpoint_seconds"):
-        assert isinstance(info[key], float) and info[key] >= 0.0, key
+    for eval_episodes in (0, 2):
+        out = tmp_path / f"eval{eval_episodes}"
+        assert cli.run(_run_args(tmp_path, eval_episodes=eval_episodes, out=str(out))) == 0
+        info = json.loads((out / "run_info.json").read_text())
+        for key in ("wall_seconds", "eval_seconds", "artifacts_seconds", "checkpoint_seconds"):
+            assert isinstance(info[key], float) and info[key] >= 0.0, key
+        assert info["eval_seconds"] < info["wall_seconds"]
+        # env_steps counts training steps only, so ms_per_env_step leaves the evaluation seconds out
+        train_seconds = info["wall_seconds"] - info["eval_seconds"]
+        assert info["ms_per_env_step"] == pytest.approx(1e3 * train_seconds / info["env_steps"], rel=1e-9)
+    assert (out / "eval.csv").exists()
 
 
 def test_no_temp_files_left_behind(tmp_path):

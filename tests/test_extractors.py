@@ -289,3 +289,41 @@ def test_forget_gate_bias_initialized_to_one():
     b = e.params["lstm.b"].data
     np.testing.assert_array_equal(b[32:64], np.ones(32))
     np.testing.assert_array_equal(b[:32], np.zeros(32))
+
+
+def test_memo_hit_returns_the_miss_drive_and_the_same_numbers():
+    e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=0)
+    obs = np.random.default_rng(0).random(VIS_SHAPE)
+    state = ex.RecurrentState(np.full(32, 0.1), np.full(32, -0.2))
+    drives = {}
+    miss, miss_state = e.forward(obs, state, drives)
+    (key, drive), = drives.items()
+    assert key == (obs.dtype.str, obs.tobytes())
+    hit, hit_state = e.forward(obs.copy(), state, drives)  # a new array with the same bytes
+    assert len(drives) == 1 and drives[key] is drive
+    plain, plain_state = e.forward(obs, state)
+    for a, b, c in ((miss, hit, plain), (miss_state.c, hit_state.c, plain_state.c)):
+        np.testing.assert_array_equal(a, c)
+        np.testing.assert_array_equal(b, c)
+
+
+def test_memo_path_still_checks_every_observation():
+    vis = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=0)
+    obs = np.random.default_rng(0).random(VIS_SHAPE)
+    drives = {}
+    vis.forward(obs, vis.initial_state(), drives)
+    reshaped = obs.reshape(4, 5, 10)
+    assert (reshaped.dtype.str, reshaped.tobytes()) in drives  # a lookup before the check would hit
+    with pytest.raises(ValueError, match="shape"):
+        vis.forward(reshaped, vis.initial_state(), drives)
+
+    text = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=3)
+    ids = np.arange(12) % 19
+    drives = {}
+    text.forward(ids, text.initial_state(), drives)
+    for bad_id in (19, -1):
+        bad = ids.copy()
+        bad[0] = bad_id
+        with pytest.raises(ValueError, match="vocabulary"):
+            text.forward(bad, text.initial_state(), drives)
+    assert list(drives) == [(ids.dtype.str, ids.tobytes())]

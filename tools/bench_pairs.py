@@ -11,6 +11,11 @@ The output file holds every run's result; per side the operations attempted
 and failed and the runs whose outputs were wrong; and per metric each side's
 median and quartiles and the number of pairs in which the working tree was
 better (``better`` is taken from BENCHMARK.json; ties count for neither side).
+Each metric also gets two verdicts. ``gain_shown``: the working tree won at
+least nine pairs in ten, and its median is better than the base's by more
+than the base's interquartile range. ``worse_beyond_bound``: its median is
+worse than the base's by more than the metric's ``bound`` in BENCHMARK.json,
+a fraction of the base's median.
 perfbench exits 0 on wrong outputs too, so the script exits 1 after writing
 the file when any run was wrong or any operation failed.
 """
@@ -55,8 +60,15 @@ def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def summarize(runs: list, better: dict) -> dict:
-    """Each side's operation counts; per metric each side's median and quartiles, and the pairs the change won."""
+GAIN_PAIR_SHARE = 0.9  # a claimed gain must win at least this share of the pairs
+
+
+def summarize(runs: list, metrics: dict) -> dict:
+    """Each side's operation counts; per metric each side's median and quartiles, the pairs the change won, and the verdicts.
+
+    ``metrics`` maps each metric's name to its BENCHMARK.json entry, of which
+    ``better`` and ``bound`` are read.
+    """
     out = {
         "operations": {
             side: {
@@ -67,16 +79,22 @@ def summarize(runs: list, better: dict) -> dict:
             for side in ("base", "change")
         }
     }
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         sides = {side: [r[side]["metrics"][name]["value"] for r in runs] for side in ("base", "change")}
         entry = {}
         for side, values in sides.items():
             q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
             entry[side] = {"median": med, "q1": q1, "q3": q3}
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         entry["change_better_pairs"] = sum(sign * (c - b) > 0 for b, c in zip(sides["base"], sides["change"]))
         entry["pairs"] = len(runs)
-        entry["median_change_pct"] = 100.0 * (entry["change"]["median"] / entry["base"]["median"] - 1.0)
+        base = entry["base"]
+        entry["median_change_pct"] = 100.0 * (entry["change"]["median"] / base["median"] - 1.0)
+        gain = sign * (entry["change"]["median"] - base["median"])  # > 0 when the change is better
+        entry["gain_shown"] = bool(
+            entry["change_better_pairs"] >= GAIN_PAIR_SHARE * len(runs) and gain > base["q3"] - base["q1"]
+        )
+        entry["worse_beyond_bound"] = bool(-gain > spec["bound"] * abs(base["median"]))
         out[name] = entry
     return out
 
@@ -97,7 +115,7 @@ def main(argv=None) -> int:
     unknown = sorted(set(chosen) - set(workloads))
     if unknown or not seeds or min(seeds) < 0:
         parser.error(f"need workloads from {workloads} (unknown: {unknown}) and seeds >= 0")
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
 
     result = {
         "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
@@ -118,7 +136,7 @@ def main(argv=None) -> int:
                     op = run[side]["metrics"]["op_ms_p50"]["value"]
                     print(f"{workload} seed {seed} {side:<6} op_ms_p50 {op:.2f} ms", file=sys.stderr, flush=True)
                 runs.append(run)
-            result["workloads"][workload] = {"summary": summarize(runs, better), "runs": runs}
+            result["workloads"][workload] = {"summary": summarize(runs, metrics), "runs": runs}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
