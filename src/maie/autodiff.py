@@ -1,19 +1,21 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-Dynamic define-by-run graphs: every op whose inputs require gradients
-records a backward closure on its output node. ``backward(loss)`` walks
-the graph once in reverse topological order; walking the same nodes a
-second time raises (prevents silent double accumulation). Gradients on
-leaves accumulate additively until the caller zeroes them.
+Dynamic define-by-run graphs: an op records a backward closure on its
+output node exactly when one of its inputs requires a gradient, so ops on
+constants build no graph and there is no global recording switch.
+``backward(loss)`` walks the graph once in reverse topological order;
+walking the same nodes a second time raises (prevents silent double
+accumulation). Gradients on leaves accumulate additively until the caller
+zeroes them.
 
-No global mutable state is shared between runs: the graph lives entirely
-in the Value objects, so independent training runs may execute in
+No mutable global state is shared between runs: the graph lives entirely
+in the Value objects, and the one module-level cache, ``_gather_index``,
+holds read-only index arrays, so independent training runs may execute in
 parallel threads or processes.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 
 import numpy as np
@@ -24,7 +26,6 @@ __all__ = [
     "GraphError",
     "ShapeError",
     "backward",
-    "no_grad",
     "matmul",
     "conv2d",
     "conv2d_array",
@@ -46,21 +47,6 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     """Graph misuse: double backward, non-scalar loss, missing graph."""
-
-
-_grad_enabled = contextvars.ContextVar("maie_grad_enabled", default=True)
-
-
-class no_grad:
-    """Context manager that disables graph recording (forward only)."""
-
-    def __enter__(self):
-        self._token = _grad_enabled.set(False)
-        return self
-
-    def __exit__(self, *exc):
-        _grad_enabled.reset(self._token)
-        return False
 
 
 class Value:
@@ -153,13 +139,12 @@ def _lift(x) -> Value:
 
 
 def _node(data: np.ndarray, parents, backward_fn, op: str) -> Value:
-    """Build the output Value, recording the op only when a gradient can flow."""
+    """Build the output Value, recording the op exactly when one of its parents requires a gradient."""
     record = False
-    if _grad_enabled.get():
-        for p in parents:
-            if p.requires_grad:
-                record = True
-                break
+    for p in parents:
+        if p.requires_grad:
+            record = True
+            break
     out = Value.__new__(Value)
     out.data = data
     out._op = op

@@ -41,7 +41,6 @@ class AudioRenderer:
     def __init__(self, n_classes: int):
         if n_classes > len(self._FREQS):
             raise ValueError(f"at most {len(self._FREQS)} audio classes supported")
-        self.n_classes = n_classes
         grid = np.arange(AUDIO_SIZE)
         yy, xx = np.meshgrid(grid, grid, indexing="ij")
         self._patterns = np.stack(

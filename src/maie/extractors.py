@@ -19,10 +19,13 @@ rollout for the backward passes: one batched ``autodiff.conv2d`` stack over
 time, one input projection for all steps, and the whole LSTM unroll in a
 single ``autodiff.lstm_cell`` node, episode resets included.
 
-Both kinds build and run their convolutions through the same base-class
-code, driven by each class's FILTERS, KERNEL, STRIDE and PADDING; the
-LSTM's input size is measured by running the ``autodiff.conv2d`` stack on a
-zero probe, which also checks the conv geometry once at construction.
+Both kinds are built by one constructor and run their convolutions through
+the same base-class code, driven by each class's FILTERS, KERNEL, STRIDE
+and PADDING. A subclass declares only how one observation becomes conv
+input (``_conv_input``) and how a rollout does (``_conv_batch``); the conv
+input channels and the LSTM's input size are read off a zero observation
+run through ``_conv_input`` and the ``autodiff.conv2d`` stack, which also
+checks the conv geometry once at construction.
 """
 
 from __future__ import annotations
@@ -48,10 +51,6 @@ class RecurrentState:
     def __init__(self, h: np.ndarray, c: np.ndarray):
         self.h = h
         self.c = c
-
-    @classmethod
-    def zeros(cls) -> "RecurrentState":
-        return cls(np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM))
 
     def detached(self) -> "RecurrentState":
         """Copy that shares no memory with this state."""
@@ -79,21 +78,34 @@ class _ExtractorBase:
 
     Subclasses set the layers' ``FILTERS``, ``KERNEL``, ``STRIDE`` and
     ``PADDING``, and how an observation becomes the (1, C, H, W) conv input
-    (``_conv_input``) and a rollout the (T, C, H, W) one (``_embed_batch``).
+    (``_conv_input``, for acting) and a rollout the (T, C, H, W) one
+    (``_conv_batch``, for replay).
     """
 
-    name: str
-    input_shape: tuple
+    def __init__(self, name: str, input_shape: tuple, seed: int):
+        """Draw the input parameters, the conv layers, then the LSTM, in that order, from ``seed``.
 
-    def _build_convs(self, rng: np.random.Generator, in_ch: int, probe: np.ndarray):
-        """Draw the conv layers into ``self.params``, then size ``flat_dim`` from a zero probe batch."""
+        The conv input channels and the LSTM input size ``flat_dim`` are read
+        off a zero observation run through ``_conv_input`` and the
+        ``autodiff.conv2d`` stack, which also checks the conv geometry once.
+        """
+        self.name = name
+        self.input_shape = tuple(input_shape)
+        rng = np.random.default_rng(seed)
+        self.params = self._input_params(rng)
+        probe = self._conv_input(np.zeros(self.input_shape))
+        in_ch = probe.shape[1]
         for i in range(3):
             fan = in_ch * self.KERNEL[0] * self.KERNEL[1]
             self.params[f"conv{i + 1}.w"] = Value(uniform_init(rng, (self.FILTERS, in_ch, *self.KERNEL), fan), requires_grad=True)
             self.params[f"conv{i + 1}.b"] = Value(uniform_init(rng, (self.FILTERS,), fan), requires_grad=True)
             in_ch = self.FILTERS
-        with ad.no_grad():
-            self.flat_dim = self._conv_stack(Value(probe)).data.size
+        self.flat_dim = self._conv_stack(Value(probe)).data.size
+        self.params.update(_lstm_params(rng, self.flat_dim))
+
+    def _input_params(self, rng: np.random.Generator) -> dict:
+        """Parameters drawn before the conv layers; none unless the input needs a table."""
+        return {}
 
     def _conv_stack(self, x: Value) -> Value:
         for i in range(3):
@@ -115,10 +127,10 @@ class _ExtractorBase:
         return {f"{self.name}.{k}": v for k, v in self.params.items()}
 
     def initial_state(self) -> RecurrentState:
-        return RecurrentState.zeros()
+        return RecurrentState(np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM))
 
     def _check_obs(self, obs: np.ndarray):
-        if tuple(obs.shape) != tuple(self.input_shape):
+        if tuple(obs.shape) != self.input_shape:
             raise ValueError(f"{self.name}: observation shape {obs.shape} != expected {self.input_shape}")
 
     def forward(self, obs: np.ndarray, state: RecurrentState, drives: dict | None = None):
@@ -154,7 +166,7 @@ class _ExtractorBase:
         for obs in observations:
             self._check_obs(obs)
         p = self.params
-        z = self._embed_batch(observations)  # (T, K)
+        z = self._conv_stack(self._conv_batch(observations)).reshape((len(observations), self.flat_dim))
         sx = ad.matmul(z, ad.transpose(p["lstm.w_ih"], (1, 0))) + p["lstm.b"]  # (T, 4H)
         hc = ad.lstm_cell(sx, p["lstm.w_hh"], state.h, state.c, starts=episode_starts)
         last = hc.data[-1]
@@ -170,20 +182,11 @@ class ConvLstmExtractor(_ExtractorBase):
     STRIDE = (2, 2)
     PADDING = (1, 1)
 
-    def __init__(self, name: str, input_shape: tuple, seed: int):
-        self.name = name
-        self.input_shape = tuple(input_shape)
-        rng = np.random.default_rng(seed)
-        self.params = {}
-        self._build_convs(rng, self.input_shape[0], np.zeros((1, *self.input_shape)))
-        self.params.update(_lstm_params(rng, self.flat_dim))
-
     def _conv_input(self, obs: np.ndarray) -> np.ndarray:
         return np.asarray(obs, dtype=np.float64)[None]
 
-    def _embed_batch(self, observations) -> Value:
-        x = Value(np.stack([np.asarray(o, dtype=np.float64) for o in observations]))
-        return self._conv_stack(x).reshape((len(observations), self.flat_dim))
+    def _conv_batch(self, observations) -> np.ndarray:
+        return np.stack([np.asarray(o, dtype=np.float64) for o in observations])
 
 
 class TextExtractor(_ExtractorBase):
@@ -195,33 +198,28 @@ class TextExtractor(_ExtractorBase):
     PADDING = (0, 1)
 
     def __init__(self, name: str, input_shape: tuple, vocab_size: int, seed: int):
-        self.name = name
         self.vocab_size = vocab_size
-        self.input_shape = tuple(input_shape)
-        (self.seq_len,) = self.input_shape
-        rng = np.random.default_rng(seed)
-        self.params = {"embed.table": Value(uniform_init(rng, (TEXT_EMBED_DIM, vocab_size), TEXT_EMBED_DIM), requires_grad=True)}
-        self._build_convs(rng, TEXT_EMBED_DIM, np.zeros((1, TEXT_EMBED_DIM, 1, self.seq_len)))
-        self.params.update(_lstm_params(rng, self.flat_dim))
+        super().__init__(name, input_shape, seed)
+
+    def _input_params(self, rng: np.random.Generator) -> dict:
+        return {"embed.table": Value(uniform_init(rng, (TEXT_EMBED_DIM, self.vocab_size), TEXT_EMBED_DIM), requires_grad=True)}
 
     def _check_obs(self, obs: np.ndarray):
         obs = np.asarray(obs)
-        if obs.shape != (self.seq_len,):
-            raise ValueError(f"{self.name}: token sequence shape {obs.shape} != ({self.seq_len},)")
+        super()._check_obs(obs)
         if obs.max(initial=0) >= self.vocab_size or obs.min(initial=0) < 0:
             raise ValueError(f"{self.name}: token id outside vocabulary of size {self.vocab_size}")
 
     def _conv_input(self, obs: np.ndarray) -> np.ndarray:
         emb = self.params["embed.table"].data[:, np.asarray(obs, dtype=np.intp)]  # (E, L)
-        return emb.reshape(1, TEXT_EMBED_DIM, 1, self.seq_len)
+        return emb.reshape(1, TEXT_EMBED_DIM, 1, -1)
 
-    def _embed_batch(self, observations) -> Value:
+    def _conv_batch(self, observations) -> Value:
         n = len(observations)
         ids = np.stack([np.asarray(o, dtype=np.intp) for o in observations]).reshape(-1)
         emb = self.params["embed.table"][(slice(None), ids)]  # (E, n*L)
-        x = ad.transpose(emb.reshape((TEXT_EMBED_DIM, n, self.seq_len)), (1, 0, 2))
-        x = x.reshape((n, TEXT_EMBED_DIM, 1, self.seq_len))
-        return self._conv_stack(x).reshape((n, self.flat_dim))
+        x = ad.transpose(emb.reshape((TEXT_EMBED_DIM, n, -1)), (1, 0, 2))
+        return x.reshape((n, TEXT_EMBED_DIM, 1, -1))
 
 
 def build_extractor(modality: str, input_shape, seed: int, vocab_size: int | None = None):

@@ -103,9 +103,8 @@ def alignment_effect(seed: int, max_steps: int = 500):
     opt = ad.Adam(params, lr=1e-3)
 
     def mean_cross_distance():
-        with ad.no_grad():
-            f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
-            f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
+        f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
+        f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
         return float(np.mean([al.distance(a, b, "cosine").data.item() for a, b in zip(f1, f2)]))
 
     d0 = mean_cross_distance()
@@ -142,8 +141,7 @@ def temporal_effect(seed: int, c_td: float, steps: int = 400) -> float:
         ad.backward(loss)
         opt.step()
         ad.zero_grads(params)
-    with ad.no_grad():
-        f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
+    f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
     return float(np.mean([al.distance(f2[t], f2[t + 1], "cosine").data.item() for t in range(t_len - 1)]))
 
 

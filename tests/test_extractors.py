@@ -198,8 +198,7 @@ def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
         noisy = rng.integers(0, e.vocab_size, size=obs.shape) if e.name == "text" else obs + rng.normal(size=obs.shape)
         for o in (obs, noisy):
             x = e._conv_input(o)
-            with ad.no_grad():
-                want = e._conv_stack(ad.Value(x)).data
+            want = e._conv_stack(ad.Value(x)).data
             got = e._conv_stack_array(x)
             assert type(got) is np.ndarray and got.shape == want.shape
             assert np.array_equal(got, want), e.name
