@@ -111,18 +111,9 @@ class PolicyValueHead:
     """Actor and critic MLPs (256 then 64 units, ReLU) over the fused state."""
 
     def __init__(self, input_dim: int, n_actions: int, seed: int):
-        self.input_dim = input_dim
-        self.n_actions = n_actions
         rng = np.random.default_rng(seed)
-        self.params = {}
-        self.params.update(_affine_params(rng, (input_dim, 256, 64, n_actions), "actor"))
+        self.params = _affine_params(rng, (input_dim, 256, 64, n_actions), "actor")
         self.params.update(_affine_params(rng, (input_dim, 256, 64, 1), "critic"))
-
-    def parameters(self) -> list:
-        return list(self.params.values())
-
-    def named_parameters(self) -> dict:
-        return {f"head.{k}": v for k, v in self.params.items()}
 
     def _mlp(self, fused: Value, prefix: str) -> Value:
         h = ad.matmul(fused, self.params[f"{prefix}1.w"]) + self.params[f"{prefix}1.b"]
@@ -241,9 +232,11 @@ class Trainer:
         self.action_rng = np.random.default_rng(seeds[-1])
         self.stats = {m: en.ModalityStats(mu=np.zeros(FEATURE_DIM), var=np.ones(FEATURE_DIM)) for m in self.modalities}
 
-        self.phi_params = [p for m in self.modalities for p in self.extractors[m].parameters()]
-        self.head_params = self.head.parameters()
-        self.opt = ad.Adam(self.phi_params + self.head_params, lr=cfg.lr)
+        # the one parameter registry: each extractor's in modality order, then the head's
+        self._params = {f"{m}.{k}": p for m in self.modalities for k, p in self.extractors[m].params.items()}
+        self.phi_params = list(self._params.values())
+        self._params.update({f"head.{k}": p for k, p in self.head.params.items()})
+        self.opt = ad.Adam(cfg.lr)
 
         self.use_align = cfg.method in ("maie", "no_ie")
         self.use_ie = cfg.method in ("maie", "no_align")
@@ -446,7 +439,7 @@ class Trainer:
                 "actor-critic loss is non-finite",
                 self._numerical_dump(buf, {"loss_actor": float(aloss.data), "loss_critic": float(closs.data)}),
             )
-        self._apply(total, self.phi_params + self.head_params)
+        self._apply(total, self._params.values())
 
         # recurrent state for the next rollout keeps flowing from acting time
         metrics = {
@@ -460,17 +453,16 @@ class Trainer:
         self._last_losses = {k: metrics[k] for k in LOSS_COLUMNS}
         return metrics
 
-    def _apply(self, loss: Value, params: list):
+    def _apply(self, loss: Value, params):
         """The one update step: backward, clip the global grad norm to grad_clip, Adam, zero the grads."""
         ad.backward(loss)
         ad.clip_grad_norm(params, self.cfg.grad_clip)
         self.opt.step(params)
         ad.zero_grads(params)
 
-    def run(self, episodes: int | None = None, max_env_steps: int | None = None) -> list:
-        """Train until the episode budget (or step cap) is reached."""
-        target = episodes if episodes is not None else self.cfg.episodes
-        while self.episode < target:
+    def run(self, max_env_steps: int | None = None) -> list:
+        """Train until ``cfg.episodes`` episodes have finished (or the step cap is reached)."""
+        while self.episode < self.cfg.episodes:
             self.train_step()
             if max_env_steps is not None and self.env_steps >= max_env_steps:
                 break
@@ -490,9 +482,6 @@ class Trainer:
     # -- parameters ----------------------------------------------------------
 
     def named_parameters(self) -> dict:
-        out = {}
-        for m in self.modalities:
-            out.update(self.extractors[m].named_parameters())
-        out.update(self.head.named_parameters())
-        return out
+        """The one parameter registry, name -> Value: extractors by modality, then the head."""
+        return self._params
 

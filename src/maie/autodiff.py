@@ -652,26 +652,22 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with per-parameter moment state; supports stepping parameter subsets."""
+    """Adam (Kingma & Ba, arXiv:1412.6980); ``state`` maps each parameter stepped so far to its [m, v, t]."""
 
-    def __init__(self, params, lr: float):
-        self.params = list(params)
+    def __init__(self, lr: float):
         self.lr = lr
         self.state: dict = {}
 
-    def step(self, params=None):
-        """One Adam update in place; grads are left untouched for the caller to zero.
-
-        ``self.state`` maps id(param) -> [m, v, t] and grows on first use.
-        """
+    def step(self, params):
+        """One Adam update of ``params`` in place; grads are left untouched for the caller to zero."""
         b1, b2 = ADAM_BETAS
-        for p in self.params if params is None else params:
+        for p in params:
             if p.grad is None:
                 raise ValueError("Adam.step: parameter has no grad buffer")
-            st = self.state.get(id(p))
+            st = self.state.get(p)
             if st is None:
                 st = [np.zeros_like(p.data), np.zeros_like(p.data), 0]
-                self.state[id(p)] = st
+                self.state[p] = st
             m, v, t = st
             t += 1
             m *= b1
@@ -693,12 +689,10 @@ def clip_grad_norm(params, max_norm: float) -> float:
     """Scale grads in place so their global L2 norm is at most max_norm."""
     total = 0.0
     for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+        total += float(np.sum(p.grad * p.grad))
     norm = total**0.5
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)
         for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+            p.grad *= scale
     return norm

@@ -155,17 +155,18 @@ def save_checkpoint(path: str, trainer: Trainer):
     """Write the parameters, the modality stats and Adam's moments as one JSON file.
 
     Each stats entry records the xi and stats_eps it ran at; Adam's [m, v, t]
-    are keyed by the parameter's position in ``opt.params``, with the moments'
-    shape once and each moment as ``_moment_text``.
+    are keyed by ``str`` of the parameter's position in
+    ``trainer.named_parameters()``, with the moments' shape once and each
+    moment as ``_moment_text``.
     """
-    cfg, opt = trainer.cfg, trainer.opt
+    cfg, opt, params = trainer.cfg, trainer.opt, trainer.named_parameters()
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "params": {k: _array_payload(v.data) for k, v in trainer.named_parameters().items()},
+        "params": {k: _array_payload(v.data) for k, v in params.items()},
         "stats": {m: {"mu": st.mu.tolist(), "var": st.var.tolist(), "xi": cfg.xi, "eps": cfg.stats_eps}
                   for m, st in trainer.stats.items()},
         "adam": {str(i): {"shape": list(st[0].shape), "t": st[2], "m": _moment_text(st[0]), "v": _moment_text(st[1])}
-                 for i, p in enumerate(opt.params) if (st := opt.state.get(id(p))) is not None},
+                 for i, p in enumerate(params.values()) if (st := opt.state.get(p)) is not None},
     }
     _atomic_write(path, json.dumps(payload, separators=(",", ":")))
 
@@ -174,10 +175,12 @@ def load_checkpoint(path: str, trainer: Trainer):
     """Restore a ``save_checkpoint`` file into a trainer of the same env and config.
 
     Raises ValueError on another format, a stored shape that differs from its
-    parameter's, an Adam entry for no parameter, an Adam moment that is not
-    base64 or whose byte count does not fit its stored shape, or stats saved at
-    another xi or stats_eps, and KeyError on a missing entry. The file is
-    checked whole first, so a rejected one changes nothing.
+    parameter's, an Adam key other than ``str`` of a position in
+    ``trainer.named_parameters()`` (``"01"`` and ``"+1"`` included), an Adam
+    moment that is not base64 or whose byte count does not fit its stored
+    shape, or stats saved at another xi or stats_eps, and KeyError on a
+    missing entry. The file is checked whole first, so a rejected one changes
+    nothing.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -197,15 +200,16 @@ def load_checkpoint(path: str, trainer: Trainer):
                              f"but the trainer has xi={cfg.xi}, stats_eps={cfg.stats_eps}")
         stats[m] = ModalityStats(mu=_checked(entry["mu"], (FEATURE_DIM,), f"stats {m} mu"),
                                  var=_checked(entry["var"], (FEATURE_DIM,), f"stats {m} var"))
+    by_position = {str(i): p for i, p in enumerate(params.values())}
     state = {}
     for key, entry in payload["adam"].items():
-        if not 0 <= int(key) < len(opt.params):
+        p = by_position.get(key)
+        if p is None:
             raise ValueError(f"checkpoint adam {key}: no parameter at that position")
-        p = opt.params[int(key)]
         shape = tuple(entry["shape"])
         m, v = (_checked(_moment_array(entry[k], shape, f"adam {key} {k}"), p.data.shape, f"adam {key} {k}")
                 for k in ("m", "v"))
-        state[id(p)] = [m, v, int(entry["t"])]
+        state[p] = [m, v, int(entry["t"])]
     for name, p in params.items():
         p.data[...] = arrays[name]
     trainer.stats.update(stats)
@@ -228,7 +232,7 @@ def run(cfg: RunConfig) -> int:
 
     t0 = time.perf_counter()
     try:
-        trainer.run(episodes=cfg.episodes, max_env_steps=cfg.max_env_steps)
+        trainer.run(max_env_steps=cfg.max_env_steps)
         t_eval = time.perf_counter()
         eval_rows = trainer.run_eval(cfg.eval_episodes) if cfg.eval_episodes else []
     except NumericalError as e:

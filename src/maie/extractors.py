@@ -120,12 +120,6 @@ class _ExtractorBase:
             x = np.maximum(ad.conv2d_array(x, w.data, b.data, self.STRIDE, self.PADDING)[0], 0.0)
         return x
 
-    def parameters(self) -> list:
-        return list(self.params.values())
-
-    def named_parameters(self) -> dict:
-        return {f"{self.name}.{k}": v for k, v in self.params.items()}
-
     def initial_state(self) -> RecurrentState:
         return RecurrentState(np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM))
 

@@ -99,8 +99,8 @@ def alignment_effect(seed: int, max_steps: int = 500):
     obs1 = [rng.random((2, 10, 10)) for _ in range(t_len)]
     obs2 = [rng.random((1, 16, 16)) for _ in range(t_len)]
     starts = [True] + [False] * (t_len - 1)
-    params = e1.parameters() + e2.parameters()
-    opt = ad.Adam(params, lr=1e-3)
+    params = [*e1.params.values(), *e2.params.values()]
+    opt = ad.Adam(lr=1e-3)
 
     def mean_cross_distance():
         f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
@@ -113,7 +113,7 @@ def alignment_effect(seed: int, max_steps: int = 500):
         f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
         loss = al.srl_loss([f1, f2], 1.0, 0.0, "cosine", starts).total
         ad.backward(loss)
-        opt.step()
+        opt.step(params)
         ad.zero_grads(params)
         if step % 50 == 0 and mean_cross_distance() <= 0.4 * d0:
             break
@@ -132,14 +132,14 @@ def temporal_effect(seed: int, c_td: float, steps: int = 400) -> float:
     const_obs = [rng.random((2, 10, 10))] * t_len
     vary_obs = [rng.random((1, 16, 16)) for _ in range(t_len)]
     starts = [True] + [False] * (t_len - 1)
-    params = e_const.parameters() + e_vary.parameters()
-    opt = ad.Adam(params, lr=1e-3)
+    params = [*e_const.params.values(), *e_vary.params.values()]
+    opt = ad.Adam(lr=1e-3)
     for _ in range(steps):
         f1, _ = e_const.forward_sequence(const_obs, starts, e_const.initial_state())
         f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
         loss = al.srl_loss([f1, f2], 0.1, c_td, "cosine", starts).total
         ad.backward(loss)
-        opt.step()
+        opt.step(params)
         ad.zero_grads(params)
     f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
     return float(np.mean([al.distance(f2[t], f2[t + 1], "cosine").data.item() for t in range(t_len - 1)]))

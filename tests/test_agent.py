@@ -137,13 +137,13 @@ def test_critic_regression_converges():
     states = rng.normal(size=(16, 8))
     targets = rng.normal(size=16)
     critic = [v for k, v in head.params.items() if k.startswith("critic")]
-    opt = ad.Adam(critic, lr=3e-3)
+    opt = ad.Adam(lr=3e-3)
     loss_val = None
     for _ in range(2000):
         values = head.critic_values(Value(states))
         loss = ag.critic_loss(values, targets)
         ad.backward(loss)
-        opt.step()
+        opt.step(critic)
         ad.zero_grads(critic)
         loss_val = loss.data.item()
         if loss_val < 1e-3:
@@ -206,10 +206,10 @@ def _make_trainer(method="maie", env_name="hetero_nav", seed=0, **kw):
 def test_trainer_modalities_and_head_dims():
     tr = _make_trainer()
     assert tr.modalities == ["visual", "audio"]
-    assert tr.head.input_dim == 64
+    assert tr.head.params["actor1.w"].data.shape == (64, 256)
     tr3 = _make_trainer(env_name="mining_plus")
     assert tr3.modalities == ["visual", "audio", "text"]
-    assert tr3.head.input_dim == 96
+    assert tr3.head.params["actor1.w"].data.shape == (96, 256)
 
 
 def test_extractor_seeds_differ_per_modality():
@@ -368,7 +368,7 @@ def test_method_env_matrix_smoke(method, env_name):
 
 def test_run_completes_episodes():
     tr = _make_trainer(method="concat")
-    rows = tr.run(episodes=2)
+    rows = tr.run()
     assert len(rows) >= 2
     assert rows[0]["episode"] == 0
     assert rows[1]["env_steps"] > 0

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import os
+import re
 import types
 
 import numpy as np
@@ -217,10 +218,10 @@ def test_checkpoint_round_trip(tmp_path):
         assert trainer.stats[m].mu.any()
         np.testing.assert_array_equal(fresh.stats[m].mu, trainer.stats[m].mu)
         np.testing.assert_array_equal(fresh.stats[m].var, trainer.stats[m].var)
-    assert len(fresh.opt.state) == len(trainer.opt.state) == len(trainer.opt.params)
-    for p_want, p_got in zip(trainer.opt.params, fresh.opt.params):
-        m_want, v_want, t_want = trainer.opt.state[id(p_want)]
-        m_got, v_got, t_got = fresh.opt.state[id(p_got)]
+    assert len(fresh.opt.state) == len(trainer.opt.state) == len(want)
+    for name in want:
+        m_want, v_want, t_want = trainer.opt.state[want[name]]
+        m_got, v_got, t_got = fresh.opt.state[got[name]]
         np.testing.assert_array_equal(m_got, m_want)
         np.testing.assert_array_equal(v_got, v_want)
         assert t_got == t_want > 0
@@ -275,15 +276,15 @@ def _assert_rejected_unchanged(bad_path, match, tmp_path):
 
 
 def _adam_key(trainer, name):
-    p = trainer.named_parameters()[name]
-    return str(next(i for i, q in enumerate(trainer.opt.params) if q is p))
+    """The checkpoint's Adam key of a parameter: its position in ``named_parameters()``."""
+    return str(list(trainer.named_parameters()).index(name))
 
 
 def test_checkpoint_stores_adam_moments_as_float64_bytes(tmp_path):
     trainer, path = _trained_checkpoint(tmp_path)
     key = _adam_key(trainer, "visual.lstm.w_hh")
     entry = json.loads(path.read_text())["adam"][key]
-    m, v, t = trainer.opt.state[id(trainer.named_parameters()["visual.lstm.w_hh"])]
+    m, v, t = trainer.opt.state[trainer.named_parameters()["visual.lstm.w_hh"]]
     assert entry["shape"] == [128, 32] and entry["t"] == t
     assert base64.b64decode(entry["m"]) == m.astype("<f8").tobytes()
     assert base64.b64decode(entry["v"]) == v.astype("<f8").tobytes()
@@ -335,13 +336,39 @@ def test_checkpoint_rejects_v1_format(tmp_path):
 def test_checkpoint_rejects_adam_entry_for_no_parameter(tmp_path):
     # "-1" would otherwise index the last parameter, head.critic3.b
     trainer, path = _trained_checkpoint(tmp_path)
-    last = str(len(trainer.opt.params) - 1)
+    last = str(len(trainer.named_parameters()) - 1)
 
     def moved(payload):
         payload["adam"]["-1"] = payload["adam"].pop(last)
 
     with pytest.raises(ValueError, match="adam -1"):
         cli.load_checkpoint(_rewrite(path, moved), _fresh_trainer(tmp_path))
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0", "visual.lstm.w_hh"])
+def test_checkpoint_rejects_adam_key_not_written_as_a_position(key, tmp_path):
+    # int() reads the first four as 1; an extra entry there must not overwrite position 1's moments
+    _, path = _trained_checkpoint(tmp_path)
+
+    def extra(payload):
+        payload["adam"][key] = dict(payload["adam"]["1"], t=999)
+
+    _assert_rejected_unchanged(_rewrite(path, extra), re.escape(f"adam {key}: no parameter"), tmp_path)
+
+
+def test_adam_state_and_checkpoint_keys_follow_the_registry(tmp_path):
+    trainer = _fresh_trainer(tmp_path)
+    trainer.train_step()
+    params = trainer.named_parameters()
+    assert trainer.opt.state.keys() == set(params.values())  # one entry per parameter, keyed by the Value
+    path = tmp_path / "checkpoint.json"
+    cli.save_checkpoint(str(path), trainer)
+    adam = json.loads(path.read_text())["adam"]
+    assert list(adam) == [str(i) for i in range(len(params))]
+    for i, p in enumerate(params.values()):
+        m, _, t = trainer.opt.state[p]
+        assert adam[str(i)]["t"] == t > 0
+        assert base64.b64decode(adam[str(i)]["m"]) == m.astype("<f8").tobytes()
 
 
 def test_checkpoint_rejects_stats_of_another_xi(tmp_path):
