@@ -9,12 +9,16 @@ backward through the lambda-weighted fusion into the heads and extractors.
 
 Acting is graph-free: one ``_act_step`` serves training rollouts and
 evaluation, computing features, importance weights, and policy logits as
-plain arrays while stepping the environment. Parameters cannot change while
-acting, so each modality's LSTM input drive is memoised by observation
-bytes for that span only: ``collect_rollout`` makes fresh memos for each
-rollout and ``run_eval`` for each episode, so they hold at most
-``rollout_length`` and ``EPISODE_CAP`` entries; the bootstrap value after
-an update uses none. The recorded observations are
+plain arrays while stepping the environment. An acting span is one
+``collect_rollout`` or one ``run_eval`` episode; neither the parameters nor
+the modality statistics change within it, so ``_acting_span`` pays once per
+span for what depends only on them. Each modality's ``ModalityStats.scale``
+is computed there and handed to ``_weights``. Each modality whose
+observations can repeat gets a fresh memo of LSTM input drives keyed by
+observation bytes, which holds at most ``rollout_length`` or
+``EPISODE_CAP`` entries; a modality in ``envs.NOISY_MODALITIES`` gets none,
+since its fresh noise never repeats. The bootstrap value after an update
+takes the per-step path, with no memo. The recorded observations are
 replayed in batch form for both backward passes, each modality's features
 as one (T, 32) matrix (the first replay reproduces the acting-time features
 to within 1e-12, since parameters do not change in between). One λ rule,
@@ -30,8 +34,9 @@ rows. Both backward passes go through one update step, ``Trainer._apply``.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from . import autodiff as ad
 from . import alignment as al
 from . import enhancement as en
 from .autodiff import Value
+from .envs import NOISY_MODALITIES
 from .extractors import FEATURE_DIM, build_extractor, uniform_init
 
 METHODS = ("maie", "concat", "fixed_weights", "no_align", "no_ie")
@@ -46,6 +52,14 @@ LOSS_COLUMNS = ("loss_actor", "loss_critic", "loss_sim", "loss_td")  # the losse
 
 LOG_EPS = 1e-12  # guards log of saturated softmax entries
 EMBEDDING_EVERY = 5  # embeddings.csv samples every this many steps of an episode
+
+# what a value of each declared config field type must be; a bool is neither an int nor a float
+_FIELD_TYPES = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
 
 
 class NumericalError(RuntimeError):
@@ -77,6 +91,11 @@ class TrainConfig:
     fixed_weight: float = 0.5
 
     def __post_init__(self):
+        # every field's type first, subclass fields included, so each range check compares numbers
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not any(_FIELD_TYPES[kind](value) for kind in f.type.split(" | ")):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.rollout_length < 2:
@@ -132,10 +151,14 @@ class PolicyValueHead:
         return out.reshape((out.data.shape[0],))
 
     def _mlp_np(self, x: np.ndarray, prefix: str) -> np.ndarray:
+        """``_mlp`` on plain arrays, each layer's bias and ReLU applied in place."""
         p = self.params
-        h = np.maximum(x @ p[f"{prefix}1.w"].data + p[f"{prefix}1.b"].data, 0.0)
-        h = np.maximum(h @ p[f"{prefix}2.w"].data + p[f"{prefix}2.b"].data, 0.0)
-        return h @ p[f"{prefix}3.w"].data + p[f"{prefix}3.b"].data
+        for i in (1, 2, 3):
+            x = x @ p[f"{prefix}{i}.w"].data
+            x += p[f"{prefix}{i}.b"].data
+            if i < 3:
+                np.maximum(x, 0.0, out=x)
+        return x
 
     def logits_array(self, fused: np.ndarray) -> np.ndarray:
         """Graph-free actor forward for acting (one (D,) state)."""
@@ -267,10 +290,17 @@ class Trainer:
             feats[m], new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m], memo)
         return feats, new_states
 
-    def _weights(self, feats: dict) -> dict:
-        """λ per modality for (L,) feature arrays or (T, L) stacks of them."""
+    def _weights(self, feats: dict, scales: dict | None = None) -> dict:
+        """λ per modality for (L,) feature arrays or (T, L) stacks of them.
+
+        ``scales``, when given, holds each modality's ``ModalityStats.scale``
+        at the current statistics, as an acting span computes it once; the
+        λ are the same bits either way.
+        """
         if self.use_ie:
-            normalized = [self.stats[m].normalize_array(feats[m], self.cfg.stats_eps) for m in self.modalities]
+            eps = self.cfg.stats_eps
+            normalized = [self.stats[m].normalize_array(feats[m], eps, None if scales is None else scales[m])
+                          for m in self.modalities]
             return dict(zip(self.modalities, en.importance(normalized)))
         shape = feats[self.modalities[0]].shape
         if self.cfg.method == "fixed_weights":
@@ -318,18 +348,31 @@ class Trainer:
         self._obs = None
         return row
 
-    def _act_step(self, phase: str, drives: dict, buf: RolloutBuffer | None = None) -> dict | None:
+    def _acting_span(self) -> tuple:
+        """What a span of acting computes once: (input-drive memos, stats scales).
+
+        The memos map each modality to a fresh dict, or to None for a
+        modality in ``NOISY_MODALITIES``; the scales map each modality to
+        its ``ModalityStats.scale``, and are None without importance
+        enhancement. Both hold only while no parameter or statistic changes.
+        """
+        drives = {m: None if m in NOISY_MODALITIES else {} for m in self.modalities}
+        scales = {m: self.stats[m].scale(self.cfg.stats_eps) for m in self.modalities} if self.use_ie else None
+        return drives, scales
+
+    def _act_step(self, phase: str, span: tuple, buf: RolloutBuffer | None = None) -> dict | None:
         """Take one graph-free step, recording it into ``buf`` in training.
 
-        ``drives`` holds one input-drive memo per modality, valid while the
-        parameters stay as they are. Returns the episode's row when this
-        step ended the episode, else None.
+        ``span`` is the ``_acting_span`` of the span this step belongs to.
+        Returns the episode's row when this step ended the episode, else
+        None.
         """
+        drives, scales = span
         new_episode = self._obs is None
         if new_episode:
             self._begin_episode()
         feats, self._states = self._features(self._obs, self._states, drives)
-        lams = self._weights(feats)
+        lams = self._weights(feats, scales)
         action = sample_action(self.head.logits_array(self._fuse_array(feats, lams)), self.action_rng)
         self._record_step_traces(feats, lams, phase)
         next_obs, reward, done = self.env.step(action)
@@ -351,9 +394,9 @@ class Trainer:
     def collect_rollout(self) -> RolloutBuffer:
         """Act for T steps (graph-free), recording everything the updates need."""
         buf = RolloutBuffer(features={m: [] for m in self.modalities})
-        drives = {m: {} for m in self.modalities}  # no parameter changes during a rollout
+        span = self._acting_span()  # no parameter or statistic changes during a rollout
         for _ in range(self.cfg.rollout_length):
-            self._act_step("train", drives, buf)
+            self._act_step("train", span, buf)
         return buf
 
     def _record_step_traces(self, feats: dict, lams: dict, phase: str):
@@ -473,8 +516,8 @@ class Trainer:
         rows = []
         for _ in range(episodes):
             self._obs = None  # every evaluation episode starts fresh
-            drives = {m: {} for m in self.modalities}  # at most one entry per step of the episode
-            while (row := self._act_step("eval", drives)) is None:
+            span = self._acting_span()  # a memo holds at most one entry per step of the episode
+            while (row := self._act_step("eval", span)) is None:
                 pass
             rows.append(row)
         return rows

@@ -29,6 +29,9 @@ __all__ = [
     "matmul",
     "conv2d",
     "conv2d_array",
+    "conv_gemm",
+    "conv_out_hw",
+    "gather_index",
     "concat",
     "softmax",
     "softmax_array",
@@ -270,6 +273,12 @@ def matmul(a, b) -> Value:
     return _node(out_data, (a, b), back, "matmul")
 
 
+def conv_out_hw(h: int, w: int, kernel: tuple, stride: tuple, padding: tuple) -> tuple:
+    """Output (height, width) of a convolution: floor((n + 2p - k)/s) + 1 per dim."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    return (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+
+
 @functools.lru_cache(maxsize=64)
 def _gather_index(n: int, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int) -> np.ndarray:
     """Read-only (C*kh*kw, N*oh*ow) positions in ``x.ravel()`` of each patch entry.
@@ -279,8 +288,7 @@ def _gather_index(n: int, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw:
     at index N*C*H*W, one past the input: the forward reads a 0.0 there and
     the backward drops what lands there.
     """
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
+    oh, ow = conv_out_hw(h, w, (kh, kw), (sh, sw), (ph, pw))
     rows = (np.arange(kh)[:, None] + sh * np.arange(oh) - ph)[None, :, None, None, :, None]
     cols = (np.arange(kw)[:, None] + sw * np.arange(ow) - pw)[None, None, :, None, None, :]
     planes = (np.arange(n) * c + np.arange(c)[:, None])[:, None, None, :, None, None]  # (c, 1, 1, n, 1, 1)
@@ -291,31 +299,48 @@ def _gather_index(n: int, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw:
     return idx
 
 
-def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: tuple, padding: tuple) -> tuple:
-    """The forward arithmetic of ``conv2d`` on plain arrays, without its checks.
+def gather_index(x_shape: tuple, kernel: tuple, stride: tuple, padding: tuple) -> np.ndarray:
+    """The cached ``_gather_index`` of an (N,C,H,W) input under this conv geometry."""
+    return _gather_index(*x_shape, *kernel, *stride, *padding)
 
-    Returns the (N,F,oh,ow) output and the (C*kh*kw, N*oh*ow) patch matrix,
-    gathered through the cached ``_gather_index`` of this geometry.
+
+def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) -> tuple:
+    """The im2col arithmetic of every convolution: gather, ``w2d @ cols``, then the bias added in place.
+
+    ``x`` is any C-ordered array whose ``ravel()`` the ``gather_index``
+    ``index`` addresses, ``w2d`` the (F, C*kh*kw) filters and ``b`` the (F,)
+    biases. Returns the (F, N*oh*ow) output, columns over (sample, output
+    row, output column), and the (C*kh*kw, N*oh*ow) patch matrix. At batch
+    one that output, read C-ordered, is the next layer's (1,F,oh,ow) input.
     """
-    n, c, h, width = x.shape
-    f, _, kh, kw = w.shape
-    (sh, sw), (ph, pw) = stride, padding
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (width + 2 * pw - kw) // sw + 1
-    cols = np.concatenate((x.ravel(), (0.0,)))[_gather_index(n, c, h, width, kh, kw, sh, sw, ph, pw)]
-    out_flat = w.reshape(f, -1) @ cols + b[:, None]
+    cols = np.concatenate((x.ravel(), (0.0,)))[index]
+    out = w2d @ cols
+    out += b[:, None]
+    return out, cols
+
+
+def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: tuple, padding: tuple) -> tuple:
+    """The forward arithmetic of ``conv2d`` on plain (N,C,H,W) arrays, without its checks.
+
+    Returns the (N,F,oh,ow) output and the (C*kh*kw, N*oh*ow) patch matrix
+    of ``conv_gemm``, gathered through the cached index of this geometry.
+    """
+    n, _, h, width = x.shape
+    f = w.shape[0]
+    oh, ow = conv_out_hw(h, width, w.shape[2:], stride, padding)
+    out_flat, cols = conv_gemm(x, w.reshape(f, -1), b, gather_index(x.shape, w.shape[2:], stride, padding))
     return np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)), cols
 
 
 def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters and (F,) biases.
 
-    Output spatial size per dim: floor((n + 2p - k)/s) + 1. Implemented as
-    im2col + matmul (Chellapilla et al. 2006) in ``conv2d_array``: the patch
-    matrix is one gather through the cached ``_gather_index`` of this
-    geometry, and the backward sums the patch gradients back into the input
-    with one ``np.bincount`` over the same index, tap by tap in the order of
-    its rows.
+    Output spatial size per dim: ``conv_out_hw``. Implemented as im2col +
+    matmul (Chellapilla et al. 2006) in ``conv_gemm``, through
+    ``conv2d_array``: the patch matrix is one gather through the cached
+    ``gather_index`` of this geometry, and the backward sums the patch
+    gradients back into the input with one ``np.bincount`` over the same
+    index, tap by tap in the order of its rows.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -326,7 +351,7 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
         raise ShapeError(f"conv2d: input channels {c} != weight channels {cw}")
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d: bias shape {b.data.shape} != ({f},)")
-    (sh, sw), (ph, pw) = stride, padding
+    ph, pw = padding
     if kh > h + 2 * ph or kw > width + 2 * pw:  # an output size below 1
         raise ShapeError(f"conv2d: kernel ({kh},{kw}) too large for padded input ({h + 2 * ph},{width + 2 * pw})")
     out_data, cols = conv2d_array(x.data, w.data, b.data, stride, padding)
@@ -339,7 +364,7 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
             b.grad += g_flat.sum(axis=1)
         if x.requires_grad:
             gcols = w.data.reshape(f, -1).T @ g_flat
-            idx = _gather_index(n, c, h, width, kh, kw, sh, sw, ph, pw)
+            idx = gather_index(x.data.shape, (kh, kw), stride, padding)
             gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
             x.grad += gx[:-1].reshape(n, c, h, width)
 
@@ -420,9 +445,11 @@ def transpose(x, axes) -> Value:
 
 
 def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of a plain array along ``axis``, shifted by the max for stability."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax of a plain float array along ``axis``, shifted by the max for stability, in one buffer."""
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax(x, axis: int = -1) -> Value:

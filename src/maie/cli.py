@@ -61,13 +61,13 @@ class RunConfig(TrainConfig):
     max_env_steps: int | None = None
 
     def __post_init__(self):
+        super().__post_init__()  # checks the types of these fields too
         if self.env not in envs.ENV_NAMES:
             raise ValueError(f"env must be one of {envs.ENV_NAMES}, got {self.env!r}")
         if self.eval_episodes < 0:
             raise ValueError("eval_episodes must be >= 0")
         if self.max_env_steps is not None and self.max_env_steps < 1:
             raise ValueError(f"max_env_steps must be >= 1 or unset, got {self.max_env_steps}")
-        super().__post_init__()
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)})
@@ -178,9 +178,10 @@ def load_checkpoint(path: str, trainer: Trainer):
     parameter's, an Adam key other than ``str`` of a position in
     ``trainer.named_parameters()`` (``"01"`` and ``"+1"`` included), an Adam
     moment that is not base64 or whose byte count does not fit its stored
-    shape, or stats saved at another xi or stats_eps, and KeyError on a
-    missing entry. The file is checked whole first, so a rejected one changes
-    nothing.
+    shape, an Adam step count ``t`` that is not an integer >= 1 (a float or
+    a bool included), or stats saved at another xi or stats_eps, and
+    KeyError on a missing entry. The file is checked whole first, so a
+    rejected one changes nothing.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -209,7 +210,10 @@ def load_checkpoint(path: str, trainer: Trainer):
         shape = tuple(entry["shape"])
         m, v = (_checked(_moment_array(entry[k], shape, f"adam {key} {k}"), p.data.shape, f"adam {key} {k}")
                 for k in ("m", "v"))
-        state[p] = [m, v, int(entry["t"])]
+        t = entry["t"]
+        if type(t) is not int or t < 1:  # a step count below 1 divides by zero in the bias correction
+            raise ValueError(f"checkpoint adam {key}: step count t={t!r} is not an integer >= 1")
+        state[p] = [m, v, t]
     for name, p in params.items():
         p.data[...] = arrays[name]
     trainer.stats.update(stats)

@@ -46,9 +46,13 @@ class ModalityStats:
     def scale(self, eps: float) -> np.ndarray:
         return 1.0 / np.sqrt(self.var + eps)
 
-    def normalize_array(self, f: np.ndarray, eps: float) -> np.ndarray:
-        """Plain-numpy normalization (graph-free path while acting)."""
-        return (f - self.mu) * self.scale(eps)
+    def normalize_array(self, f: np.ndarray, eps: float, scale: np.ndarray | None = None) -> np.ndarray:
+        """Plain-numpy normalization (graph-free path while acting).
+
+        ``scale``, when given, is ``self.scale(eps)`` computed beforehand,
+        as a span of acting does once for all its steps.
+        """
+        return (f - self.mu) * (self.scale(eps) if scale is None else scale)
 
 
 def importance(normalized: list) -> list:
@@ -64,8 +68,9 @@ def importance(normalized: list) -> list:
     for a in normalized:
         if a.shape != shape:
             raise ValueError(f"importance: feature shapes differ, {a.shape} vs {shape}")
-    lam = ad.softmax_array(np.abs(np.stack(normalized)), axis=0)
-    return list(lam)
+    mags = np.array(normalized)  # the (M, ...) stack; np.stack gives the same array at several times the cost
+    np.abs(mags, out=mags)
+    return list(ad.softmax_array(mags, axis=0))
 
 
 def fuse(raw: list, lambdas: list) -> Value:

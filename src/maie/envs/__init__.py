@@ -1,6 +1,6 @@
 """Multimodal gridworld benchmark environments."""
 
-from .base import AUDIO_SIZE, AudioRenderer, GridEnv, MultimodalObservation
+from .base import AUDIO_SIZE, NOISY_MODALITIES, AudioRenderer, GridEnv, MultimodalObservation
 from .mining import VOCAB, MiningEnv, encode_text
 from .navigation import AvNavEnv, HeteroNavEnv, TargetSelectEnv
 
@@ -23,6 +23,7 @@ def make_env(name: str, seed: int) -> GridEnv:
 
 __all__ = [
     "AUDIO_SIZE",
+    "NOISY_MODALITIES",
     "AudioRenderer",
     "GridEnv",
     "MultimodalObservation",

@@ -15,6 +15,8 @@ import numpy as np
 
 AUDIO_SIZE = 16
 AUDIO_NOISE_STD = 0.1
+# modalities whose every observation carries fresh noise, so that no two observations repeat
+NOISY_MODALITIES = frozenset({"audio"})
 EPISODE_CAP = 100
 
 

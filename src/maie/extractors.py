@@ -7,14 +7,17 @@ extractor ends in the same LSTM cell, and the LSTM output is the
 modality's feature vector, so all modalities share FEATURE_DIM = 32.
 
 Two forward paths produce the same numbers within 1e-12. ``forward``
-consumes one timestep while acting, entirely on plain arrays: the
-convolutions through ``autodiff.conv2d_array``, the forward arithmetic of
-``autodiff.conv2d``, then the input projection and the LSTM step
+consumes one timestep while acting, entirely on plain arrays: each
+convolution is one ``autodiff.conv_gemm``, the arithmetic ``autodiff.conv2d``
+also runs, on flat (F, oh*ow) buffers through the three batch-one gather
+indices each extractor takes from the geometry once, at construction, with
+ReLU applied in place; then the input projection and the LSTM step
 (``autodiff.lstm_step``). Given a memo dict, ``forward`` computes the LSTM
 input drive (conv stack plus input projection) once per distinct
 observation and reads it back when the same bytes recur, as grids and text
 often do within an episode; the hit is the very array the miss computed,
-so every output is bitwise the same. ``forward_sequence`` replays a whole
+so every output is bitwise the same. The trainer hands a memo only to a
+modality whose observations can repeat. ``forward_sequence`` replays a whole
 rollout for the backward passes: one batched ``autodiff.conv2d`` stack over
 time, one input projection for all steps, and the whole LSTM unroll in a
 single ``autodiff.lstm_cell`` node, episode resets included.
@@ -102,6 +105,12 @@ class _ExtractorBase:
             in_ch = self.FILTERS
         self.flat_dim = self._conv_stack(Value(probe)).data.size
         self.params.update(_lstm_params(rng, self.flat_dim))
+        # acting's batch-one gather index of each conv layer, fixed by the geometry alone
+        self._act_index = []
+        (h, w), in_ch = probe.shape[2:], probe.shape[1]
+        for _ in range(3):
+            self._act_index.append(ad.gather_index((1, in_ch, h, w), self.KERNEL, self.STRIDE, self.PADDING))
+            (h, w), in_ch = ad.conv_out_hw(h, w, self.KERNEL, self.STRIDE, self.PADDING), self.FILTERS
 
     def _input_params(self, rng: np.random.Generator) -> dict:
         """Parameters drawn before the conv layers; none unless the input needs a table."""
@@ -114,10 +123,16 @@ class _ExtractorBase:
         return x
 
     def _conv_stack_array(self, x: np.ndarray) -> np.ndarray:
-        """``_conv_stack(Value(x)).data`` on plain arrays, for acting."""
-        for i in range(3):
-            w, b = self.params[f"conv{i + 1}.w"], self.params[f"conv{i + 1}.b"]
-            x = np.maximum(ad.conv2d_array(x, w.data, b.data, self.STRIDE, self.PADDING)[0], 0.0)
+        """``_conv_stack(Value(x)).data`` of one (1, C, H, W) input on plain arrays, for acting.
+
+        Each layer is one ``autodiff.conv_gemm`` through the index cached at
+        construction, its ReLU applied in place; the result is the flat
+        (F, oh*ow) buffer, which holds the same numbers in the same order.
+        """
+        for i, index in enumerate(self._act_index, start=1):
+            w = self.params[f"conv{i}.w"].data
+            x, _ = ad.conv_gemm(x, w.reshape(w.shape[0], -1), self.params[f"conv{i}.b"].data, index)
+            np.maximum(x, 0.0, out=x)
         return x
 
     def initial_state(self) -> RecurrentState:
@@ -144,7 +159,8 @@ class _ExtractorBase:
             sx = drives.get(key)
         if sx is None:
             z = self._conv_stack_array(self._conv_input(obs)).reshape(self.flat_dim)
-            sx = p["lstm.w_ih"].data @ z + p["lstm.b"].data
+            sx = p["lstm.w_ih"].data @ z
+            sx += p["lstm.b"].data
             if key is not None:
                 drives[key] = sx
         h, c, _ = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h, state.c)

@@ -190,6 +190,21 @@ def test_config_rejects_out_of_range(name, value):
         ag.TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("episodes", 2.5), ("rollout_length", True), ("seed", "3"), ("lr", "1e-3"), ("xi", None), ("gamma", True),
+     ("fixed_weight", False), ("method", None), ("seed", 3.0)],
+)
+def test_config_rejects_mistyped_fields(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        ag.TrainConfig(**{name: value})
+
+
+def test_config_accepts_ints_for_floats_and_numpy_numbers():
+    cfg = ag.TrainConfig(lr=1, gamma=np.float64(0.5), seed=np.int64(3), episodes=np.int32(2))
+    assert cfg.lr == 1 and cfg.seed == 3
+
+
 def test_config_accepts_range_edges():
     ag.TrainConfig(xi=1.0, stats_eps=1e-12, lr=1e-12, c_sim=0.0, c_td=0.0, episodes=1)
 
@@ -272,6 +287,33 @@ def test_weights_of_a_stack_match_each_row(method):
         for m in tr.modalities:
             assert lams[m].shape == (6, 32)
             np.testing.assert_array_equal(lams[m][t], row[m])
+
+
+@pytest.mark.parametrize("method", ag.METHODS)
+def test_weights_with_span_scales_are_the_per_step_weights(method):
+    # the scales an acting span computes once give the bits of the per-step path, on rows and stacks
+    tr = _make_trainer(method=method, env_name="mining_plus", fixed_weight=0.7)
+    rng = np.random.default_rng(6)
+    for m in tr.modalities:
+        tr.stats[m].mu = rng.normal(size=32)
+        tr.stats[m].var = rng.uniform(0.5, 2.0, size=32)
+    _, span_scales = tr._acting_span()
+    scales = {m: tr.stats[m].scale(tr.cfg.stats_eps) for m in tr.modalities}
+    if tr.use_ie:
+        assert span_scales.keys() == scales.keys()
+        for m in tr.modalities:
+            np.testing.assert_array_equal(span_scales[m], scales[m])
+    else:
+        assert span_scales is None
+    stack = {m: 3.0 * rng.normal(size=(6, 32)) for m in tr.modalities}
+    for feats in (stack, {m: stack[m][2] for m in tr.modalities}):
+        want = tr._weights(feats)
+        for given in (span_scales, scales):
+            got = tr._weights(feats, given)
+            assert list(got) == list(want)
+            for m in tr.modalities:
+                assert got[m].shape == feats[m].shape
+                np.testing.assert_array_equal(got[m], want[m])
 
 
 def test_maie_lambdas_on_simplex():
@@ -415,13 +457,11 @@ def _uncached(tr):
 
 
 def _count_memos(tr) -> dict:
-    """Per modality, each memo ``tr`` hands its extractor, as [memo, calls], in order of first use."""
+    """Per modality, the memo ``tr`` hands its extractor on each call, in call order."""
     memos = {m: [] for m in tr.modalities}
     for m, e in tr.extractors.items():
-        def counting(obs, state, drives=None, forward=e.forward, seen=memos[m]):
-            if not seen or seen[-1][0] is not drives:
-                seen.append([drives, 0])
-            seen[-1][1] += 1
+        def counting(obs, state, drives=None, forward=e.forward, handed=memos[m]):
+            handed.append(drives)
             return forward(obs, state, drives)
 
         e.forward = counting
@@ -451,14 +491,23 @@ def test_acting_memo_changes_no_result(env_name):
         assert a[:4] == b[:4]
         np.testing.assert_array_equal(a[4], b[4])
 
-    # one memo per modality for the rollout and one for the episode, each at most one entry per step
+    # a noisy modality gets no memo; each other one gets one memo for the rollout and one for
+    # the episode, each at most one entry per step
+    steps = cached.cfg.rollout_length
     episode_steps = cached.env.steps
     for m in cached.modalities:
-        (rollout_memo, rollout_calls), (episode_memo, episode_calls) = memos[m]
-        assert (rollout_calls, episode_calls) == (cached.cfg.rollout_length, episode_steps)
-        assert len(rollout_memo) <= cached.cfg.rollout_length and len(episode_memo) <= EPISODE_CAP
-    assert len(memos["audio"][1][0]) == episode_steps  # noisy audio never repeats
-    assert len(memos["visual"][1][0]) < episode_steps  # the grid does
+        handed = memos[m]
+        assert len(handed) == steps + episode_steps
+        if m in envs.NOISY_MODALITIES:
+            assert all(d is None for d in handed), m
+            continue
+        rollout_memo, episode_memo = handed[0], handed[steps]
+        assert type(rollout_memo) is dict and type(episode_memo) is dict and rollout_memo is not episode_memo
+        assert all(d is rollout_memo for d in handed[:steps]) and all(d is episode_memo for d in handed[steps:])
+        assert len(rollout_memo) <= steps and len(episode_memo) <= EPISODE_CAP
+    assert envs.NOISY_MODALITIES == {"audio"}
+    assert len({o.audio.tobytes() for o in bufs[0].observations}) == steps  # noisy audio never repeats
+    assert 0 < len(memos["visual"][steps]) < episode_steps  # the grid does
 
 
 def test_acting_memo_lives_only_while_parameters_are_fixed(monkeypatch):

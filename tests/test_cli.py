@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import types
 
 import numpy as np
@@ -87,6 +88,23 @@ def test_out_of_range_xi_rejected_before_work(tmp_path):
         out = tmp_path / f"x{i}"
         assert cli.main(["run", *flags, "--out", str(out)]) == 1, flags
         assert not out.exists(), flags
+
+
+@pytest.mark.parametrize("field, value", [
+    ("episodes", 2.5), ("lr", "1e-3"), ("seed", "3"), ("rollout_length", True), ("xi", None),
+    ("gamma", False), ("eval_episodes", 1.0), ("max_env_steps", "320"), ("distance", 1),
+])
+def test_mistyped_config_field_is_a_configuration_error(field, value, tmp_path, capsys):
+    # one field of a valid config.json edited: exit 1 and no output directory, never a traceback
+    valid = json.loads(json.dumps(dataclasses.asdict(_run_args(tmp_path))))
+    RunConfig(**valid)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**valid, field: value}))
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+    assert not out.exists()
 
 
 def _flag_value(f) -> tuple:
@@ -181,14 +199,40 @@ def test_embeddings_schema(tmp_path):
     assert len(lines) > 1
 
 
-def _trained_checkpoint(tmp_path, **kw):
-    """A maie trainer after two episodes, and the checkpoint it saved."""
-    cfg = _run_args(tmp_path, method="maie", **kw)
-    trainer = Trainer(envs.make_env(cfg.env, cfg.seed), cfg.train_config())
-    trainer.run()
-    path = tmp_path / "checkpoint.json"
-    cli.save_checkpoint(str(path), trainer)
-    return trainer, path
+@pytest.fixture(scope="module")
+def trained_runs(tmp_path_factory):
+    """Per config, a maie trainer after two episodes and the checkpoint it saved, trained once per module."""
+    saved = {}
+
+    def get(**kw):
+        key = tuple(sorted(kw.items()))
+        if key not in saved:
+            root = tmp_path_factory.mktemp("trained")
+            cfg = _run_args(root, method="maie", **kw)
+            trainer = Trainer(envs.make_env(cfg.env, cfg.seed), cfg.train_config())
+            trainer.run()
+            cli.save_checkpoint(str(root / "checkpoint.json"), trainer)
+            saved[key] = trainer, root / "checkpoint.json"
+        return saved[key]
+
+    return get
+
+
+@pytest.fixture
+def trained_checkpoint(trained_runs, tmp_path):
+    """``(trainer, path)``: the module's trained maie trainer and a copy of its checkpoint in ``tmp_path``.
+
+    The trainer is shared by the module's tests, which only read it; each
+    test loads its own copy of the file into its own fresh trainer.
+    """
+
+    def get(**kw):
+        trainer, saved = trained_runs(**kw)
+        path = tmp_path / "checkpoint.json"
+        shutil.copyfile(saved, path)
+        return trainer, path
+
+    return get
 
 
 def _fresh_trainer(tmp_path, seed=1):
@@ -204,8 +248,8 @@ def _rewrite(path, edit):
     return str(bad)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    trainer, path = _trained_checkpoint(tmp_path)
+def test_checkpoint_round_trip(tmp_path, trained_checkpoint):
+    trainer, path = trained_checkpoint()
     fresh = _fresh_trainer(tmp_path)
     assert not np.array_equal(fresh.head.params["actor1.w"].data, trainer.head.params["actor1.w"].data)
     cli.load_checkpoint(str(path), fresh)
@@ -227,9 +271,9 @@ def test_checkpoint_round_trip(tmp_path):
         assert t_got == t_want > 0
 
 
-def test_checkpoint_load_restores_features(tmp_path):
+def test_checkpoint_load_restores_features(tmp_path, trained_checkpoint):
     # a trainer seeded differently computes the saved trainer's features after loading
-    trainer, path = _trained_checkpoint(tmp_path)
+    trainer, path = trained_checkpoint()
     other = _fresh_trainer(tmp_path, seed=99)
     obs = envs.make_env("hetero_nav", 5).reset().modalities()["visual"]
     before, _ = other.extractors["visual"].forward(obs, other.extractors["visual"].initial_state())
@@ -240,8 +284,8 @@ def test_checkpoint_load_restores_features(tmp_path):
     np.testing.assert_array_equal(got, want)
 
 
-def test_checkpoint_rejects_parameter_shape_mismatch(tmp_path):
-    _, path = _trained_checkpoint(tmp_path)
+def test_checkpoint_rejects_parameter_shape_mismatch(tmp_path, trained_checkpoint):
+    _, path = trained_checkpoint()
 
     def wrong_shape(payload):
         payload["params"]["visual.conv1.w"] = {"shape": [2, 2], "data": [0.0] * 4}
@@ -250,8 +294,8 @@ def test_checkpoint_rejects_parameter_shape_mismatch(tmp_path):
         cli.load_checkpoint(_rewrite(path, wrong_shape), _fresh_trainer(tmp_path))
 
 
-def test_checkpoint_rejects_unknown_format(tmp_path):
-    _, path = _trained_checkpoint(tmp_path)
+def test_checkpoint_rejects_unknown_format(tmp_path, trained_checkpoint):
+    _, path = trained_checkpoint()
 
     def other_format(payload):
         payload["format"] = "maie-checkpoint-v0"
@@ -280,8 +324,8 @@ def _adam_key(trainer, name):
     return str(list(trainer.named_parameters()).index(name))
 
 
-def test_checkpoint_stores_adam_moments_as_float64_bytes(tmp_path):
-    trainer, path = _trained_checkpoint(tmp_path)
+def test_checkpoint_stores_adam_moments_as_float64_bytes(tmp_path, trained_checkpoint):
+    trainer, path = trained_checkpoint()
     key = _adam_key(trainer, "visual.lstm.w_hh")
     entry = json.loads(path.read_text())["adam"][key]
     m, v, t = trainer.opt.state[trainer.named_parameters()["visual.lstm.w_hh"]]
@@ -290,8 +334,8 @@ def test_checkpoint_stores_adam_moments_as_float64_bytes(tmp_path):
     assert base64.b64decode(entry["v"]) == v.astype("<f8").tobytes()
 
 
-def test_checkpoint_rejects_transposed_adam_moment(tmp_path):
-    trainer, path = _trained_checkpoint(tmp_path)
+def test_checkpoint_rejects_transposed_adam_moment(tmp_path, trained_checkpoint):
+    trainer, path = trained_checkpoint()
     key = _adam_key(trainer, "visual.lstm.w_hh")
 
     def transposed(payload):
@@ -303,8 +347,8 @@ def test_checkpoint_rejects_transposed_adam_moment(tmp_path):
     _assert_rejected_unchanged(_rewrite(path, transposed), r"adam .*\(32, 128\)", tmp_path)
 
 
-def test_checkpoint_rejects_adam_moment_one_float_short(tmp_path):
-    trainer, path = _trained_checkpoint(tmp_path)
+def test_checkpoint_rejects_adam_moment_one_float_short(tmp_path, trained_checkpoint):
+    trainer, path = trained_checkpoint()
     key = _adam_key(trainer, "visual.lstm.w_hh")
 
     def cut(payload):
@@ -314,8 +358,8 @@ def test_checkpoint_rejects_adam_moment_one_float_short(tmp_path):
     _assert_rejected_unchanged(_rewrite(path, cut), rf"adam {key} v: 32760 bytes .*\(128, 32\)", tmp_path)
 
 
-def test_checkpoint_rejects_adam_moment_that_is_not_base64(tmp_path):
-    trainer, path = _trained_checkpoint(tmp_path)
+def test_checkpoint_rejects_adam_moment_that_is_not_base64(tmp_path, trained_checkpoint):
+    trainer, path = trained_checkpoint()
     key = _adam_key(trainer, "visual.lstm.w_hh")
 
     def garbled(payload):
@@ -324,8 +368,8 @@ def test_checkpoint_rejects_adam_moment_that_is_not_base64(tmp_path):
     _assert_rejected_unchanged(_rewrite(path, garbled), rf"adam {key} m: not base64", tmp_path)
 
 
-def test_checkpoint_rejects_v1_format(tmp_path):
-    _, path = _trained_checkpoint(tmp_path)
+def test_checkpoint_rejects_v1_format(tmp_path, trained_checkpoint):
+    _, path = trained_checkpoint()
 
     def v1(payload):
         payload["format"] = "maie-checkpoint-v1"
@@ -333,9 +377,9 @@ def test_checkpoint_rejects_v1_format(tmp_path):
     _assert_rejected_unchanged(_rewrite(path, v1), "format 'maie-checkpoint-v1'", tmp_path)
 
 
-def test_checkpoint_rejects_adam_entry_for_no_parameter(tmp_path):
+def test_checkpoint_rejects_adam_entry_for_no_parameter(tmp_path, trained_checkpoint):
     # "-1" would otherwise index the last parameter, head.critic3.b
-    trainer, path = _trained_checkpoint(tmp_path)
+    trainer, path = trained_checkpoint()
     last = str(len(trainer.named_parameters()) - 1)
 
     def moved(payload):
@@ -346,14 +390,25 @@ def test_checkpoint_rejects_adam_entry_for_no_parameter(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0", "visual.lstm.w_hh"])
-def test_checkpoint_rejects_adam_key_not_written_as_a_position(key, tmp_path):
+def test_checkpoint_rejects_adam_key_not_written_as_a_position(key, tmp_path, trained_checkpoint):
     # int() reads the first four as 1; an extra entry there must not overwrite position 1's moments
-    _, path = _trained_checkpoint(tmp_path)
+    _, path = trained_checkpoint()
 
     def extra(payload):
         payload["adam"][key] = dict(payload["adam"]["1"], t=999)
 
     _assert_rejected_unchanged(_rewrite(path, extra), re.escape(f"adam {key}: no parameter"), tmp_path)
+
+
+@pytest.mark.parametrize("t", [2.7, 0, -1, True])
+def test_checkpoint_rejects_adam_step_count_that_is_not_a_positive_integer(t, tmp_path, trained_checkpoint):
+    # int() would read 2.7 as 2 and accept 0 and -1; a count below 1 divides by zero at the next step
+    _, path = trained_checkpoint()
+
+    def miscounted(payload):
+        payload["adam"]["1"]["t"] = t
+
+    _assert_rejected_unchanged(_rewrite(path, miscounted), re.escape(f"adam 1: step count t={t!r}"), tmp_path)
 
 
 def test_adam_state_and_checkpoint_keys_follow_the_registry(tmp_path):
@@ -371,8 +426,8 @@ def test_adam_state_and_checkpoint_keys_follow_the_registry(tmp_path):
         assert base64.b64decode(adam[str(i)]["m"]) == m.astype("<f8").tobytes()
 
 
-def test_checkpoint_rejects_stats_of_another_xi(tmp_path):
-    _, path = _trained_checkpoint(tmp_path, xi=0.2)
+def test_checkpoint_rejects_stats_of_another_xi(tmp_path, trained_checkpoint):
+    _, path = trained_checkpoint(xi=0.2)
     with pytest.raises(ValueError, match="xi=0.2"):
         cli.load_checkpoint(str(path), _fresh_trainer(tmp_path))
 

@@ -184,12 +184,14 @@ def _env_extractors():
 
 
 def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
-    # the acting stack gives the bits of the autodiff stack, at batch 1, on all 13 conv geometries
-    geometries = set()
+    # the acting stack's flat (F, oh*ow) buffer holds the bits of the autodiff stack, at batch 1, on
+    # all 13 conv geometries, each layer gathered through the op's own cached index of its geometry
+    geometries, op_indices = set(), []
     conv2d_array = ad.conv2d_array
 
     def recording(x, w, b, stride, padding):
         geometries.add((x.shape, w.shape, stride, padding))
+        op_indices.append(ad.gather_index(x.shape, w.shape[2:], stride, padding))
         return conv2d_array(x, w, b, stride, padding)
 
     monkeypatch.setattr(ad, "conv2d_array", recording)
@@ -200,8 +202,9 @@ def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
             x = e._conv_input(o)
             want = e._conv_stack(ad.Value(x)).data
             got = e._conv_stack_array(x)
-            assert type(got) is np.ndarray and got.shape == want.shape
-            assert np.array_equal(got, want), e.name
+            assert type(got) is np.ndarray and got.shape == (want.shape[1], want[0, 0].size)
+            assert np.array_equal(got, want.reshape(got.shape)), e.name
+            assert len(e._act_index) == 3 and all(a is b for a, b in zip(e._act_index, op_indices[-3:]))
     assert len(geometries) == 13
     assert all(shape[0] == 1 for shape, _, _, _ in geometries)
 

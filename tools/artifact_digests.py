@@ -4,7 +4,13 @@ Two trees that print the same nine lines write byte-identical artifacts for
 these cases, so a refactor that claims to keep the numbers can be checked by
 running this script before and after it:
 
-    PYTHONPATH=src python tools/artifact_digests.py
+    PYTHONPATH=src python tools/artifact_digests.py > before.txt   # on the parent
+    PYTHONPATH=src python tools/artifact_digests.py --expect before.txt
+
+With ``--expect FILE`` the script also compares its lines with those saved
+in FILE, names on standard error each case whose digests differ or that only
+one side has, and exits 1 if there is any. The digests depend on the BLAS
+kernels, so compare lines printed on the same machine.
 
 Each case trains with seed 3, ``max_env_steps=320`` and ``eval_episodes=2``.
 A digest is the first 16 hex digits of a sha256. The first column hashes
@@ -17,6 +23,7 @@ format shows there while the first column shows the run's numbers unchanged.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -59,11 +66,48 @@ def case_digests(env: str, method: str, root: str) -> tuple:
     return h.hexdigest()[:16], checkpoint.hexdigest()[:16]
 
 
-def main() -> int:
+def differences(printed: list, expected: list) -> list:
+    """One message per case whose digests differ between the two lists of lines, or that one lacks.
+
+    A line is split on whitespace into env, method and the digests, so column
+    padding does not count; blank lines are skipped.
+    """
+
+    def by_case(lines):
+        return {tuple(f[:2]): f[2:] for f in map(str.split, lines) if f}
+
+    got, want = by_case(printed), by_case(expected)
+    messages = []
+    for case in dict.fromkeys([*want, *got]):
+        name = " ".join(case)
+        if case not in got:
+            messages.append(f"{name}: not printed; expected {' '.join(want[case])}")
+        elif case not in want:
+            messages.append(f"{name}: printed {' '.join(got[case])}; not in the expected lines")
+        elif got[case] != want[case]:
+            messages.append(f"{name}: printed {' '.join(got[case])}; expected {' '.join(want[case])}")
+    return messages
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digest the artifacts of nine short seeded runs.")
+    parser.add_argument("--expect", metavar="FILE", help="lines printed earlier; exit 1 if any case differs")
+    args = parser.parse_args(argv)
+    expected = None
+    if args.expect:
+        with open(args.expect) as fh:
+            expected = fh.read().splitlines()
+    printed = []
     with tempfile.TemporaryDirectory() as root:
         for env, method in CASES:
-            print(f"{env:<14} {method:<14}", *case_digests(env, method, root), flush=True)
-    return 0
+            printed.append(" ".join([f"{env:<14} {method:<14}", *case_digests(env, method, root)]))
+            print(printed[-1], flush=True)
+    if expected is None:
+        return 0
+    diffs = differences(printed, expected)
+    for message in diffs:
+        print(f"differs: {message}", file=sys.stderr)
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
