@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -196,7 +198,8 @@ def test_config_rejects_out_of_range(name, value):
      ("fixed_weight", False), ("method", None), ("seed", 3.0)],
 )
 def test_config_rejects_mistyped_fields(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be"):
+    declared = {f.name: f.type for f in dataclasses.fields(ag.TrainConfig)}[name]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be {declared}, got {value!r}")):
         ag.TrainConfig(**{name: value})
 
 

@@ -102,8 +102,9 @@ def test_mistyped_config_field_is_a_configuration_error(field, value, tmp_path, 
     bad.write_text(json.dumps({**valid, field: value}))
     out = tmp_path / "x"
     assert cli.main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    declared = {f.name: f.type for f in dataclasses.fields(RunConfig)}[field]
     err = capsys.readouterr().err
-    assert "configuration error" in err and field in err
+    assert f"configuration error: {field} must be {declared}, got {value!r}" in err  # the type check, not a range check
     assert not out.exists()
 
 
