@@ -13,12 +13,13 @@ plain arrays while stepping the environment. An acting span is one
 ``collect_rollout`` or one ``run_eval`` episode; neither the parameters nor
 the modality statistics change within it, so ``_acting_span`` pays once per
 span for what depends only on them. Each modality's ``ModalityStats.scale``
-is computed there and handed to ``_weights``. Each modality whose
-observations can repeat gets a fresh memo of LSTM input drives keyed by
-observation bytes, which holds at most ``rollout_length`` or
+is computed there (``_scales``) and handed to ``_weights``. Each modality
+whose observations can repeat gets a fresh memo of LSTM input drives keyed
+by observation bytes, which holds at most ``rollout_length`` or
 ``EPISODE_CAP`` entries; a modality in ``envs.NOISY_MODALITIES`` gets none,
-since its fresh noise never repeats. The bootstrap value after an update
-takes the per-step path, with no memo. The recorded observations are
+since its fresh noise never repeats. An update computes the scales once,
+after its statistics update, for its λ and for the bootstrap value, which
+takes the per-step path with no memo. The recorded observations are
 replayed in batch form for both backward passes, each modality's features
 as one (T, 32) matrix (the first replay reproduces the acting-time features
 to within 1e-12, since parameters do not change in between). One λ rule,
@@ -34,6 +35,7 @@ rows. Both backward passes go through one update step, ``Trainer._apply``.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
@@ -91,11 +93,13 @@ class TrainConfig:
     fixed_weight: float = 0.5
 
     def __post_init__(self):
-        # every field's type first, subclass fields included, so each range check compares numbers
+        # every field's type and finiteness first, subclass fields included, so each range check compares numbers
         for f in fields(self):
             value = getattr(self, f.name)
             if not any(_FIELD_TYPES[kind](value) for kind in f.type.split(" | ")):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.rollout_length < 2:
@@ -116,6 +120,8 @@ class TrainConfig:
             raise ValueError(f"stats_eps must be > 0, got {self.stats_eps}")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not self.grad_clip > 0.0:
+            raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
 
 
 def _affine_params(rng, sizes, prefix):
@@ -277,30 +283,26 @@ class Trainer:
 
     # -- acting ------------------------------------------------------------
 
-    def _features(self, obs, states: dict, drives: dict | None = None) -> tuple:
+    def _features(self, obs, states: dict, drives: dict) -> tuple:
         """Graph-free forward of one observation; returns (features, new states).
 
-        ``drives``, when given, maps each modality to its memo of LSTM input
-        drives (see ``_ExtractorBase.forward``).
+        ``drives`` maps each modality to its memo of LSTM input drives, or to
+        None for no memo (see ``_ExtractorBase.forward``).
         """
         obs_arrays = obs.modalities()
         feats, new_states = {}, {}
         for m in self.modalities:
-            memo = drives[m] if drives is not None else None
-            feats[m], new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m], memo)
+            feats[m], new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m], drives[m])
         return feats, new_states
 
-    def _weights(self, feats: dict, scales: dict | None = None) -> dict:
-        """λ per modality for (L,) feature arrays or (T, L) stacks of them.
+    def _scales(self) -> dict | None:
+        """Each modality's ``ModalityStats.scale`` at the current statistics; None without importance enhancement."""
+        return {m: self.stats[m].scale(self.cfg.stats_eps) for m in self.modalities} if self.use_ie else None
 
-        ``scales``, when given, holds each modality's ``ModalityStats.scale``
-        at the current statistics, as an acting span computes it once; the
-        λ are the same bits either way.
-        """
+    def _weights(self, feats: dict, scales: dict | None) -> dict:
+        """λ per modality for (L,) feature arrays or (T, L) stacks of them, under ``_scales()``."""
         if self.use_ie:
-            eps = self.cfg.stats_eps
-            normalized = [self.stats[m].normalize_array(feats[m], eps, None if scales is None else scales[m])
-                          for m in self.modalities]
+            normalized = [self.stats[m].normalize_array(feats[m], scales[m]) for m in self.modalities]
             return dict(zip(self.modalities, en.importance(normalized)))
         shape = feats[self.modalities[0]].shape
         if self.cfg.method == "fixed_weights":
@@ -352,13 +354,10 @@ class Trainer:
         """What a span of acting computes once: (input-drive memos, stats scales).
 
         The memos map each modality to a fresh dict, or to None for a
-        modality in ``NOISY_MODALITIES``; the scales map each modality to
-        its ``ModalityStats.scale``, and are None without importance
-        enhancement. Both hold only while no parameter or statistic changes.
+        modality in ``NOISY_MODALITIES``; the scales are ``_scales()``. Both
+        hold only while no parameter or statistic changes.
         """
-        drives = {m: None if m in NOISY_MODALITIES else {} for m in self.modalities}
-        scales = {m: self.stats[m].scale(self.cfg.stats_eps) for m in self.modalities} if self.use_ie else None
-        return drives, scales
+        return {m: None if m in NOISY_MODALITIES else {} for m in self.modalities}, self._scales()
 
     def _act_step(self, phase: str, span: tuple, buf: RolloutBuffer | None = None) -> dict | None:
         """Take one graph-free step, recording it into ``buf`` in training.
@@ -421,10 +420,10 @@ class Trainer:
             )
         return feats, finals
 
-    def _bootstrap_value(self, final_states: dict) -> float:
-        """Value of the observation after a rollout that ended mid-episode."""
-        feats, _ = self._features(self._obs, final_states)
-        return self.head.value_array(self._fuse_array(feats, self._weights(feats)))
+    def _bootstrap_value(self, final_states: dict, scales: dict | None) -> float:
+        """Value of the observation after a rollout that ended mid-episode, with no memo."""
+        feats, _ = self._features(self._obs, final_states, dict.fromkeys(self.modalities))
+        return self.head.value_array(self._fuse_array(feats, self._weights(feats, scales)))
 
     def _numerical_dump(self, buf: RolloutBuffer, extra: dict) -> dict:
         return {
@@ -460,8 +459,9 @@ class Trainer:
                 self.stats[m].update(np.stack(buf.features[m]), cfg.xi)
 
         # step two: recompute features under the updated extractors
+        scales = self._scales()
         feats, finals = self._replay_features(buf, initial_states)
-        lams = self._weights({m: feats[m].data for m in self.modalities})
+        lams = self._weights({m: feats[m].data for m in self.modalities}, scales)
         fused = en.fuse([feats[m] for m in self.modalities], [lams[m] for m in self.modalities])
 
         logits = self.head.actor_logits(fused)
@@ -470,7 +470,7 @@ class Trainer:
             raise NumericalError("non-finite policy or value outputs", self._numerical_dump(buf, {}))
         logp, entropy = log_probs_and_entropy(logits, buf.actions)
 
-        bootstrap = self._bootstrap_value(finals) if not buf.dones[-1] else 0.0
+        bootstrap = self._bootstrap_value(finals, scales) if not buf.dones[-1] else 0.0
         returns = compute_returns(buf.rewards, buf.dones, cfg.gamma, bootstrap)
         advantages = returns - values.data  # constants to the actor loss
 

@@ -9,7 +9,7 @@ accumulation). Gradients on leaves accumulate additively until the caller
 zeroes them.
 
 No mutable global state is shared between runs: the graph lives entirely
-in the Value objects, and the one module-level cache, ``_gather_index``,
+in the Value objects, and the one module-level cache, ``gather_index``,
 holds read-only index arrays, so independent training runs may execute in
 parallel threads or processes.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "backward",
     "matmul",
     "conv2d",
-    "conv2d_array",
     "conv_gemm",
     "conv_out_hw",
     "gather_index",
@@ -280,15 +279,16 @@ def conv_out_hw(h: int, w: int, kernel: tuple, stride: tuple, padding: tuple) ->
 
 
 @functools.lru_cache(maxsize=64)
-def _gather_index(n: int, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int) -> np.ndarray:
-    """Read-only (C*kh*kw, N*oh*ow) positions in ``x.ravel()`` of each patch entry.
+def gather_index(x_shape: tuple, kernel: tuple, stride: tuple, padding: tuple) -> np.ndarray:
+    """Read-only (C*kh*kw, N*oh*ow) positions in ``x.ravel()`` of each patch entry of an (N,C,H,W) input.
 
     Rows run over (channel, tap row, tap column), columns over (sample,
     output row, output column). A tap that falls in the zero padding points
     at index N*C*H*W, one past the input: the forward reads a 0.0 there and
-    the backward drops what lands there.
+    the backward drops what lands there. Cached per geometry.
     """
-    oh, ow = conv_out_hw(h, w, (kh, kw), (sh, sw), (ph, pw))
+    (n, c, h, w), (kh, kw), (sh, sw), (ph, pw) = x_shape, kernel, stride, padding
+    oh, ow = conv_out_hw(h, w, kernel, stride, padding)
     rows = (np.arange(kh)[:, None] + sh * np.arange(oh) - ph)[None, :, None, None, :, None]
     cols = (np.arange(kw)[:, None] + sw * np.arange(ow) - pw)[None, None, :, None, None, :]
     planes = (np.arange(n) * c + np.arange(c)[:, None])[:, None, None, :, None, None]  # (c, 1, 1, n, 1, 1)
@@ -297,11 +297,6 @@ def _gather_index(n: int, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw:
     idx = np.ascontiguousarray(idx.reshape(c * kh * kw, n * oh * ow), dtype=np.intp)
     idx.flags.writeable = False
     return idx
-
-
-def gather_index(x_shape: tuple, kernel: tuple, stride: tuple, padding: tuple) -> np.ndarray:
-    """The cached ``_gather_index`` of an (N,C,H,W) input under this conv geometry."""
-    return _gather_index(*x_shape, *kernel, *stride, *padding)
 
 
 def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) -> tuple:
@@ -319,28 +314,15 @@ def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) 
     return out, cols
 
 
-def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: tuple, padding: tuple) -> tuple:
-    """The forward arithmetic of ``conv2d`` on plain (N,C,H,W) arrays, without its checks.
-
-    Returns the (N,F,oh,ow) output and the (C*kh*kw, N*oh*ow) patch matrix
-    of ``conv_gemm``, gathered through the cached index of this geometry.
-    """
-    n, _, h, width = x.shape
-    f = w.shape[0]
-    oh, ow = conv_out_hw(h, width, w.shape[2:], stride, padding)
-    out_flat, cols = conv_gemm(x, w.reshape(f, -1), b, gather_index(x.shape, w.shape[2:], stride, padding))
-    return np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)), cols
-
-
 def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters and (F,) biases.
 
     Output spatial size per dim: ``conv_out_hw``. Implemented as im2col +
-    matmul (Chellapilla et al. 2006) in ``conv_gemm``, through
-    ``conv2d_array``: the patch matrix is one gather through the cached
-    ``gather_index`` of this geometry, and the backward sums the patch
-    gradients back into the input with one ``np.bincount`` over the same
-    index, tap by tap in the order of its rows.
+    matmul (Chellapilla et al. 2006) in ``conv_gemm``: the patch matrix is
+    one gather through the cached ``gather_index`` of this geometry, looked
+    up once per call, and the backward sums the patch gradients back into
+    the input with one ``np.bincount`` over the same index, tap by tap in
+    the order of its rows.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -354,7 +336,10 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     ph, pw = padding
     if kh > h + 2 * ph or kw > width + 2 * pw:  # an output size below 1
         raise ShapeError(f"conv2d: kernel ({kh},{kw}) too large for padded input ({h + 2 * ph},{width + 2 * pw})")
-    out_data, cols = conv2d_array(x.data, w.data, b.data, stride, padding)
+    idx = gather_index(x.data.shape, (kh, kw), stride, padding)
+    out_flat, cols = conv_gemm(x.data, w.data.reshape(f, -1), b.data, idx)
+    oh, ow = conv_out_hw(h, width, (kh, kw), stride, padding)
+    out_data = np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
 
     def back(g):
         g_flat = g.transpose(1, 0, 2, 3).reshape(f, -1)
@@ -364,7 +349,6 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
             b.grad += g_flat.sum(axis=1)
         if x.requires_grad:
             gcols = w.data.reshape(f, -1).T @ g_flat
-            idx = gather_index(x.data.shape, (kh, kw), stride, padding)
             gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
             x.grad += gx[:-1].reshape(n, c, h, width)
 
@@ -540,24 +524,26 @@ def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
     return gates[3 * hd :] * np.tanh(c_new), c_new, gates
 
 
-def lstm_cell(sx, w_hh, h, c, starts) -> Value:
+def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts) -> tuple:
     """An LSTM unrolled over a sequence of input drives, fused into a single node.
 
     ``sx`` holds the precomputed drives W_ih @ x_t + b: a (T, 4H) matrix
-    with one row per step. ``w_hh`` is (4H, H); ``h`` and ``c`` are the (H,)
-    state before the first step. ``starts[t]`` true resets the state to
-    zero before step t (an episode start), so no gradient crosses it.
-    Returns the (T, 2H) matrix of rows [h_t, c_t].
+    with one row per step. ``w_hh`` is (4H, H); ``h`` and ``c`` are the
+    plain (H,) state arrays before the first step, constants to the
+    backward pass. ``starts[t]`` true resets the state to zero before step
+    t (an episode start), so no gradient crosses it. Returns the node of
+    the (T, H) hidden rows h_t and the plain ``(h, c)`` after the last
+    step.
 
     The backward runs backprop through time in one loop over the steps; the
     ``w_hh`` gradient is a single (4H, T) @ (T, H) product.
     """
-    sx, w_hh, h, c = _lift(sx), _lift(w_hh), _lift(h), _lift(c)
-    hd = h.data.shape[0] if h.data.ndim == 1 else -1
+    sx, w_hh = _lift(sx), _lift(w_hh)
+    hd = h.shape[0] if h.ndim == 1 else -1
     drives = sx.data
-    if drives.ndim != 2 or drives.shape[1] != 4 * hd or w_hh.data.shape != (4 * hd, hd) or c.data.shape != (hd,):
+    if drives.ndim != 2 or drives.shape[1] != 4 * hd or w_hh.data.shape != (4 * hd, hd) or c.shape != (hd,):
         raise ShapeError(
-            f"lstm_cell: want sx (T, 4H), w_hh (4H,H), h (H,), c (H,); got {sx.data.shape}, {w_hh.data.shape}, {h.data.shape}, {c.data.shape}"
+            f"lstm_cell: want sx (T, 4H), w_hh (4H,H), h (H,), c (H,); got {sx.data.shape}, {w_hh.data.shape}, {h.shape}, {c.shape}"
         )
     n = drives.shape[0]
     resets = np.asarray(starts, dtype=bool)
@@ -565,21 +551,18 @@ def lstm_cell(sx, w_hh, h, c, starts) -> Value:
         raise ShapeError(f"lstm_cell: starts shape {resets.shape} != ({n},)")
 
     zeros = np.zeros(hd)
-    h_in = np.empty((n, hd))  # state entering each step, after any reset
-    c_in = np.empty((n, hd))
+    h_in, c_in, h_out, c_out = np.empty((4, n, hd))  # the state entering each step, after any reset, and leaving it
     gates = np.empty((n, 4 * hd))
-    out = np.empty((n, 2 * hd))
-    h_t, c_t = h.data, c.data
     for t in range(n):
         if resets[t]:
-            h_t, c_t = zeros, zeros
-        h_in[t], c_in[t] = h_t, c_t
-        h_t, c_t, gates[t] = lstm_step(drives[t], w_hh.data, h_t, c_t)
-        out[t, :hd], out[t, hd:] = h_t, c_t
+            h, c = zeros, zeros
+        h_in[t], c_in[t] = h, c
+        h, c, gates[t] = lstm_step(drives[t], w_hh.data, h, c)
+        h_out[t], c_out[t] = h, c
 
     def back(g):
         gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
-        tc = np.tanh(out[:, hd:])
+        tc = np.tanh(c_out)
         # per-step factors of the input, forget and cell gate pre-activation
         # gradients (times dc), and of the output gate one (times dh)
         f_ifg = np.stack([gg * gi * (1.0 - gi), c_in * gf * (1.0 - gf), gi * (1.0 - gg * gg)], axis=1)
@@ -589,8 +572,8 @@ def lstm_cell(sx, w_hh, h, c, starts) -> Value:
         dh, dc_next = zeros, zeros  # adjoints flowing from step t+1 into the state after step t
         w_t = w_hh.data.T
         for t in range(n - 1, -1, -1):
-            gh = g[t, :hd] + dh
-            dc = g[t, hd:] + dc_next + gh * f_c[t]
+            gh = g[t] + dh
+            dc = dc_next + gh * f_c[t]
             dz[t, :3] = dc * f_ifg[t]
             dz[t, 3] = gh * f_o[t]
             if resets[t]:
@@ -602,12 +585,8 @@ def lstm_cell(sx, w_hh, h, c, starts) -> Value:
             sx.grad += dz
         if w_hh.requires_grad:
             w_hh.grad += dz.T @ h_in
-        if h.requires_grad:
-            h.grad += dh
-        if c.requires_grad:
-            c.grad += dc_next
 
-    return _node(out, (sx, w_hh, h, c), back, "lstm_cell")
+    return _node(h_out, (sx, w_hh), back, "lstm_cell"), (h, c)
 
 
 # ---------------------------------------------------------------------------
@@ -713,12 +692,12 @@ def zero_grads(params):
 
 
 def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale grads in place so their global L2 norm is at most max_norm."""
+    """Scale grads in place so their global L2 norm is at most ``max_norm`` (> 0); returns the norm before."""
     total = 0.0
     for p in params:
         total += float(np.sum(p.grad * p.grad))
     norm = total**0.5
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         scale = max_norm / (norm + 1e-12)
         for p in params:
             p.grad *= scale

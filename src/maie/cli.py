@@ -144,6 +144,19 @@ def _moment_array(text: str, shape: tuple, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float64 array; a string, a bool or a non-finite entry is a ValueError."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"checkpoint {what}: not a list of JSON numbers")
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64
+        raise ValueError(f"checkpoint {what}: a value beyond float64") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"checkpoint {what}: a non-finite value")
+    return arr
+
+
 def _checked(values, shape: tuple, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
@@ -174,13 +187,14 @@ def save_checkpoint(path: str, trainer: Trainer):
 def load_checkpoint(path: str, trainer: Trainer):
     """Restore a ``save_checkpoint`` file into a trainer of the same env and config.
 
-    Raises ValueError on another format, a stored shape that differs from its
-    parameter's, an Adam key other than ``str`` of a position in
-    ``trainer.named_parameters()`` (``"01"`` and ``"+1"`` included), an Adam
-    moment that is not base64 or whose byte count does not fit its stored
-    shape, an Adam step count ``t`` that is not an integer >= 1 (a float or
-    a bool included), or stats saved at another xi or stats_eps, and
-    KeyError on a missing entry. The file is checked whole first, so a
+    Raises ValueError on another format, a parameter or stats entry that is
+    not a finite JSON number (a string or a bool included), a negative stats
+    variance, a stored shape that differs from its parameter's, an Adam key
+    other than ``str`` of a position in ``trainer.named_parameters()``
+    (``"01"`` and ``"+1"`` included), an Adam moment that is not base64 or
+    whose byte count does not fit its stored shape, an Adam step count ``t``
+    that is not an integer >= 1 (a float or a bool included), or stats saved
+    at another xi or stats_eps, and KeyError on a missing entry. The file is checked whole first, so a
     rejected one changes nothing.
     """
     with open(path) as fh:
@@ -191,16 +205,19 @@ def load_checkpoint(path: str, trainer: Trainer):
     params = trainer.named_parameters()
     arrays = {}
     for name, p in params.items():
-        entry = payload["params"][name]
-        arrays[name] = _checked(np.reshape(entry["data"], entry["shape"]), p.data.shape, f"parameter {name}")
+        entry, what = payload["params"][name], f"parameter {name}"
+        arrays[name] = _checked(_numbers(entry["data"], what).reshape(entry["shape"]), p.data.shape, what)
     stats = {}
     for m in trainer.modalities:
         entry = payload["stats"][m]
         if (entry["xi"], entry["eps"]) != (cfg.xi, cfg.stats_eps):
             raise ValueError(f"checkpoint stats {m}: saved at xi={entry['xi']}, stats_eps={entry['eps']}, "
                              f"but the trainer has xi={cfg.xi}, stats_eps={cfg.stats_eps}")
-        stats[m] = ModalityStats(mu=_checked(entry["mu"], (FEATURE_DIM,), f"stats {m} mu"),
-                                 var=_checked(entry["var"], (FEATURE_DIM,), f"stats {m} var"))
+        mu, var = (_checked(_numbers(entry[k], f"stats {m} {k}"), (FEATURE_DIM,), f"stats {m} {k}")
+                   for k in ("mu", "var"))
+        if (var < 0.0).any():  # a negative variance gives NaN scales
+            raise ValueError(f"checkpoint stats {m} var: a negative entry")
+        stats[m] = ModalityStats(mu=mu, var=var)
     by_position = {str(i): p for i, p in enumerate(params.values())}
     state = {}
     for key, entry in payload["adam"].items():

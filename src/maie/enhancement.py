@@ -2,12 +2,13 @@
 
 Each modality keeps a running mean/variance, refreshed once per rollout
 from the rollout's features (population variance, then a soft update with
-decay xi). Features are normalized against those stats, with eps added to
-the variance, and a per-dimension softmax over |normalized| across
-modalities yields the importance coefficients lambda. xi and eps are
-``agent.TrainConfig`` fields (``xi``, ``stats_eps``) passed to each call,
-so the stats hold only their two running arrays. The fused state
-concatenates lambda-weighted raw features; lambda, mu, and sigma are
+decay xi). Features are normalized against those stats by the scale
+1/sqrt(var + eps), which the caller computes once per span of unchanged
+stats (``ModalityStats.scale``), and a per-dimension softmax over
+|normalized| across modalities yields the importance coefficients lambda.
+xi and eps are ``agent.TrainConfig`` fields (``xi``, ``stats_eps``) passed
+to each call, so the stats hold only their two running arrays. The fused
+state concatenates lambda-weighted raw features; lambda, mu, and sigma are
 constants to the backward pass, so the adjoint reaching a modality is
 exactly lambda times the adjoint of its weighted slice, and the
 normalization and importance run on plain arrays
@@ -46,13 +47,9 @@ class ModalityStats:
     def scale(self, eps: float) -> np.ndarray:
         return 1.0 / np.sqrt(self.var + eps)
 
-    def normalize_array(self, f: np.ndarray, eps: float, scale: np.ndarray | None = None) -> np.ndarray:
-        """Plain-numpy normalization (graph-free path while acting).
-
-        ``scale``, when given, is ``self.scale(eps)`` computed beforehand,
-        as a span of acting does once for all its steps.
-        """
-        return (f - self.mu) * (self.scale(eps) if scale is None else scale)
+    def normalize_array(self, f: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """Plain-numpy normalization of (L,) or (T, L) features by ``scale``, the ``self.scale(eps)`` computed once."""
+        return (f - self.mu) * scale
 
 
 def importance(normalized: list) -> list:

@@ -20,7 +20,9 @@ so every output is bitwise the same. The trainer hands a memo only to a
 modality whose observations can repeat. ``forward_sequence`` replays a whole
 rollout for the backward passes: one batched ``autodiff.conv2d`` stack over
 time, one input projection for all steps, and the whole LSTM unroll in a
-single ``autodiff.lstm_cell`` node, episode resets included.
+single ``autodiff.lstm_cell`` node, episode resets included; that node is
+the (T, 32) feature matrix, and the state after its last step comes back
+beside it as plain arrays.
 
 Both kinds are built by one constructor and run their convolutions through
 the same base-class code, driven by each class's FILTERS, KERNEL, STRIDE
@@ -178,10 +180,8 @@ class _ExtractorBase:
         p = self.params
         z = self._conv_stack(self._conv_batch(observations)).reshape((len(observations), self.flat_dim))
         sx = ad.matmul(z, ad.transpose(p["lstm.w_ih"], (1, 0))) + p["lstm.b"]  # (T, 4H)
-        hc = ad.lstm_cell(sx, p["lstm.w_hh"], state.h, state.c, starts=episode_starts)
-        last = hc.data[-1]
-        final = RecurrentState(last[:FEATURE_DIM].copy(), last[FEATURE_DIM:].copy())
-        return hc[:, :FEATURE_DIM], final
+        feats, (h, c) = ad.lstm_cell(sx, p["lstm.w_hh"], state.h, state.c, starts=episode_starts)
+        return feats, RecurrentState(h, c)
 
 
 class ConvLstmExtractor(_ExtractorBase):

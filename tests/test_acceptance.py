@@ -93,7 +93,7 @@ def test_c01_gradient_fidelity():
     stats = [en.ModalityStats(mu=rng.normal(size=dim), var=rng.uniform(0.5, 2.0, size=dim)) for _ in range(m)]
     feats0 = [rng.normal(size=dim) for _ in range(m)]
     eps = TrainConfig().stats_eps
-    lam_frozen = en.importance([s.normalize_array(f, eps) for s, f in zip(stats, feats0)])
+    lam_frozen = en.importance([s.normalize_array(f, s.scale(eps)) for s, f in zip(stats, feats0)])
 
     def f_fuse(v):
         fused = en.fuse(list(v), lam_frozen)

@@ -284,39 +284,13 @@ def test_weights_of_a_stack_match_each_row(method):
         tr.stats[m].mu = rng.normal(size=32)
         tr.stats[m].var = rng.uniform(0.5, 2.0, size=32)
     stack = {m: 3.0 * rng.normal(size=(6, 32)) for m in tr.modalities}
-    lams = tr._weights(stack)
+    scales = tr._scales()
+    lams = tr._weights(stack, scales)
     for t in range(6):
-        row = tr._weights({m: stack[m][t] for m in tr.modalities})
+        row = tr._weights({m: stack[m][t] for m in tr.modalities}, scales)
         for m in tr.modalities:
             assert lams[m].shape == (6, 32)
             np.testing.assert_array_equal(lams[m][t], row[m])
-
-
-@pytest.mark.parametrize("method", ag.METHODS)
-def test_weights_with_span_scales_are_the_per_step_weights(method):
-    # the scales an acting span computes once give the bits of the per-step path, on rows and stacks
-    tr = _make_trainer(method=method, env_name="mining_plus", fixed_weight=0.7)
-    rng = np.random.default_rng(6)
-    for m in tr.modalities:
-        tr.stats[m].mu = rng.normal(size=32)
-        tr.stats[m].var = rng.uniform(0.5, 2.0, size=32)
-    _, span_scales = tr._acting_span()
-    scales = {m: tr.stats[m].scale(tr.cfg.stats_eps) for m in tr.modalities}
-    if tr.use_ie:
-        assert span_scales.keys() == scales.keys()
-        for m in tr.modalities:
-            np.testing.assert_array_equal(span_scales[m], scales[m])
-    else:
-        assert span_scales is None
-    stack = {m: 3.0 * rng.normal(size=(6, 32)) for m in tr.modalities}
-    for feats in (stack, {m: stack[m][2] for m in tr.modalities}):
-        want = tr._weights(feats)
-        for given in (span_scales, scales):
-            got = tr._weights(feats, given)
-            assert list(got) == list(want)
-            for m in tr.modalities:
-                assert got[m].shape == feats[m].shape
-                np.testing.assert_array_equal(got[m], want[m])
 
 
 def test_maie_lambdas_on_simplex():
@@ -523,8 +497,8 @@ def test_acting_memo_lives_only_while_parameters_are_fixed(monkeypatch):
         bufs.setdefault(id(self), []).append(collect(self))
         return bufs[id(self)][-1]
 
-    def keep_bootstrap(self, final_states):
-        boots.setdefault(id(self), []).append(bootstrap(self, final_states))
+    def keep_bootstrap(self, final_states, scales):
+        boots.setdefault(id(self), []).append(bootstrap(self, final_states, scales))
         return boots[id(self)][-1]
 
     monkeypatch.setattr(ag.Trainer, "collect_rollout", keep_buf)

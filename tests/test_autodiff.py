@@ -92,9 +92,7 @@ def test_conv2d_bitwise_equals_padded_reference(geom, kind, batch):
     for got, want in zip((out.data, xv.grad, wv.grad, bv.grad), ref):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-    # acting calls the op's forward arithmetic directly: the same bits, contiguous
-    arr, _ = ad.conv2d_array(x, w, b, spec["stride"], spec["padding"])
-    assert arr.flags.c_contiguous and np.array_equal(arr, out.data)
+    assert out.data.flags.c_contiguous
 
 
 def test_conv2d_kernel_larger_than_padded_input_error():
@@ -106,15 +104,15 @@ def test_conv2d_kernel_larger_than_padded_input_error():
 
 
 def test_gather_index_is_read_only_and_cache_bounded():
-    idx = ad._gather_index(2, 3, 5, 5, 3, 3, 2, 2, 1, 1)
+    idx = ad.gather_index((2, 3, 5, 5), (3, 3), (2, 2), (1, 1))
     assert not idx.flags.writeable
     with pytest.raises(ValueError):
         idx[0, 0] = 0
-    maxsize = ad._gather_index.cache_info().maxsize
+    maxsize = ad.gather_index.cache_info().maxsize
     assert maxsize is not None
     for n in range(1, maxsize + 20):
-        ad._gather_index(n, 1, 3, 3, 3, 3, 1, 1, 1, 1)
-    assert ad._gather_index.cache_info().currsize <= maxsize
+        ad.gather_index((n, 1, 3, 3), (3, 3), (1, 1), (1, 1))
+    assert ad.gather_index.cache_info().currsize <= maxsize
 
 
 def test_elementwise_shape_mismatch_names_op():
@@ -239,7 +237,7 @@ def test_lstm_cell_matches_composed_ops():
     h = rng.normal(size=(hd,)) * 0.5
     c = rng.normal(size=(hd,)) * 0.5
 
-    fused = ad.lstm_cell(ad.Value(sx[None]), ad.Value(whh), ad.Value(h), ad.Value(c), np.zeros(1, bool))
+    rows, (h_last, c_last) = ad.lstm_cell(ad.Value(sx[None]), ad.Value(whh), h, c, np.zeros(1, bool))
 
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
@@ -250,42 +248,50 @@ def test_lstm_cell_matches_composed_ops():
     c_new = gf * c + gi * gg
     h_new = go * np.tanh(c_new)
 
-    np.testing.assert_allclose(fused.data[0, :hd], h_new, atol=1e-14)
-    np.testing.assert_allclose(fused.data[0, hd:], c_new, atol=1e-14)
+    assert rows.shape == (1, hd)
+    np.testing.assert_allclose(rows.data[0], h_new, atol=1e-14)
+    np.testing.assert_allclose(h_last, h_new, atol=1e-14)
+    np.testing.assert_allclose(c_last, c_new, atol=1e-14)
 
 
 def test_lstm_cell_sequence_matches_chained_steps():
-    # the (T, 4H) form is T single-step calls with zeroed state at each start,
-    # in its outputs and in the gradients of all four inputs
+    # the (T, 4H) form is T single-step calls with zeroed state at each start, in its
+    # h rows and final state; a start cuts the gradient, so the gradients of sx and w_hh
+    # are those of one call per segment between starts
     rng = np.random.default_rng(12)
     hd, t_len = 5, 7
     starts = [False, False, True, False, False, True, False]
-    arrays = [
-        rng.normal(size=(t_len, 4 * hd)),
-        rng.normal(size=(4 * hd, hd)) * 0.4,
-        rng.normal(size=(hd,)) * 0.5,
-        rng.normal(size=(hd,)) * 0.5,
-    ]
-    upstream = rng.normal(size=(t_len, 2 * hd))
+    sx_arr, whh_arr = rng.normal(size=(t_len, 4 * hd)), rng.normal(size=(4 * hd, hd)) * 0.4
+    h0, c0 = rng.normal(size=(hd,)) * 0.5, rng.normal(size=(hd,)) * 0.5
+    upstream = rng.normal(size=(t_len, hd))
 
-    fused_in = [ad.Value(a.copy(), requires_grad=True) for a in arrays]
-    fused = ad.lstm_cell(*fused_in, starts=starts)
+    fused_in = [ad.Value(a.copy(), requires_grad=True) for a in (sx_arr, whh_arr)]
+    fused, fused_last = ad.lstm_cell(*fused_in, h0, c0, starts=starts)
     ad.backward((fused * ad.Value(upstream)).sum())
 
-    chained_in = [ad.Value(a.copy(), requires_grad=True) for a in arrays]
-    sx, w_hh, h, c = chained_in
-    rows = []
+    h, c = h0, c0
+    stepped = []
     for t in range(t_len):
         if starts[t]:
-            h, c = ad.Value(np.zeros(hd)), ad.Value(np.zeros(hd))
-        hc = ad.lstm_cell(sx[t : t + 1], w_hh, h, c, np.zeros(1, bool))
-        h, c = hc[0, :hd], hc[0, hd:]
-        rows.append(hc)
-    chained = ad.concat(rows, axis=0)
-    ad.backward((chained * ad.Value(upstream)).sum())
+            h, c = np.zeros(hd), np.zeros(hd)
+        row, (h, c) = ad.lstm_cell(sx_arr[t : t + 1], whh_arr, h, c, np.zeros(1, bool))
+        stepped.append(row.data[0])
+    np.testing.assert_allclose(fused.data, np.stack(stepped), rtol=0, atol=1e-12)
+    for got, want in zip(fused_last, (h, c)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    np.testing.assert_allclose(fused.data, chained.data, rtol=0, atol=1e-12)
-    for a, b in zip(fused_in, chained_in):
+    split_in = [ad.Value(a.copy(), requires_grad=True) for a in (sx_arr, whh_arr)]
+    sx, w_hh = split_in
+    bounds = [0, 2, 5, t_len]  # the segments between starts
+    segments = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        state = (h0, c0) if lo == 0 else (np.zeros(hd), np.zeros(hd))
+        segments.append(ad.lstm_cell(sx[lo:hi], w_hh, *state, np.zeros(hi - lo, bool))[0])
+    split = ad.concat(segments, axis=0)
+    ad.backward((split * ad.Value(upstream)).sum())
+
+    np.testing.assert_allclose(fused.data, split.data, rtol=0, atol=1e-12)
+    for a, b in zip(fused_in, split_in):
         assert np.abs(a.grad).max() > 0.0
         np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
 
@@ -296,8 +302,10 @@ def test_lstm_step_is_the_op_forward():
     sx, whh = rng.normal(size=(4 * hd,)), rng.normal(size=(4 * hd, hd)) * 0.3
     h, c = rng.normal(size=(hd,)), rng.normal(size=(hd,))
     h_new, c_new, _ = ad.lstm_step(sx, whh, h, c)
-    hc = ad.lstm_cell(sx[None], whh, h, c, np.zeros(1, bool)).data
-    np.testing.assert_array_equal(hc, np.concatenate([h_new, c_new])[None])
+    rows, (h_last, c_last) = ad.lstm_cell(sx[None], whh, h, c, np.zeros(1, bool))
+    np.testing.assert_array_equal(rows.data, h_new[None])
+    np.testing.assert_array_equal(h_last, h_new)
+    np.testing.assert_array_equal(c_last, c_new)
 
 
 def test_lstm_cell_rejects_bad_starts():

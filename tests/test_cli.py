@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -106,6 +107,24 @@ def test_mistyped_config_field_is_a_configuration_error(field, value, tmp_path, 
     err = capsys.readouterr().err
     assert f"configuration error: {field} must be {declared}, got {value!r}" in err  # the type check, not a range check
     assert not out.exists()
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("field, value", [(f, v) for f in FLOAT_FIELDS for v in (math.nan, math.inf, -math.inf)]
+                         + [("grad_clip", 0.0), ("grad_clip", -1.0)])
+def test_non_finite_float_or_clip_off_is_a_configuration_error(field, value, tmp_path, capsys):
+    # as a flag and in a config.json: exit 1 and no output directory; a clip of 0 or less would switch clipping off
+    out = tmp_path / "flag"
+    assert cli.main(["run", f"--{field.replace('_', '-')}={value!r}", "--out", str(out)]) == 1
+    assert not out.exists()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**dataclasses.asdict(_run_args(tmp_path)), field: value}))
+    out = tmp_path / "file"
+    assert cli.main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.count(f"configuration error: {field} must be") == 2
 
 
 def _flag_value(f) -> tuple:
@@ -410,6 +429,42 @@ def test_checkpoint_rejects_adam_step_count_that_is_not_a_positive_integer(t, tm
         payload["adam"]["1"]["t"] = t
 
     _assert_rejected_unchanged(_rewrite(path, miscounted), re.escape(f"adam 1: step count t={t!r}"), tmp_path)
+
+
+@pytest.mark.parametrize("value", ["0.25", True, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section", ["params", "stats"])
+def test_checkpoint_rejects_an_entry_that_is_not_a_finite_number(section, value, tmp_path, trained_checkpoint):
+    # np.asarray would read "0.25" as 0.25 and true as 1.0; the last parameter, so nothing before it is assigned
+    _, path = trained_checkpoint()
+
+    def edit(payload):
+        entries = payload["params"]["head.critic3.b"]["data"] if section == "params" else payload["stats"]["audio"]["mu"]
+        entries[0] = value
+
+    match = "not a list of JSON numbers" if isinstance(value, (str, bool)) else "non-finite"
+    _assert_rejected_unchanged(_rewrite(path, edit), match, tmp_path)
+
+
+def test_checkpoint_rejects_a_negative_variance(tmp_path, trained_checkpoint):
+    # 1/sqrt(var + eps) of a negative var is NaN
+    _, path = trained_checkpoint()
+
+    def negative(payload):
+        payload["stats"]["visual"]["var"][5] = -0.5
+
+    _assert_rejected_unchanged(_rewrite(path, negative), "stats visual var: a negative entry", tmp_path)
+
+
+def test_checkpoint_loads_a_one_ulp_change(tmp_path, trained_checkpoint):
+    trainer, path = trained_checkpoint()
+    want = np.nextafter(trainer.named_parameters()["visual.conv1.w"].data.reshape(-1)[0], np.inf)
+
+    def nudge(payload):
+        payload["params"]["visual.conv1.w"]["data"][0] = float(want)
+
+    fresh = _fresh_trainer(tmp_path)
+    cli.load_checkpoint(_rewrite(path, nudge), fresh)
+    assert fresh.named_parameters()["visual.conv1.w"].data.reshape(-1)[0] == want
 
 
 def test_adam_state_and_checkpoint_keys_follow_the_registry(tmp_path):

@@ -122,9 +122,12 @@ def test_forward_sequence_matches_stepwise():
             f, st = e.forward(o, st)
             stepped.append(f)
 
-        feats, _ = e.forward_sequence(obs, starts, e.initial_state())
+        feats, final = e.forward_sequence(obs, starts, e.initial_state())
         for a, b in zip(stepped, feats):
             np.testing.assert_allclose(a, b.data, atol=1e-12)
+        # the final state is the one chaining forward reaches
+        np.testing.assert_allclose(final.h, st.h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final.c, st.c, rtol=0, atol=1e-12)
 
 
 def test_text_forward_sequence_matches_stepwise():
@@ -139,14 +142,17 @@ def test_text_forward_sequence_matches_stepwise():
             st = e.initial_state()
         f, st = e.forward(o, st)
         stepped.append(f)
-    feats, _ = e.forward_sequence(obs, starts, e.initial_state())
+    feats, final = e.forward_sequence(obs, starts, e.initial_state())
     for a, b in zip(stepped, feats):
         np.testing.assert_allclose(a, b.data, atol=1e-12)
+    np.testing.assert_allclose(final.h, st.h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(final.c, st.c, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["visual", "text"])
 def test_replay_graph_size_is_independent_of_rollout_length(kind):
-    # one fused lstm_cell node per replay, however long the rollout
+    # one fused lstm_cell node per replay, however long the rollout; its node holds the features
+    # themselves, so a visual replay slices nothing (text slices its embedding table)
     rng = np.random.default_rng(5)
     if kind == "visual":
         e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=5)
@@ -161,6 +167,9 @@ def test_replay_graph_size_is_independent_of_rollout_length(kind):
         assert feats.shape == (t_len, ex.FEATURE_DIM)
         nodes = ad.Graph.trace(feats.sum()).nodes
         assert sum(n._op == "lstm_cell" for n in nodes) == 1
+        assert feats._op == "lstm_cell"
+        if kind == "visual":
+            assert all(n._op != "slice" for n in nodes)
         sizes.append(len(nodes))
     assert sizes[0] == sizes[1]
 
@@ -187,14 +196,14 @@ def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
     # the acting stack's flat (F, oh*ow) buffer holds the bits of the autodiff stack, at batch 1, on
     # all 13 conv geometries, each layer gathered through the op's own cached index of its geometry
     geometries, op_indices = set(), []
-    conv2d_array = ad.conv2d_array
+    gather_index = ad.gather_index
 
-    def recording(x, w, b, stride, padding):
-        geometries.add((x.shape, w.shape, stride, padding))
-        op_indices.append(ad.gather_index(x.shape, w.shape[2:], stride, padding))
-        return conv2d_array(x, w, b, stride, padding)
+    def recording(x_shape, kernel, stride, padding):
+        geometries.add((x_shape, kernel, stride, padding))
+        op_indices.append(gather_index(x_shape, kernel, stride, padding))
+        return op_indices[-1]
 
-    monkeypatch.setattr(ad, "conv2d_array", recording)
+    monkeypatch.setattr(ad, "gather_index", recording)
     rng = np.random.default_rng(13)
     for e, obs in _env_extractors():
         noisy = rng.integers(0, e.vocab_size, size=obs.shape) if e.name == "text" else obs + rng.normal(size=obs.shape)
