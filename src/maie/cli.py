@@ -194,8 +194,8 @@ def load_checkpoint(path: str, trainer: Trainer):
     (``"01"`` and ``"+1"`` included), an Adam moment that is not base64 or
     whose byte count does not fit its stored shape, an Adam step count ``t``
     that is not an integer >= 1 (a float or a bool included), or stats saved
-    at another xi or stats_eps, and KeyError on a missing entry. The file is checked whole first, so a
-    rejected one changes nothing.
+    at another xi or stats_eps, and KeyError on a missing entry. The file is
+    checked whole first, so a rejected one changes nothing.
     """
     with open(path) as fh:
         payload = json.load(fh)

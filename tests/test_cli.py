@@ -431,7 +431,8 @@ def test_checkpoint_rejects_adam_step_count_that_is_not_a_positive_integer(t, tm
     _assert_rejected_unchanged(_rewrite(path, miscounted), re.escape(f"adam 1: step count t={t!r}"), tmp_path)
 
 
-@pytest.mark.parametrize("value", ["0.25", True, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", ["0.25", True, math.nan, math.inf, -math.inf, 10**400],
+                         ids=["string", "bool", "nan", "inf", "-inf", "huge_int"])
 @pytest.mark.parametrize("section", ["params", "stats"])
 def test_checkpoint_rejects_an_entry_that_is_not_a_finite_number(section, value, tmp_path, trained_checkpoint):
     # np.asarray would read "0.25" as 0.25 and true as 1.0; the last parameter, so nothing before it is assigned
@@ -441,7 +442,8 @@ def test_checkpoint_rejects_an_entry_that_is_not_a_finite_number(section, value,
         entries = payload["params"]["head.critic3.b"]["data"] if section == "params" else payload["stats"]["audio"]["mu"]
         entries[0] = value
 
-    match = "not a list of JSON numbers" if isinstance(value, (str, bool)) else "non-finite"
+    match = {str: "not a list of JSON numbers", bool: "not a list of JSON numbers", int: "beyond float64"}.get(
+        type(value), "non-finite")
     _assert_rejected_unchanged(_rewrite(path, edit), match, tmp_path)
 
 
