@@ -8,10 +8,10 @@ Every run writes to its output directory:
     embeddings.csv    per-modality feature vectors sampled every few steps
     eval.csv          per-episode evaluation results (when --eval-episodes > 0)
     checkpoint.json   extractor/head parameters, modality stats, Adam moments
-    run_info.json     wall-clock totals, the seconds spent evaluating and
-                      writing the artifacts and the checkpoint, and counters
-                      (kept out of metrics.csv so identical configs produce
-                      byte-identical metrics)
+    run_info.json     wall-clock and CPU totals, the seconds spent evaluating
+                      and writing the artifacts and the checkpoint, the BLAS
+                      thread count, and counters (kept out of metrics.csv so
+                      identical configs produce byte-identical metrics)
 
 ``checkpoint.json`` (format ``maie-checkpoint-v2``) keeps the parameters and
 the stats as JSON number lists, and stores each of Adam's moments as base64
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import base64
-import contextlib
 import dataclasses
 import io
 import json
@@ -40,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import envs
 from .agent import LOSS_COLUMNS, METHODS, NumericalError, TrainConfig, Trainer
 from .alignment import DISTANCE_KINDS
@@ -48,7 +48,6 @@ from .extractors import FEATURE_DIM
 
 METRICS_SCHEMA = "maie-metrics-v1"
 CHECKPOINT_FORMAT = "maie-checkpoint-v2"
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -191,8 +190,9 @@ def load_checkpoint(path: str, trainer: Trainer):
     not a finite JSON number (a string or a bool included), a negative stats
     variance, a stored shape that differs from its parameter's, an Adam key
     other than ``str`` of a position in ``trainer.named_parameters()``
-    (``"01"`` and ``"+1"`` included), an Adam moment that is not base64 or
-    whose byte count does not fit its stored shape, an Adam step count ``t``
+    (``"01"`` and ``"+1"`` included), an Adam moment that is not base64, whose
+    byte count does not fit its stored shape or that holds a NaN or an infinity,
+    an Adam ``v`` with a negative entry, an Adam step count ``t``
     that is not an integer >= 1 (a float or a bool included), or stats saved
     at another xi or stats_eps, and KeyError on a missing entry. The file is
     checked whole first, so a rejected one changes nothing.
@@ -227,6 +227,8 @@ def load_checkpoint(path: str, trainer: Trainer):
         shape = tuple(entry["shape"])
         m, v = (_checked(_moment_array(entry[k], shape, f"adam {key} {k}"), p.data.shape, f"adam {key} {k}")
                 for k in ("m", "v"))
+        if not (np.isfinite(m).all() and np.isfinite(v).all() and (v >= 0.0).all()):  # the next step takes sqrt(v)
+            raise ValueError(f"checkpoint adam {key}: a NaN or an infinity in m or v, or a negative v")
         t = entry["t"]
         if type(t) is not int or t < 1:  # a step count below 1 divides by zero in the bias correction
             raise ValueError(f"checkpoint adam {key}: step count t={t!r} is not an integer >= 1")
@@ -251,7 +253,7 @@ def run(cfg: RunConfig) -> int:
     config_payload["metrics_schema"] = METRICS_SCHEMA
     _atomic_write(os.path.join(cfg.out, "config.json"), json.dumps(config_payload, indent=2, sort_keys=True))
 
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     try:
         trainer.run(max_env_steps=cfg.max_env_steps)
         t_eval = time.perf_counter()
@@ -261,7 +263,7 @@ def run(cfg: RunConfig) -> int:
         _atomic_write(dump_path, json.dumps({"error": str(e), **e.dump}, indent=2))
         print(f"numerical abort: {e}; rollout dump at {dump_path}", file=sys.stderr)
         return 2
-    t1 = time.perf_counter()
+    t1, c1 = time.perf_counter(), time.process_time()
     mods = trainer.modalities
     write_metrics_csv(os.path.join(cfg.out, "metrics.csv"), trainer.metrics_rows, mods)
     _write_lambda_trace(os.path.join(cfg.out, "lambda_trace.csv"), trainer.lambda_rows, mods)
@@ -275,21 +277,18 @@ def run(cfg: RunConfig) -> int:
     t2 = time.perf_counter()
     save_checkpoint(os.path.join(cfg.out, "checkpoint.json"), trainer)
     t3 = time.perf_counter()
-    _atomic_write(
-        os.path.join(cfg.out, "run_info.json"),
-        json.dumps(
-            {
-                "wall_seconds": t1 - t0,
-                "eval_seconds": t1 - t_eval,
-                "artifacts_seconds": t2 - t1,
-                "checkpoint_seconds": t3 - t2,
-                "env_steps": trainer.env_steps,
-                "episodes": trainer.episode,
-                "ms_per_env_step": 1e3 * (t_eval - t0) / max(trainer.env_steps, 1),
-            },
-            indent=2,
-        ),
-    )
+    info = {
+        "wall_seconds": t1 - t0,
+        "cpu_seconds": c1 - c0,
+        "blas_threads": ad.blas_threads(),
+        "eval_seconds": t1 - t_eval,
+        "artifacts_seconds": t2 - t1,
+        "checkpoint_seconds": t3 - t2,
+        "env_steps": trainer.env_steps,
+        "episodes": trainer.episode,
+        "ms_per_env_step": 1e3 * (t_eval - t0) / max(trainer.env_steps, 1),
+    }
+    _atomic_write(os.path.join(cfg.out, "run_info.json"), json.dumps(info, indent=2))
     return 0
 
 
@@ -320,31 +319,13 @@ def _sweep_worker(args) -> dict:
     return result
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Set BLAS_THREAD_VARS to one thread for the processes started inside; restore them after.
-
-    Concurrent runs each with a BLAS pool as wide as the machine oversubscribe
-    its cores; a worker process reads these variables when it imports numpy.
-    """
-    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
     """Run the method x seed cross product and summarize final-window returns.
 
     A run that fails or finishes no episode is reported on stderr and left
     out of the summary; the sweep exits 1 when no run is left. With jobs > 1
-    the runs go to spawned worker processes with one BLAS thread each.
+    the runs go to spawned worker processes. Each imports maie and so runs BLAS
+    on one thread (see ``autodiff``): the runs do not oversubscribe the cores.
     """
     if not seeds or not methods:
         print("sweep needs nonempty seed and method lists", file=sys.stderr)
@@ -353,7 +334,7 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
     base_dict = dataclasses.asdict(base)
     tasks = [(base_dict, m, s) for m in methods for s in seeds]
     if jobs > 1:
-        with _one_blas_thread(), mp.get_context("spawn").Pool(processes=jobs) as pool:
+        with mp.get_context("spawn").Pool(processes=jobs) as pool:
             results = pool.map(_sweep_worker, tasks)
     else:
         results = [_sweep_worker(t) for t in tasks]

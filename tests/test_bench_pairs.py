@@ -11,8 +11,10 @@ _spec.loader.exec_module(bench_pairs)
 METRICS = {"op_ms_p50": {"better": "lower", "bound": 0.25}, "env_steps_per_s": {"better": "higher", "bound": 0.25}}
 
 
-def _side(op_ms, steps, correct=True, attempted=10, failed=0):
-    metrics = {"op_ms_p50": {"value": op_ms}, "env_steps_per_s": {"value": steps}}
+def _side(op_ms, steps, correct=True, attempted=10, failed=0, cpu_ms=None):
+    cpu_ms = 1e3 / steps if cpu_ms is None else cpu_ms  # one busy thread: CPU time equals wall time
+    metrics = {"op_ms_p50": {"value": op_ms}, "env_steps_per_s": {"value": steps},
+               "cpu_ms_per_env_step": {"value": cpu_ms}}
     return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
 
 
@@ -90,3 +92,14 @@ def test_worse_beyond_bound_compares_the_medians_against_the_metric_bound():
     summary = bench_pairs.summarize(slower, METRICS)
     assert summary["op_ms_p50"]["worse_beyond_bound"]  # 26% slower
     assert not summary["env_steps_per_s"]["worse_beyond_bound"]
+
+
+def test_cpu_wall_ratio_is_the_median_of_cpu_ms_per_step_times_steps_per_second():
+    # base: two busy threads (2 ms of CPU per step at 1000 steps/s is 2 s of CPU per wall second); change: one
+    runs = [
+        {"seed": i, "first": "base", "base": _side(10.0, steps, cpu_ms=cpu_ms), "change": _side(10.0, 500.0 + i)}
+        for i, (steps, cpu_ms) in enumerate([(1000.0, 2.0), (800.0, 2.25), (1250.0, 1.44)])
+    ]
+    ratio = bench_pairs.summarize(runs, METRICS)["cpu_wall_ratio"]
+    assert ratio["base"] == pytest.approx(1.8)  # the median of 2.0, 1.8 and 1.8
+    assert ratio["change"] == pytest.approx(1.0)

@@ -5,14 +5,20 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
+from maie import autodiff as ad
 from maie import cli, envs
 from maie.agent import LOSS_COLUMNS, Trainer
 from maie.cli import RunConfig, final_window_stats, read_metrics_csv
+
+
+_NUMPY_HAS_OPENBLAS = "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
 
 
 def _run_args(tmp_path, **kw):
@@ -457,6 +463,24 @@ def test_checkpoint_rejects_a_negative_variance(tmp_path, trained_checkpoint):
     _assert_rejected_unchanged(_rewrite(path, negative), "stats visual var: a negative entry", tmp_path)
 
 
+@pytest.mark.parametrize("moment,value", [("m", math.nan), ("m", -math.inf), ("v", math.inf), ("v", -1.0)],
+                         ids=["nan_m", "-inf_m", "inf_v", "negative_v"])
+def test_checkpoint_rejects_an_adam_moment_the_next_step_cannot_use(moment, value, tmp_path, trained_checkpoint):
+    # the right length and shape, so only the values are wrong: a NaN or an infinity spreads into the
+    # parameter at the next step, and a negative v makes its square root NaN
+    trainer, path = trained_checkpoint()
+    key = _adam_key(trainer, "head.critic3.b")  # the last parameter, so nothing before it is assigned
+
+    def edit(payload):
+        entry = payload["adam"][key]
+        arr = np.frombuffer(base64.b64decode(entry[moment]), dtype="<f8").copy()
+        arr[0] = value
+        entry[moment] = base64.b64encode(arr.tobytes()).decode("ascii")
+
+    _assert_rejected_unchanged(_rewrite(path, edit), rf"adam {key}: a NaN or an infinity in m or v, or a negative v",
+                               tmp_path)
+
+
 def test_checkpoint_loads_a_one_ulp_change(tmp_path, trained_checkpoint):
     trainer, path = trained_checkpoint()
     want = np.nextafter(trainer.named_parameters()["visual.conv1.w"].data.reshape(-1)[0], np.inf)
@@ -495,9 +519,12 @@ def test_run_info_splits_out_the_write_seconds(tmp_path):
         out = tmp_path / f"eval{eval_episodes}"
         assert cli.run(_run_args(tmp_path, eval_episodes=eval_episodes, out=str(out))) == 0
         info = json.loads((out / "run_info.json").read_text())
-        for key in ("wall_seconds", "eval_seconds", "artifacts_seconds", "checkpoint_seconds"):
+        for key in ("wall_seconds", "cpu_seconds", "eval_seconds", "artifacts_seconds", "checkpoint_seconds"):
             assert isinstance(info[key], float) and info[key] >= 0.0, key
         assert info["eval_seconds"] < info["wall_seconds"]
+        # one BLAS thread and no other: the process cannot spend more CPU time than wall time
+        assert info["blas_threads"] == ad.blas_threads() == (1 if _NUMPY_HAS_OPENBLAS else None)
+        assert 0.0 < info["cpu_seconds"] <= 1.05 * info["wall_seconds"] + 0.01
         # env_steps counts training steps only, so ms_per_env_step leaves the evaluation seconds out
         train_seconds = info["wall_seconds"] - info["eval_seconds"]
         assert info["ms_per_env_step"] == pytest.approx(1e3 * train_seconds / info["env_steps"], rel=1e-9)
@@ -560,27 +587,47 @@ def test_sweep_carries_on_past_a_failed_run(tmp_path, capsys):
     assert "run failed: method=maie seed=1 status=1 IsADirectoryError" in capsys.readouterr().err
 
 
-def test_parallel_sweep_pins_blas_threads_in_its_workers_only(tmp_path, monkeypatch):
+def test_parallel_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    # the workers inherit a three-thread setting, and importing maie still pins them to one
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("MKL_NUM_THREADS", "")
     before = dict(os.environ)
     spawn = cli.mp.get_context("spawn")
     seen = []
 
-    def pool(processes):  # the real spawn pool, asked first what its workers' environment holds
+    def pool(processes):  # the real spawn pool, asked first how many BLAS threads its workers run
         workers = spawn.Pool(processes=processes)
-        seen.append(workers.map(os.getenv, cli.BLAS_THREAD_VARS))
+        seen.append(workers.starmap(ad.blas_threads, [()] * processes))
         return workers
 
     monkeypatch.setattr(cli, "mp", types.SimpleNamespace(get_context=lambda method: types.SimpleNamespace(Pool=pool)))
     cfg = _run_args(tmp_path, out=str(tmp_path / "sw"))
     assert cli.sweep(cfg, seeds=[1], methods=["concat"], jobs=2) == 0
-    assert seen == [["1", "1", "1"]]
+    one = 1 if _NUMPY_HAS_OPENBLAS else None
+    assert seen == [[one, one]]
+    assert json.loads((tmp_path / "sw" / "concat_seed1" / "run_info.json").read_text())["blas_threads"] == one
     assert dict(os.environ) == before
     assert cli.run(_run_args(tmp_path, out=str(tmp_path / "solo"))) == 0
     assert (tmp_path / "sw" / "concat_seed1" / "metrics.csv").read_bytes() == \
         (tmp_path / "solo" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.skipif(not _NUMPY_HAS_OPENBLAS, reason="numpy is built without OpenBLAS")
+def test_importing_maie_runs_one_blas_thread_whatever_the_environment():
+    # no flag, config field or environment variable selects the thread count: a fresh interpreter told
+    # to use two threads runs one once it imports maie, and the variable itself is left as it was
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+    code = "import os, maie.cli; print(maie.autodiff.blas_threads(), os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2"]
+
+
+def test_one_blas_thread_a_second_time_changes_nothing():
+    a, b = np.random.default_rng(0).standard_normal((2, 256, 256))
+    before = a @ b
+    assert ad.one_blas_thread() == ad.one_blas_thread() == ad.blas_threads() == (1 if _NUMPY_HAS_OPENBLAS else None)
+    np.testing.assert_array_equal(a @ b, before)
 
 
 def test_final_window_stats_fraction(tmp_path):

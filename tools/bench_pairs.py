@@ -15,7 +15,10 @@ Each metric also gets two verdicts. ``gain_shown``: the working tree won at
 least nine pairs in ten, and its median is better than the base's by more
 than the base's interquartile range. ``worse_beyond_bound``: its median is
 worse than the base's by more than the metric's ``bound`` in BENCHMARK.json,
-a fraction of the base's median.
+a fraction of the base's median. Per side, ``cpu_wall_ratio`` is the median
+over the runs of process CPU time over wall time, ``cpu_ms_per_env_step ×
+env_steps_per_s / 1000``: about 1 for a process that runs one thread, and
+higher for each thread that runs beside it.
 perfbench exits 0 on wrong outputs too, so the script exits 1 after writing
 the file when any run was wrong or any operation failed.
 """
@@ -64,7 +67,7 @@ GAIN_PAIR_SHARE = 0.9  # a claimed gain must win at least this share of the pair
 
 
 def summarize(runs: list, metrics: dict) -> dict:
-    """Each side's operation counts; per metric each side's median and quartiles, the pairs the change won, and the verdicts.
+    """Each side's operation counts and median CPU/wall ratio; per metric each side's median and quartiles, the pairs the change won, and the verdicts.
 
     ``metrics`` maps each metric's name to its BENCHMARK.json entry, of which
     ``better`` and ``bound`` are read.
@@ -77,7 +80,13 @@ def summarize(runs: list, metrics: dict) -> dict:
                 "incorrect_runs": sum(not r[side]["correct"] for r in runs),
             }
             for side in ("base", "change")
-        }
+        },
+        "cpu_wall_ratio": {
+            side: statistics.median(
+                r[side]["metrics"]["cpu_ms_per_env_step"]["value"] * r[side]["metrics"]["env_steps_per_s"]["value"]
+                / 1e3 for r in runs)
+            for side in ("base", "change")
+        },
     }
     for name, spec in metrics.items():
         sides = {side: [r[side]["metrics"][name]["value"] for r in runs] for side in ("base", "change")}
@@ -136,7 +145,11 @@ def main(argv=None) -> int:
                     op = run[side]["metrics"]["op_ms_p50"]["value"]
                     print(f"{workload} seed {seed} {side:<6} op_ms_p50 {op:.2f} ms", file=sys.stderr, flush=True)
                 runs.append(run)
-            result["workloads"][workload] = {"summary": summarize(runs, metrics), "runs": runs}
+            summary = summarize(runs, metrics)
+            result["workloads"][workload] = {"summary": summary, "runs": runs}
+            ratio = summary["cpu_wall_ratio"]
+            print(f"{workload} cpu/wall median: base {ratio['base']:.2f}, change {ratio['change']:.2f}",
+                  file=sys.stderr, flush=True)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
