@@ -13,7 +13,8 @@ in the Value objects, and the one module-level cache, ``gather_index``,
 holds read-only index arrays, so independent training runs may execute in
 parallel threads or processes. Every maie process runs numpy's OpenBLAS on
 one thread (``one_blas_thread``, called on import): on matrices this small a
-second thread about doubled a training step's CPU time and saved no wall time.
+second thread nearly doubled a training step's CPU time and saved at most a
+few percent of its wall time.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def blas_threads() -> int | None:
 
 def one_blas_thread() -> int | None:
     """Set numpy's OpenBLAS to one thread and return ``blas_threads()``; calling it again changes nothing."""
-    for put in _openblas_threads()[:1]:
-        put(1)
+    if fns := _openblas_threads():
+        fns[0](1)
     return blas_threads()
 
 

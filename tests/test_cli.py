@@ -587,7 +587,7 @@ def test_sweep_carries_on_past_a_failed_run(tmp_path, capsys):
     assert "run failed: method=maie seed=1 status=1 IsADirectoryError" in capsys.readouterr().err
 
 
-def test_parallel_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
+def test_parallel_sweep_workers_each_run_a_single_blas_thread(tmp_path, monkeypatch):
     # the workers inherit a three-thread setting, and importing maie still pins them to one
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     before = dict(os.environ)
@@ -612,7 +612,7 @@ def test_parallel_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not _NUMPY_HAS_OPENBLAS, reason="numpy is built without OpenBLAS")
-def test_importing_maie_runs_one_blas_thread_whatever_the_environment():
+def test_importing_maie_pins_blas_to_a_single_thread_whatever_the_environment():
     # no flag, config field or environment variable selects the thread count: a fresh interpreter told
     # to use two threads runs one once it imports maie, and the variable itself is left as it was
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -623,7 +623,7 @@ def test_importing_maie_runs_one_blas_thread_whatever_the_environment():
     assert proc.stdout.split() == ["1", "2"]
 
 
-def test_one_blas_thread_a_second_time_changes_nothing():
+def test_pinning_blas_a_second_time_changes_nothing():
     a, b = np.random.default_rng(0).standard_normal((2, 256, 256))
     before = a @ b
     assert ad.one_blas_thread() == ad.one_blas_thread() == ad.blas_threads() == (1 if _NUMPY_HAS_OPENBLAS else None)
