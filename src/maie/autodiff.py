@@ -8,6 +8,10 @@ walking the same nodes a second time raises (prevents silent double
 accumulation). Gradients on leaves accumulate additively until the caller
 zeroes them.
 
+The elementwise ops (add, sub, mul, div, neg, relu, square, sqrt, log) are
+one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
+``Value``'s operators and methods are bound straight to the op functions.
+
 No mutable global state is shared between runs: the graph lives entirely
 in the Value objects, and the one module-level cache, ``gather_index``,
 holds read-only index arrays, so independent training runs may execute in
@@ -91,7 +95,9 @@ class Value:
     """A float64 array plus the bookkeeping for reverse-mode gradients.
 
     ``grad`` is allocated (zeros, same shape as ``data``) whenever
-    ``requires_grad`` is true and accumulates across backward passes.
+    ``requires_grad`` is true and accumulates across backward passes. The
+    operators and ``sum``, ``relu``, ``reshape``, ... are the op functions,
+    bound after the ops.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_spent")
@@ -116,57 +122,6 @@ class Value:
 
     def __repr__(self):
         return f"Value(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar; the named functions below do the actual work --
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __getitem__(self, key):
-        return narrow(self, key)
-
-    def sum(self, axis=None):
-        return reduce_sum(self, axis)
-
-    def mean(self):
-        return reduce_mean(self)
-
-    def relu(self):
-        return relu(self)
-
-    def square(self):
-        return square(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def log(self):
-        return log(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _lift(x) -> Value:
@@ -202,8 +157,6 @@ def _node(data: np.ndarray, parents, backward_fn, op: str) -> Value:
 
 def _accum(p: Value, g: np.ndarray):
     """Add an adjoint contribution to a parent, reducing broadcast axes."""
-    if not p.requires_grad:
-        return
     shape = p.data.shape
     if g.shape != shape:
         while g.ndim > len(shape):
@@ -216,72 +169,50 @@ def _accum(p: Value, g: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
+# elementwise ops
 # ---------------------------------------------------------------------------
 
 
-def _check_elementwise(op: str, a: Value, b: Value):
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
+def _elementwise(kind: str, forward, *adjoints):
+    """The op ``kind``: ``forward(*arrays)`` of its operands, and ``adjoint(g, out, *arrays)`` per operand.
+
+    Two operands of different shapes must broadcast (else ShapeError naming
+    ``kind``); checking only then keeps the common same-shape call cheap.
+    The backward adds each operand's adjoint through ``_accum`` only when
+    that operand requires a gradient, so a constant's adjoint (a mask, a
+    fixed weight) is never computed.
+    """
+
+    def op(*operands) -> Value:
+        vals = tuple(map(_lift, operands))
+        arrays = [v.data for v in vals]
+        if len(arrays) == 2 and arrays[0].shape != arrays[1].shape:
+            try:
+                np.broadcast_shapes(arrays[0].shape, arrays[1].shape)
+            except ValueError:
+                raise ShapeError(f"{kind}: shapes {arrays[0].shape} and {arrays[1].shape} do not broadcast") from None
+        out = forward(*arrays)
+
+        def back(g):
+            for v, adjoint in zip(vals, adjoints):
+                if v.requires_grad:
+                    _accum(v, adjoint(g, out, *arrays))
+
+        return _node(out, vals, back, kind)
+
+    op.__name__ = op.__qualname__ = kind
+    return op
 
 
-def add(a, b) -> Value:
-    a, b = _lift(a), _lift(b)
-    _check_elementwise("add", a, b)
-    out_data = a.data + b.data
-
-    def back(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _node(out_data, (a, b), back, "add")
-
-
-def sub(a, b) -> Value:
-    a, b = _lift(a), _lift(b)
-    _check_elementwise("sub", a, b)
-    out_data = a.data - b.data
-
-    def back(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _node(out_data, (a, b), back, "sub")
-
-
-def mul(a, b) -> Value:
-    a, b = _lift(a), _lift(b)
-    _check_elementwise("mul", a, b)
-    out_data = a.data * b.data
-
-    def back(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _node(out_data, (a, b), back, "mul")
-
-
-def div(a, b) -> Value:
-    a, b = _lift(a), _lift(b)
-    _check_elementwise("div", a, b)
-    out_data = a.data / b.data
-
-    def back(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
-
-    return _node(out_data, (a, b), back, "div")
-
-
-def neg(a) -> Value:
-    a = _lift(a)
-
-    def back(g):
-        _accum(a, -g)
-
-    return _node(-a.data, (a,), back, "neg")
+add = _elementwise("add", np.add, lambda g, out, a, b: g, lambda g, out, a, b: g)
+sub = _elementwise("sub", np.subtract, lambda g, out, a, b: g, lambda g, out, a, b: -g)
+mul = _elementwise("mul", np.multiply, lambda g, out, a, b: g * b, lambda g, out, a, b: g * a)
+div = _elementwise("div", np.divide, lambda g, out, a, b: g / b, lambda g, out, a, b: -g * a / (b * b))
+neg = _elementwise("neg", np.negative, lambda g, out, a: -g)
+relu = _elementwise("relu", lambda x: np.maximum(x, 0.0), lambda g, out, x: g * (x > 0.0))
+square = _elementwise("square", lambda x: x * x, lambda g, out, x: g * 2.0 * x)
+sqrt = _elementwise("sqrt", np.sqrt, lambda g, out, x: g * 0.5 / out)
+log = _elementwise("log", np.log, lambda g, out, x: g / x)
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +414,6 @@ def softmax(x, axis: int = -1) -> Value:
     return _node(s, (x,), back, "softmax_axis")
 
 
-def relu(x) -> Value:
-    x = _lift(x)
-    out_data = np.maximum(x.data, 0.0)
-
-    def back(g):
-        x.grad += g * (x.data > 0.0)
-
-    return _node(out_data, (x,), back, "relu")
-
-
 def reduce_sum(x, axis=None) -> Value:
     x = _lift(x)
     out_data = np.sum(x.data, axis=axis)
@@ -515,34 +436,6 @@ def reduce_mean(x) -> Value:
         x.grad += g / n
 
     return _node(out_data, (x,), back, "mean")
-
-
-def square(x) -> Value:
-    x = _lift(x)
-
-    def back(g):
-        x.grad += g * 2.0 * x.data
-
-    return _node(x.data * x.data, (x,), back, "square")
-
-
-def sqrt(x) -> Value:
-    x = _lift(x)
-    r = np.sqrt(x.data)
-
-    def back(g):
-        x.grad += g * 0.5 / r
-
-    return _node(r, (x,), back, "sqrt")
-
-
-def log(x) -> Value:
-    x = _lift(x)
-
-    def back(g):
-        x.grad += g / x.data
-
-    return _node(np.log(x.data), (x,), back, "log")
 
 
 def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
@@ -623,6 +516,23 @@ def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts) -> tuple:
             w_hh.grad += dz.T @ h_in
 
     return _node(h_out, (sx, w_hh), back, "lstm_cell"), (h, c)
+
+
+Value.__add__ = Value.__radd__ = add
+Value.__sub__ = sub
+Value.__rsub__ = lambda self, other: sub(other, self)
+Value.__mul__ = Value.__rmul__ = mul
+Value.__truediv__ = div
+Value.__rtruediv__ = lambda self, other: div(other, self)
+Value.__neg__ = neg
+Value.__getitem__ = narrow
+Value.sum = reduce_sum
+Value.mean = reduce_mean
+Value.relu = relu
+Value.square = square
+Value.sqrt = sqrt
+Value.log = log
+Value.reshape = reshape
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,20 @@ def _numbers(values, what: str) -> np.ndarray:
     return arr
 
 
+def _object(value, what: str) -> dict:
+    """A JSON object of the checkpoint, or a ValueError naming ``what``."""
+    if type(value) is not dict:
+        raise ValueError(f"checkpoint {what}: not a JSON object")
+    return value
+
+
+def _shape(value, what: str) -> tuple:
+    """A stored shape, a JSON list of integers >= 0, as a tuple."""
+    if type(value) is not list or not all(type(d) is int and d >= 0 for d in value):
+        raise ValueError(f"checkpoint {what}: shape {value!r} is not a list of integers >= 0")
+    return tuple(value)
+
+
 def _checked(values, shape: tuple, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
@@ -186,30 +200,34 @@ def save_checkpoint(path: str, trainer: Trainer):
 def load_checkpoint(path: str, trainer: Trainer):
     """Restore a ``save_checkpoint`` file into a trainer of the same env and config.
 
-    Raises ValueError on another format, a parameter or stats entry that is
-    not a finite JSON number (a string or a bool included), a negative stats
-    variance, a stored shape that differs from its parameter's, an Adam key
-    other than ``str`` of a position in ``trainer.named_parameters()``
-    (``"01"`` and ``"+1"`` included), an Adam moment that is not base64, whose
-    byte count does not fit its stored shape or that holds a NaN or an infinity,
-    an Adam ``v`` with a negative entry, an Adam step count ``t``
-    that is not an integer >= 1 (a float or a bool included), or stats saved
-    at another xi or stats_eps, and KeyError on a missing entry. The file is
-    checked whole first, so a rejected one changes nothing.
+    Raises ValueError on another format, a file, table or entry that is not
+    a JSON object, a stored shape that is not a list of integers >= 0, a
+    parameter or stats entry that is not a finite JSON number (a string or a
+    bool included), a negative stats variance, a stored shape that differs
+    from its parameter's, an Adam key other than ``str`` of a position in
+    ``trainer.named_parameters()`` (``"01"`` and ``"+1"`` included), an Adam
+    moment that is not base64, whose byte count does not fit its stored shape
+    or that holds a NaN or an infinity, an Adam ``v`` with a negative entry,
+    an Adam step count ``t`` that is not an integer >= 1 (a float or a bool
+    included), or stats saved at another xi or stats_eps, and KeyError on a
+    missing entry. The file is checked whole first, so a rejected one changes
+    nothing.
     """
     with open(path) as fh:
-        payload = json.load(fh)
+        payload = _object(json.load(fh), "file")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {payload.get('format')!r} is not {CHECKPOINT_FORMAT!r}")
     cfg, opt = trainer.cfg, trainer.opt
     params = trainer.named_parameters()
-    arrays = {}
+    arrays, saved = {}, _object(payload["params"], "params")
     for name, p in params.items():
-        entry, what = payload["params"][name], f"parameter {name}"
-        arrays[name] = _checked(_numbers(entry["data"], what).reshape(entry["shape"]), p.data.shape, what)
-    stats = {}
+        what = f"parameter {name}"
+        entry = _object(saved[name], what)
+        data = _numbers(entry["data"], what).reshape(_shape(entry["shape"], what))
+        arrays[name] = _checked(data, p.data.shape, what)
+    stats, saved = {}, _object(payload["stats"], "stats")
     for m in trainer.modalities:
-        entry = payload["stats"][m]
+        entry = _object(saved[m], f"stats {m}")
         if (entry["xi"], entry["eps"]) != (cfg.xi, cfg.stats_eps):
             raise ValueError(f"checkpoint stats {m}: saved at xi={entry['xi']}, stats_eps={entry['eps']}, "
                              f"but the trainer has xi={cfg.xi}, stats_eps={cfg.stats_eps}")
@@ -220,11 +238,12 @@ def load_checkpoint(path: str, trainer: Trainer):
         stats[m] = ModalityStats(mu=mu, var=var)
     by_position = {str(i): p for i, p in enumerate(params.values())}
     state = {}
-    for key, entry in payload["adam"].items():
+    for key, entry in _object(payload["adam"], "adam").items():
         p = by_position.get(key)
         if p is None:
             raise ValueError(f"checkpoint adam {key}: no parameter at that position")
-        shape = tuple(entry["shape"])
+        entry = _object(entry, f"adam {key}")
+        shape = _shape(entry["shape"], f"adam {key}")
         m, v = (_checked(_moment_array(entry[k], shape, f"adam {key} {k}"), p.data.shape, f"adam {key} {k}")
                 for k in ("m", "v"))
         if not (np.isfinite(m).all() and np.isfinite(v).all() and (v >= 0.0).all()):  # the next step takes sqrt(v)
@@ -326,10 +345,20 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
     out of the summary; the sweep exits 1 when no run is left. With jobs > 1
     the runs go to spawned worker processes. Each imports maie and so runs BLAS
     on one thread (see ``autodiff``): the runs do not oversubscribe the cores.
+
+    Raises ValueError, before any directory is made, on an empty seed or
+    method list, a seed or method listed twice (its runs would share one
+    directory), a method its ``RunConfig`` rejects, or jobs below 1.
     """
     if not seeds or not methods:
-        print("sweep needs nonempty seed and method lists", file=sys.stderr)
-        return 1
+        raise ValueError("sweep needs nonempty seed and method lists")
+    for what, items in (("method", methods), ("seed", seeds)):
+        if len(set(items)) < len(items):
+            raise ValueError(f"sweep lists a {what} twice: {items}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for m in methods:
+        dataclasses.replace(base, method=m)  # the method's RunConfig checks its name
     os.makedirs(base.out, exist_ok=True)
     base_dict = dataclasses.asdict(base)
     tasks = [(base_dict, m, s) for m in methods for s in seeds]
@@ -425,9 +454,6 @@ def main(argv=None) -> int:
             cfg = RunConfig(**{**_merge_config(args), "method": "maie"})
             seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
             methods = [m for m in str(args.methods).split(",") if m]
-            for m in methods:
-                if m not in METHODS:
-                    raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
             return sweep(cfg, seeds, methods, jobs=args.jobs)
     except ValueError as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -1,7 +1,5 @@
-"""Heavier machinery for the acceptance suite.
-
-Top-level functions so the multiprocessing pool can dispatch them to
-worker processes for the training-based criteria.
+"""Heavier machinery for the acceptance suite: the pipeline gradient check
+(criterion 1) and the alignment and temporal-term effects (criteria 4 and 5).
 """
 
 import numpy as np
@@ -10,9 +8,8 @@ from maie import alignment as al
 from maie import autodiff as ad
 from maie import enhancement as en
 from maie import extractors as ex
-from maie.agent import PolicyValueHead, TrainConfig, Trainer, actor_loss, critic_loss, compute_returns, log_probs_and_entropy
+from maie.agent import PolicyValueHead, TrainConfig, actor_loss, critic_loss, compute_returns, log_probs_and_entropy
 from maie.autodiff import Value
-from maie import envs
 
 from grad_check import grad_check
 
@@ -143,49 +140,3 @@ def temporal_effect(seed: int, c_td: float, steps: int = 400) -> float:
         ad.zero_grads(params)
     f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
     return float(np.mean([al.distance(f2[t], f2[t + 1], "cosine").data.item() for t in range(t_len - 1)]))
-
-
-# -- criteria 6-9: seeded training runs ---------------------------------------
-
-
-def train_run(env_name: str, method: str, seed: int, max_steps: int,
-              stop_at_success: float | None = None, window: int = 25, **cfg_kw) -> dict:
-    """One seeded training run; stops early once the trailing success rate
-    reaches ``stop_at_success`` (measured over ``window`` episodes).
-
-    Returns learning-curve summaries used by the directional criteria.
-    """
-    defaults = dict(rollout_length=32, lr=1e-3, entropy_coef=0.01, episodes=10**9)
-    defaults.update(cfg_kw)
-    cfg = TrainConfig(method=method, seed=seed, **defaults)
-    env = envs.make_env(env_name, seed)
-    trainer = Trainer(env, cfg)
-    steps_to_target = None
-    while trainer.env_steps < max_steps:
-        trainer.train_step()
-        rows = trainer.metrics_rows
-        if stop_at_success is not None and len(rows) >= window and steps_to_target is None:
-            trailing = np.mean([r["success"] for r in rows[-window:]])
-            if trailing >= stop_at_success:
-                steps_to_target = trainer.env_steps
-                break
-    rows = trainer.metrics_rows
-    k = max(1, int(np.ceil(0.1 * len(rows))))
-    returns = np.array([r["return"] for r in rows])
-    succ = np.array([r["success"] for r in rows])
-    steps = np.array([r["env_steps"] for r in rows])
-    return {
-        "env": env_name,
-        "method": method,
-        "seed": seed,
-        "steps_to_target": steps_to_target,
-        "env_steps": trainer.env_steps,
-        "episodes": len(rows),
-        "final_return": float(returns[-k:].mean()) if len(rows) else float("nan"),
-        "final_success": float(succ[-k:].mean()) if len(rows) else 0.0,
-        "auc_return": float(np.trapezoid(returns, steps)) if len(rows) > 1 else 0.0,
-    }
-
-
-def train_run_task(task: dict) -> dict:
-    return train_run(**task)

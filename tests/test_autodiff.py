@@ -1,3 +1,4 @@
+import operator
 import zlib
 
 import numpy as np
@@ -115,9 +116,26 @@ def test_gather_index_is_read_only_and_cache_bounded():
     assert ad.gather_index.cache_info().currsize <= maxsize
 
 
-def test_elementwise_shape_mismatch_names_op():
-    with pytest.raises(ad.ShapeError, match="add"):
-        ad.Value(np.zeros(3)) + ad.Value(np.zeros(4))
+BINARY_OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+@pytest.mark.parametrize("kind", sorted(BINARY_OPERATORS))
+def test_elementwise_shape_mismatch_names_op(kind):
+    with pytest.raises(ad.ShapeError, match=rf"^{kind}: shapes \(3,\) and \(4,\) do not broadcast"):
+        BINARY_OPERATORS[kind](ad.Value(np.zeros(3)), ad.Value(np.zeros(4)))
+
+
+@pytest.mark.parametrize("kind,const", [("sub", 2.0), ("div", 1.0), ("mul", 0.5), ("add", 1.0)])
+def test_reflected_operator_is_the_op_on_the_lifted_constant(kind, const):
+    # const - v, const / v, const * v and const + v against the op on Value(const), bit for bit
+    x = np.random.default_rng(4).uniform(0.5, 2.0, size=(3, 2))
+    v, w = ad.Value(x, requires_grad=True), ad.Value(x.copy(), requires_grad=True)
+    got, want = BINARY_OPERATORS[kind](const, v), getattr(ad, kind)(ad.Value(const), w)
+    assert got._op == want._op == kind
+    assert np.array_equal(got.data, want.data)
+    ad.backward(got.square().sum())
+    ad.backward(want.square().sum())
+    assert np.array_equal(v.grad, w.grad) and v.grad.any()
 
 
 def test_ops_take_only_their_one_form():

@@ -169,6 +169,25 @@ def test_unknown_method_in_sweep(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flags,match", [
+    (["--methods", "concat,concat"], "sweep lists a method twice"),
+    (["--seeds", "1,1"], "sweep lists a seed twice"),
+    (["--seeds", "1,01"], "sweep lists a seed twice"),
+    (["--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["--jobs", "-2"], "jobs must be >= 1, got -2"),
+    (["--methods", "maie,attention"], "method must be one of"),
+], ids=["method_twice", "seed_twice", "same_seed_spelt_twice", "jobs_0", "jobs_-2", "unknown_method"])
+def test_sweep_input_is_a_configuration_error_before_any_run(flags, match, tmp_path, capsys):
+    # a repeated method or seed used to run into one directory and count each run again in summary.csv,
+    # and jobs below 1 used to run sequentially
+    out = tmp_path / "sw"
+    rc = cli.main(["sweep", "--env", "hetero_nav", "--methods", "concat", "--seeds", "1", "--max-env-steps", "64",
+                   "--out", str(out), *flags])
+    assert rc == 1
+    assert f"configuration error: {match}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_episodes_written(tmp_path):
     cfg = _run_args(tmp_path, method="maie", eval_episodes=2, out=str(tmp_path / "ev"))
     assert cli.run(cfg) == 0
@@ -451,6 +470,43 @@ def test_checkpoint_rejects_an_entry_that_is_not_a_finite_number(section, value,
     match = {str: "not a list of JSON numbers", bool: "not a list of JSON numbers", int: "beyond float64"}.get(
         type(value), "non-finite")
     _assert_rejected_unchanged(_rewrite(path, edit), match, tmp_path)
+
+
+def _set(*path, value):
+    """An edit that sets ``payload[k1][k2]...`` to ``value`` and returns the payload."""
+
+    def edit(payload):
+        node = payload
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        return payload
+
+    return edit
+
+
+STRUCTURE_FAULTS = {
+    "file_a_list": (lambda payload: [], "file: not a JSON object"),
+    "params_a_list": (_set("params", value=[]), "params: not a JSON object"),
+    "params_entry_a_list": (_set("params", "head.critic3.b", value=[0.0]), "parameter head.critic3.b: not a JSON object"),
+    "params_shape_of_text": (_set("params", "head.critic3.b", "shape", value=["a"]),
+                             re.escape("parameter head.critic3.b: shape ['a'] is not a list of integers >= 0")),
+    "stats_null": (_set("stats", value=None), "stats: not a JSON object"),
+    "stats_entry_a_number": (_set("stats", "audio", value=3), "stats audio: not a JSON object"),
+    "adam_a_list": (_set("adam", value=[]), "adam: not a JSON object"),
+    "adam_shape_a_number": (_set("adam", "1", "shape", value=7), "adam 1: shape 7 is not a list of integers >= 0"),
+    "adam_entry_null": (_set("adam", "1", value=None), "adam 1: not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STRUCTURE_FAULTS))
+def test_checkpoint_rejects_a_structurally_wrong_file(fault, tmp_path, trained_checkpoint):
+    # each used to raise AttributeError or TypeError; a ValueError, with the trainer untouched
+    _, path = trained_checkpoint()
+    edit, match = STRUCTURE_FAULTS[fault]
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    _assert_rejected_unchanged(str(bad), match, tmp_path)
 
 
 def test_checkpoint_rejects_a_negative_variance(tmp_path, trained_checkpoint):
