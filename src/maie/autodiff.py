@@ -1,12 +1,17 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-Dynamic define-by-run graphs: an op records a backward closure on its
-output node exactly when one of its inputs requires a gradient, so ops on
-constants build no graph and there is no global recording switch.
-``backward(loss)`` walks the graph once in reverse topological order;
-walking the same nodes a second time raises (prevents silent double
-accumulation). Gradients on leaves accumulate additively until the caller
-zeroes them.
+Dynamic define-by-run graphs: an op records its output node exactly when
+one of its inputs requires a gradient, so ops on constants build no graph
+and there is no global recording switch. A recorded node holds one adjoint
+per operand: ``adjoint(g)`` is that operand's share of the output adjoint
+``g``. No op writes a gradient. The one rule lives in the walk:
+``backward(loss)`` visits the graph once in reverse topological order and,
+for each operand that requires a gradient (and only for it, so a
+constant's share is never computed), adds its adjoint into its ``grad``
+through ``_accum``; then it drops the node's adjoints, and with them the
+arrays they held. Walking the same nodes a second time raises (prevents
+silent double accumulation). Gradients on leaves accumulate additively
+until the caller zeroes them.
 
 The elementwise ops (add, sub, mul, div, neg, relu, square, sqrt, log) are
 one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
@@ -100,7 +105,7 @@ class Value:
     bound after the ops.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_spent")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_adjoints", "_op", "_spent")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -108,7 +113,7 @@ class Value:
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(arr) if requires_grad else None
         self._parents = ()
-        self._backward = None
+        self._adjoints = ()
         self._op = "leaf"
         self._spent = False
 
@@ -131,8 +136,12 @@ def _lift(x) -> Value:
     return Value(np.asarray(x, dtype=np.float64))
 
 
-def _node(data: np.ndarray, parents, backward_fn, op: str) -> Value:
-    """Build the output Value, recording the op exactly when one of its parents requires a gradient."""
+def _node(data: np.ndarray, parents, op: str, *adjoints) -> Value:
+    """Build the output Value, recording the op exactly when one of its parents requires a gradient.
+
+    ``adjoints[i](g)`` returns parent i's share of the output adjoint ``g``:
+    an array of the parent's shape, or one that ``_accum`` reduces to it.
+    """
     record = False
     for p in parents:
         if p.requires_grad:
@@ -146,17 +155,17 @@ def _node(data: np.ndarray, parents, backward_fn, op: str) -> Value:
         out.requires_grad = True
         out.grad = np.zeros_like(data)
         out._parents = parents
-        out._backward = backward_fn
+        out._adjoints = adjoints
     else:
         out.requires_grad = False
         out.grad = None
         out._parents = ()
-        out._backward = None
+        out._adjoints = ()
     return out
 
 
 def _accum(p: Value, g: np.ndarray):
-    """Add an adjoint contribution to a parent, reducing broadcast axes."""
+    """Add an adjoint contribution to a parent, reducing broadcast axes: the one place a gradient grows."""
     shape = p.data.shape
     if g.shape != shape:
         while g.ndim > len(shape):
@@ -166,6 +175,22 @@ def _accum(p: Value, g: np.ndarray):
                 g = g.sum(axis=i, keepdims=True)
         g = g.reshape(shape)
     p.grad += g
+
+
+def _once(fn):
+    """``fn(g)``, computed on the first call and returned to every later one.
+
+    For work on a node's output adjoint that more than one of its adjoints
+    needs: the walk runs a node once, passing each adjoint the same ``g``.
+    """
+    memo = []
+
+    def shared(g):
+        if not memo:
+            memo.append(fn(g))
+        return memo[0]
+
+    return shared
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +203,6 @@ def _elementwise(kind: str, forward, *adjoints):
 
     Two operands of different shapes must broadcast (else ShapeError naming
     ``kind``); checking only then keeps the common same-shape call cheap.
-    The backward adds each operand's adjoint through ``_accum`` only when
-    that operand requires a gradient, so a constant's adjoint (a mask, a
-    fixed weight) is never computed.
     """
 
     def op(*operands) -> Value:
@@ -192,13 +214,7 @@ def _elementwise(kind: str, forward, *adjoints):
             except ValueError:
                 raise ShapeError(f"{kind}: shapes {arrays[0].shape} and {arrays[1].shape} do not broadcast") from None
         out = forward(*arrays)
-
-        def back(g):
-            for v, adjoint in zip(vals, adjoints):
-                if v.requires_grad:
-                    _accum(v, adjoint(g, out, *arrays))
-
-        return _node(out, vals, back, kind)
+        return _node(out, vals, kind, *[lambda g, adjoint=adjoint: adjoint(g, out, *arrays) for adjoint in adjoints])
 
     op.__name__ = op.__qualname__ = kind
     return op
@@ -228,15 +244,7 @@ def matmul(a, b) -> Value:
         raise ShapeError(f"matmul: only 2-D operands, got {ad.shape} @ {bd.shape}")
     if ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    out_data = ad @ bd
-
-    def back(g):
-        if a.requires_grad:
-            a.grad += g @ bd.T
-        if b.requires_grad:
-            b.grad += ad.T @ g
-
-    return _node(out_data, (a, b), back, "matmul")
+    return _node(ad @ bd, (a, b), "matmul", lambda g: g @ bd.T, lambda g: ad.T @ g)
 
 
 def conv_out_hw(h: int, w: int, kernel: tuple, stride: tuple, padding: tuple) -> tuple:
@@ -287,9 +295,9 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     Output spatial size per dim: ``conv_out_hw``. Implemented as im2col +
     matmul (Chellapilla et al. 2006) in ``conv_gemm``: the patch matrix is
     one gather through the cached ``gather_index`` of this geometry, looked
-    up once per call, and the backward sums the patch gradients back into
-    the input with one ``np.bincount`` over the same index, tap by tap in
-    the order of its rows.
+    up once per call, and the input's adjoint sums the patch gradients back
+    with one ``np.bincount`` over the same index, tap by tap in the order of
+    its rows. The three adjoints share one (F, N*oh*ow) copy of ``g``.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -307,19 +315,19 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     out_flat, cols = conv_gemm(x.data, w.data.reshape(f, -1), b.data, idx)
     oh, ow = conv_out_hw(h, width, (kh, kw), stride, padding)
     out_data = np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+    g_flat = _once(lambda g: g.transpose(1, 0, 2, 3).reshape(f, -1))
 
-    def back(g):
-        g_flat = g.transpose(1, 0, 2, 3).reshape(f, -1)
-        if w.requires_grad:
-            w.grad += (g_flat @ cols.T).reshape(w.data.shape)
-        if b.requires_grad:
-            b.grad += g_flat.sum(axis=1)
-        if x.requires_grad:
-            gcols = w.data.reshape(f, -1).T @ g_flat
-            gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
-            x.grad += gx[:-1].reshape(n, c, h, width)
+    def x_adjoint(g):
+        gcols = w.data.reshape(f, -1).T @ g_flat(g)
+        gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
+        return gx[:-1].reshape(n, c, h, width)
 
-    return _node(out_data, (x, w, b), back, "conv2d")
+    return _node(
+        out_data, (x, w, b), "conv2d",
+        x_adjoint,
+        lambda g: (g_flat(g) @ cols.T).reshape(w.data.shape),
+        lambda g: g_flat(g).sum(axis=1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +343,10 @@ def concat(values, axis: int = 0) -> Value:
         out_data = np.concatenate([v.data for v in vals], axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat: {e}") from None
-    sizes = [v.data.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for v, lo, hi in zip(vals, offsets[:-1], offsets[1:]):
-            if v.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                v.grad += g[tuple(idx)]
-
-    return _node(out_data, tuple(vals), back, "concat")
+    offsets = np.cumsum([0] + [v.data.shape[axis] for v in vals])
+    lead = (slice(None),) * (axis % out_data.ndim)  # the axes before ``axis``
+    parts = [lead + (slice(lo, hi),) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return _node(out_data, tuple(vals), "concat", *[lambda g, part=part: g[part] for part in parts])
 
 
 def _is_advanced(key) -> bool:
@@ -354,28 +355,25 @@ def _is_advanced(key) -> bool:
 
 
 def narrow(x, key) -> Value:
-    """Slice / index selection; the adjoint scatters back into the source."""
+    """Slice / index selection; the adjoint scatters back into a zero array of the source's shape."""
     x = _lift(x)
     out_data = np.asarray(x.data[key], dtype=np.float64).copy()
     advanced = _is_advanced(key)
 
-    def back(g):
+    def adjoint(g):
+        gx = np.zeros_like(x.data)
         if advanced:
-            np.add.at(x.grad, key, g)  # repeated indices must accumulate
+            np.add.at(gx, key, g)  # repeated indices must accumulate
         else:
-            x.grad[key] += g
+            gx[key] = g
+        return gx
 
-    return _node(out_data, (x,), back, "slice")
+    return _node(out_data, (x,), "slice", adjoint)
 
 
 def reshape(x, shape) -> Value:
     x = _lift(x)
-    out_data = x.data.reshape(shape).copy()
-
-    def back(g):
-        x.grad += g.reshape(x.data.shape)
-
-    return _node(out_data, (x,), back, "reshape")
+    return _node(x.data.reshape(shape).copy(), (x,), "reshape", lambda g: g.reshape(x.data.shape))
 
 
 def transpose(x, axes) -> Value:
@@ -383,11 +381,7 @@ def transpose(x, axes) -> Value:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
     out_data = np.ascontiguousarray(np.transpose(x.data, axes))
-
-    def back(g):
-        x.grad += np.transpose(g, inverse)
-
-    return _node(out_data, (x,), back, "transpose")
+    return _node(out_data, (x,), "transpose", lambda g: np.transpose(g, inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -406,36 +400,22 @@ def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def softmax(x, axis: int = -1) -> Value:
     x = _lift(x)
     s = softmax_array(x.data, axis)
-
-    def back(g):
-        dot = np.sum(g * s, axis=axis, keepdims=True)
-        x.grad += s * (g - dot)
-
-    return _node(s, (x,), back, "softmax_axis")
+    return _node(s, (x,), "softmax_axis", lambda g: s * (g - np.sum(g * s, axis=axis, keepdims=True)))
 
 
 def reduce_sum(x, axis=None) -> Value:
     x = _lift(x)
-    out_data = np.sum(x.data, axis=axis)
-
-    def back(g):
-        if axis is None:
-            x.grad += g
-        else:
-            x.grad += np.expand_dims(g, axis)
-
-    return _node(out_data, (x,), back, "sum")
+    shape = x.data.shape
+    return _node(
+        np.sum(x.data, axis=axis), (x,), "sum",
+        lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),
+    )
 
 
 def reduce_mean(x) -> Value:
     x = _lift(x)
-    n = x.data.size
-    out_data = np.mean(x.data)
-
-    def back(g):
-        x.grad += g / n
-
-    return _node(out_data, (x,), back, "mean")
+    shape = x.data.shape
+    return _node(np.mean(x.data), (x,), "mean", lambda g: np.broadcast_to(g / x.data.size, shape))
 
 
 def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
@@ -464,8 +444,9 @@ def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts) -> tuple:
     the (T, H) hidden rows h_t and the plain ``(h, c)`` after the last
     step.
 
-    The backward runs backprop through time in one loop over the steps; the
-    ``w_hh`` gradient is a single (4H, T) @ (T, H) product.
+    Backprop through time runs once per walk, in one loop over the steps,
+    and gives the pre-activation adjoints ``dz``, which are ``sx``'s adjoint;
+    ``w_hh``'s is a single (4H, T) @ (T, H) product of them.
     """
     sx, w_hh = _lift(sx), _lift(w_hh)
     hd = h.shape[0] if h.ndim == 1 else -1
@@ -489,7 +470,7 @@ def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts) -> tuple:
         h, c, gates[t] = lstm_step(drives[t], w_hh.data, h, c)
         h_out[t], c_out[t] = h, c
 
-    def back(g):
+    def bptt(g):
         gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
         tc = np.tanh(c_out)
         # per-step factors of the input, forget and cell gate pre-activation
@@ -509,13 +490,10 @@ def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts) -> tuple:
                 dh, dc_next = zeros, zeros
             else:
                 dh, dc_next = w_t @ dz[t].reshape(-1), dc * gf[t]
-        dz = dz.reshape(n, 4 * hd)
-        if sx.requires_grad:
-            sx.grad += dz
-        if w_hh.requires_grad:
-            w_hh.grad += dz.T @ h_in
+        return dz.reshape(n, 4 * hd)
 
-    return _node(h_out, (sx, w_hh), back, "lstm_cell"), (h, c)
+    dz = _once(bptt)
+    return _node(h_out, (sx, w_hh), "lstm_cell", dz, lambda g: dz(g).T @ h_in), (h, c)
 
 
 Value.__add__ = Value.__radd__ = add
@@ -573,16 +551,19 @@ class Graph:
         return cls(order)
 
     def run_backward(self, root: Value):
+        """Add each recorded node's adjoints into its parents that require a gradient, root to leaves."""
         for node in self.nodes:
-            if node._backward is not None and node._spent:
+            if node._spent:
                 raise GraphError(
                     f"double backward through op {node._op!r}; rebuild the forward pass before backpropagating again"
                 )
-        root.grad += np.ones_like(root.data)
+        _accum(root, np.ones_like(root.data))
         for node in reversed(self.nodes):
-            if node._backward is not None:
-                node._backward(node.grad)
-                node._spent = True
+            if node._adjoints:
+                for p, adjoint in zip(node._parents, node._adjoints):
+                    if p.requires_grad:
+                        _accum(p, adjoint(node.grad))
+                node._adjoints, node._spent = (), True  # frees what the adjoints held, shared work included
 
 
 def backward(loss: Value):

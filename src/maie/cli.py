@@ -343,8 +343,9 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
 
     A run that fails or finishes no episode is reported on stderr and left
     out of the summary; the sweep exits 1 when no run is left. With jobs > 1
-    the runs go to spawned worker processes. Each imports maie and so runs BLAS
-    on one thread (see ``autodiff``): the runs do not oversubscribe the cores.
+    the runs go to spawned worker processes, no more of them than runs. Each
+    imports maie and so runs BLAS on one thread (see ``autodiff``): the runs do
+    not oversubscribe the cores.
 
     Raises ValueError, before any directory is made, on an empty seed or
     method list, a seed or method listed twice (its runs would share one
@@ -363,7 +364,7 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
     base_dict = dataclasses.asdict(base)
     tasks = [(base_dict, m, s) for m in methods for s in seeds]
     if jobs > 1:
-        with mp.get_context("spawn").Pool(processes=jobs) as pool:
+        with mp.get_context("spawn").Pool(processes=min(jobs, len(tasks))) as pool:
             results = pool.map(_sweep_worker, tasks)
     else:
         results = [_sweep_worker(t) for t in tasks]
@@ -426,10 +427,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> dict:
+    """The ``RunConfig`` fields a saved config.json sets.
+
+    Raises ValueError on a file that cannot be read or parsed, that holds
+    no JSON object, or that holds a key other than a ``RunConfig`` field
+    and the ``metrics_schema`` that ``run`` writes beside them.
+    """
+    try:
+        with open(path) as fh:
+            base = json.load(fh)
+    except OSError as e:
+        raise ValueError(f"config {path}: cannot read it: {e.strerror}") from None
+    if not isinstance(base, dict):
+        raise ValueError(f"config {path}: holds {type(base).__name__}, not a JSON object")
+    base.pop("metrics_schema", None)
+    unknown = sorted(set(base) - {f.name for f in dataclasses.fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"config {path}: unknown keys {unknown}")
+    return base
+
+
 def _merge_config(args, base: dict | None = None) -> dict:
     merged = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    if base:
-        merged.update({k: v for k, v in base.items() if k in merged})
+    merged.update(base or {})
     for key in merged:
         val = getattr(args, key, None)
         if val is not None:
@@ -444,10 +465,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         if args.command == "run":
-            base = None
-            if args.config:
-                with open(args.config) as fh:
-                    base = json.load(fh)
+            base = _read_config(args.config) if args.config else None
             cfg = RunConfig(**_merge_config(args, base))
             return run(cfg)
         if args.command == "sweep":

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import re
@@ -323,20 +324,48 @@ def test_maie_updates_stats_and_srl():
 
 
 @pytest.fixture(scope="module")
-def recorded_kinds():
-    """Op kinds in the graphs of one full-method update on hetero_nav and one on mining_plus."""
-    kinds = set()
+def recorded_nodes():
+    """Graph nodes per op kind, leaves included, in one full-method update on hetero_nav and one on mining_plus."""
+    counts = {}
     backward = ad.backward
 
     def recording(loss):
-        kinds.update(node._op for node in ad.Graph.trace(loss).nodes)
+        counts[env_name].update(node._op for node in ad.Graph.trace(loss).nodes)
         backward(loss)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "backward", recording)
         for env_name in ("hetero_nav", "mining_plus"):
+            counts[env_name] = collections.Counter()
             _make_trainer(method="maie", env_name=env_name).train_step()
-    return kinds - {"leaf"}
+    return counts
+
+
+@pytest.fixture(scope="module")
+def recorded_kinds(recorded_nodes):
+    """Op kinds in the graphs of those two updates."""
+    return set().union(*recorded_nodes.values()) - {"leaf"}
+
+
+# both backward passes of one update (alignment, then actor-critic), the same at every seed:
+# 183 nodes on hetero_nav and 279 on mining_plus
+NODES_PER_UPDATE = {
+    "hetero_nav": {
+        "add": 17, "concat": 1, "conv2d": 12, "div": 4, "leaf": 48, "log": 1, "lstm_cell": 4, "matmul": 10,
+        "mean": 3, "mul": 18, "neg": 3, "relu": 16, "reshape": 5, "slice": 5, "softmax_axis": 1, "sqrt": 6,
+        "square": 7, "sub": 5, "sum": 13, "transpose": 4,
+    },
+    "mining_plus": {
+        "add": 25, "concat": 1, "conv2d": 18, "div": 7, "leaf": 68, "log": 1, "lstm_cell": 6, "matmul": 12,
+        "mean": 3, "mul": 26, "neg": 3, "relu": 22, "reshape": 11, "slice": 9, "softmax_axis": 1, "sqrt": 12,
+        "square": 13, "sub": 8, "sum": 25, "transpose": 8,
+    },
+}
+
+
+def test_graph_nodes_per_update_are_pinned_per_kind(recorded_nodes):
+    # an op that starts recording extra nodes (or a model change that adds some) shows here first
+    assert {env: dict(c) for env, c in recorded_nodes.items()} == NODES_PER_UPDATE
 
 
 def test_training_records_every_case_kind(recorded_kinds):

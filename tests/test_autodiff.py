@@ -247,6 +247,41 @@ def test_op_grad_check(kind):
     assert worst < 1e-4
 
 
+MULTI_OPERAND_KINDS = ["add", "sub", "mul", "div", "matmul", "conv2d", "concat", "lstm_cell"]
+
+
+@pytest.mark.parametrize("kind", MULTI_OPERAND_KINDS)
+def test_constant_operand_gets_no_grad_and_leaves_the_others_bitwise(kind):
+    # each operand in turn made a constant: it keeps grad None, and every other operand's gradient
+    # is that of the graph in which all operands are variables, bit for bit
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    for _ in range(4):
+        f, inputs = CASES[kind](rng)
+        variables = [ad.Value(x, requires_grad=True) for x in inputs]
+        ad.backward(f(variables))
+        for i in range(len(inputs)):
+            vals = [ad.Value(x, requires_grad=j != i) for j, x in enumerate(inputs)]
+            ad.backward(f(vals))
+            assert vals[i].grad is None
+            for j, (got, want) in enumerate(zip(vals, variables)):
+                if j != i:
+                    assert np.array_equal(got.grad, want.grad), (kind, i, j)
+
+
+def test_walk_computes_no_adjoint_for_a_constant_parent():
+    # the walk alone decides whose adjoint to compute: a constant parent's is never called
+    const, var = ad.Value(np.ones(3)), ad.Value(np.arange(3.0), requires_grad=True)
+
+    def never(g):
+        raise AssertionError("adjoint of a constant parent was computed")
+
+    out = ad._node(const.data + var.data, (const, var), "add", never, lambda g: 2.0 * g)
+    ad.backward(out.sum())
+    assert const.grad is None
+    np.testing.assert_array_equal(var.grad, [2.0, 2.0, 2.0])
+    assert out._adjoints == () and out._spent  # run once, then released
+
+
 def test_lstm_cell_matches_composed_ops():
     rng = np.random.default_rng(7)
     hd = 8

@@ -115,6 +115,25 @@ def test_mistyped_config_field_is_a_configuration_error(field, value, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, match", [
+    ("null", "holds NoneType, not a JSON object"),
+    ("[1]", "holds list, not a JSON object"),
+    ("misspelt", "unknown keys ['lrr']"),
+    (None, "cannot read it: No such file or directory"),
+], ids=["null", "list", "misspelt_key", "missing_file"])
+def test_unusable_config_file_is_a_configuration_error(content, match, tmp_path, capsys):
+    # each used to run the default config, raise a traceback or drop the key: exit 1 and no output directory
+    path = tmp_path / "cfg.json"
+    if content == "misspelt":
+        content = json.dumps({**dataclasses.asdict(_run_args(tmp_path)), "lrr": 0.5})
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", str(path), "--max-env-steps", "8", "--out", str(out)]) == 1
+    assert f"configuration error: config {path}: {match}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
 
 
@@ -657,7 +676,7 @@ def test_parallel_sweep_workers_each_run_a_single_blas_thread(tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "mp", types.SimpleNamespace(get_context=lambda method: types.SimpleNamespace(Pool=pool)))
     cfg = _run_args(tmp_path, out=str(tmp_path / "sw"))
-    assert cli.sweep(cfg, seeds=[1], methods=["concat"], jobs=2) == 0
+    assert cli.sweep(cfg, seeds=[1, 2], methods=["concat"], jobs=2) == 0  # two runs, so two workers
     one = 1 if _NUMPY_HAS_OPENBLAS else None
     assert seen == [[one, one]]
     assert json.loads((tmp_path / "sw" / "concat_seed1" / "run_info.json").read_text())["blas_threads"] == one
@@ -665,6 +684,30 @@ def test_parallel_sweep_workers_each_run_a_single_blas_thread(tmp_path, monkeypa
     assert cli.run(_run_args(tmp_path, out=str(tmp_path / "solo"))) == 0
     assert (tmp_path / "sw" / "concat_seed1" / "metrics.csv").read_bytes() == \
         (tmp_path / "solo" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs, seeds, workers", [(4, [1], 1), (3, [1, 2], 2), (2, [1, 2, 3], 2)])
+def test_sweep_starts_no_more_workers_than_runs(jobs, seeds, workers, tmp_path, monkeypatch):
+    sizes, mapped = [], []
+
+    class Pool:  # records its size and the tasks it is given, and starts no process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            mapped.extend(tasks)
+            return [{"method": m, "seed": s, "status": 1} for _, m, s in tasks]
+
+    monkeypatch.setattr(cli, "mp", types.SimpleNamespace(get_context=lambda method: types.SimpleNamespace(Pool=Pool)))
+    assert cli.sweep(_run_args(tmp_path, out=str(tmp_path / "sw")), seeds=seeds, methods=["concat"], jobs=jobs) == 1
+    assert sizes == [workers]
+    assert [s for _, _, s in mapped] == seeds
 
 
 @pytest.mark.skipif(not _NUMPY_HAS_OPENBLAS, reason="numpy is built without OpenBLAS")
