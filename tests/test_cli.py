@@ -122,7 +122,7 @@ def test_mistyped_config_field_is_a_configuration_error(field, value, tmp_path, 
     (None, "cannot read it: No such file or directory"),
 ], ids=["null", "list", "misspelt_key", "missing_file"])
 def test_unusable_config_file_is_a_configuration_error(content, match, tmp_path, capsys):
-    # each used to run the default config, raise a traceback or drop the key: exit 1 and no output directory
+    # never the default config, a traceback or a dropped key: exit 1 and no output directory
     path = tmp_path / "cfg.json"
     if content == "misspelt":
         content = json.dumps({**dataclasses.asdict(_run_args(tmp_path)), "lrr": 0.5})
