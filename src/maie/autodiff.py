@@ -20,10 +20,20 @@ one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
 No mutable global state is shared between runs: the graph lives entirely
 in the Value objects, and the one module-level cache, ``gather_index``,
 holds read-only index arrays, so independent training runs may execute in
-parallel threads or processes. Every maie process runs numpy's OpenBLAS on
-one thread (``one_blas_thread``, called on import): on matrices this small a
-second thread nearly doubled a training step's CPU time and saved at most a
-few percent of its wall time.
+parallel threads or processes.
+
+Importing this module sets up the process in two ways, with no flag,
+config field or environment variable to change either:
+
+- numpy's OpenBLAS runs on one thread (``one_blas_thread``): on matrices
+  this small a second thread nearly doubled a training step's CPU time and
+  saved at most a few percent of its wall time.
+- glibc's malloc keeps freed buffers in the process (``keep_freed_buffers``).
+  By default it serves a block of 128 KiB or more, such as a conv layer's
+  patch matrix, from a fresh mmap and returns it on free, so every update
+  page-faulted its large temporaries in again. With the mmap threshold at
+  32 MiB and the trim threshold at 64 MiB, a warmed update reuses the heap
+  it freed. Where libc has no ``mallopt`` this does nothing.
 """
 
 from __future__ import annotations
@@ -86,6 +96,21 @@ def one_blas_thread() -> int | None:
 
 
 one_blas_thread()  # on import: numpy may be imported before maie, so its environment variables come too late
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h>
+
+
+def keep_freed_buffers() -> bool:
+    """Raise glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB; False where libc has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt (macOS), or no CDLL(None) (Windows)
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
+
+
+keep_freed_buffers()  # on import, beside the BLAS pin
 
 
 class ShapeError(ValueError):

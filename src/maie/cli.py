@@ -10,16 +10,22 @@ Every run writes to its output directory:
     checkpoint.json   extractor/head parameters, modality stats, Adam moments
     run_info.json     wall-clock and CPU totals, the seconds spent evaluating
                       and writing the artifacts and the checkpoint, the BLAS
-                      thread count, and counters (kept out of metrics.csv so
+                      thread count, the peak resident memory and the minor
+                      page faults, and counters (kept out of metrics.csv so
                       identical configs produce byte-identical metrics)
 
 ``checkpoint.json`` (format ``maie-checkpoint-v2``) keeps the parameters and
 the stats as JSON number lists, and stores each of Adam's moments as base64
 of its raw little-endian float64 bytes next to its shape: the moments are two
-thirds of the floats, and float text is the slow part of saving them.
+thirds of the floats, and float text is the slow part of saving them. The
+file is written as a stream, one parameter, stats entry or Adam entry at a
+time, so a save never holds the whole payload or its text; the bytes are
+those of ``json.dumps(payload, separators=(",", ":"))``.
 
-All files are written atomically (temp file + rename). Exit codes:
-0 success, 1 configuration error, 2 numerical abort (a NaN dump is written).
+A run refuses an output directory that already holds a file, so a
+directory holds one run's files only. All files are written atomically
+(temp file + rename) from a stream of text chunks. Exit codes: 0 success,
+1 configuration error, 2 numerical abort (a NaN dump is written).
 """
 
 from __future__ import annotations
@@ -27,14 +33,17 @@ from __future__ import annotations
 import argparse
 import base64
 import dataclasses
-import io
+import functools
+import itertools
 import json
 import math
 import multiprocessing as mp
 import os
+import resource
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +81,16 @@ class RunConfig(TrainConfig):
         return TrainConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)})
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks: Iterable[str]):
+    """Write the text chunks to a temp file beside ``path``, then rename it to ``path``.
+
+    If writing fails or the chunks raise, the temp file is removed and
+    ``path`` is left as it was.
+    """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -91,11 +105,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: list, rows) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], (",".join(map(_fmt, row)) + "\n" for row in rows)))
 
 
 def write_metrics_csv(path: str, rows: list, modalities: list):
@@ -124,8 +134,27 @@ def _write_embeddings(path: str, rows: list):
     _write_csv(path, header, ((phase, ep, st, mod, *vec.tolist()) for phase, ep, st, mod, vec in rows))
 
 
-def _array_payload(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+_dumps = functools.partial(json.dumps, separators=(",", ":"))
+
+
+def _json_chunks(value) -> Iterator[str]:
+    """The text ``_dumps(value)`` writes, one entry of a JSON object at a time.
+
+    A JSON object is a dict or an iterator of ``(key, value)`` pairs. An
+    iterator is advanced only as its entries are written, so it can build
+    each value when it is reached and drop it after. Any other value is
+    dumped whole.
+    """
+    if isinstance(value, dict):
+        value = iter(value.items())
+    if not isinstance(value, Iterator):
+        yield _dumps(value)
+        return
+    yield "{"
+    for i, (key, item) in enumerate(value):
+        yield ("," if i else "") + _dumps(key) + ":"
+        yield from _json_chunks(item)
+    yield "}"
 
 
 def _moment_text(arr: np.ndarray) -> str:
@@ -183,18 +212,20 @@ def save_checkpoint(path: str, trainer: Trainer):
     Each stats entry records the xi and stats_eps it ran at; Adam's [m, v, t]
     are keyed by ``str`` of the parameter's position in
     ``trainer.named_parameters()``, with the moments' shape once and each
-    moment as ``_moment_text``.
+    moment as ``_moment_text``. The file is streamed through ``_json_chunks``:
+    one parameter's number list, stats entry or Adam entry is built at a
+    time, and the bytes are those of ``_dumps`` of the whole payload.
     """
     cfg, opt, params = trainer.cfg, trainer.opt, trainer.named_parameters()
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "params": {k: _array_payload(v.data) for k, v in params.items()},
-        "stats": {m: {"mu": st.mu.tolist(), "var": st.var.tolist(), "xi": cfg.xi, "eps": cfg.stats_eps}
-                  for m, st in trainer.stats.items()},
-        "adam": {str(i): {"shape": list(st[0].shape), "t": st[2], "m": _moment_text(st[0]), "v": _moment_text(st[1])}
-                 for i, p in enumerate(params.values()) if (st := opt.state.get(p)) is not None},
+        "params": ((k, {"shape": list(v.data.shape), "data": v.data.reshape(-1).tolist()}) for k, v in params.items()),
+        "stats": ((m, {"mu": st.mu.tolist(), "var": st.var.tolist(), "xi": cfg.xi, "eps": cfg.stats_eps})
+                  for m, st in trainer.stats.items()),
+        "adam": ((str(i), {"shape": list(st[0].shape), "t": st[2], "m": _moment_text(st[0]), "v": _moment_text(st[1])})
+                 for i, p in enumerate(params.values()) if (st := opt.state.get(p)) is not None),
     }
-    _atomic_write(path, json.dumps(payload, separators=(",", ":")))
+    _atomic_write(path, _json_chunks(payload))
 
 
 def load_checkpoint(path: str, trainer: Trainer):
@@ -258,9 +289,29 @@ def load_checkpoint(path: str, trainer: Trainer):
     opt.state.update(state)
 
 
+def _refuse_used(directory: str) -> None:
+    """Raise ValueError if ``directory`` exists and holds an entry that is not a directory."""
+    if not os.path.isdir(directory):
+        return
+    with os.scandir(directory) as entries:
+        name = next((e.name for e in entries if not e.is_dir()), None)
+    if name is not None:
+        raise ValueError(f"output directory {directory} already holds {name}; give each run a new directory")
+
+
+def _max_rss_mb() -> float:
+    """This process's peak resident memory in MB (``ru_maxrss`` is KiB on Linux, bytes on macOS)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def run(cfg: RunConfig) -> int:
-    """Execute one seeded training run and write its artifacts."""
+    """Execute one seeded training run and write its artifacts.
+
+    An output directory that already holds a file (another run's, say) is a
+    configuration error, found before anything is written.
+    """
     try:
+        _refuse_used(cfg.out)
         env = envs.make_env(cfg.env, cfg.seed)
         trainer = Trainer(env, cfg.train_config())
         os.makedirs(cfg.out, exist_ok=True)
@@ -270,16 +321,16 @@ def run(cfg: RunConfig) -> int:
 
     config_payload = dataclasses.asdict(cfg)
     config_payload["metrics_schema"] = METRICS_SCHEMA
-    _atomic_write(os.path.join(cfg.out, "config.json"), json.dumps(config_payload, indent=2, sort_keys=True))
+    _atomic_write(os.path.join(cfg.out, "config.json"), [json.dumps(config_payload, indent=2, sort_keys=True)])
 
-    t0, c0 = time.perf_counter(), time.process_time()
+    t0, c0, f0 = time.perf_counter(), time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         trainer.run(max_env_steps=cfg.max_env_steps)
         t_eval = time.perf_counter()
         eval_rows = trainer.run_eval(cfg.eval_episodes) if cfg.eval_episodes else []
     except NumericalError as e:
         dump_path = os.path.join(cfg.out, "nan_dump.json")
-        _atomic_write(dump_path, json.dumps({"error": str(e), **e.dump}, indent=2))
+        _atomic_write(dump_path, [json.dumps({"error": str(e), **e.dump}, indent=2)])
         print(f"numerical abort: {e}; rollout dump at {dump_path}", file=sys.stderr)
         return 2
     t1, c1 = time.perf_counter(), time.process_time()
@@ -295,7 +346,7 @@ def run(cfg: RunConfig) -> int:
         )
     t2 = time.perf_counter()
     save_checkpoint(os.path.join(cfg.out, "checkpoint.json"), trainer)
-    t3 = time.perf_counter()
+    t3, f3 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     info = {
         "wall_seconds": t1 - t0,
         "cpu_seconds": c1 - c0,
@@ -306,8 +357,10 @@ def run(cfg: RunConfig) -> int:
         "env_steps": trainer.env_steps,
         "episodes": trainer.episode,
         "ms_per_env_step": 1e3 * (t_eval - t0) / max(trainer.env_steps, 1),
+        "max_rss_mb": _max_rss_mb(),
+        "minor_faults": f3 - f0,
     }
-    _atomic_write(os.path.join(cfg.out, "run_info.json"), json.dumps(info, indent=2))
+    _atomic_write(os.path.join(cfg.out, "run_info.json"), [json.dumps(info, indent=2)])
     return 0
 
 
@@ -349,7 +402,9 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
 
     Raises ValueError, before any directory is made, on an empty seed or
     method list, a seed or method listed twice (its runs would share one
-    directory), a method its ``RunConfig`` rejects, or jobs below 1.
+    directory), a method its ``RunConfig`` rejects, jobs below 1, or an
+    output directory that already holds a file (an earlier sweep's
+    ``summary.csv``, say).
     """
     if not seeds or not methods:
         raise ValueError("sweep needs nonempty seed and method lists")
@@ -360,6 +415,7 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for m in methods:
         dataclasses.replace(base, method=m)  # the method's RunConfig checks its name
+    _refuse_used(base.out)
     os.makedirs(base.out, exist_ok=True)
     base_dict = dataclasses.asdict(base)
     tasks = [(base_dict, m, s) for m in methods for s in seeds]
@@ -431,8 +487,9 @@ def _read_config(path: str) -> dict:
     """The ``RunConfig`` fields a saved config.json sets.
 
     Raises ValueError on a file that cannot be read or parsed, that holds
-    no JSON object, or that holds a key other than a ``RunConfig`` field
-    and the ``metrics_schema`` that ``run`` writes beside them.
+    no JSON object, that holds a key other than a ``RunConfig`` field and
+    the ``metrics_schema`` that ``run`` writes beside them, or whose
+    ``metrics_schema`` is not ``METRICS_SCHEMA``.
     """
     try:
         with open(path) as fh:
@@ -441,7 +498,9 @@ def _read_config(path: str) -> dict:
         raise ValueError(f"config {path}: cannot read it: {e.strerror}") from None
     if not isinstance(base, dict):
         raise ValueError(f"config {path}: holds {type(base).__name__}, not a JSON object")
-    base.pop("metrics_schema", None)
+    schema = base.pop("metrics_schema", METRICS_SCHEMA)
+    if schema != METRICS_SCHEMA:
+        raise ValueError(f"config {path}: metrics_schema {schema!r} is not {METRICS_SCHEMA!r}")
     unknown = sorted(set(base) - {f.name for f in dataclasses.fields(RunConfig)})
     if unknown:
         raise ValueError(f"config {path}: unknown keys {unknown}")

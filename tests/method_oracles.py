@@ -10,7 +10,13 @@ gradient-check them.
 ``conv2d_reference`` does the same for ``autodiff.conv2d``: it pads the input
 into a copy, reads the patch matrix through a strided view and scatters the
 input gradient back with one strided ``+=`` per kernel tap.
+
+``checkpoint_text`` is ``cli.save_checkpoint``'s file built the direct way:
+the whole payload in memory, then one ``json.dumps``.
 """
+
+import base64
+import json
 
 import numpy as np
 
@@ -98,3 +104,22 @@ def conv2d_reference(x, w, b, g, stride: tuple, padding: tuple):
         for j in range(kw):
             gxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += gcols[:, i, j].transpose(1, 0, 2, 3)
     return out, gxp[:, :, ph : ph + h, pw : pw + width], gw, gb
+
+
+def checkpoint_text(trainer) -> str:
+    """The ``maie-checkpoint-v2`` text of ``trainer``: one dict of the whole payload, dumped at once."""
+    cfg, params = trainer.cfg, trainer.named_parameters()
+
+    def moment(arr):
+        return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
+
+    payload = {
+        "format": "maie-checkpoint-v2",
+        "params": {k: {"shape": list(v.data.shape), "data": v.data.reshape(-1).tolist()} for k, v in params.items()},
+        "stats": {m: {"mu": st.mu.tolist(), "var": st.var.tolist(), "xi": cfg.xi, "eps": cfg.stats_eps}
+                  for m, st in trainer.stats.items()},
+        "adam": {str(i): {"shape": list(trainer.opt.state[p][0].shape), "t": trainer.opt.state[p][2],
+                          "m": moment(trainer.opt.state[p][0]), "v": moment(trainer.opt.state[p][1])}
+                 for i, p in enumerate(params.values()) if p in trainer.opt.state},
+    }
+    return json.dumps(payload, separators=(",", ":"))

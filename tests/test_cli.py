@@ -3,10 +3,13 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import re
 import shutil
+import resource
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -16,6 +19,7 @@ from maie import autodiff as ad
 from maie import cli, envs
 from maie.agent import LOSS_COLUMNS, Trainer
 from maie.cli import RunConfig, final_window_stats, read_metrics_csv
+from method_oracles import checkpoint_text
 
 
 _NUMPY_HAS_OPENBLAS = "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
@@ -119,13 +123,16 @@ def test_mistyped_config_field_is_a_configuration_error(field, value, tmp_path, 
     ("null", "holds NoneType, not a JSON object"),
     ("[1]", "holds list, not a JSON object"),
     ("misspelt", "unknown keys ['lrr']"),
+    ("old_schema", "metrics_schema 'maie-metrics-v0' is not 'maie-metrics-v1'"),
     (None, "cannot read it: No such file or directory"),
-], ids=["null", "list", "misspelt_key", "missing_file"])
+], ids=["null", "list", "misspelt_key", "other_metrics_schema", "missing_file"])
 def test_unusable_config_file_is_a_configuration_error(content, match, tmp_path, capsys):
     # never the default config, a traceback or a dropped key: exit 1 and no output directory
     path = tmp_path / "cfg.json"
     if content == "misspelt":
         content = json.dumps({**dataclasses.asdict(_run_args(tmp_path)), "lrr": 0.5})
+    if content == "old_schema":  # a run of another metrics.csv layout does not replay as this one
+        content = json.dumps({**dataclasses.asdict(_run_args(tmp_path)), "metrics_schema": "maie-metrics-v0"})
     if content is not None:
         path.write_text(content)
     out = tmp_path / "x"
@@ -265,14 +272,15 @@ def test_embeddings_schema(tmp_path):
 
 @pytest.fixture(scope="module")
 def trained_runs(tmp_path_factory):
-    """Per config, a maie trainer after two episodes and the checkpoint it saved, trained once per module."""
+    """Per config (maie unless ``method`` is given), a trainer after two episodes and the checkpoint it saved,
+    trained once per module."""
     saved = {}
 
     def get(**kw):
         key = tuple(sorted(kw.items()))
         if key not in saved:
             root = tmp_path_factory.mktemp("trained")
-            cfg = _run_args(root, method="maie", **kw)
+            cfg = _run_args(root, **{"method": "maie", **kw})
             trainer = Trainer(envs.make_env(cfg.env, cfg.seed), cfg.train_config())
             trainer.run()
             cli.save_checkpoint(str(root / "checkpoint.json"), trainer)
@@ -299,8 +307,8 @@ def trained_checkpoint(trained_runs, tmp_path):
     return get
 
 
-def _fresh_trainer(tmp_path, seed=1):
-    cfg = _run_args(tmp_path, method="maie", seed=seed)
+def _fresh_trainer(tmp_path, seed=1, method="maie"):
+    cfg = _run_args(tmp_path, method=method, seed=seed)
     return Trainer(envs.make_env(cfg.env, cfg.seed), cfg.train_config())
 
 
@@ -583,6 +591,70 @@ def test_adam_state_and_checkpoint_keys_follow_the_registry(tmp_path):
         assert base64.b64decode(adam[str(i)]["m"]) == m.astype("<f8").tobytes()
 
 
+@pytest.mark.parametrize("method, trained", [("maie", True), ("concat", True), ("maie", False)],
+                         ids=["maie", "concat", "before_any_update"])
+def test_checkpoint_streams_the_bytes_of_the_whole_payload(method, trained, tmp_path, trained_runs):
+    # the file is what one json.dumps of the whole payload writes, and saving what it loads writes it again
+    trainer = trained_runs(method=method)[0] if trained else _fresh_trainer(tmp_path, method=method)
+    path, again = tmp_path / "checkpoint.json", tmp_path / "again.json"
+    cli.save_checkpoint(str(path), trainer)
+    text = path.read_text()
+    assert text == checkpoint_text(trainer)
+    assert text.endswith(',"adam":{}}') != trained
+    fresh = _fresh_trainer(tmp_path, seed=2, method=method)
+    assert checkpoint_text(fresh) != text
+    cli.load_checkpoint(str(path), fresh)
+    cli.save_checkpoint(str(again), fresh)
+    assert again.read_text() == text
+
+
+def test_saving_a_checkpoint_holds_less_memory_than_its_file(tmp_path, trained_runs):
+    # the stream builds one parameter's number list at a time, never the payload or its whole text
+    trainer, _ = trained_runs()
+    path = tmp_path / "checkpoint.json"
+    tracemalloc.start()
+    try:
+        cli.save_checkpoint(str(path), trainer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_target", "existing_target"])
+def test_a_write_whose_chunks_raise_leaves_no_temp_file_and_the_target_as_it_was(existing, tmp_path):
+    path = tmp_path / "out.json"
+    if existing:
+        path.write_text("before")
+
+    def chunks():
+        yield "part of a file"
+        raise RuntimeError("no more chunks")
+
+    with pytest.raises(RuntimeError, match="no more chunks"):
+        cli._atomic_write(str(path), chunks())
+    assert os.listdir(tmp_path) == (["out.json"] if existing else [])
+    if existing:
+        assert path.read_text() == "before"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's mallopt")
+def test_a_warmed_update_reuses_the_memory_it_freed():
+    # importing maie keeps freed buffers in the heap; with glibc's defaults each update page-faulted its
+    # temporaries of 128 KiB or more, such as the conv patch matrices, in again (about 800 faults here)
+    assert ad.keep_freed_buffers()
+    cfg = RunConfig(env="mining_plus", method="concat", seed=1)
+    trainer = Trainer(envs.make_env(cfg.env, cfg.seed), cfg.train_config())
+    for _ in range(3):
+        trainer.train_step()
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        trainer.train_step()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults) < 100, faults
+
+
 def test_checkpoint_rejects_stats_of_another_xi(tmp_path, trained_checkpoint):
     _, path = trained_checkpoint(xi=0.2)
     with pytest.raises(ValueError, match="xi=0.2"):
@@ -603,7 +675,50 @@ def test_run_info_splits_out_the_write_seconds(tmp_path):
         # env_steps counts training steps only, so ms_per_env_step leaves the evaluation seconds out
         train_seconds = info["wall_seconds"] - info["eval_seconds"]
         assert info["ms_per_env_step"] == pytest.approx(1e3 * train_seconds / info["env_steps"], rel=1e-9)
+        # the run's memory: the process's peak so far, and the page faults of training and the writes
+        assert isinstance(info["max_rss_mb"], float) and 0.0 < info["max_rss_mb"] <= cli._max_rss_mb()
+        assert type(info["minor_faults"]) is int and info["minor_faults"] >= 0
     assert (out / "eval.csv").exists()
+
+
+def test_a_second_run_into_one_directory_is_refused_and_writes_nothing(tmp_path, capsys):
+    # it would replace the first run's files one by one and leave that run's eval.csv beside its own
+    out = tmp_path / "run"
+    assert cli.run(_run_args(tmp_path, eval_episodes=1)) == 0
+    first = {f: (out / f).read_bytes() for f in os.listdir(out)}
+    assert "eval.csv" in first
+    assert cli.run(_run_args(tmp_path, env="mining", method="maie")) == 1
+    assert f"configuration error: output directory {out} already holds" in capsys.readouterr().err
+    assert {f: (out / f).read_bytes() for f in os.listdir(out)} == first
+
+
+def test_rerunning_a_saved_config_without_out_leaves_the_source_run_as_it_was(tmp_path, capsys):
+    # config.json names the run's own directory, so without --out the re-run would write into it
+    out = tmp_path / "run"
+    assert cli.run(_run_args(tmp_path)) == 0
+    first = {f: (out / f).read_bytes() for f in os.listdir(out)}
+    assert cli.main(["run", "--config", str(out / "config.json"), "--episodes", "3"]) == 1
+    assert "configuration error: output directory" in capsys.readouterr().err
+    assert {f: (out / f).read_bytes() for f in os.listdir(out)} == first
+
+
+def test_a_second_sweep_into_one_directory_is_refused_before_any_run(tmp_path, capsys):
+    # its runs would each be refused, and it would replace the first sweep's summary.csv with an empty one
+    out = tmp_path / "sw"
+    flags = ["sweep", "--env", "hetero_nav", "--methods", "concat", "--seeds", "1", "--max-env-steps", "300",
+             "--out", str(out)]
+    assert cli.main(flags) == 0
+    first = (out / "summary.csv").read_bytes()
+    assert cli.main(flags) == 1
+    assert f"configuration error: output directory {out} already holds summary.csv" in capsys.readouterr().err
+    assert (out / "summary.csv").read_bytes() == first
+
+
+def test_run_trains_into_an_empty_existing_directory(tmp_path):
+    out = tmp_path / "made"
+    out.mkdir()
+    assert cli.run(_run_args(tmp_path, out=str(out))) == 0
+    assert (out / "checkpoint.json").exists()
 
 
 def test_no_temp_files_left_behind(tmp_path):
