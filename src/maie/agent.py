@@ -21,8 +21,14 @@ since its fresh noise never repeats. An update computes the scales once,
 after its statistics update, for its λ and for the bootstrap value, which
 takes the per-step path with no memo. The recorded observations are
 replayed in batch form for both backward passes, each modality's features
-as one (T, 32) matrix (the first replay reproduces the acting-time features
-to within 1e-12, since parameters do not change in between). One λ rule,
+as one (T, 32) matrix. Acting records its forward in the buffer
+(``RolloutBuffer.recorded``, whose LSTM h rows are the features), and the
+first replay, which runs before any parameter changes, builds its nodes from
+that record: its features are acting's, bit for bit, and the statistics
+update, λ, the SRL loss and the gradient all read the forward that chose
+the actions. maie's second replay, after the SRL step, recomputes the
+forward; recomputed under unchanged parameters, it reproduces the acting
+features to within 1e-12. One λ rule,
 ``_weights``, takes one step's (L,) features or a rollout's (T, L) stack,
 and gives each row of the stack the λ it gives that step alone.
 
@@ -47,7 +53,7 @@ from . import alignment as al
 from . import enhancement as en
 from .autodiff import Value
 from .envs import NOISY_MODALITIES
-from .extractors import FEATURE_DIM, build_extractor, uniform_init
+from .extractors import FEATURE_DIM, ActingRecord, build_extractor, uniform_init
 
 METHODS = ("maie", "concat", "fixed_weights", "no_align", "no_ie")
 LOSS_COLUMNS = ("loss_actor", "loss_critic", "loss_sim", "loss_td")  # the losses each metrics row carries
@@ -239,7 +245,12 @@ class RolloutBuffer:
     actions: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     dones: list = field(default_factory=list)
-    features: dict = field(default_factory=dict)  # modality -> list of (L,) arrays
+    recorded: dict = field(default_factory=dict)  # modality -> the ActingRecord of acting's forward
+
+    @property
+    def features(self) -> dict:
+        """Modality -> list of the (L,) acting features: the recorded LSTM ``h`` rows themselves."""
+        return {m: r.h for m, r in self.recorded.items()}
 
 
 class Trainer:
@@ -283,16 +294,19 @@ class Trainer:
 
     # -- acting ------------------------------------------------------------
 
-    def _features(self, obs, states: dict, drives: dict) -> tuple:
+    def _features(self, obs, states: dict, drives: dict, records: dict | None) -> tuple:
         """Graph-free forward of one observation; returns (features, new states).
 
         ``drives`` maps each modality to its memo of LSTM input drives, or to
-        None for no memo (see ``_ExtractorBase.forward``).
+        None for no memo; ``records``, when given, maps each modality to the
+        ``ActingRecord`` the step is appended to (see
+        ``_ExtractorBase.forward``).
         """
         obs_arrays = obs.modalities()
         feats, new_states = {}, {}
         for m in self.modalities:
-            feats[m], new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m], drives[m])
+            record = None if records is None else records[m]
+            feats[m], new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m], drives[m], record)
         return feats, new_states
 
     def _scales(self) -> dict | None:
@@ -370,7 +384,7 @@ class Trainer:
         new_episode = self._obs is None
         if new_episode:
             self._begin_episode()
-        feats, self._states = self._features(self._obs, self._states, drives)
+        feats, self._states = self._features(self._obs, self._states, drives, None if buf is None else buf.recorded)
         lams = self._weights(feats, scales)
         action = sample_action(self.head.logits_array(self._fuse_array(feats, lams)), self.action_rng)
         self._record_step_traces(feats, lams, phase)
@@ -381,8 +395,6 @@ class Trainer:
             buf.actions.append(action)
             buf.rewards.append(reward)
             buf.dones.append(done)
-            for m in self.modalities:
-                buf.features[m].append(feats[m])
             self.env_steps += 1
         self._ep_return += reward
         if done:
@@ -392,7 +404,7 @@ class Trainer:
 
     def collect_rollout(self) -> RolloutBuffer:
         """Act for T steps (graph-free), recording everything the updates need."""
-        buf = RolloutBuffer(features={m: [] for m in self.modalities})
+        buf = RolloutBuffer(recorded={m: ActingRecord() for m in self.modalities})
         span = self._acting_span()  # no parameter or statistic changes during a rollout
         for _ in range(self.cfg.rollout_length):
             self._act_step("train", span, buf)
@@ -410,19 +422,25 @@ class Trainer:
 
     # -- updating ------------------------------------------------------------
 
-    def _replay_features(self, buf: RolloutBuffer, initial_states: dict):
+    def _replay_features(self, buf: RolloutBuffer, initial_states: dict, recorded: dict | None = None):
+        """Each modality's (T, 32) feature node over the rollout, and the state after it.
+
+        ``recorded`` is ``buf.recorded`` while no parameter has changed since
+        acting: the replay is then built from acting's forward. Without it the
+        forward is recomputed.
+        """
         feats = {}
         finals = {}
         for m in self.modalities:
             obs_list = [o.modalities()[m] for o in buf.observations]
             feats[m], finals[m] = self.extractors[m].forward_sequence(
-                obs_list, buf.episode_starts, initial_states[m]
+                obs_list, buf.episode_starts, initial_states[m], None if recorded is None else recorded[m]
             )
         return feats, finals
 
     def _bootstrap_value(self, final_states: dict, scales: dict | None) -> float:
         """Value of the observation after a rollout that ended mid-episode, with no memo."""
-        feats, _ = self._features(self._obs, final_states, dict.fromkeys(self.modalities))
+        feats, _ = self._features(self._obs, final_states, dict.fromkeys(self.modalities), None)
         return self.head.value_array(self._fuse_array(feats, self._weights(feats, scales)))
 
     def _numerical_dump(self, buf: RolloutBuffer, extra: dict) -> dict:
@@ -443,24 +461,26 @@ class Trainer:
         buf = self.collect_rollout()
 
         sim_val, td_val = 0.0, 0.0
+        recorded = buf.recorded  # acting's forward is the replay's until a parameter changes
         if self.use_align:
             # step one: representation loss into the extractors only
-            feats, _ = self._replay_features(buf, initial_states)
+            feats, _ = self._replay_features(buf, initial_states, recorded)
             mats = [feats[m] for m in self.modalities]
             parts = al.srl_loss(mats, cfg.c_sim, cfg.c_td, cfg.distance, episode_starts=buf.episode_starts)
             sim_val, td_val = parts.sim, parts.td
             if not np.isfinite(parts.total.data):
                 raise NumericalError("representation loss is non-finite", self._numerical_dump(buf, {"loss_srl": float(parts.total.data)}))
             self._apply(parts.total, self.phi_params)
+            recorded = None
 
         if self.use_ie:
             # the rollout is the statistics mini-batch
             for m in self.modalities:
                 self.stats[m].update(np.stack(buf.features[m]), cfg.xi)
 
-        # step two: recompute features under the updated extractors
+        # step two: the features under the extractors as they are now
         scales = self._scales()
-        feats, finals = self._replay_features(buf, initial_states)
+        feats, finals = self._replay_features(buf, initial_states, recorded)
         lams = self._weights({m: feats[m].data for m in self.modalities}, scales)
         fused = en.fuse([feats[m] for m in self.modalities], [lams[m] for m in self.modalities])
 

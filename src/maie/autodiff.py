@@ -17,6 +17,12 @@ The elementwise ops (add, sub, mul, div, neg, relu, square, sqrt, log) are
 one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
 ``Value``'s operators and methods are bound straight to the op functions.
 
+``conv2d`` and ``lstm_cell``, the two ops whose forward costs the most, also
+take a recorded forward (``recorded=``): the arrays an earlier forward over
+the same operands produced. The node is then built from them, with the
+output and adjoints of the computed form, and only what the adjoints read
+and the forward did not keep (conv2d's patch matrix) is computed.
+
 No mutable global state is shared between runs: the graph lives entirely
 in the Value objects, and the one module-level cache, ``gather_index``,
 holds read-only index arrays, so independent training runs may execute in
@@ -68,24 +74,43 @@ __all__ = [
 
 @functools.cache
 def _openblas_threads() -> tuple:
-    """``(set, get)``, the thread-count functions of the OpenBLAS numpy loaded, or ``()`` without one."""
+    """``(set, get, corename)``, functions of the OpenBLAS numpy loaded, or ``()`` without one.
+
+    ``set`` and ``get`` are its thread-count functions; ``corename`` names the
+    kernel set a DYNAMIC_ARCH build picked for this CPU, or is None where the
+    library has no such function.
+    """
     try:
         with open("/proc/self/maps") as fh:  # lists the shared libraries of this process (Linux)
             libs = [ctypes.CDLL(p) for p in sorted({ln.split(maxsplit=5)[-1].strip() for ln in fh if "openblas" in ln})]
     except OSError:
         return ()
     for lib in libs:
-        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
-            if hasattr(lib, name % "set"):
-                put, get = getattr(lib, name % "set"), getattr(lib, name % "get")
+        for name in ("scipy_openblas_%s64_", "openblas_%s64_", "openblas_%s"):
+            if hasattr(lib, name % "set_num_threads"):
+                put, get = getattr(lib, name % "set_num_threads"), getattr(lib, name % "get_num_threads")
                 put.argtypes, put.restype, get.argtypes, get.restype = [ctypes.c_int], None, [], ctypes.c_int
-                return put, get
+                core = getattr(lib, name % "get_corename", None)
+                if core is not None:
+                    core.argtypes, core.restype = [], ctypes.c_char_p
+                return put, get, core
     return ()
 
 
 def blas_threads() -> int | None:
     """The thread count numpy's OpenBLAS runs on, or None where numpy has no OpenBLAS."""
     return _openblas_threads()[1]() if _openblas_threads() else None
+
+
+def blas_core() -> str | None:
+    """The name of the OpenBLAS kernel set numpy runs on (``SkylakeX``, ``Haswell``, ...), or None without one.
+
+    Batched and batch-one products of the same numbers can differ in their
+    last bits, and how depends on the kernels, so a run's artifacts are
+    reproducible bit for bit only under the same kernel set.
+    """
+    core = _openblas_threads()[2] if _openblas_threads() else None
+    return core().decode() if core is not None else None
 
 
 def one_blas_thread() -> int | None:
@@ -165,7 +190,8 @@ def _node(data: np.ndarray, parents, op: str, *adjoints) -> Value:
     """Build the output Value, recording the op exactly when one of its parents requires a gradient.
 
     ``adjoints[i](g)`` returns parent i's share of the output adjoint ``g``:
-    an array of the parent's shape, or one that ``_accum`` reduces to it.
+    an array of the parent's shape, or one that ``_accum`` reduces or
+    broadcasts to it.
     """
     record = False
     for p in parents:
@@ -190,15 +216,21 @@ def _node(data: np.ndarray, parents, op: str, *adjoints) -> Value:
 
 
 def _accum(p: Value, g: np.ndarray):
-    """Add an adjoint contribution to a parent, reducing broadcast axes: the one place a gradient grows."""
+    """Add an adjoint contribution to a parent: the one place a gradient grows.
+
+    ``g`` may be larger than the parent along broadcast axes (an elementwise
+    operand that was broadcast), which are summed away, or smaller along
+    axes it broadcasts up to (a reduction's adjoint), which one in-place
+    ``+=`` spreads without a full-size copy.
+    """
     shape = p.data.shape
     if g.shape != shape:
         while g.ndim > len(shape):
             g = g.sum(axis=0)
-        for i, s in enumerate(shape):
-            if s == 1 and g.shape[i] != 1:
-                g = g.sum(axis=i, keepdims=True)
-        g = g.reshape(shape)
+        if g.ndim == len(shape):
+            for i, s in enumerate(shape):
+                if s == 1 and g.shape[i] != 1:
+                    g = g.sum(axis=i, keepdims=True)
     p.grad += g
 
 
@@ -299,8 +331,13 @@ def gather_index(x_shape: tuple, kernel: tuple, stride: tuple, padding: tuple) -
     return idx
 
 
+def _patches(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The (C*kh*kw, N*oh*ow) patch matrix of ``x`` through a ``gather_index``: one gather, padding read as 0.0."""
+    return np.concatenate((x.ravel(), (0.0,)))[index]
+
+
 def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) -> tuple:
-    """The im2col arithmetic of every convolution: gather, ``w2d @ cols``, then the bias added in place.
+    """The im2col arithmetic of every convolution: ``_patches``, ``w2d @ cols``, then the bias added in place.
 
     ``x`` is any C-ordered array whose ``ravel()`` the ``gather_index``
     ``index`` addresses, ``w2d`` the (F, C*kh*kw) filters and ``b`` the (F,)
@@ -308,13 +345,13 @@ def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) 
     row, output column), and the (C*kh*kw, N*oh*ow) patch matrix. At batch
     one that output, read C-ordered, is the next layer's (1,F,oh,ow) input.
     """
-    cols = np.concatenate((x.ravel(), (0.0,)))[index]
+    cols = _patches(x, index)
     out = w2d @ cols
     out += b[:, None]
     return out, cols
 
 
-def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
+def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | None = None) -> Value:
     """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters and (F,) biases.
 
     Output spatial size per dim: ``conv_out_hw``. Implemented as im2col +
@@ -323,6 +360,11 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     up once per call, and the input's adjoint sums the patch gradients back
     with one ``np.bincount`` over the same index, tap by tap in the order of
     its rows. The three adjoints share one (F, N*oh*ow) copy of ``g``.
+
+    ``recorded``, when given, is the (N,F,oh,ow) output an earlier forward
+    computed from these same operands, or its ReLU: the node takes it as its
+    output and runs only the gather, since no adjoint reads the output. A
+    ReLU applied after it then gives the same output and adjoint either way.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -337,9 +379,14 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple) -> Value:
     if kh > h + 2 * ph or kw > width + 2 * pw:  # an output size below 1
         raise ShapeError(f"conv2d: kernel ({kh},{kw}) too large for padded input ({h + 2 * ph},{width + 2 * pw})")
     idx = gather_index(x.data.shape, (kh, kw), stride, padding)
-    out_flat, cols = conv_gemm(x.data, w.data.reshape(f, -1), b.data, idx)
     oh, ow = conv_out_hw(h, width, (kh, kw), stride, padding)
-    out_data = np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+    if recorded is None:
+        out_flat, cols = conv_gemm(x.data, w.data.reshape(f, -1), b.data, idx)
+        out_data = np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+    else:
+        if recorded.shape != (n, f, oh, ow):
+            raise ShapeError(f"conv2d: recorded output shape {recorded.shape} != {(n, f, oh, ow)}")
+        out_data, cols = recorded, _patches(x.data, idx)
     g_flat = _once(lambda g: g.transpose(1, 0, 2, 3).reshape(f, -1))
 
     def x_adjoint(g):
@@ -429,18 +476,15 @@ def softmax(x, axis: int = -1) -> Value:
 
 
 def reduce_sum(x, axis=None) -> Value:
+    """Sum over ``axis``, or over all entries; the adjoint is ``g`` with ``axis`` kept, which ``_accum`` broadcasts."""
     x = _lift(x)
-    shape = x.data.shape
-    return _node(
-        np.sum(x.data, axis=axis), (x,), "sum",
-        lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),
-    )
+    return _node(np.sum(x.data, axis=axis), (x,), "sum", lambda g: g if axis is None else np.expand_dims(g, axis))
 
 
 def reduce_mean(x) -> Value:
+    """Mean of all entries; the adjoint is the scalar ``g / size``, which ``_accum`` broadcasts."""
     x = _lift(x)
-    shape = x.data.shape
-    return _node(np.mean(x.data), (x,), "mean", lambda g: np.broadcast_to(g / x.data.size, shape))
+    return _node(np.mean(x.data), (x,), "mean", lambda g: g / x.data.size)
 
 
 def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
@@ -458,7 +502,7 @@ def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
     return gates[3 * hd :] * np.tanh(c_new), c_new, gates
 
 
-def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts) -> tuple:
+def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts, recorded: tuple | None = None) -> tuple:
     """An LSTM unrolled over a sequence of input drives, fused into a single node.
 
     ``sx`` holds the precomputed drives W_ih @ x_t + b: a (T, 4H) matrix
@@ -468,6 +512,12 @@ def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts) -> tuple:
     t (an episode start), so no gradient crosses it. Returns the node of
     the (T, H) hidden rows h_t and the plain ``(h, c)`` after the last
     step.
+
+    ``recorded``, when given, is ``(gates, h_out, c_out)``: the (T, 4H)
+    gate activations and the (T, H) states leaving each step that
+    ``lstm_step`` computed from these same operands, step by step. The node
+    is built from them and no step runs; the states entering each step are
+    ``h`` and ``c``, the zero reset state, or the previous step's output.
 
     Backprop through time runs once per walk, in one loop over the steps,
     and gives the pre-activation adjoints ``dz``, which are ``sx``'s adjoint;
@@ -486,14 +536,28 @@ def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts) -> tuple:
         raise ShapeError(f"lstm_cell: starts shape {resets.shape} != ({n},)")
 
     zeros = np.zeros(hd)
-    h_in, c_in, h_out, c_out = np.empty((4, n, hd))  # the state entering each step, after any reset, and leaving it
-    gates = np.empty((n, 4 * hd))
-    for t in range(n):
-        if resets[t]:
-            h, c = zeros, zeros
-        h_in[t], c_in[t] = h, c
-        h, c, gates[t] = lstm_step(drives[t], w_hh.data, h, c)
-        h_out[t], c_out[t] = h, c
+    if recorded is None:
+        h_in, c_in, h_out, c_out = np.empty((4, n, hd))  # the state entering each step, after any reset, and leaving it
+        gates = np.empty((n, 4 * hd))
+        for t in range(n):
+            if resets[t]:
+                h, c = zeros, zeros
+            h_in[t], c_in[t] = h, c
+            h, c, gates[t] = lstm_step(drives[t], w_hh.data, h, c)
+            h_out[t], c_out[t] = h, c
+    else:
+        gates, h_out, c_out = recorded
+        if gates.shape != (n, 4 * hd) or h_out.shape != (n, hd) or c_out.shape != (n, hd):
+            raise ShapeError(
+                f"lstm_cell: want recorded gates ({n}, {4 * hd}), h and c ({n}, {hd}); "
+                f"got {gates.shape}, {h_out.shape}, {c_out.shape}"
+            )
+        h_in, c_in = np.empty((2, n, hd))
+        for state_in, first, state_out in ((h_in, h, h_out), (c_in, c, c_out)):
+            state_in[:1], state_in[1:] = first, state_out[:-1]
+            state_in[resets] = 0.0
+        if n:
+            h, c = h_out[-1].copy(), c_out[-1].copy()
 
     def bptt(g):
         gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))

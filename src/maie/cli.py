@@ -10,9 +10,10 @@ Every run writes to its output directory:
     checkpoint.json   extractor/head parameters, modality stats, Adam moments
     run_info.json     wall-clock and CPU totals, the seconds spent evaluating
                       and writing the artifacts and the checkpoint, the BLAS
-                      thread count, the peak resident memory and the minor
-                      page faults, and counters (kept out of metrics.csv so
-                      identical configs produce byte-identical metrics)
+                      thread count and kernel set, numpy's version, the peak
+                      resident memory and the minor page faults, and counters
+                      (kept out of metrics.csv so identical configs produce
+                      byte-identical metrics)
 
 ``checkpoint.json`` (format ``maie-checkpoint-v2``) keeps the parameters and
 the stats as JSON number lists, and stores each of Adam's moments as base64
@@ -351,6 +352,8 @@ def run(cfg: RunConfig) -> int:
         "wall_seconds": t1 - t0,
         "cpu_seconds": c1 - c0,
         "blas_threads": ad.blas_threads(),
+        "blas_core": ad.blas_core(),
+        "numpy_version": np.__version__,
         "eval_seconds": t1 - t_eval,
         "artifacts_seconds": t2 - t1,
         "checkpoint_seconds": t3 - t2,

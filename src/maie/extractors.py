@@ -6,23 +6,31 @@ three-layer TextCNN (3 filters, kernel 2 along the sequence). Every
 extractor ends in the same LSTM cell, and the LSTM output is the
 modality's feature vector, so all modalities share FEATURE_DIM = 32.
 
-Two forward paths produce the same numbers within 1e-12. ``forward``
-consumes one timestep while acting, entirely on plain arrays: each
+``forward`` consumes one timestep while acting, entirely on plain arrays: each
 convolution is one ``autodiff.conv_gemm``, the arithmetic ``autodiff.conv2d``
 also runs, on flat (F, oh*ow) buffers through the three batch-one gather
 indices each extractor takes from the geometry once, at construction, with
 ReLU applied in place; then the input projection and the LSTM step
-(``autodiff.lstm_step``). Given a memo dict, ``forward`` computes the LSTM
-input drive (conv stack plus input projection) once per distinct
-observation and reads it back when the same bytes recur, as grids and text
-often do within an episode; the hit is the very array the miss computed,
-so every output is bitwise the same. The trainer hands a memo only to a
-modality whose observations can repeat. ``forward_sequence`` replays a whole
-rollout for the backward passes: one batched ``autodiff.conv2d`` stack over
-time, one input projection for all steps, and the whole LSTM unroll in a
-single ``autodiff.lstm_cell`` node, episode resets included; that node is
-the (T, 32) feature matrix, and the state after its last step comes back
-beside it as plain arrays.
+(``autodiff.lstm_step``). Given a memo dict, ``forward`` computes the conv
+outputs and the LSTM input drive (conv stack plus input projection) once per
+distinct observation and reads them back when the same bytes recur, as
+grids and text often do within an episode; the hit is the very arrays the
+miss computed, so every output is bitwise the same. The trainer hands a
+memo only to a modality whose observations can repeat. Given an
+``ActingRecord``, ``forward`` also appends the step's conv outputs, gates
+and new state to it.
+
+``forward_sequence`` replays a whole rollout for the backward passes: one
+batched ``autodiff.conv2d`` stack over time, one input projection for all
+steps, and the whole LSTM unroll in a single ``autodiff.lstm_cell`` node,
+episode resets included; that node is the (T, 32) feature matrix, and the
+state after its last step comes back beside it as plain arrays. Given the
+rollout's ``ActingRecord`` and unchanged parameters, it builds the same
+nodes from acting's arrays (each conv2d node runs only the batched gather
+of its patch matrix, and the LSTM runs no step), so its features are
+acting's, bit for bit. Without one it recomputes the forward, and its
+features match acting's within 1e-12: batched and batch-one products of the
+same numbers differ in their last bits.
 
 Both kinds are built by one constructor and run their convolutions through
 the same base-class code, driven by each class's FILTERS, KERNEL, STRIDE
@@ -78,6 +86,24 @@ def _lstm_params(rng, input_dim: int) -> dict:
     }
 
 
+class ActingRecord:
+    """What one modality's acting forward computed over a rollout, step by step.
+
+    ``conv[i]`` holds conv layer i's ReLU'd flat (F, oh*ow) output of each
+    step, ``gates`` each LSTM step's (4H,) gate activations, and ``h`` and
+    ``c`` the state leaving each step; the ``h`` rows are the modality's
+    features. A memo hit appends the very conv arrays its miss computed. The
+    first replay, run before any parameter changes, builds its nodes from
+    these arrays (``_ExtractorBase.forward_sequence``).
+    """
+
+    __slots__ = ("conv", "gates", "h", "c")
+
+    def __init__(self):
+        self.conv = ([], [], [])
+        self.gates, self.h, self.c = [], [], []
+
+
 class _ExtractorBase:
     """Three conv layers, each followed by ReLU, then the LSTM over their flattened output.
 
@@ -118,24 +144,31 @@ class _ExtractorBase:
         """Parameters drawn before the conv layers; none unless the input needs a table."""
         return {}
 
-    def _conv_stack(self, x: Value) -> Value:
+    def _conv_stack(self, x: Value, recorded: ActingRecord | None = None) -> Value:
+        """The three conv2d + ReLU layers over a (N, C, H, W) batch; from ``recorded``'s conv outputs when given."""
         for i in range(3):
             w, b = self.params[f"conv{i + 1}.w"], self.params[f"conv{i + 1}.b"]
-            x = ad.conv2d(x, w, b, stride=self.STRIDE, padding=self.PADDING).relu()
+            out = None
+            if recorded is not None:
+                oh, ow = ad.conv_out_hw(*x.shape[2:], self.KERNEL, self.STRIDE, self.PADDING)
+                out = np.array(recorded.conv[i]).reshape(x.shape[0], self.FILTERS, oh, ow)
+            x = ad.conv2d(x, w, b, stride=self.STRIDE, padding=self.PADDING, recorded=out).relu()
         return x
 
-    def _conv_stack_array(self, x: np.ndarray) -> np.ndarray:
-        """``_conv_stack(Value(x)).data`` of one (1, C, H, W) input on plain arrays, for acting.
+    def _conv_stack_array(self, x: np.ndarray) -> tuple:
+        """Each layer's ``_conv_stack(Value(x))`` output of one (1, C, H, W) input on plain arrays, for acting.
 
         Each layer is one ``autodiff.conv_gemm`` through the index cached at
-        construction, its ReLU applied in place; the result is the flat
+        construction, its ReLU applied in place; each output is the flat
         (F, oh*ow) buffer, which holds the same numbers in the same order.
         """
+        outs = []
         for i, index in enumerate(self._act_index, start=1):
             w = self.params[f"conv{i}.w"].data
             x, _ = ad.conv_gemm(x, w.reshape(w.shape[0], -1), self.params[f"conv{i}.b"].data, index)
             np.maximum(x, 0.0, out=x)
-        return x
+            outs.append(x)
+        return tuple(outs)
 
     def initial_state(self) -> RecurrentState:
         return RecurrentState(np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM))
@@ -144,43 +177,61 @@ class _ExtractorBase:
         if tuple(obs.shape) != self.input_shape:
             raise ValueError(f"{self.name}: observation shape {obs.shape} != expected {self.input_shape}")
 
-    def forward(self, obs: np.ndarray, state: RecurrentState, drives: dict | None = None):
+    def forward(self, obs: np.ndarray, state: RecurrentState, drives: dict | None = None, record: ActingRecord | None = None):
         """One timestep, graph-free: returns (the (32,) feature array, new state).
 
-        ``drives``, when given, memoises the LSTM input drive (conv stack
-        plus input projection) by the observation's ``(dtype.str, bytes)``:
-        a hit reads the drive a miss stored. The caller keeps the dict only
-        while no parameter can change. The observation is checked and the
-        LSTM steps on every call.
+        ``drives``, when given, memoises the conv outputs and the LSTM input
+        drive (conv stack plus input projection) by the observation's
+        ``(dtype.str, bytes)``: a hit reads what a miss stored. The caller
+        keeps the dict only while no parameter can change. ``record``, when
+        given, gets this step's conv outputs, gates and new state appended.
+        The observation is checked and the LSTM steps on every call.
         """
         self._check_obs(obs)
         p = self.params
-        key = sx = None
+        key = hit = None
         if drives is not None:
             key = (obs.dtype.str, obs.tobytes())
-            sx = drives.get(key)
-        if sx is None:
-            z = self._conv_stack_array(self._conv_input(obs)).reshape(self.flat_dim)
-            sx = p["lstm.w_ih"].data @ z
+            hit = drives.get(key)
+        if hit is None:
+            convs = self._conv_stack_array(self._conv_input(obs))
+            sx = p["lstm.w_ih"].data @ convs[-1].reshape(self.flat_dim)
             sx += p["lstm.b"].data
             if key is not None:
-                drives[key] = sx
-        h, c, _ = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h, state.c)
+                drives[key] = convs, sx
+        else:
+            convs, sx = hit
+        h, c, gates = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h, state.c)
+        if record is not None:
+            for layer, out in zip(record.conv, convs):
+                layer.append(out)
+            record.gates.append(gates)
+            record.h.append(h)
+            record.c.append(c)
         return h, RecurrentState(h, c)
 
-    def forward_sequence(self, observations, episode_starts, state: RecurrentState):
+    def forward_sequence(self, observations, episode_starts, state: RecurrentState, recorded: ActingRecord | None = None):
         """Replay a rollout: batched conv over time, then one fused LSTM unroll.
 
         ``episode_starts[t]`` true resets the recurrent state before step t.
         Returns the (T, 32) feature matrix and the final state, which is a
         constant: gradients stop at the rollout's end.
+
+        ``recorded``, when given, is the ``ActingRecord`` that ``forward``
+        filled while stepping through these observations from ``state``,
+        under the current parameters. The replay then builds the same nodes
+        from acting's arrays: each conv2d node runs only the batched gather
+        of its patch matrix, and the lstm_cell node runs no step. Its
+        features are acting's, bit for bit. Without it the whole forward is
+        recomputed in batch form.
         """
         for obs in observations:
             self._check_obs(obs)
         p = self.params
-        z = self._conv_stack(self._conv_batch(observations)).reshape((len(observations), self.flat_dim))
+        z = self._conv_stack(self._conv_batch(observations), recorded).reshape((len(observations), self.flat_dim))
         sx = ad.matmul(z, ad.transpose(p["lstm.w_ih"], (1, 0))) + p["lstm.b"]  # (T, 4H)
-        feats, (h, c) = ad.lstm_cell(sx, p["lstm.w_hh"], state.h, state.c, starts=episode_starts)
+        steps = None if recorded is None else (np.array(recorded.gates), np.array(recorded.h), np.array(recorded.c))
+        feats, (h, c) = ad.lstm_cell(sx, p["lstm.w_hh"], state.h, state.c, starts=episode_starts, recorded=steps)
         return feats, RecurrentState(h, c)
 
 

@@ -60,10 +60,30 @@ def case_matmul(rng):
     return _wrap(lambda v: ad.matmul(v[0], v[1])), [rng.normal(size=sa), rng.normal(size=sb)]
 
 
+def conv2d_output(x, w, b, stride, padding) -> np.ndarray:
+    """The output the computed ``conv2d`` forward gives these operands' arrays: what a recorded form takes."""
+    return ad.conv2d(*(ad.Value(v.data) for v in (x, w, b)), stride=stride, padding=padding).data
+
+
+def lstm_steps(sx, w_hh, h, c, starts) -> tuple:
+    """``(gates, h_out, c_out)`` of ``lstm_step`` run step by step over the drive rows, as acting runs it."""
+    zeros = np.zeros_like(h)
+    rows = []
+    for drive, reset in zip(sx, starts):
+        if reset:
+            h, c = zeros, zeros
+        h, c, gates = ad.lstm_step(drive, w_hh, h, c)
+        rows.append((gates, h, c))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 def case_conv2d(rng):
     # a 3x3 kernel with one stride and padding for both axes, as the visual
     # and audio stacks take; the TextCNN's (1,2) kernel with (0,1) padding on
-    # a one-row input; or kernel, stride and padding drawn per axis
+    # a one-row input; or kernel, stride and padding drawn per axis; and
+    # either form, computed or recorded, the latter given the output the
+    # computed form gives the (perturbed) operands
+    recorded = bool(rng.integers(0, 2))
     form = rng.integers(0, 3)
     if form == 0:
         s, p = int(rng.integers(1, 3)), int(rng.integers(0, 2))
@@ -78,7 +98,8 @@ def case_conv2d(rng):
     xs = (int(rng.integers(1, 3)), 2, *hw)
 
     def f(v):
-        return ad.conv2d(v[0], v[1], v[2], stride=stride, padding=padding).square().sum()
+        out = conv2d_output(*v, stride, padding) if recorded else None
+        return ad.conv2d(v[0], v[1], v[2], stride=stride, padding=padding, recorded=out).square().sum()
 
     return f, [rng.normal(size=xs), rng.normal(size=(3, 2, *kernel)) * 0.5, rng.normal(size=(3,))]
 
@@ -145,7 +166,9 @@ def case_log(rng):
 
 
 def case_lstm_cell(rng):
-    # the state is a constant to the op and the loss reads the h rows, as in replay
+    # the state is a constant to the op and the loss reads the h rows, as in replay; the
+    # recorded form is given the steps lstm_step takes over the (perturbed) operands
+    recorded = bool(rng.integers(0, 2))
     hd = 4
     if rng.random() < 0.5:
         sx_shape, starts = (1, 4 * hd), np.zeros(1, dtype=bool)
@@ -158,7 +181,8 @@ def case_lstm_cell(rng):
     h, c = rng.normal(size=(hd,)) * 0.5, rng.normal(size=(hd,)) * 0.5
 
     def f(v):
-        return ad.lstm_cell(v[0], v[1], h, c, starts=starts)[0].square().sum()
+        steps = lstm_steps(v[0].data, v[1].data, h, c, starts) if recorded else None
+        return ad.lstm_cell(v[0], v[1], h, c, starts=starts, recorded=steps)[0].square().sum()
 
     return f, [rng.normal(size=sx_shape), rng.normal(size=(4 * hd, hd)) * 0.5]
 

@@ -389,6 +389,88 @@ def test_replay_matches_collection_features():
             np.testing.assert_allclose(collected, replayed.data, atol=1e-12)
 
 
+def test_first_replay_is_built_from_acting():
+    # the recorded replay's features and final state are acting's own, bit for bit, and the
+    # same nodes are built as by the recomputed replay
+    tr = _make_trainer(method="concat", env_name="mining_plus")
+    initial = {m: tr._states[m].detached() for m in tr.modalities}
+    buf = tr.collect_rollout()
+    feats, finals = tr._replay_features(buf, initial, buf.recorded)
+    again, _ = tr._replay_features(buf, initial)
+    for m in tr.modalities:
+        np.testing.assert_array_equal(feats[m].data, np.array(buf.features[m]))
+        assert all(f is h for f, h in zip(buf.features[m], buf.recorded[m].h))  # one record of each step
+        np.testing.assert_array_equal(finals[m].h, tr._states[m].h)
+        np.testing.assert_array_equal(finals[m].c, tr._states[m].c)
+        kinds = [[n._op for n in ad.Graph.trace(f[m].sum()).nodes] for f in (feats, again)]
+        assert kinds[0] == kinds[1]
+
+
+def _pass_grads(tr, monkeypatch, updates: int = 1) -> list:
+    """Each parameter's gradient before clipping, per backward pass of ``updates`` train steps of ``tr``."""
+    passes, clip = [], ad.clip_grad_norm
+
+    def keeping(params, max_norm):
+        passes.append({k: p.grad.copy() for k, p in tr.named_parameters().items()})
+        return clip(params, max_norm)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ad, "clip_grad_norm", keeping)
+        for _ in range(updates):
+            tr.train_step()
+    return passes
+
+
+@pytest.mark.parametrize("method", ag.METHODS)
+@pytest.mark.parametrize("env_name", list(envs.ENV_NAMES))
+def test_recorded_first_replay_gives_the_recomputed_gradients(env_name, method, monkeypatch):
+    # the drift gate of the recorded replay: acting's features and the batched recompute differ in
+    # their last bits, and the first update's gradients through either agree within 1e-10 of each
+    # parameter's largest entry
+    def trainer():
+        return ag.Trainer(envs.make_env(env_name, 3), ag.TrainConfig(method=method, seed=3))
+
+    handed, recomputing = [], trainer()
+    recording = trainer()
+    replay, replay_again = recording._replay_features, recomputing._replay_features
+    recording._replay_features = lambda buf, initial, recorded=None: (handed.append(recorded), replay(buf, initial, recorded))[1]
+    recomputing._replay_features = lambda buf, initial, recorded=None: replay_again(buf, initial)
+    got = _pass_grads(recording, monkeypatch)[0]
+    want = _pass_grads(recomputing, monkeypatch)[0]
+    assert handed[0] is not None  # the first replay was the recorded one
+    for name, g in want.items():
+        assert np.abs(got[name] - g).max() <= 1e-10 * np.abs(g).max(), name
+
+
+@pytest.mark.parametrize("method", ["maie", "concat"])
+def test_reduction_adjoints_add_the_bits_of_the_broadcast_formula(method, monkeypatch):
+    # sum and mean hand _accum their unbroadcast adjoint; every gradient of two updates is the one
+    # the full-size np.broadcast_to adjoints gave
+    def broadcast_sum(x, axis=None):
+        x = ad._lift(x)
+        shape = x.data.shape
+        return ad._node(
+            np.sum(x.data, axis=axis), (x,), "sum",
+            lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),
+        )
+
+    def broadcast_mean(x):
+        x = ad._lift(x)
+        return ad._node(np.mean(x.data), (x,), "mean", lambda g: np.broadcast_to(g / x.data.size, x.data.shape))
+
+    got = _pass_grads(_make_trainer(method=method, seed=5), monkeypatch, updates=2)
+    with monkeypatch.context() as mp:
+        for owner, name, op in ((ad, "reduce_sum", broadcast_sum), (ad.Value, "sum", broadcast_sum),
+                                (ad, "reduce_mean", broadcast_mean), (ad.Value, "mean", broadcast_mean)):
+            mp.setattr(owner, name, op)
+        want = _pass_grads(_make_trainer(method=method, seed=5), monkeypatch, updates=2)
+    assert len(got) == len(want) == (4 if method == "maie" else 2)
+    for a, b in zip(got, want):
+        assert a.keys() == b.keys()
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), name
+
+
 def test_train_step_reproducible():
     def run():
         tr = _make_trainer(method="maie", seed=7)
@@ -458,7 +540,7 @@ def test_lambda_weighted_adjoint_through_train_pipeline():
 def _uncached(tr):
     """Make every extractor of ``tr`` drop the input-drive memo it is handed."""
     for e in tr.extractors.values():
-        e.forward = lambda obs, state, drives=None, forward=e.forward: forward(obs, state)
+        e.forward = lambda obs, state, drives=None, record=None, forward=e.forward: forward(obs, state, None, record)
     return tr
 
 
@@ -466,9 +548,9 @@ def _count_memos(tr) -> dict:
     """Per modality, the memo ``tr`` hands its extractor on each call, in call order."""
     memos = {m: [] for m in tr.modalities}
     for m, e in tr.extractors.items():
-        def counting(obs, state, drives=None, forward=e.forward, handed=memos[m]):
+        def counting(obs, state, drives=None, record=None, forward=e.forward, handed=memos[m]):
             handed.append(drives)
-            return forward(obs, state, drives)
+            return forward(obs, state, drives, record)
 
         e.forward = counting
     return memos

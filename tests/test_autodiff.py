@@ -9,7 +9,7 @@ from maie.extractors import TEXT_EMBED_DIM, ConvLstmExtractor, TextExtractor
 
 from grad_check import grad_check
 from method_oracles import conv2d_reference
-from op_cases import CASES, check_op
+from op_cases import CASES, check_op, conv2d_output, lstm_steps
 
 
 def test_add_componentwise():
@@ -365,6 +365,72 @@ def test_lstm_cell_rejects_bad_starts():
     hd = 2
     with pytest.raises(ad.ShapeError, match="starts"):
         ad.lstm_cell(np.zeros((3, 4 * hd)), np.zeros((4 * hd, hd)), np.zeros(hd), np.zeros(hd), starts=[True, False])
+
+
+def _outputs_and_grads(build, arrays, upstream) -> tuple:
+    """The output of ``build`` over fresh variables of ``arrays`` and each variable's gradient under ``upstream``."""
+    vals = [ad.Value(a.copy(), requires_grad=True) for a in arrays]
+    out = build(vals)
+    ad.backward((out * ad.Value(upstream)).sum())
+    return out.data, [v.grad for v in vals]
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kernel, stride, padding, x_shape", [
+    ((3, 3), (2, 2), (1, 1), (4, 3, 10, 10)),  # the visual and audio stacks' geometry
+    ((1, 2), (1, 1), (0, 1), (3, 8, 1, 12)),  # the TextCNN's
+])
+def test_recorded_conv2d_is_the_computed_node_bit_for_bit(relu, kernel, stride, padding, x_shape):
+    # given the output its own computed forward gave, or that output's ReLU when a ReLU follows, the
+    # recorded form outputs the same bits and hands every operand the same adjoint
+    rng = np.random.default_rng(41)
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(5, x_shape[1], *kernel)), rng.normal(size=(5,))]
+    out = conv2d_output(*map(ad.Value, arrays), stride, padding)
+    upstream = rng.normal(size=out.shape)
+    given = np.maximum(out, 0.0) if relu else out
+
+    def build(recorded):
+        def conv(v):
+            y = ad.conv2d(*v, stride=stride, padding=padding, recorded=recorded)
+            return y.relu() if relu else y
+        return conv
+
+    want, want_grads = _outputs_and_grads(build(None), arrays, upstream)
+    got, got_grads = _outputs_and_grads(build(given), arrays, upstream)
+    assert got.tobytes() == want.tobytes()
+    for a, b in zip(got_grads, want_grads):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ad.ShapeError, match="recorded"):
+        ad.conv2d(*arrays, stride=stride, padding=padding, recorded=given[1:])
+
+
+@pytest.mark.parametrize("starts", [[False, False, True, False, False], [True, False, False, True, False]])
+def test_recorded_lstm_cell_is_the_computed_node_bit_for_bit(starts):
+    # given the steps lstm_step took, which are the computed forward's own h rows, the recorded form
+    # outputs the same rows and final state and hands sx and w_hh the same adjoints
+    rng = np.random.default_rng(43)
+    hd, t_len = 6, len(starts)
+    sx, w_hh = rng.normal(size=(t_len, 4 * hd)), rng.normal(size=(4 * hd, hd)) * 0.4
+    h0, c0 = rng.normal(size=(hd,)) * 0.5, rng.normal(size=(hd,)) * 0.5
+    upstream = rng.normal(size=(t_len, hd))
+    steps = lstm_steps(sx, w_hh, h0, c0, starts)
+    finals = {}
+
+    def build(recorded):
+        def cell(v):
+            rows, finals[recorded is None] = ad.lstm_cell(*v, h0, c0, starts=starts, recorded=recorded)
+            return rows
+        return cell
+
+    want, want_grads = _outputs_and_grads(build(None), [sx, w_hh], upstream)
+    got, got_grads = _outputs_and_grads(build(steps), [sx, w_hh], upstream)
+    assert want.tobytes() == steps[1].tobytes() == got.tobytes()
+    for a, b in zip(got_grads, want_grads):
+        assert np.abs(b).max() > 0.0 and a.tobytes() == b.tobytes()
+    for a, b in zip(finals[False], finals[True]):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ad.ShapeError, match="recorded"):
+        ad.lstm_cell(sx, w_hh, h0, c0, starts=starts, recorded=(steps[0], steps[1][1:], steps[2]))
 
 
 def test_slice_accumulates_repeated_indices():

@@ -671,6 +671,10 @@ def test_run_info_splits_out_the_write_seconds(tmp_path):
         assert info["eval_seconds"] < info["wall_seconds"]
         # one BLAS thread and no other: the process cannot spend more CPU time than wall time
         assert info["blas_threads"] == ad.blas_threads() == (1 if _NUMPY_HAS_OPENBLAS else None)
+        # the kernel set and numpy's version, without which the artifacts' bits cannot be compared
+        assert info["numpy_version"] == np.__version__
+        assert info["blas_core"] == ad.blas_core()
+        assert (type(info["blas_core"]) is str and info["blas_core"] != "") if _NUMPY_HAS_OPENBLAS else info["blas_core"] is None
         assert 0.0 < info["cpu_seconds"] <= 1.05 * info["wall_seconds"] + 0.01
         # env_steps counts training steps only, so ms_per_env_step leaves the evaluation seconds out
         train_seconds = info["wall_seconds"] - info["eval_seconds"]

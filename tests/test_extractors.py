@@ -193,8 +193,8 @@ def _env_extractors():
 
 
 def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
-    # the acting stack's flat (F, oh*ow) buffer holds the bits of the autodiff stack, at batch 1, on
-    # all 13 conv geometries, each layer gathered through the op's own cached index of its geometry
+    # each layer's flat (F, oh*ow) acting buffer holds the bits of the autodiff stack's layer, at batch 1,
+    # on all 13 conv geometries, each layer gathered through the op's own cached index of its geometry
     geometries, op_indices = set(), []
     gather_index = ad.gather_index
 
@@ -209,10 +209,14 @@ def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
         noisy = rng.integers(0, e.vocab_size, size=obs.shape) if e.name == "text" else obs + rng.normal(size=obs.shape)
         for o in (obs, noisy):
             x = e._conv_input(o)
-            want = e._conv_stack(ad.Value(x)).data
-            got = e._conv_stack_array(x)
-            assert type(got) is np.ndarray and got.shape == (want.shape[1], want[0, 0].size)
-            assert np.array_equal(got, want.reshape(got.shape)), e.name
+            layers = e._conv_stack_array(x)
+            assert len(layers) == 3
+            want = ad.Value(x)
+            for got, i in zip(layers, (1, 2, 3)):
+                want = ad.conv2d(want, e.params[f"conv{i}.w"], e.params[f"conv{i}.b"], stride=e.STRIDE, padding=e.PADDING).relu()
+                assert type(got) is np.ndarray and got.shape == (want.shape[1], want.data[0, 0].size)
+                assert np.array_equal(got, want.data.reshape(got.shape)), e.name
+            assert np.array_equal(layers[-1], e._conv_stack(ad.Value(x)).data.reshape(layers[-1].shape))
             assert len(e._act_index) == 3 and all(a is b for a, b in zip(e._act_index, op_indices[-3:]))
     assert len(geometries) == 13
     assert all(shape[0] == 1 for shape, _, _, _ in geometries)
@@ -316,6 +320,52 @@ def test_memo_hit_returns_the_miss_drive_and_the_same_numbers():
     for a, b, c in ((miss, hit, plain), (miss_state.c, hit_state.c, plain_state.c)):
         np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(b, c)
+
+
+def test_memo_hit_records_the_arrays_its_miss_stored():
+    # each conv layer's output is kept once per distinct observation; the LSTM steps on every call
+    e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=0)
+    obs = np.random.default_rng(1).random(VIS_SHAPE)
+    drives, record, state = {}, ex.ActingRecord(), e.initial_state()
+    for o in (obs, obs.copy(), obs):
+        feat, state = e.forward(o, state, drives, record)
+    (convs, _), = drives.values()
+    assert len(convs) == 3
+    for layer, out in zip(record.conv, convs):
+        assert len(layer) == 3 and all(a is out for a in layer)
+    assert len({id(g) for g in record.gates}) == 3
+    assert record.h[-1] is feat is state.h and record.c[-1] is state.c
+
+
+@pytest.mark.parametrize("kind", ["visual", "text"])
+def test_recorded_replay_is_acting_bit_for_bit(kind):
+    # a replay built from acting's record gives acting's features and final state exactly, and
+    # gradients within 1e-10 of the recomputed replay's
+    rng = np.random.default_rng(15)
+    if kind == "visual":
+        e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=15)
+        obs = [_rand_obs(rng, VIS_SHAPE) for _ in range(6)]
+    else:
+        e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=15)
+        obs = [rng.integers(0, 19, size=12) for _ in range(6)]
+    obs[4] = obs[1]  # a memo hit
+    starts = [False, False, True, False, False, False]
+    initial = ex.RecurrentState(rng.normal(size=32) * 0.3, rng.normal(size=32) * 0.3)
+    record, drives, state = ex.ActingRecord(), {}, initial
+    for o, start in zip(obs, starts):
+        state = e.initial_state() if start else state
+        _, state = e.forward(o, state, drives, record)
+    grads = []
+    for recorded in (record, None):
+        feats, final = e.forward_sequence(obs, starts, initial, recorded)
+        if recorded is not None:
+            assert feats.data.tobytes() == np.array(record.h).tobytes()
+            assert final.h.tobytes() == state.h.tobytes() and final.c.tobytes() == state.c.tobytes()
+        ad.backward(feats.square().sum())
+        grads.append({k: p.grad.copy() for k, p in e.params.items()})
+        ad.zero_grads(e.params.values())
+    for k, g in grads[1].items():
+        assert np.abs(grads[0][k] - g).max() <= 1e-10 * np.abs(g).max(), k
 
 
 def test_memo_path_still_checks_every_observation():
