@@ -331,13 +331,8 @@ def gather_index(x_shape: tuple, kernel: tuple, stride: tuple, padding: tuple) -
     return idx
 
 
-def _patches(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The (C*kh*kw, N*oh*ow) patch matrix of ``x`` through a ``gather_index``: one gather, padding read as 0.0."""
-    return np.concatenate((x.ravel(), (0.0,)))[index]
-
-
 def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) -> tuple:
-    """The im2col arithmetic of every convolution: ``_patches``, ``w2d @ cols``, then the bias added in place.
+    """The im2col arithmetic of every convolution: gather, ``w2d @ cols``, then the bias added in place.
 
     ``x`` is any C-ordered array whose ``ravel()`` the ``gather_index``
     ``index`` addresses, ``w2d`` the (F, C*kh*kw) filters and ``b`` the (F,)
@@ -345,7 +340,7 @@ def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) 
     row, output column), and the (C*kh*kw, N*oh*ow) patch matrix. At batch
     one that output, read C-ordered, is the next layer's (1,F,oh,ow) input.
     """
-    cols = _patches(x, index)
+    cols = np.concatenate((x.ravel(), (0.0,)))[index]  # a recorded conv2d gathers the same way
     out = w2d @ cols
     out += b[:, None]
     return out, cols
@@ -386,7 +381,7 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | Non
     else:
         if recorded.shape != (n, f, oh, ow):
             raise ShapeError(f"conv2d: recorded output shape {recorded.shape} != {(n, f, oh, ow)}")
-        out_data, cols = recorded, _patches(x.data, idx)
+        out_data, cols = recorded, np.concatenate((x.data.ravel(), (0.0,)))[idx]  # conv_gemm's gather
     g_flat = _once(lambda g: g.transpose(1, 0, 2, 3).reshape(f, -1))
 
     def x_adjoint(g):

@@ -11,11 +11,12 @@ convolution is one ``autodiff.conv_gemm``, the arithmetic ``autodiff.conv2d``
 also runs, on flat (F, oh*ow) buffers through the three batch-one gather
 indices each extractor takes from the geometry once, at construction, with
 ReLU applied in place; then the input projection and the LSTM step
-(``autodiff.lstm_step``). Given a memo dict, ``forward`` computes the conv
-outputs and the LSTM input drive (conv stack plus input projection) once per
-distinct observation and reads them back when the same bytes recur, as
-grids and text often do within an episode; the hit is the very arrays the
-miss computed, so every output is bitwise the same. The trainer hands a
+(``autodiff.lstm_step``). Given a memo dict, ``forward`` computes the LSTM
+input drive (conv stack plus input projection), and while recording the
+conv outputs too, once per distinct observation and reads them back when
+the same bytes recur, as grids and text often do within an episode; the
+hit is the very arrays the miss computed, so every output is bitwise the
+same. The trainer hands a
 memo only to a modality whose observations can repeat. Given an
 ``ActingRecord``, ``forward`` also appends the step's conv outputs, gates
 and new state to it.
@@ -155,7 +156,7 @@ class _ExtractorBase:
             x = ad.conv2d(x, w, b, stride=self.STRIDE, padding=self.PADDING, recorded=out).relu()
         return x
 
-    def _conv_stack_array(self, x: np.ndarray) -> tuple:
+    def _conv_stack_array(self, x: np.ndarray) -> list:
         """Each layer's ``_conv_stack(Value(x))`` output of one (1, C, H, W) input on plain arrays, for acting.
 
         Each layer is one ``autodiff.conv_gemm`` through the index cached at
@@ -168,7 +169,7 @@ class _ExtractorBase:
             x, _ = ad.conv_gemm(x, w.reshape(w.shape[0], -1), self.params[f"conv{i}.b"].data, index)
             np.maximum(x, 0.0, out=x)
             outs.append(x)
-        return tuple(outs)
+        return outs
 
     def initial_state(self) -> RecurrentState:
         return RecurrentState(np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM))
@@ -180,12 +181,16 @@ class _ExtractorBase:
     def forward(self, obs: np.ndarray, state: RecurrentState, drives: dict | None = None, record: ActingRecord | None = None):
         """One timestep, graph-free: returns (the (32,) feature array, new state).
 
-        ``drives``, when given, memoises the conv outputs and the LSTM input
-        drive (conv stack plus input projection) by the observation's
-        ``(dtype.str, bytes)``: a hit reads what a miss stored. The caller
-        keeps the dict only while no parameter can change. ``record``, when
-        given, gets this step's conv outputs, gates and new state appended.
-        The observation is checked and the LSTM steps on every call.
+        ``drives``, when given, memoises the LSTM input drive (conv stack
+        plus input projection) by the observation's ``(dtype.str, bytes)``:
+        a hit reads the drive a miss stored. The caller keeps the dict only
+        while no parameter can change. ``record``, when given, gets this
+        step's conv outputs, gates and new state appended; a span that
+        records hands a record on every call, so its memo also keeps each
+        miss's conv outputs for the hits to append. A span that does not
+        (evaluation) keeps the drive alone, since holding the conv outputs
+        slowed its steps. The observation is checked and the LSTM steps on
+        every call.
         """
         self._check_obs(obs)
         p = self.params
@@ -198,7 +203,7 @@ class _ExtractorBase:
             sx = p["lstm.w_ih"].data @ convs[-1].reshape(self.flat_dim)
             sx += p["lstm.b"].data
             if key is not None:
-                drives[key] = convs, sx
+                drives[key] = (convs if record is not None else None), sx
         else:
             convs, sx = hit
         h, c, gates = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h, state.c)

@@ -335,6 +335,10 @@ def test_memo_hit_records_the_arrays_its_miss_stored():
         assert len(layer) == 3 and all(a is out for a in layer)
     assert len({id(g) for g in record.gates}) == 3
     assert record.h[-1] is feat is state.h and record.c[-1] is state.c
+    # a span that records nothing (evaluation) keeps the drive alone
+    drives = {}
+    e.forward(obs, state, drives)
+    assert [convs for convs, _ in drives.values()] == [None]
 
 
 @pytest.mark.parametrize("kind", ["visual", "text"])
