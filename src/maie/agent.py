@@ -37,6 +37,11 @@ Each episode fact is stored once. The step count is the environment's
 (``lambda_rows``, one row of per-modality means per step) is the one
 record of λ, and a metrics row's λ is the mean of its episode's trace
 rows. Both backward passes go through one update step, ``Trainer._apply``.
+
+An update holds each array only while something still reads it. The SRL
+step runs in its own method, ``Trainer._srl_step``, so its graph (the first
+replay's nodes, their gradients and the loss) is freed when the step
+returns, before the second replay builds the actor-critic graph.
 """
 
 from __future__ import annotations
@@ -460,18 +465,7 @@ class Trainer:
         initial_states = {m: self._states[m].detached() for m in self.modalities}
         buf = self.collect_rollout()
 
-        sim_val, td_val = 0.0, 0.0
-        recorded = buf.recorded  # acting's forward is the replay's until a parameter changes
-        if self.use_align:
-            # step one: representation loss into the extractors only
-            feats, _ = self._replay_features(buf, initial_states, recorded)
-            mats = [feats[m] for m in self.modalities]
-            parts = al.srl_loss(mats, cfg.c_sim, cfg.c_td, cfg.distance, episode_starts=buf.episode_starts)
-            sim_val, td_val = parts.sim, parts.td
-            if not np.isfinite(parts.total.data):
-                raise NumericalError("representation loss is non-finite", self._numerical_dump(buf, {"loss_srl": float(parts.total.data)}))
-            self._apply(parts.total, self.phi_params)
-            recorded = None
+        sim_val, td_val = self._srl_step(buf, initial_states) if self.use_align else (0.0, 0.0)
 
         if self.use_ie:
             # the rollout is the statistics mini-batch
@@ -480,7 +474,8 @@ class Trainer:
 
         # step two: the features under the extractors as they are now
         scales = self._scales()
-        feats, finals = self._replay_features(buf, initial_states, recorded)
+        # acting's forward is the replay's until a parameter changes
+        feats, finals = self._replay_features(buf, initial_states, None if self.use_align else buf.recorded)
         lams = self._weights({m: feats[m].data for m in self.modalities}, scales)
         fused = en.fuse([feats[m] for m in self.modalities], [lams[m] for m in self.modalities])
 
@@ -515,6 +510,22 @@ class Trainer:
         }
         self._last_losses = {k: metrics[k] for k in LOSS_COLUMNS}
         return metrics
+
+    def _srl_step(self, buf: RolloutBuffer, initial_states: dict) -> tuple:
+        """Step one: the representation loss over acting's features, backward into the extractors only.
+
+        Returns the loss's (sim, td) parts. Its graph is referenced only from
+        here, so it is freed on return, before the second replay builds the
+        next one.
+        """
+        cfg = self.cfg
+        feats, _ = self._replay_features(buf, initial_states, buf.recorded)
+        parts = al.srl_loss([feats[m] for m in self.modalities], cfg.c_sim, cfg.c_td, cfg.distance,
+                            episode_starts=buf.episode_starts)
+        if not np.isfinite(parts.total.data):
+            raise NumericalError("representation loss is non-finite", self._numerical_dump(buf, {"loss_srl": float(parts.total.data)}))
+        self._apply(parts.total, self.phi_params)
+        return parts.sim, parts.td
 
     def _apply(self, loss: Value, params):
         """The one update step: backward, clip the global grad norm to grad_clip, Adam, zero the grads."""

@@ -13,6 +13,12 @@ arrays they held. Walking the same nodes a second time raises (prevents
 silent double accumulation). Gradients on leaves accumulate additively
 until the caller zeroes them.
 
+An array is held only while something still reads it. A recorded node gets
+its ``grad`` when the first adjoint reaches it in the walk, not when it is
+built, so a forward graph waiting for its backward holds no gradient
+buffers; a parameter (a leaf made with ``requires_grad=True``) keeps its
+zero buffer from construction, since the optimiser helpers read it.
+
 The elementwise ops (add, sub, mul, div, neg, relu, square, sqrt, log) are
 one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
 ``Value``'s operators and methods are bound straight to the op functions.
@@ -20,8 +26,9 @@ one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
 ``conv2d`` and ``lstm_cell``, the two ops whose forward costs the most, also
 take a recorded forward (``recorded=``): the arrays an earlier forward over
 the same operands produced. The node is then built from them, with the
-output and adjoints of the computed form, and only what the adjoints read
-and the forward did not keep (conv2d's patch matrix) is computed.
+output and adjoints of the computed form, and what the adjoints read and
+the forward did not keep (conv2d's patch matrix) is computed by the adjoint
+that reads it, when the walk runs it.
 
 No mutable global state is shared between runs: the graph lives entirely
 in the Value objects, and the one module-level cache, ``gather_index``,
@@ -149,10 +156,14 @@ class GraphError(RuntimeError):
 class Value:
     """A float64 array plus the bookkeeping for reverse-mode gradients.
 
-    ``grad`` is allocated (zeros, same shape as ``data``) whenever
-    ``requires_grad`` is true and accumulates across backward passes. The
-    operators and ``sum``, ``relu``, ``reshape``, ... are the op functions,
-    bound after the ops.
+    ``grad`` is None without ``requires_grad``. A leaf made with
+    ``requires_grad=True`` (a parameter) gets zeros of ``data``'s shape at
+    construction, which ``Adam``, ``clip_grad_norm`` and ``zero_grads``
+    read. A recorded node's ``grad`` stays None until the backward walk
+    reaches it, and is then an array of ``data``'s shape that no other
+    Value shares. Either accumulates across backward passes. The operators
+    and ``sum``, ``relu``, ``reshape``, ... are the op functions, bound after
+    the ops.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_adjoints", "_op", "_spent")
@@ -191,7 +202,8 @@ def _node(data: np.ndarray, parents, op: str, *adjoints) -> Value:
 
     ``adjoints[i](g)`` returns parent i's share of the output adjoint ``g``:
     an array of the parent's shape, or one that ``_accum`` reduces or
-    broadcasts to it.
+    broadcasts to it. The output's ``grad`` is None either way; a recorded
+    one gets its buffer from ``_accum``, during the walk.
     """
     record = False
     for p in parents:
@@ -202,14 +214,13 @@ def _node(data: np.ndarray, parents, op: str, *adjoints) -> Value:
     out.data = data
     out._op = op
     out._spent = False
+    out.grad = None
     if record:
         out.requires_grad = True
-        out.grad = np.zeros_like(data)
         out._parents = parents
         out._adjoints = adjoints
     else:
         out.requires_grad = False
-        out.grad = None
         out._parents = ()
         out._adjoints = ()
     return out
@@ -220,8 +231,15 @@ def _accum(p: Value, g: np.ndarray):
 
     ``g`` may be larger than the parent along broadcast axes (an elementwise
     operand that was broadcast), which are summed away, or smaller along
-    axes it broadcasts up to (a reduction's adjoint), which one in-place
-    ``+=`` spreads without a full-size copy.
+    axes it broadcasts up to (a reduction's adjoint), which the write into
+    the parent's grad spreads without a full-size copy of ``g``.
+
+    The first contribution to a node without a grad becomes its grad as a
+    fresh array, ``g + 0.0`` broadcast to the node's shape: the bits of
+    adding ``g`` into zeros, ``-0.0`` included. ``g`` itself is never kept,
+    since an adjoint may return the output's own grad (add, reshape) or a
+    view of it (transpose, concat), or hand one array to two operands.
+    Later contributions are added in place.
     """
     shape = p.data.shape
     if g.shape != shape:
@@ -231,7 +249,10 @@ def _accum(p: Value, g: np.ndarray):
             for i, s in enumerate(shape):
                 if s == 1 and g.shape[i] != 1:
                     g = g.sum(axis=i, keepdims=True)
-    p.grad += g
+    if p.grad is None:
+        p.grad = np.add(g, 0.0, out=np.empty(shape))
+    else:
+        p.grad += g
 
 
 def _once(fn):
@@ -331,6 +352,11 @@ def gather_index(x_shape: tuple, kernel: tuple, stride: tuple, padding: tuple) -
     return idx
 
 
+def _patches(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The patch matrix of ``x`` at a ``gather_index``: one gather, a 0.0 read at each padding tap."""
+    return np.concatenate((x.ravel(), (0.0,)))[index]
+
+
 def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) -> tuple:
     """The im2col arithmetic of every convolution: gather, ``w2d @ cols``, then the bias added in place.
 
@@ -340,7 +366,7 @@ def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) 
     row, output column), and the (C*kh*kw, N*oh*ow) patch matrix. At batch
     one that output, read C-ordered, is the next layer's (1,F,oh,ow) input.
     """
-    cols = np.concatenate((x.ravel(), (0.0,)))[index]  # a recorded conv2d gathers the same way
+    cols = _patches(x, index)
     out = w2d @ cols
     out += b[:, None]
     return out, cols
@@ -358,8 +384,11 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | Non
 
     ``recorded``, when given, is the (N,F,oh,ow) output an earlier forward
     computed from these same operands, or its ReLU: the node takes it as its
-    output and runs only the gather, since no adjoint reads the output. A
-    ReLU applied after it then gives the same output and adjoint either way.
+    output and computes nothing, since no adjoint reads the output. Its
+    weight adjoint gathers the patch matrix when the walk runs it and drops
+    it on return, so a recorded node waiting for its backward holds no
+    patches; the computed form keeps the patches ``conv_gemm`` returned. A
+    ReLU applied after it gives the same output and adjoint either way.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -381,7 +410,7 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | Non
     else:
         if recorded.shape != (n, f, oh, ow):
             raise ShapeError(f"conv2d: recorded output shape {recorded.shape} != {(n, f, oh, ow)}")
-        out_data, cols = recorded, np.concatenate((x.data.ravel(), (0.0,)))[idx]  # conv_gemm's gather
+        out_data, cols = recorded, None
     g_flat = _once(lambda g: g.transpose(1, 0, 2, 3).reshape(f, -1))
 
     def x_adjoint(g):
@@ -389,10 +418,14 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | Non
         gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
         return gx[:-1].reshape(n, c, h, width)
 
+    def w_adjoint(g):
+        patches = _patches(x.data, idx) if cols is None else cols
+        return (g_flat(g) @ patches.T).reshape(w.data.shape)
+
     return _node(
         out_data, (x, w, b), "conv2d",
         x_adjoint,
-        lambda g: (g_flat(g) @ cols.T).reshape(w.data.shape),
+        w_adjoint,
         lambda g: g_flat(g).sum(axis=1),
     )
 

@@ -27,11 +27,12 @@ steps, and the whole LSTM unroll in a single ``autodiff.lstm_cell`` node,
 episode resets included; that node is the (T, 32) feature matrix, and the
 state after its last step comes back beside it as plain arrays. Given the
 rollout's ``ActingRecord`` and unchanged parameters, it builds the same
-nodes from acting's arrays (each conv2d node runs only the batched gather
-of its patch matrix, and the LSTM runs no step), so its features are
-acting's, bit for bit. Without one it recomputes the forward, and its
-features match acting's within 1e-12: batched and batch-one products of the
-same numbers differ in their last bits.
+nodes from acting's arrays (no conv2d node computes anything until its
+weight adjoint gathers its patch matrix in the backward, and the LSTM runs
+no step), so its features are acting's, bit for bit. Without one it
+recomputes the forward, and its features match acting's within 1e-12:
+batched and batch-one products of the same numbers differ in their last
+bits.
 
 Both kinds are built by one constructor and run their convolutions through
 the same base-class code, driven by each class's FILTERS, KERNEL, STRIDE
@@ -225,10 +226,10 @@ class _ExtractorBase:
         ``recorded``, when given, is the ``ActingRecord`` that ``forward``
         filled while stepping through these observations from ``state``,
         under the current parameters. The replay then builds the same nodes
-        from acting's arrays: each conv2d node runs only the batched gather
-        of its patch matrix, and the lstm_cell node runs no step. Its
-        features are acting's, bit for bit. Without it the whole forward is
-        recomputed in batch form.
+        from acting's arrays: each conv2d node defers the batched gather of
+        its patch matrix to its weight adjoint, and the lstm_cell node runs
+        no step. Its features are acting's, bit for bit. Without it the
+        whole forward is recomputed in batch form.
         """
         for obs in observations:
             self._check_obs(obs)

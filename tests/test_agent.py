@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -404,6 +405,23 @@ def test_first_replay_is_built_from_acting():
         np.testing.assert_array_equal(finals[m].c, tr._states[m].c)
         kinds = [[n._op for n in ad.Graph.trace(f[m].sum()).nodes] for f in (feats, again)]
         assert kinds[0] == kinds[1]
+
+
+def test_srl_graph_is_freed_before_the_second_replay(monkeypatch):
+    # the alignment step's graph, the first replay's feature nodes included, is referenced only while
+    # that step runs, so none of it is alive when the actor-critic replay begins
+    tr = _make_trainer(method="maie")
+    replay, feature_refs, alive = tr._replay_features, [], []
+
+    def replaying(buf, initial_states, recorded=None):
+        alive.append([ref() is not None for ref in feature_refs])
+        feats, finals = replay(buf, initial_states, recorded)
+        feature_refs.extend(weakref.ref(f.data) for f in feats.values())
+        return feats, finals
+
+    monkeypatch.setattr(tr, "_replay_features", replaying)
+    tr.train_step()
+    assert alive == [[], [False] * len(tr.modalities)]
 
 
 def _pass_grads(tr, monkeypatch, updates: int = 1) -> list:

@@ -1,4 +1,5 @@
 import operator
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -195,9 +196,91 @@ def test_ops_on_constants_record_nothing():
         ad.backward(out)
     x = ad.Value([3.0, 4.0], requires_grad=True)
     mixed = (c * x).sum()
-    assert mixed.requires_grad and mixed.grad is not None and len(mixed._parents) == 1
+    assert mixed.requires_grad and mixed.grad is None and len(mixed._parents) == 1
     ad.backward(mixed)
     np.testing.assert_array_equal(x.grad, c.data)
+    assert mixed.grad.shape == mixed.data.shape
+
+
+# -- grad buffers on first use ------------------------------------------------
+
+
+def test_recorded_node_gets_its_grad_when_the_walk_reaches_it():
+    x = ad.Value(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    y = x * x
+    loss = y.mean()
+    assert y.grad is None and loss.grad is None
+    seen = []
+    (mean_adjoint,) = loss._adjoints
+    loss._adjoints = (lambda g: seen.append(y.grad) or mean_adjoint(g),)  # runs just before y's first adjoint lands
+    ad.backward(loss)
+    assert seen == [None]
+    assert y.grad.shape == y.data.shape and loss.grad.shape == loss.data.shape
+    np.testing.assert_array_equal(y.grad, np.full((2, 3), 1.0 / 6.0))
+
+
+def test_zero_grad_without_a_grad_is_a_noop():
+    y = ad.Value([1.0, 2.0], requires_grad=True) * 2.0
+    y.zero_grad()
+    assert y.grad is None
+
+
+def test_a_parameter_leaf_has_its_zero_buffer_before_any_backward():
+    p = ad.Value(np.ones((2, 3)), requires_grad=True)
+    assert p.grad.shape == (2, 3) and not p.grad.any()
+    assert ad.clip_grad_norm([p], 1.0) == 0.0  # the optimiser helpers read it
+
+
+SHARING_CASES = {
+    "a + a": lambda a, b: a + a,
+    "a + b": lambda a, b: a + b,  # both adjoints are the add node's own grad
+    "reshape": lambda a, b: (a.reshape((3, 2)) + b.reshape((3, 2))).reshape((2, 3)),
+    "transpose": lambda a, b: ad.transpose(ad.transpose(a, (1, 0)) * 3.0, (1, 0)) + b,
+    "concat": lambda a, b: ad.concat([a, b], axis=0)[:2] + ad.concat([a, b], axis=1)[:, 3:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARING_CASES))
+def test_no_two_values_share_a_grad_buffer(case):
+    # an adjoint may return its output's grad or a view of it; each Value's grad is its own array,
+    # so writing one leaves every other grad as it was
+    rng = np.random.default_rng(7)
+    x, z = (ad.Value(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(2))
+    a, b = x * 2.0, z * 3.0  # recorded nodes, whose grads come from the first adjoint that reaches them
+    loss = (SHARING_CASES[case](a, b) * ad.Value(rng.normal(size=(2, 3)))).sum()
+    ad.backward(loss)
+    nodes = ad.Graph.trace(loss).nodes
+    assert {x, a} <= set(nodes)
+    for i, node in enumerate(nodes):
+        before = [n.grad.copy() for n in nodes]
+        node.grad += 1.0
+        for j, other in enumerate(nodes):
+            if j != i:
+                assert other.grad.tobytes() == before[j].tobytes(), (case, node._op, other._op)
+
+
+def test_a_reduction_parents_first_grad_is_the_bits_of_zeros_plus_its_adjoint():
+    # the first adjoint reaching a node is written as g + 0.0, broadcast: a -0.0 adjoint gives +0.0,
+    # as adding it into a zero buffer did
+    weight = np.array([-0.0, 1.5, -2.25, 0.0])
+    x = ad.Value(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    summed = x * 1.0
+    rows = summed.sum(axis=1)
+    ad.backward((rows * ad.Value(weight)).sum())
+    want_rows = np.zeros(4)
+    want_rows += np.ones(4) * weight
+    want = np.zeros((4, 3))
+    want += np.expand_dims(want_rows, 1)
+    assert rows.grad.tobytes() == want_rows.tobytes()
+    assert summed.grad.tobytes() == want.tobytes()
+    assert not np.signbit(summed.grad[0]).any()
+
+    averaged = x * 1.0
+    loss = -averaged.mean()
+    ad.backward(loss)
+    want = np.zeros((4, 3))
+    want += (np.zeros(()) + -1.0) / 12
+    assert averaged.grad.tobytes() == want.tobytes()
 
 
 def test_concat_routes_adjoints():
@@ -404,6 +487,24 @@ def test_recorded_conv2d_is_the_computed_node_bit_for_bit(relu, kernel, stride, 
         ad.conv2d(*arrays, stride=stride, padding=padding, recorded=given[1:])
 
 
+def test_recorded_conv2d_gathers_its_patches_only_in_its_weight_adjoint():
+    # a recorded node waiting for its backward holds no (C*kh*kw, N*oh*ow) patch matrix; that its
+    # weight adjoint gathers the same one is test_recorded_conv2d_is_the_computed_node_bit_for_bit
+    rng = np.random.default_rng(45)
+    x = ad.Value(rng.normal(size=(8, 3, 16, 16)))
+    w, b = ad.Value(rng.normal(size=(4, 3, 3, 3)), requires_grad=True), ad.Value(np.zeros(4), requires_grad=True)
+    computed = ad.conv2d(x, w, b, stride=(2, 2), padding=(1, 1))  # also fills the gather_index cache
+    patch_bytes = (3 * 3 * 3) * (8 * 8 * 8) * 8  # float64 (C*kh*kw, N*oh*ow)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        recorded = ad.conv2d(x, w, b, stride=(2, 2), padding=(1, 1), recorded=computed.data)
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert recorded.data is computed.data and held < patch_bytes // 4, held
+
+
 @pytest.mark.parametrize("starts", [[False, False, True, False, False], [True, False, False, True, False]])
 def test_recorded_lstm_cell_is_the_computed_node_bit_for_bit(starts):
     # given the steps lstm_step took, which are the computed forward's own h rows, the recorded form
@@ -510,4 +611,5 @@ def test_grad_shape_matches_data_shape():
     v = ad.Value(np.zeros((3, 4)), requires_grad=True)
     assert v.grad.shape == v.data.shape
     out = v.relu()
+    ad.backward(out.sum())
     assert out.grad.shape == out.data.shape
