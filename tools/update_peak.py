@@ -1,46 +1,38 @@
 """Peak memory of one warmed training update, and the live memory before each of its backward passes.
 
     PYTHONPATH=src python tools/update_peak.py
-    PYTHONPATH=src python tools/update_peak.py --seed 1 --warmup 3
 
-For each training workload of BENCHMARK.json (``train-<env>-<method>``) the
-script builds a trainer with that env, method and seed and the default
-config, runs ``--warmup`` updates (``Trainer.train_step``: a rollout, then the
-update), and traces the next one with tracemalloc, started just before it.
-It prints the peak of the memory allocated during that update, and the part
-of it still held when each ``autodiff.backward`` began, in MB of 2**20
-bytes. numpy reports its array buffers to tracemalloc, so both count every
-array the update made. The figures repeat exactly for a seed on one numpy
-version: a deterministic proxy beside the benchmark's ``peak_rss_mb``, which
-also counts the interpreter, the libraries and the checkpoint writes.
+For each training workload of the benchmark (the env and method pairs in
+``WORKLOADS``) the script builds a trainer with that env and method, seed
+``SEED`` and the default config, runs ``WARMUP`` updates
+(``Trainer.train_step``: a rollout, then the update), and traces the next one
+with tracemalloc, started just before it. It prints the peak of the memory
+allocated during that update, and the part of it still held when each
+``autodiff.backward`` began, in MB of 2**20 bytes. numpy reports its array
+buffers to tracemalloc, so both count every array the update made. The
+figures repeat exactly on one numpy version: a deterministic proxy beside the
+benchmark's ``peak_rss_mb``, which also counts the interpreter, the
+libraries and the checkpoint writes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import sys
 import tracemalloc
 
 from maie import agent, cli, envs
 from maie import autodiff as ad
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = (("hetero_nav", "maie"), ("mining_plus", "concat"))  # the benchmark's train workloads
+SEED = 1
+WARMUP = 3  # updates run before the traced one
 MB = float(1 << 20)
 
 
-def train_workloads() -> list:
-    """(env, method) of each ``train-<env>-<method>`` workload of BENCHMARK.json, in its order."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        names = [w["name"] for w in json.load(fh)["workloads"]]
-    return [tuple(name.split("-")[1:]) for name in names if name.startswith("train-")]
-
-
-def update_peak(env: str, method: str, seed: int, warmup: int) -> tuple:
-    """(peak MB of one update after ``warmup`` updates, [MB live as each of its backward passes began])."""
-    trainer = agent.Trainer(envs.make_env(env, seed), cli.RunConfig(env=env, method=method, seed=seed).train_config())
-    for _ in range(warmup):
+def update_peak(env: str, method: str) -> tuple:
+    """(peak MB of one update after ``WARMUP`` updates, [MB live as each of its backward passes began])."""
+    trainer = agent.Trainer(envs.make_env(env, SEED), cli.RunConfig(env=env, method=method, seed=SEED).train_config())
+    for _ in range(WARMUP):
         trainer.train_step()
     live, backward = [], ad.backward
 
@@ -59,15 +51,9 @@ def update_peak(env: str, method: str, seed: int, warmup: int) -> tuple:
     return peak, live
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--warmup", type=int, default=3, help="updates run before the traced one")
-    args = parser.parse_args(argv)
-    if args.seed < 0 or args.warmup < 0:
-        parser.error("--seed and --warmup must be >= 0")
-    for env, method in train_workloads():
-        peak, live = update_peak(env, method, args.seed, args.warmup)
+def main() -> int:
+    for env, method in WORKLOADS:
+        peak, live = update_peak(env, method)
         before = " ".join(f"{mb:.2f}" for mb in live)
         print(f"{env:<14} {method:<14} peak {peak:6.2f} MB  live before each backward {before} MB")
     return 0
