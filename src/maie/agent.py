@@ -24,7 +24,8 @@ replayed in batch form for both backward passes, each modality's features
 as one (T, 32) matrix. Acting records its forward in the buffer
 (``RolloutBuffer.recorded``, whose LSTM h rows are the features), and the
 first replay, which runs before any parameter changes, builds its nodes from
-that record: its features are acting's, bit for bit, and the statistics
+that record, taking the conv outputs out of it, since nothing else reads
+them: its features are acting's, bit for bit, and the statistics
 update, λ, the SRL loss and the gradient all read the forward that chose
 the actions. maie's second replay, after the SRL step, recomputes the
 forward; recomputed under unchanged parameters, it reproduces the acting

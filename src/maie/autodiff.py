@@ -17,7 +17,10 @@ An array is held only while something still reads it. A recorded node gets
 its ``grad`` when the first adjoint reaches it in the walk, not when it is
 built, so a forward graph waiting for its backward holds no gradient
 buffers; a parameter (a leaf made with ``requires_grad=True``) keeps its
-zero buffer from construction, since the optimiser helpers read it.
+zero buffer from construction, since the optimiser helpers read it. A conv
+layer is one ``conv2d`` node, its ReLU included, so it holds one output
+array, and no node keeps its patch matrix: the weight adjoint gathers it
+again when the walk runs it and drops it on return.
 
 The elementwise ops (add, sub, mul, div, neg, relu, square, sqrt, log) are
 one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
@@ -26,9 +29,8 @@ one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
 ``conv2d`` and ``lstm_cell``, the two ops whose forward costs the most, also
 take a recorded forward (``recorded=``): the arrays an earlier forward over
 the same operands produced. The node is then built from them, with the
-output and adjoints of the computed form, and what the adjoints read and
-the forward did not keep (conv2d's patch matrix) is computed by the adjoint
-that reads it, when the walk runs it.
+output and adjoints of the computed form, and computes nothing until the
+walk runs its adjoints.
 
 No mutable global state is shared between runs: the graph lives entirely
 in the Value objects, and the one module-level cache, ``gather_index``,
@@ -357,38 +359,39 @@ def _patches(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.concatenate((x.ravel(), (0.0,)))[index]
 
 
-def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) -> tuple:
-    """The im2col arithmetic of every convolution: gather, ``w2d @ cols``, then the bias added in place.
+def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The arithmetic of every conv layer: gather, ``w2d @ cols``, the bias, then the ReLU, the last two in place.
 
     ``x`` is any C-ordered array whose ``ravel()`` the ``gather_index``
     ``index`` addresses, ``w2d`` the (F, C*kh*kw) filters and ``b`` the (F,)
     biases. Returns the (F, N*oh*ow) output, columns over (sample, output
-    row, output column), and the (C*kh*kw, N*oh*ow) patch matrix. At batch
-    one that output, read C-ordered, is the next layer's (1,F,oh,ow) input.
+    row, output column); the patch matrix is dropped on return. At batch one
+    that output, read C-ordered, is the next layer's (1,F,oh,ow) input.
     """
-    cols = _patches(x, index)
-    out = w2d @ cols
+    out = w2d @ _patches(x, index)
     out += b[:, None]
-    return out, cols
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | None = None) -> Value:
-    """2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters and (F,) biases.
+    """A conv layer: 2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters and (F,) biases, then ReLU.
 
-    Output spatial size per dim: ``conv_out_hw``. Implemented as im2col +
-    matmul (Chellapilla et al. 2006) in ``conv_gemm``: the patch matrix is
-    one gather through the cached ``gather_index`` of this geometry, looked
-    up once per call, and the input's adjoint sums the patch gradients back
-    with one ``np.bincount`` over the same index, tap by tap in the order of
-    its rows. The three adjoints share one (F, N*oh*ow) copy of ``g``.
+    The ReLU is part of the op, so a layer is one node holding one output
+    array; the name stays ``conv2d``, which the benchmark patches and
+    counts. Output spatial size per dim: ``conv_out_hw``. Implemented as
+    im2col + matmul (Chellapilla et al. 2006) in ``conv_gemm``: the patch
+    matrix is one gather through the cached ``gather_index`` of this
+    geometry, looked up once per call. The three adjoints share one
+    (F, N*oh*ow) copy of ``g * (out > 0)``, the ReLU's adjoint; the input's
+    sums the patch gradients back with one ``np.bincount`` over the same
+    index, tap by tap in the order of its rows. No node keeps the patch
+    matrix: the weight adjoint gathers it again when the walk runs it and
+    drops it on return.
 
     ``recorded``, when given, is the (N,F,oh,ow) output an earlier forward
-    computed from these same operands, or its ReLU: the node takes it as its
-    output and computes nothing, since no adjoint reads the output. Its
-    weight adjoint gathers the patch matrix when the walk runs it and drops
-    it on return, so a recorded node waiting for its backward holds no
-    patches; the computed form keeps the patches ``conv_gemm`` returned. A
-    ReLU applied after it gives the same output and adjoint either way.
+    computed from these same operands: the node takes it as its output and
+    computes nothing.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -405,27 +408,23 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | Non
     idx = gather_index(x.data.shape, (kh, kw), stride, padding)
     oh, ow = conv_out_hw(h, width, (kh, kw), stride, padding)
     if recorded is None:
-        out_flat, cols = conv_gemm(x.data, w.data.reshape(f, -1), b.data, idx)
+        out_flat = conv_gemm(x.data, w.data.reshape(f, -1), b.data, idx)
         out_data = np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
     else:
         if recorded.shape != (n, f, oh, ow):
             raise ShapeError(f"conv2d: recorded output shape {recorded.shape} != {(n, f, oh, ow)}")
-        out_data, cols = recorded, None
-    g_flat = _once(lambda g: g.transpose(1, 0, 2, 3).reshape(f, -1))
+        out_data = recorded
+    g_flat = _once(lambda g: (g * (out_data > 0.0)).transpose(1, 0, 2, 3).reshape(f, -1))
 
     def x_adjoint(g):
         gcols = w.data.reshape(f, -1).T @ g_flat(g)
         gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
         return gx[:-1].reshape(n, c, h, width)
 
-    def w_adjoint(g):
-        patches = _patches(x.data, idx) if cols is None else cols
-        return (g_flat(g) @ patches.T).reshape(w.data.shape)
-
     return _node(
         out_data, (x, w, b), "conv2d",
         x_adjoint,
-        w_adjoint,
+        lambda g: (g_flat(g) @ _patches(x.data, idx).T).reshape(w.data.shape),
         lambda g: g_flat(g).sum(axis=1),
     )
 

@@ -7,10 +7,10 @@ extractor ends in the same LSTM cell, and the LSTM output is the
 modality's feature vector, so all modalities share FEATURE_DIM = 32.
 
 ``forward`` consumes one timestep while acting, entirely on plain arrays: each
-convolution is one ``autodiff.conv_gemm``, the arithmetic ``autodiff.conv2d``
-also runs, on flat (F, oh*ow) buffers through the three batch-one gather
-indices each extractor takes from the geometry once, at construction, with
-ReLU applied in place; then the input projection and the LSTM step
+conv layer, ReLU included, is one ``autodiff.conv_gemm``, the arithmetic
+``autodiff.conv2d`` also runs, on flat (F, oh*ow) buffers through the three
+batch-one gather indices each extractor takes from the geometry once, at
+construction; then the input projection and the LSTM step
 (``autodiff.lstm_step``). Given a memo dict, ``forward`` computes the LSTM
 input drive (conv stack plus input projection), and while recording the
 conv outputs too, once per distinct observation and reads them back when
@@ -28,8 +28,9 @@ episode resets included; that node is the (T, 32) feature matrix, and the
 state after its last step comes back beside it as plain arrays. Given the
 rollout's ``ActingRecord`` and unchanged parameters, it builds the same
 nodes from acting's arrays (no conv2d node computes anything until its
-weight adjoint gathers its patch matrix in the backward, and the LSTM runs
-no step), so its features are acting's, bit for bit. Without one it
+adjoints run in the backward, and the LSTM runs no step), so its features
+are acting's, bit for bit. It takes the conv outputs out of the record as
+it stacks them, so the stack is their one copy. Without one it
 recomputes the forward, and its features match acting's within 1e-12:
 batched and batch-one products of the same numbers differ in their last
 bits.
@@ -96,7 +97,9 @@ class ActingRecord:
     ``c`` the state leaving each step; the ``h`` rows are the modality's
     features. A memo hit appends the very conv arrays its miss computed. The
     first replay, run before any parameter changes, builds its nodes from
-    these arrays (``_ExtractorBase.forward_sequence``).
+    these arrays (``_ExtractorBase.forward_sequence``) and takes the conv
+    outputs out as it stacks them, leaving each ``conv[i]`` empty; ``gates``,
+    ``h`` and ``c`` stay.
     """
 
     __slots__ = ("conv", "gates", "h", "c")
@@ -147,28 +150,28 @@ class _ExtractorBase:
         return {}
 
     def _conv_stack(self, x: Value, recorded: ActingRecord | None = None) -> Value:
-        """The three conv2d + ReLU layers over a (N, C, H, W) batch; from ``recorded``'s conv outputs when given."""
+        """The three conv layers over a (N, C, H, W) batch; from ``recorded``'s conv outputs, taken out as stacked, when given."""
         for i in range(3):
             w, b = self.params[f"conv{i + 1}.w"], self.params[f"conv{i + 1}.b"]
             out = None
             if recorded is not None:
                 oh, ow = ad.conv_out_hw(*x.shape[2:], self.KERNEL, self.STRIDE, self.PADDING)
                 out = np.array(recorded.conv[i]).reshape(x.shape[0], self.FILTERS, oh, ow)
-            x = ad.conv2d(x, w, b, stride=self.STRIDE, padding=self.PADDING, recorded=out).relu()
+                recorded.conv[i].clear()
+            x = ad.conv2d(x, w, b, stride=self.STRIDE, padding=self.PADDING, recorded=out)
         return x
 
     def _conv_stack_array(self, x: np.ndarray) -> list:
         """Each layer's ``_conv_stack(Value(x))`` output of one (1, C, H, W) input on plain arrays, for acting.
 
         Each layer is one ``autodiff.conv_gemm`` through the index cached at
-        construction, its ReLU applied in place; each output is the flat
-        (F, oh*ow) buffer, which holds the same numbers in the same order.
+        construction; each output is the flat (F, oh*ow) buffer, which holds
+        the same numbers in the same order.
         """
         outs = []
         for i, index in enumerate(self._act_index, start=1):
             w = self.params[f"conv{i}.w"].data
-            x, _ = ad.conv_gemm(x, w.reshape(w.shape[0], -1), self.params[f"conv{i}.b"].data, index)
-            np.maximum(x, 0.0, out=x)
+            x = ad.conv_gemm(x, w.reshape(w.shape[0], -1), self.params[f"conv{i}.b"].data, index)
             outs.append(x)
         return outs
 
@@ -226,10 +229,10 @@ class _ExtractorBase:
         ``recorded``, when given, is the ``ActingRecord`` that ``forward``
         filled while stepping through these observations from ``state``,
         under the current parameters. The replay then builds the same nodes
-        from acting's arrays: each conv2d node defers the batched gather of
-        its patch matrix to its weight adjoint, and the lstm_cell node runs
-        no step. Its features are acting's, bit for bit. Without it the
-        whole forward is recomputed in batch form.
+        from acting's arrays, taking the conv outputs out of ``recorded``:
+        no conv2d node computes its output and the lstm_cell node runs no
+        step. Its features are acting's, bit for bit. Without it the whole
+        forward is recomputed in batch form.
         """
         for obs in observations:
             self._check_obs(obs)

@@ -75,11 +75,12 @@ def normalize(f: Value, stats: ModalityStats, eps: float) -> Value:
 
 
 def conv2d_reference(x, w, b, g, stride: tuple, padding: tuple):
-    """Output and (x, w, b) gradients of a (N,C,H,W) by (F,C,kh,kw) convolution.
+    """Output and (x, w, b) gradients of a conv layer: a (N,C,H,W) by (F,C,kh,kw) convolution, then ReLU.
 
-    ``g`` is the gradient arriving at the (N,F,oh,ow) output. The arithmetic
-    is that of ``autodiff.conv2d``, laid out through a padded copy instead of
-    a gather index.
+    ``g`` is the gradient arriving at the (N,F,oh,ow) output; the adjoints
+    are those of ``g * (out > 0)``, as relu's adjoint masks ``g``. The
+    arithmetic is that of ``autodiff.conv2d``, laid out through a padded
+    copy instead of a gather index.
     """
     n, c, h, width = x.shape
     f, _, kh, kw = w.shape
@@ -94,8 +95,8 @@ def conv2d_reference(x, w, b, g, stride: tuple, padding: tuple):
     )
     cols = win.reshape(c * kh * kw, n * oh * ow)
     w_flat = w.reshape(f, -1)
-    out = np.ascontiguousarray(((w_flat @ cols) + b[:, None]).reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
-    g_flat = g.transpose(1, 0, 2, 3).reshape(f, -1)
+    out = np.ascontiguousarray(np.maximum((w_flat @ cols) + b[:, None], 0.0).reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+    g_flat = (g * (out > 0.0)).transpose(1, 0, 2, 3).reshape(f, -1)
     gw = (g_flat @ cols.T).reshape(w.shape)
     gb = g_flat.sum(axis=1)
     gcols = (w_flat.T @ g_flat).reshape(c, kh, kw, n, oh, ow)

@@ -2,7 +2,10 @@
 
 Each generator returns (f, inputs) where f maps a list of Values to a
 scalar Value. Inputs are sampled away from kinks (relu at 0) and
-domain edges (sqrt/log near 0) so central differences are valid.
+domain edges (sqrt/log near 0) so central differences are valid. conv2d's
+ReLU is left to the draw: no fixed-seed case has a pre-activation within
+3e-4 of 0, far outside the finite-difference step, and the squared output
+the case sums has a continuous derivative there.
 Shared by the unit tests and the acceptance suite.
 """
 
@@ -81,8 +84,8 @@ def case_conv2d(rng):
     # a 3x3 kernel with one stride and padding for both axes, as the visual
     # and audio stacks take; the TextCNN's (1,2) kernel with (0,1) padding on
     # a one-row input; or kernel, stride and padding drawn per axis; and
-    # either form, computed or recorded, the latter given the output the
-    # computed form gives the (perturbed) operands
+    # either form, computed or recorded, the latter given the output, ReLU
+    # included, the computed form gives the (perturbed) operands
     recorded = bool(rng.integers(0, 2))
     form = rng.integers(0, 3)
     if form == 0:

@@ -349,16 +349,16 @@ def recorded_kinds(recorded_nodes):
 
 
 # both backward passes of one update (alignment, then actor-critic), the same at every seed:
-# 183 nodes on hetero_nav and 279 on mining_plus
+# 171 nodes on hetero_nav and 261 on mining_plus
 NODES_PER_UPDATE = {
     "hetero_nav": {
         "add": 17, "concat": 1, "conv2d": 12, "div": 4, "leaf": 48, "log": 1, "lstm_cell": 4, "matmul": 10,
-        "mean": 3, "mul": 18, "neg": 3, "relu": 16, "reshape": 5, "slice": 5, "softmax_axis": 1, "sqrt": 6,
+        "mean": 3, "mul": 18, "neg": 3, "relu": 4, "reshape": 5, "slice": 5, "softmax_axis": 1, "sqrt": 6,
         "square": 7, "sub": 5, "sum": 13, "transpose": 4,
     },
     "mining_plus": {
         "add": 25, "concat": 1, "conv2d": 18, "div": 7, "leaf": 68, "log": 1, "lstm_cell": 6, "matmul": 12,
-        "mean": 3, "mul": 26, "neg": 3, "relu": 22, "reshape": 11, "slice": 9, "softmax_axis": 1, "sqrt": 12,
+        "mean": 3, "mul": 26, "neg": 3, "relu": 4, "reshape": 11, "slice": 9, "softmax_axis": 1, "sqrt": 12,
         "square": 13, "sub": 8, "sum": 25, "transpose": 8,
     },
 }
@@ -405,6 +405,30 @@ def test_first_replay_is_built_from_acting():
         np.testing.assert_array_equal(finals[m].c, tr._states[m].c)
         kinds = [[n._op for n in ad.Graph.trace(f[m].sum()).nodes] for f in (feats, again)]
         assert kinds[0] == kinds[1]
+
+
+@pytest.mark.parametrize("method", ["maie", "concat"])
+def test_first_replay_takes_the_conv_outputs_out_of_the_record(method, monkeypatch):
+    # the first replay's stacked conv outputs are their one copy from then on; the record keeps each
+    # step's gates and its h and c rows, and the h rows, which the statistics update reads, unchanged
+    tr = _make_trainer(method=method, env_name="mining_plus")
+    replay, taken = tr._replay_features, []
+
+    def replaying(buf, initial_states, recorded=None):
+        rows = {m: (list(r.h), np.array(r.h)) for m, r in buf.recorded.items()}
+        result = replay(buf, initial_states, recorded)
+        if recorded is not None:
+            for m, r in buf.recorded.items():
+                assert r.conv == ([], [], []), m
+                assert len(r.gates) == len(r.c) == len(buf.observations)
+                assert len(r.h) == len(rows[m][0]) and all(a is b for a, b in zip(r.h, rows[m][0]))
+                np.testing.assert_array_equal(np.array(r.h), rows[m][1])
+            taken.append(recorded)
+        return result
+
+    monkeypatch.setattr(tr, "_replay_features", replaying)
+    tr.train_step()
+    assert len(taken) == 1
 
 
 def test_srl_graph_is_freed_before_the_second_replay(monkeypatch):

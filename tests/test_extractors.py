@@ -213,7 +213,7 @@ def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
             assert len(layers) == 3
             want = ad.Value(x)
             for got, i in zip(layers, (1, 2, 3)):
-                want = ad.conv2d(want, e.params[f"conv{i}.w"], e.params[f"conv{i}.b"], stride=e.STRIDE, padding=e.PADDING).relu()
+                want = ad.conv2d(want, e.params[f"conv{i}.w"], e.params[f"conv{i}.b"], stride=e.STRIDE, padding=e.PADDING)
                 assert type(got) is np.ndarray and got.shape == (want.shape[1], want.data[0, 0].size)
                 assert np.array_equal(got, want.data.reshape(got.shape)), e.name
             assert np.array_equal(layers[-1], e._conv_stack(ad.Value(x)).data.reshape(layers[-1].shape))
