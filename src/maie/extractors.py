@@ -150,7 +150,7 @@ class _ExtractorBase:
         return {}
 
     def _conv_stack(self, x: Value, recorded: ActingRecord | None = None) -> Value:
-        """The three conv layers over a (N, C, H, W) batch; from ``recorded``'s conv outputs, taken out as stacked, when given."""
+        """The three conv layers over a (N, C, H, W) batch; given ``recorded``, from its conv outputs, which it takes out."""
         for i in range(3):
             w, b = self.params[f"conv{i + 1}.w"], self.params[f"conv{i + 1}.b"]
             out = None
