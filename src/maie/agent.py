@@ -9,29 +9,36 @@ backward through the lambda-weighted fusion into the heads and extractors.
 
 Acting is graph-free: one ``_act_step`` serves training rollouts and
 evaluation, computing features, importance weights, and policy logits as
-plain arrays while stepping the environment. An acting span is one
+plain arrays while stepping the environment. Only the LSTM input drive is
+computed per modality (``_ExtractorBase.forward``: the observation check,
+the memo, the conv stack and the input projection); everything after it
+runs once per step on (M, ·) stacks. The recurrent state is one
+``RecurrentState`` of (M, 32) ``h`` and ``c``, one ``autodiff.lstm_step``
+steps all M rows, and the normalization, ``importance``, the fusion and the
+λ-trace means each run once on the (M, L) stack. An acting span is one
 ``collect_rollout`` or one ``run_eval`` episode; neither the parameters nor
-the modality statistics change within it, so ``_acting_span`` pays once per
-span for what depends only on them. Each modality's ``ModalityStats.scale``
-is computed there (``_scales``) and handed to ``_weights``. Each modality
-whose observations can repeat gets a fresh memo of LSTM input drives keyed
-by observation bytes, which holds at most ``rollout_length`` or
-``EPISODE_CAP`` entries; a modality in ``envs.NOISY_MODALITIES`` gets none,
-since its fresh noise never repeats. An update computes the scales once,
-after its statistics update, for its λ and for the bootstrap value, which
-takes the per-step path with no memo. The recorded observations are
-replayed in batch form for both backward passes, each modality's features
-as one (T, 32) matrix. Acting records its forward in the buffer
-(``RolloutBuffer.recorded``, whose LSTM h rows are the features), and the
-first replay, which runs before any parameter changes, builds its nodes from
-that record, taking the conv outputs out of it, since nothing else reads
-them: its features are acting's, bit for bit, and the statistics
-update, λ, the SRL loss and the gradient all read the forward that chose
-the actions. maie's second replay, after the SRL step, recomputes the
-forward; recomputed under unchanged parameters, it reproduces the acting
-features to within 1e-12. One λ rule,
-``_weights``, takes one step's (L,) features or a rollout's (T, L) stack,
-and gives each row of the stack the λ it gives that step alone.
+the modality statistics change within it, so ``_acting_span`` takes once
+per span what depends only on them (an ``ActingSpan``): each extractor's
+``acting_arrays``, the (M, 4H, H) stack of the recurrent weights, the
+statistics' μ and scale stacks (``_norm``) and the actor's three (w, b)
+pairs. Each modality whose observations can repeat gets a fresh memo of
+LSTM input drives keyed by observation bytes, which holds at most
+``rollout_length`` or ``EPISODE_CAP`` entries; a modality in
+``envs.NOISY_MODALITIES`` gets none, since its fresh noise never repeats.
+An update takes the statistics' stacks once, after its statistics update,
+for its λ; the bootstrap value steps once under an acting span of its own.
+The recorded observations are replayed in batch form for both backward
+passes, each modality's features as one (T, 32) matrix. Acting records its
+forward in the buffer (``RolloutBuffer.recorded``, whose LSTM h rows are the
+features), and the first replay, which runs before any parameter changes,
+builds its nodes from that record, taking the conv outputs out of it, since
+nothing else reads them: its features are acting's, bit for bit, and the
+statistics update, λ, the SRL loss and the gradient all read the forward
+that chose the actions. maie's second replay, after the SRL step,
+recomputes the forward; recomputed under unchanged parameters, it
+reproduces the acting features to within 1e-12. One λ rule, ``_weights``,
+takes one step's (M, L) feature stack or a rollout's (M, T, L) one, and
+gives each row of the rollout the λ it gives that step alone.
 
 Each episode fact is stored once. The step count is the environment's
 ``steps`` and the audio class its ``last_audio_class``; the λ trace
@@ -51,6 +58,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +67,7 @@ from . import alignment as al
 from . import enhancement as en
 from .autodiff import Value
 from .envs import NOISY_MODALITIES
-from .extractors import FEATURE_DIM, ActingRecord, build_extractor, uniform_init
+from .extractors import FEATURE_DIM, ActingRecord, RecurrentState, build_extractor, uniform_init
 
 METHODS = ("maie", "concat", "fixed_weights", "no_align", "no_ie")
 LOSS_COLUMNS = ("loss_actor", "loss_critic", "loss_sim", "loss_td")  # the losses each metrics row carries
@@ -120,6 +128,8 @@ class TrainConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.c_sim < 0 or self.c_td < 0:
             raise ValueError(f"c_sim and c_td must be >= 0, got {self.c_sim} and {self.c_td}")
         if self.distance not in al.DISTANCE_KINDS:
@@ -168,22 +178,27 @@ class PolicyValueHead:
         out = self._mlp(fused, "critic")
         return out.reshape((out.data.shape[0],))
 
-    def _mlp_np(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        """``_mlp`` on plain arrays, each layer's bias and ReLU applied in place."""
+    def array_layers(self, prefix: str) -> tuple:
+        """The three (w, b) array pairs of the ``"actor"`` or ``"critic"`` MLP; they hold while no parameter changes."""
         p = self.params
-        for i in (1, 2, 3):
-            x = x @ p[f"{prefix}{i}.w"].data
-            x += p[f"{prefix}{i}.b"].data
-            if i < 3:
+        return tuple((p[f"{prefix}{i}.w"].data, p[f"{prefix}{i}.b"].data) for i in (1, 2, 3))
+
+    @staticmethod
+    def _mlp_np(x: np.ndarray, layers: tuple) -> np.ndarray:
+        """``_mlp`` on plain arrays over ``array_layers``, each layer's bias and ReLU applied in place."""
+        for i, (w, b) in enumerate(layers, start=1):
+            x = x @ w
+            x += b
+            if i < len(layers):
                 np.maximum(x, 0.0, out=x)
         return x
 
-    def logits_array(self, fused: np.ndarray) -> np.ndarray:
-        """Graph-free actor forward for acting (one (D,) state)."""
-        return self._mlp_np(fused, "actor")
+    def logits_array(self, fused: np.ndarray, actor: tuple) -> np.ndarray:
+        """Graph-free actor forward for acting (one (D,) state), over the actor's ``array_layers``."""
+        return self._mlp_np(fused, actor)
 
     def value_array(self, fused: np.ndarray) -> float:
-        return float(self._mlp_np(fused, "critic")[0])
+        return float(self._mlp_np(fused, self.array_layers("critic"))[0])
 
 
 def sample_action(logits: np.ndarray, rng: np.random.Generator) -> int:
@@ -259,6 +274,23 @@ class RolloutBuffer:
         return {m: r.h for m, r in self.recorded.items()}
 
 
+class ActingSpan(NamedTuple):
+    """What a span of acting reads of the parameters and statistics, taken once: neither changes within it.
+
+    ``inputs`` holds, per modality in order, ``(name, extractor, its
+    acting_arrays(), its memo)``, the memo being a fresh dict of LSTM input
+    drives or None for a modality in ``NOISY_MODALITIES``. ``w_hh`` is the
+    (M, 4H, H) stack of the recurrent weights, ``norm`` the statistics'
+    (μ, scale) stacks under importance enhancement (``Trainer._norm``), and
+    ``actor`` the actor's ``array_layers``.
+    """
+
+    inputs: tuple
+    w_hh: np.ndarray
+    norm: tuple | None
+    actor: tuple
+
+
 class Trainer:
     """One environment, one agent, one thread; reentrant across seeded runs."""
 
@@ -288,7 +320,7 @@ class Trainer:
         self.use_ie = cfg.method in ("maie", "no_align")
 
         self._obs = None
-        self._states = {m: self.extractors[m].initial_state() for m in self.modalities}
+        self._states = self._initial_states()
         self.episode = 0
         self.env_steps = 0
         self._ep_return = 0.0
@@ -300,43 +332,61 @@ class Trainer:
 
     # -- acting ------------------------------------------------------------
 
-    def _features(self, obs, states: dict, drives: dict, records: dict | None) -> tuple:
-        """Graph-free forward of one observation; returns (features, new states).
+    def _initial_states(self) -> RecurrentState:
+        """The zero (M, 32) state of every modality, one row each in modality order."""
+        shape = (len(self.modalities), FEATURE_DIM)
+        return RecurrentState(np.zeros(shape), np.zeros(shape), tuple(self.modalities))
 
-        ``drives`` maps each modality to its memo of LSTM input drives, or to
-        None for no memo; ``records``, when given, maps each modality to the
-        ``ActingRecord`` the step is appended to (see
-        ``_ExtractorBase.forward``).
+    def _features(self, obs, states: RecurrentState, span: ActingSpan, records: dict | None) -> RecurrentState:
+        """One graph-free step of every modality from ``states``; returns the new state, whose h rows are the features.
+
+        Each modality's extractor computes its LSTM input drive
+        (``_ExtractorBase.forward``) through its memo in ``span``; one
+        ``autodiff.lstm_step`` then steps the (M, 4H) drives and the (M, 32)
+        state of all modalities. ``records``, when given, maps each modality
+        to the ``ActingRecord`` the step is appended to.
         """
         obs_arrays = obs.modalities()
-        feats, new_states = {}, {}
-        for m in self.modalities:
-            record = None if records is None else records[m]
-            feats[m], new_states[m] = self.extractors[m].forward(obs_arrays[m], states[m], drives[m], record)
-        return feats, new_states
+        sx = np.array([ex.forward(obs_arrays[m], arrays, memo, None if records is None else records[m])
+                       for m, ex, arrays, memo in span.inputs])
+        h, c, gates = ad.lstm_step(sx, span.w_hh, states.h, states.c)
+        if records is not None:
+            for i, m in enumerate(states.names):
+                records[m].append_state(gates[i], h[i], c[i])
+        return RecurrentState(h, c, states.names)
 
-    def _scales(self) -> dict | None:
-        """Each modality's ``ModalityStats.scale`` at the current statistics; None without importance enhancement."""
-        return {m: self.stats[m].scale(self.cfg.stats_eps) for m in self.modalities} if self.use_ie else None
+    def _norm(self) -> tuple | None:
+        """The statistics' μ and ``ModalityStats.scale`` as (M, L) stacks; None without importance enhancement."""
+        if not self.use_ie:
+            return None
+        stats = [self.stats[m] for m in self.modalities]
+        return np.array([s.mu for s in stats]), np.array([s.scale(self.cfg.stats_eps) for s in stats])
 
-    def _weights(self, feats: dict, scales: dict | None) -> dict:
-        """λ per modality for (L,) feature arrays or (T, L) stacks of them, under ``_scales()``."""
+    def _weights(self, feats: np.ndarray, norm: tuple | None) -> np.ndarray:
+        """λ of an (M, L) feature stack, or of an (M, T, L) one, as a stack of the same shape; ``norm`` is ``_norm()``.
+
+        Each row of an (M, T, L) stack gets the λ that step gets alone.
+        """
         if self.use_ie:
-            normalized = [self.stats[m].normalize_array(feats[m], scales[m]) for m in self.modalities]
-            return dict(zip(self.modalities, en.importance(normalized)))
-        shape = feats[self.modalities[0]].shape
-        if self.cfg.method == "fixed_weights":
-            w = self.cfg.fixed_weight
-            rest = (1.0 - w) / (len(self.modalities) - 1) if len(self.modalities) > 1 else 1.0
-            return {m: np.full(shape, w if i == 0 else rest) for i, m in enumerate(self.modalities)}
-        return {m: np.ones(shape) for m in self.modalities}
+            mu, scale = norm
+            if feats.ndim == 3:
+                mu, scale = mu[:, None], scale[:, None]
+            return en.importance(en.normalize(feats, mu, scale))
+        if self.cfg.method != "fixed_weights":
+            return np.ones(feats.shape)
+        m = len(self.modalities)
+        lams = np.full(feats.shape, (1.0 - self.cfg.fixed_weight) / (m - 1) if m > 1 else 1.0)
+        lams[0] = self.cfg.fixed_weight
+        return lams
 
-    def _fuse_array(self, feats: dict, lams: dict) -> np.ndarray:
-        return np.concatenate([lams[m] * feats[m] for m in self.modalities])
+    @staticmethod
+    def _fuse_array(feats: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """The fused (M*L,) state of one step: each modality's λ-weighted features, in modality order."""
+        return (lams * feats).reshape(-1)
 
     def _begin_episode(self):
         self._obs = self.env.reset()
-        self._states = {m: self.extractors[m].initial_state() for m in self.modalities}
+        self._states = self._initial_states()
         self._ep_return = 0.0
 
     def _finish_episode(self, phase: str) -> dict:
@@ -370,29 +420,27 @@ class Trainer:
         self._obs = None
         return row
 
-    def _acting_span(self) -> tuple:
-        """What a span of acting computes once: (input-drive memos, stats scales).
+    def _acting_span(self) -> ActingSpan:
+        """What a span of acting reads, taken once; it holds only while no parameter or statistic changes."""
+        exs = self.extractors
+        inputs = tuple((m, exs[m], exs[m].acting_arrays(), None if m in NOISY_MODALITIES else {}) for m in self.modalities)
+        w_hh = np.array([exs[m].params["lstm.w_hh"].data for m in self.modalities])
+        return ActingSpan(inputs, w_hh, self._norm(), self.head.array_layers("actor"))
 
-        The memos map each modality to a fresh dict, or to None for a
-        modality in ``NOISY_MODALITIES``; the scales are ``_scales()``. Both
-        hold only while no parameter or statistic changes.
-        """
-        return {m: None if m in NOISY_MODALITIES else {} for m in self.modalities}, self._scales()
-
-    def _act_step(self, phase: str, span: tuple, buf: RolloutBuffer | None = None) -> dict | None:
+    def _act_step(self, phase: str, span: ActingSpan, buf: RolloutBuffer | None = None) -> dict | None:
         """Take one graph-free step, recording it into ``buf`` in training.
 
         ``span`` is the ``_acting_span`` of the span this step belongs to.
         Returns the episode's row when this step ended the episode, else
         None.
         """
-        drives, scales = span
         new_episode = self._obs is None
         if new_episode:
             self._begin_episode()
-        feats, self._states = self._features(self._obs, self._states, drives, None if buf is None else buf.recorded)
-        lams = self._weights(feats, scales)
-        action = sample_action(self.head.logits_array(self._fuse_array(feats, lams)), self.action_rng)
+        self._states = self._features(self._obs, self._states, span, None if buf is None else buf.recorded)
+        feats = self._states.h
+        lams = self._weights(feats, span.norm)
+        action = sample_action(self.head.logits_array(self._fuse_array(feats, lams), span.actor), self.action_rng)
         self._record_step_traces(feats, lams, phase)
         next_obs, reward, done = self.env.step(action)
         if buf is not None:
@@ -416,38 +464,41 @@ class Trainer:
             self._act_step("train", span, buf)
         return buf
 
-    def _record_step_traces(self, feats: dict, lams: dict, phase: str):
+    def _record_step_traces(self, feats: np.ndarray, lams: np.ndarray, phase: str):
         """Record the step's λ means, in modality order, and every few steps its embeddings."""
         step = self.env.steps
-        # the bits of .mean(), without its Python-level wrapper
-        lam_means = tuple(float(lams[m].sum() / lams[m].size) for m in self.modalities)
+        # each row's bits of .mean(), without its Python-level wrapper
+        lam_means = tuple((lams.sum(axis=-1) / lams.shape[-1]).tolist())
         self.lambda_rows.append((phase, self.episode, step, self.env.last_audio_class, lam_means))
         if step % EMBEDDING_EVERY == 0:
-            for m in self.modalities:
-                self.embedding_rows.append((phase, self.episode, step, m, feats[m].copy()))
+            for m, f in zip(self.modalities, feats):
+                self.embedding_rows.append((phase, self.episode, step, m, f.copy()))
 
     # -- updating ------------------------------------------------------------
 
-    def _replay_features(self, buf: RolloutBuffer, initial_states: dict, recorded: dict | None = None):
-        """Each modality's (T, 32) feature node over the rollout, and the state after it.
+    def _replay_features(self, buf: RolloutBuffer, initial_states, recorded: dict | None = None):
+        """Each modality's (T, 32) feature node over the rollout, and the (M, 32) state after it.
 
+        ``initial_states[m]`` is each modality's state before the rollout.
         ``recorded`` is ``buf.recorded`` while no parameter has changed since
         acting: the replay is then built from acting's forward. Without it the
         forward is recomputed.
         """
-        feats = {}
-        finals = {}
+        feats, h, c = {}, [], []
         for m in self.modalities:
             obs_list = [o.modalities()[m] for o in buf.observations]
-            feats[m], finals[m] = self.extractors[m].forward_sequence(
+            feats[m], final = self.extractors[m].forward_sequence(
                 obs_list, buf.episode_starts, initial_states[m], None if recorded is None else recorded[m]
             )
-        return feats, finals
+            h.append(final.h)
+            c.append(final.c)
+        return feats, RecurrentState(np.array(h), np.array(c), tuple(self.modalities))
 
-    def _bootstrap_value(self, final_states: dict, scales: dict | None) -> float:
-        """Value of the observation after a rollout that ended mid-episode, with no memo."""
-        feats, _ = self._features(self._obs, final_states, dict.fromkeys(self.modalities), None)
-        return self.head.value_array(self._fuse_array(feats, self._weights(feats, scales)))
+    def _bootstrap_value(self, final_states: RecurrentState) -> float:
+        """Value of the observation after a rollout that ended mid-episode, under an acting span of its own."""
+        span = self._acting_span()
+        feats = self._features(self._obs, final_states, span, None).h
+        return self.head.value_array(self._fuse_array(feats, self._weights(feats, span.norm)))
 
     def _numerical_dump(self, buf: RolloutBuffer, extra: dict) -> dict:
         return {
@@ -463,7 +514,7 @@ class Trainer:
         """Collect one rollout and apply the two-step update; returns metrics."""
         cfg = self.cfg
         t0 = time.perf_counter()
-        initial_states = {m: self._states[m].detached() for m in self.modalities}
+        initial_states = self._states.detached()
         buf = self.collect_rollout()
 
         sim_val, td_val = self._srl_step(buf, initial_states) if self.use_align else (0.0, 0.0)
@@ -474,11 +525,11 @@ class Trainer:
                 self.stats[m].update(np.stack(buf.features[m]), cfg.xi)
 
         # step two: the features under the extractors as they are now
-        scales = self._scales()
+        norm = self._norm()
         # acting's forward is the replay's until a parameter changes
         feats, finals = self._replay_features(buf, initial_states, None if self.use_align else buf.recorded)
-        lams = self._weights({m: feats[m].data for m in self.modalities}, scales)
-        fused = en.fuse([feats[m] for m in self.modalities], [lams[m] for m in self.modalities])
+        lams = self._weights(np.array([feats[m].data for m in self.modalities]), norm)
+        fused = en.fuse([feats[m] for m in self.modalities], list(lams))
 
         logits = self.head.actor_logits(fused)
         values = self.head.critic_values(fused)
@@ -486,7 +537,7 @@ class Trainer:
             raise NumericalError("non-finite policy or value outputs", self._numerical_dump(buf, {}))
         logp, entropy = log_probs_and_entropy(logits, buf.actions)
 
-        bootstrap = self._bootstrap_value(finals, scales) if not buf.dones[-1] else 0.0
+        bootstrap = self._bootstrap_value(finals) if not buf.dones[-1] else 0.0
         returns = compute_returns(buf.rewards, buf.dones, cfg.gamma, bootstrap)
         advantages = returns - values.data  # constants to the actor loss
 

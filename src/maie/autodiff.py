@@ -75,6 +75,7 @@ __all__ = [
     "lstm_cell",
     "lstm_step",
     "transpose",
+    "zero_tail",
     "Adam",
     "clip_grad_norm",
     "zero_grads",
@@ -354,24 +355,32 @@ def gather_index(x_shape: tuple, kernel: tuple, stride: tuple, padding: tuple) -
     return idx
 
 
-def _patches(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The patch matrix of ``x`` at a ``gather_index``: one gather, a 0.0 read at each padding tap."""
-    return np.concatenate((x.ravel(), (0.0,)))[index]
+def zero_tail(x: np.ndarray) -> np.ndarray:
+    """``x``'s values in C order followed by one 0.0: the layout a ``gather_index`` addresses, padding taps included."""
+    return np.concatenate((x.ravel(), (0.0,)))
 
 
 def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The arithmetic of every conv layer: gather, ``w2d @ cols``, the bias, then the ReLU, the last two in place.
+    """The arithmetic of every conv layer: gather, ``w2d @ cols``, the bias, then the ReLU, all three into one buffer.
 
-    ``x`` is any C-ordered array whose ``ravel()`` the ``gather_index``
-    ``index`` addresses, ``w2d`` the (F, C*kh*kw) filters and ``b`` the (F,)
-    biases. Returns the (F, N*oh*ow) output, columns over (sample, output
-    row, output column); the patch matrix is dropped on return. At batch one
-    that output, read C-ordered, is the next layer's (1,F,oh,ow) input.
+    ``x`` is the input in ``zero_tail`` layout, which the ``gather_index``
+    ``index`` addresses; ``w2d`` holds the (F, C*kh*kw) filters and ``b``
+    the biases as an (F, 1) column or broadcast to (F, N*oh*ow). Returns the
+    output in the same layout: a (F*N*oh*ow + 1,) buffer whose first
+    F*N*oh*ow entries are the (F, N*oh*ow) output, columns over (sample,
+    output row, output column), and whose last is 0.0. At batch one the
+    output read C-ordered is the next layer's (1,F,oh,ow) input, so the
+    buffer is that layer's ``x`` with no copy. The patch matrix is dropped
+    on return.
     """
-    out = w2d @ _patches(x, index)
-    out += b[:, None]
+    f, n = w2d.shape[0], index.shape[1]
+    buf = np.empty(f * n + 1)
+    buf[-1] = 0.0
+    out = buf[:-1].reshape(f, n)
+    np.matmul(w2d, x[index], out=out)
+    out += b
     np.maximum(out, 0.0, out=out)
-    return out
+    return buf
 
 
 def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | None = None) -> Value:
@@ -408,7 +417,7 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | Non
     idx = gather_index(x.data.shape, (kh, kw), stride, padding)
     oh, ow = conv_out_hw(h, width, (kh, kw), stride, padding)
     if recorded is None:
-        out_flat = conv_gemm(x.data, w.data.reshape(f, -1), b.data, idx)
+        out_flat = conv_gemm(zero_tail(x.data), w.data.reshape(f, -1), b.data[:, None], idx)[:-1]
         out_data = np.ascontiguousarray(out_flat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
     else:
         if recorded.shape != (n, f, oh, ow):
@@ -424,7 +433,7 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | Non
     return _node(
         out_data, (x, w, b), "conv2d",
         x_adjoint,
-        lambda g: (g_flat(g) @ _patches(x.data, idx).T).reshape(w.data.shape),
+        lambda g: (g_flat(g) @ zero_tail(x.data)[idx].T).reshape(w.data.shape),
         lambda g: g_flat(g).sum(axis=1),
     )
 
@@ -515,18 +524,22 @@ def reduce_mean(x) -> Value:
 
 
 def lstm_step(sx: np.ndarray, w_hh: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One LSTM step on plain arrays: the gate math of every ``lstm_cell`` step.
+    """One LSTM step on plain arrays: the gate math of every ``lstm_cell`` step and of acting.
 
-    ``sx`` is the input drive W_ih @ x + b of length 4H with gate layout
-    [input, forget, cell, output]; ``w_hh`` is (4H, H). Returns (h', c',
-    gates), where gates holds the activations [i, f, g, o] of length 4H.
+    ``sx`` is the input drive W_ih @ x + b, (..., 4H) with gate layout
+    [input, forget, cell, output]; ``w_hh`` is (..., 4H, H) and ``h`` and
+    ``c`` are (..., H). One modality steps with (4H,), (4H, H) and (H,)
+    operands; M modalities step at once with (M, ·) stacks, each row against
+    its own weights. The recurrent product is ``np.matmul(w_hh, h[..., None])``,
+    which gives each row the bits of its own ``w_hh @ h``. Returns (h', c',
+    gates), where gates holds the activations [i, f, g, o] along the last axis.
     """
-    hd = h.shape[0]
-    z = sx + w_hh @ h
+    hd = h.shape[-1]
+    z = sx + np.matmul(w_hh, h[..., None])[..., 0]
     gates = 1.0 / (1.0 + np.exp(-z))
-    gates[2 * hd : 3 * hd] = np.tanh(z[2 * hd : 3 * hd])
-    c_new = gates[hd : 2 * hd] * c + gates[:hd] * gates[2 * hd : 3 * hd]
-    return gates[3 * hd :] * np.tanh(c_new), c_new, gates
+    gates[..., 2 * hd : 3 * hd] = np.tanh(z[..., 2 * hd : 3 * hd])
+    c_new = gates[..., hd : 2 * hd] * c + gates[..., :hd] * gates[..., 2 * hd : 3 * hd]
+    return gates[..., 3 * hd :] * np.tanh(c_new), c_new, gates
 
 
 def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts, recorded: tuple | None = None) -> tuple:

@@ -405,7 +405,7 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
 
     Raises ValueError, before any directory is made, on an empty seed or
     method list, a seed or method listed twice (its runs would share one
-    directory), a method its ``RunConfig`` rejects, jobs below 1, or an
+    directory), a method or seed its ``RunConfig`` rejects, jobs below 1, or an
     output directory that already holds a file (an earlier sweep's
     ``summary.csv``, say).
     """
@@ -418,6 +418,8 @@ def sweep(base: RunConfig, seeds: list, methods: list, jobs: int = 1) -> int:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for m in methods:
         dataclasses.replace(base, method=m)  # the method's RunConfig checks its name
+    for s in seeds:
+        dataclasses.replace(base, seed=s)  # and each seed's RunConfig its value
     _refuse_used(base.out)
     os.makedirs(base.out, exist_ok=True)
     base_dict = dataclasses.asdict(base)

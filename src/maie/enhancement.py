@@ -11,9 +11,9 @@ to each call, so the stats hold only their two running arrays. The fused
 state concatenates lambda-weighted raw features; lambda, mu, and sigma are
 constants to the backward pass, so the adjoint reaching a modality is
 exactly lambda times the adjoint of its weighted slice, and the
-normalization and importance run on plain arrays
-(``ModalityStats.normalize_array``, ``importance``). The baselines fuse the
-same way with constant lambda.
+normalization and importance run on plain arrays (``normalize``,
+``importance``), once per step on the stack of all modalities. The
+baselines fuse the same way with constant lambda.
 """
 
 from __future__ import annotations
@@ -49,25 +49,31 @@ class ModalityStats:
 
     def normalize_array(self, f: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Plain-numpy normalization of (L,) or (T, L) features by ``scale``, the ``self.scale(eps)`` computed once."""
-        return (f - self.mu) * scale
+        return normalize(f, self.mu, scale)
 
 
-def importance(normalized: list) -> list:
+def normalize(f: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``(f - mu) * scale`` on plain arrays: one modality's features against its stats, or a stack of modalities' against theirs."""
+    return (f - mu) * scale
+
+
+def importance(normalized) -> np.ndarray:
     """Per-dimension softmax of |normalized| across modalities.
 
-    Takes and returns float64 arrays, each (L,) or (T, L): the coefficients
-    are constants to any backward pass (the RL gradient treats lambda as a
-    fixed multiplier).
+    Takes the (M, ...) float64 stack of the modalities' normalized features,
+    each (L,) or (T, L), or a list of them, and returns the (M, ...) stack of
+    coefficients: constants to any backward pass (the RL gradient treats
+    lambda as a fixed multiplier).
     """
-    if not normalized:
+    if len(normalized) == 0:
         raise ValueError("importance needs at least one modality")
-    shape = normalized[0].shape
-    for a in normalized:
-        if a.shape != shape:
-            raise ValueError(f"importance: feature shapes differ, {a.shape} vs {shape}")
-    mags = np.array(normalized)  # the (M, ...) stack; np.stack gives the same array at several times the cost
-    np.abs(mags, out=mags)
-    return list(ad.softmax_array(mags, axis=0))
+    if isinstance(normalized, list):
+        shape = normalized[0].shape
+        for a in normalized:
+            if a.shape != shape:
+                raise ValueError(f"importance: feature shapes differ, {a.shape} vs {shape}")
+    mags = np.abs(normalized)  # np.abs stacks a list itself; np.stack gives the same array at several times the cost
+    return ad.softmax_array(mags, axis=0)
 
 
 def fuse(raw: list, lambdas: list) -> Value:

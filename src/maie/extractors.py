@@ -6,20 +6,23 @@ three-layer TextCNN (3 filters, kernel 2 along the sequence). Every
 extractor ends in the same LSTM cell, and the LSTM output is the
 modality's feature vector, so all modalities share FEATURE_DIM = 32.
 
-``forward`` consumes one timestep while acting, entirely on plain arrays: each
-conv layer, ReLU included, is one ``autodiff.conv_gemm``, the arithmetic
-``autodiff.conv2d`` also runs, on flat (F, oh*ow) buffers through the three
-batch-one gather indices each extractor takes from the geometry once, at
-construction; then the input projection and the LSTM step
-(``autodiff.lstm_step``). Given a memo dict, ``forward`` computes the LSTM
-input drive (conv stack plus input projection), and while recording the
+``forward`` computes one observation's LSTM input drive while acting,
+entirely on plain arrays: each conv layer, ReLU included, is one
+``autodiff.conv_gemm``, the arithmetic ``autodiff.conv2d`` also runs,
+through the three batch-one gather indices each extractor takes from the
+geometry once, at construction; each layer writes its output into a buffer
+with one trailing 0.0, which the next layer gathers from with no copy; then
+the input projection. The parameter arrays it reads (``acting_arrays``) are
+taken once per span of unchanged parameters. A trainer steps the LSTM of all
+its modalities at once on the stacked drives; ``step`` is ``forward`` plus
+one ``autodiff.lstm_step`` for this modality alone, the same arithmetic.
+Given a memo dict, ``forward`` computes the drive, and while recording the
 conv outputs too, once per distinct observation and reads them back when
 the same bytes recur, as grids and text often do within an episode; the
 hit is the very arrays the miss computed, so every output is bitwise the
-same. The trainer hands a
-memo only to a modality whose observations can repeat. Given an
-``ActingRecord``, ``forward`` also appends the step's conv outputs, gates
-and new state to it.
+same. The trainer hands a memo only to a modality whose observations can
+repeat. Given an ``ActingRecord``, ``forward`` also appends the step's conv
+outputs to it, and whoever steps the LSTM appends the gates and new state.
 
 ``forward_sequence`` replays a whole rollout for the backward passes: one
 batched ``autodiff.conv2d`` stack over time, one input projection for all
@@ -40,7 +43,7 @@ the same base-class code, driven by each class's FILTERS, KERNEL, STRIDE
 and PADDING. A subclass declares only how one observation becomes conv
 input (``_conv_input``) and how a rollout does (``_conv_batch``); the conv
 input channels and the LSTM's input size are read off a zero observation
-run through ``_conv_input`` and the ``autodiff.conv2d`` stack, which also
+run through ``_conv_batch`` and the ``autodiff.conv2d`` stack, which also
 checks the conv geometry once at construction.
 """
 
@@ -56,21 +59,29 @@ TEXT_EMBED_DIM = 8
 
 
 class RecurrentState:
-    """Per-modality LSTM hidden and cell vectors, reset at episode starts.
+    """LSTM hidden and cell state, reset at episode starts.
 
-    Both are plain (32,) arrays: the state is a constant to every backward
-    pass, so backprop is truncated at rollout edges.
+    ``h`` and ``c`` are one modality's (32,) arrays, or the (M, 32) stacks of
+    M modalities, one row each in ``names`` order; indexing a stack by a
+    modality's name gives its row as a state of its own, sharing memory. The
+    state is a constant to every backward pass, so backprop is truncated at
+    rollout edges.
     """
 
-    __slots__ = ("h", "c")
+    __slots__ = ("h", "c", "names")
 
-    def __init__(self, h: np.ndarray, c: np.ndarray):
+    def __init__(self, h: np.ndarray, c: np.ndarray, names: tuple = ()):
         self.h = h
         self.c = c
+        self.names = names
+
+    def __getitem__(self, name: str) -> "RecurrentState":
+        i = self.names.index(name)
+        return RecurrentState(self.h[i], self.c[i])
 
     def detached(self) -> "RecurrentState":
         """Copy that shares no memory with this state."""
-        return RecurrentState(self.h.copy(), self.c.copy())
+        return RecurrentState(self.h.copy(), self.c.copy(), self.names)
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -92,14 +103,15 @@ def _lstm_params(rng, input_dim: int) -> dict:
 class ActingRecord:
     """What one modality's acting forward computed over a rollout, step by step.
 
-    ``conv[i]`` holds conv layer i's ReLU'd flat (F, oh*ow) output of each
-    step, ``gates`` each LSTM step's (4H,) gate activations, and ``h`` and
-    ``c`` the state leaving each step; the ``h`` rows are the modality's
-    features. A memo hit appends the very conv arrays its miss computed. The
-    first replay, run before any parameter changes, builds its nodes from
-    these arrays (``_ExtractorBase.forward_sequence``) and takes the conv
-    outputs out as it stacks them, leaving each ``conv[i]`` empty; ``gates``,
-    ``h`` and ``c`` stay.
+    ``conv[i]`` holds conv layer i's ReLU'd output of each step, its
+    (F*oh*ow,) values in the order of the (F, oh, ow) output; ``gates`` each
+    LSTM step's (4H,) gate activations, and ``h`` and ``c`` the state leaving
+    each step; the ``h`` rows are the modality's features. A memo hit appends
+    the very conv arrays its miss computed. The first replay, run before any
+    parameter changes, builds its nodes from these arrays
+    (``_ExtractorBase.forward_sequence``) and takes the conv outputs out as it
+    stacks them, leaving each ``conv[i]`` empty; ``gates``, ``h`` and ``c``
+    stay.
     """
 
     __slots__ = ("conv", "gates", "h", "c")
@@ -108,35 +120,41 @@ class ActingRecord:
         self.conv = ([], [], [])
         self.gates, self.h, self.c = [], [], []
 
+    def append_state(self, gates: np.ndarray, h: np.ndarray, c: np.ndarray):
+        """Record one LSTM step: its gate activations and the state leaving it."""
+        self.gates.append(gates)
+        self.h.append(h)
+        self.c.append(c)
+
 
 class _ExtractorBase:
     """Three conv layers, each followed by ReLU, then the LSTM over their flattened output.
 
     Subclasses set the layers' ``FILTERS``, ``KERNEL``, ``STRIDE`` and
     ``PADDING``, and how an observation becomes the (1, C, H, W) conv input
-    (``_conv_input``, for acting) and a rollout the (T, C, H, W) one
-    (``_conv_batch``, for replay).
+    in ``autodiff.zero_tail`` layout (``_conv_input``, for acting) and a
+    rollout the (T, C, H, W) one (``_conv_batch``, for replay).
     """
 
     def __init__(self, name: str, input_shape: tuple, seed: int):
         """Draw the input parameters, the conv layers, then the LSTM, in that order, from ``seed``.
 
         The conv input channels and the LSTM input size ``flat_dim`` are read
-        off a zero observation run through ``_conv_input`` and the
+        off a zero observation run through ``_conv_batch`` and the
         ``autodiff.conv2d`` stack, which also checks the conv geometry once.
         """
         self.name = name
         self.input_shape = tuple(input_shape)
         rng = np.random.default_rng(seed)
         self.params = self._input_params(rng)
-        probe = self._conv_input(np.zeros(self.input_shape))
+        probe = self._conv_batch([np.zeros(self.input_shape)])
         in_ch = probe.shape[1]
         for i in range(3):
             fan = in_ch * self.KERNEL[0] * self.KERNEL[1]
             self.params[f"conv{i + 1}.w"] = Value(uniform_init(rng, (self.FILTERS, in_ch, *self.KERNEL), fan), requires_grad=True)
             self.params[f"conv{i + 1}.b"] = Value(uniform_init(rng, (self.FILTERS,), fan), requires_grad=True)
             in_ch = self.FILTERS
-        self.flat_dim = self._conv_stack(Value(probe)).data.size
+        self.flat_dim = self._conv_stack(probe).data.size
         self.params.update(_lstm_params(rng, self.flat_dim))
         # acting's batch-one gather index of each conv layer, fixed by the geometry alone
         self._act_index = []
@@ -149,7 +167,7 @@ class _ExtractorBase:
         """Parameters drawn before the conv layers; none unless the input needs a table."""
         return {}
 
-    def _conv_stack(self, x: Value, recorded: ActingRecord | None = None) -> Value:
+    def _conv_stack(self, x: Value | np.ndarray, recorded: ActingRecord | None = None) -> Value:
         """The three conv layers over a (N, C, H, W) batch; given ``recorded``, from its conv outputs, which it takes out."""
         for i in range(3):
             w, b = self.params[f"conv{i + 1}.w"], self.params[f"conv{i + 1}.b"]
@@ -161,19 +179,21 @@ class _ExtractorBase:
             x = ad.conv2d(x, w, b, stride=self.STRIDE, padding=self.PADDING, recorded=out)
         return x
 
-    def _conv_stack_array(self, x: np.ndarray) -> list:
-        """Each layer's ``_conv_stack(Value(x))`` output of one (1, C, H, W) input on plain arrays, for acting.
+    def acting_arrays(self) -> tuple:
+        """The parameter arrays ``forward`` reads, as it reads them; they hold while no parameter changes.
 
-        Each layer is one ``autodiff.conv_gemm`` through the index cached at
-        construction; each output is the flat (F, oh*ow) buffer, which holds
-        the same numbers in the same order.
+        Returns each conv layer's ``(gather index, (F, C*kh*kw) filters,
+        biases)``, the biases broadcast to the (F, oh*ow) output, whose
+        contiguous add costs half the column's; then the input projection's
+        ``w_ih`` and ``b``.
         """
-        outs = []
-        for i, index in enumerate(self._act_index, start=1):
-            w = self.params[f"conv{i}.w"].data
-            x = ad.conv_gemm(x, w.reshape(w.shape[0], -1), self.params[f"conv{i}.b"].data, index)
-            outs.append(x)
-        return outs
+        p = self.params
+        layers = tuple(
+            (index, p[f"conv{i}.w"].data.reshape(self.FILTERS, -1),
+             np.repeat(p[f"conv{i}.b"].data[:, None], index.shape[1], axis=1))
+            for i, index in enumerate(self._act_index, start=1)
+        )
+        return layers, p["lstm.w_ih"].data, p["lstm.b"].data
 
     def initial_state(self) -> RecurrentState:
         return RecurrentState(np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM))
@@ -182,41 +202,56 @@ class _ExtractorBase:
         if tuple(obs.shape) != self.input_shape:
             raise ValueError(f"{self.name}: observation shape {obs.shape} != expected {self.input_shape}")
 
-    def forward(self, obs: np.ndarray, state: RecurrentState, drives: dict | None = None, record: ActingRecord | None = None):
-        """One timestep, graph-free: returns (the (32,) feature array, new state).
+    def forward(self, obs: np.ndarray, arrays: tuple, drives: dict | None = None, record: ActingRecord | None = None):
+        """One observation's LSTM input drive, graph-free: the (4H,) ``w_ih @ conv output + b``.
 
-        ``drives``, when given, memoises the LSTM input drive (conv stack
-        plus input projection) by the observation's ``(dtype.str, bytes)``:
-        a hit reads the drive a miss stored. The caller keeps the dict only
-        while no parameter can change. ``record``, when given, gets this
-        step's conv outputs, gates and new state appended; a span that
-        records hands a record on every call, so its memo also keeps each
+        ``arrays`` is ``acting_arrays()`` under the current parameters. Each
+        conv layer is one ``autodiff.conv_gemm``, whose output buffer is the
+        next layer's input. ``drives``, when given, memoises the drive by the
+        observation's ``(dtype.str, bytes)``: a hit reads what a miss stored.
+        The caller keeps the dict only while no parameter can change.
+        ``record``, when given, gets this step's conv outputs appended; a span
+        that records hands a record on every call, so its memo also keeps each
         miss's conv outputs for the hits to append. A span that does not
-        (evaluation) keeps the drive alone, since holding the conv outputs
-        slowed its steps. The observation is checked and the LSTM steps on
-        every call.
+        (evaluation) keeps the drive alone and builds no list of outputs. The
+        observation is checked on every call.
         """
         self._check_obs(obs)
-        p = self.params
         key = hit = None
         if drives is not None:
             key = (obs.dtype.str, obs.tobytes())
             hit = drives.get(key)
         if hit is None:
-            convs = self._conv_stack_array(self._conv_input(obs))
-            sx = p["lstm.w_ih"].data @ convs[-1].reshape(self.flat_dim)
-            sx += p["lstm.b"].data
+            layers, w_ih, b = arrays
+            x = self._conv_input(obs)
+            convs = None if record is None else []
+            for index, w2d, bias in layers:
+                x = ad.conv_gemm(x, w2d, bias, index)
+                if convs is not None:
+                    convs.append(x[:-1])
+            sx = w_ih @ x[:-1]
+            sx += b
             if key is not None:
-                drives[key] = (convs if record is not None else None), sx
+                drives[key] = convs, sx
         else:
             convs, sx = hit
-        h, c, gates = ad.lstm_step(sx, p["lstm.w_hh"].data, state.h, state.c)
         if record is not None:
             for layer, out in zip(record.conv, convs):
                 layer.append(out)
-            record.gates.append(gates)
-            record.h.append(h)
-            record.c.append(c)
+        return sx
+
+    def step(self, obs: np.ndarray, state: RecurrentState, drives: dict | None = None, record: ActingRecord | None = None):
+        """One timestep of this modality alone: returns (the (32,) feature array, new state).
+
+        ``forward``'s drive, then one ``autodiff.lstm_step``, the arithmetic a
+        trainer runs for all its modalities at once; ``drives`` and ``record``
+        are ``forward``'s, and the record also gets the step's gates and new
+        state.
+        """
+        sx = self.forward(obs, self.acting_arrays(), drives, record)
+        h, c, gates = ad.lstm_step(sx, self.params["lstm.w_hh"].data, state.h, state.c)
+        if record is not None:
+            record.append_state(gates, h, c)
         return h, RecurrentState(h, c)
 
     def forward_sequence(self, observations, episode_starts, state: RecurrentState, recorded: ActingRecord | None = None):
@@ -226,7 +261,7 @@ class _ExtractorBase:
         Returns the (T, 32) feature matrix and the final state, which is a
         constant: gradients stop at the rollout's end.
 
-        ``recorded``, when given, is the ``ActingRecord`` that ``forward``
+        ``recorded``, when given, is the ``ActingRecord`` that acting
         filled while stepping through these observations from ``state``,
         under the current parameters. The replay then builds the same nodes
         from acting's arrays, taking the conv outputs out of ``recorded``:
@@ -253,7 +288,7 @@ class ConvLstmExtractor(_ExtractorBase):
     PADDING = (1, 1)
 
     def _conv_input(self, obs: np.ndarray) -> np.ndarray:
-        return np.asarray(obs, dtype=np.float64)[None]
+        return ad.zero_tail(np.asarray(obs, dtype=np.float64))
 
     def _conv_batch(self, observations) -> np.ndarray:
         return np.stack([np.asarray(o, dtype=np.float64) for o in observations])
@@ -281,8 +316,7 @@ class TextExtractor(_ExtractorBase):
             raise ValueError(f"{self.name}: token id outside vocabulary of size {self.vocab_size}")
 
     def _conv_input(self, obs: np.ndarray) -> np.ndarray:
-        emb = self.params["embed.table"].data[:, np.asarray(obs, dtype=np.intp)]  # (E, L)
-        return emb.reshape(1, TEXT_EMBED_DIM, 1, -1)
+        return ad.zero_tail(self.params["embed.table"].data[:, np.asarray(obs, dtype=np.intp)])  # the (E, L) embeddings
 
     def _conv_batch(self, observations) -> Value:
         n = len(observations)

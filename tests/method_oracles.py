@@ -13,6 +13,11 @@ input gradient back with one strided ``+=`` per kernel tap.
 
 ``checkpoint_text`` is ``cli.save_checkpoint``'s file built the direct way:
 the whole payload in memory, then one ``json.dumps``.
+
+``per_modality_act_step`` is ``agent.Trainer._act_step`` one modality at a
+time, as acting ran before it stacked the modalities: each extractor's LSTM
+input drive, then its own LSTM step spelled out, its own normalization, λ,
+weighted slice of the fused state and λ-trace mean.
 """
 
 import base64
@@ -20,9 +25,12 @@ import json
 
 import numpy as np
 
+from maie import agent as ag
+from maie import enhancement as en
 from maie.alignment import distance
 from maie.autodiff import Value
 from maie.enhancement import ModalityStats
+from maie.extractors import RecurrentState
 
 
 def similarity_loss(features: list, kind: str = "cosine") -> Value:
@@ -124,3 +132,78 @@ def checkpoint_text(trainer) -> str:
                  for i, p in enumerate(params.values()) if p in trainer.opt.state},
     }
     return json.dumps(payload, separators=(",", ":"))
+
+
+def _lstm_step(sx, w_hh, h, c):
+    """One modality's LSTM step: ``(h', c', gates)``, gate layout [input, forget, cell, output]."""
+    hd = h.shape[0]
+    z = sx + w_hh @ h
+    gates = 1.0 / (1.0 + np.exp(-z))
+    gates[2 * hd : 3 * hd] = np.tanh(z[2 * hd : 3 * hd])
+    c_new = gates[hd : 2 * hd] * c + gates[:hd] * gates[2 * hd : 3 * hd]
+    return gates[3 * hd :] * np.tanh(c_new), c_new, gates
+
+
+def per_modality_act_step(tr, phase: str, span, buf=None):
+    """``tr._act_step(phase, span, buf)`` computed modality by modality; bind it to ``tr`` to replace the stacked step.
+
+    Each extractor computes its drive with no memo, and each modality steps
+    its own LSTM row of ``tr._states``, takes its own λ and its weighted
+    slice of the fused state, and its own λ-trace mean. The state is
+    stacked again after the step, so the trainer's updates read it as
+    usual.
+    """
+    new_episode = tr._obs is None
+    if new_episode:
+        tr._begin_episode()
+    obs = tr._obs.modalities()
+    feats, lams, h_rows, c_rows = {}, {}, [], []
+    for m in tr.modalities:
+        ex, state = tr.extractors[m], tr._states[m]
+        record = None if buf is None else buf.recorded[m]
+        sx = ex.forward(obs[m], ex.acting_arrays(), None, record)
+        h, c, gates = _lstm_step(sx, ex.params["lstm.w_hh"].data, state.h, state.c)
+        if record is not None:
+            record.gates.append(gates)
+            record.h.append(h)
+            record.c.append(c)
+        feats[m] = h
+        h_rows.append(h)
+        c_rows.append(c)
+    tr._states = RecurrentState(np.array(h_rows), np.array(c_rows), tuple(tr.modalities))
+    n = len(tr.modalities)
+    if tr.use_ie:
+        normalized = [(feats[m] - tr.stats[m].mu) * tr.stats[m].scale(tr.cfg.stats_eps) for m in tr.modalities]
+        lams = dict(zip(tr.modalities, en.importance(normalized)))
+    elif tr.cfg.method == "fixed_weights":
+        rest = (1.0 - tr.cfg.fixed_weight) / (n - 1) if n > 1 else 1.0
+        lams = {m: np.full(feats[m].shape, tr.cfg.fixed_weight if i == 0 else rest) for i, m in enumerate(tr.modalities)}
+    else:
+        lams = {m: np.ones(feats[m].shape) for m in tr.modalities}
+    x = np.concatenate([lams[m] * feats[m] for m in tr.modalities])
+    p = tr.head.params
+    for i in (1, 2, 3):
+        x = x @ p[f"actor{i}.w"].data + p[f"actor{i}.b"].data
+        if i < 3:
+            x = np.maximum(x, 0.0)
+    action = ag.sample_action(x, tr.action_rng)
+
+    step = tr.env.steps
+    lam_means = tuple(float(lams[m].sum() / lams[m].size) for m in tr.modalities)
+    tr.lambda_rows.append((phase, tr.episode, step, tr.env.last_audio_class, lam_means))
+    if step % ag.EMBEDDING_EVERY == 0:
+        for m in tr.modalities:
+            tr.embedding_rows.append((phase, tr.episode, step, m, feats[m].copy()))
+    next_obs, reward, done = tr.env.step(action)
+    if buf is not None:
+        buf.observations.append(tr._obs)
+        buf.episode_starts.append(new_episode)
+        buf.actions.append(action)
+        buf.rewards.append(reward)
+        buf.dones.append(done)
+        tr.env_steps += 1
+    tr._ep_return += reward
+    if done:
+        return tr._finish_episode(phase)
+    tr._obs = next_obs
+    return None

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import re
+import types
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from maie import envs
 from maie.autodiff import Value
 from maie.envs.base import EPISODE_CAP
 
+import method_oracles
 from op_cases import CASES
 
 
@@ -187,7 +189,7 @@ def test_config_rejects_unknown_method():
 @pytest.mark.parametrize(
     "name, value",
     [("xi", 0.0), ("xi", 2.0), ("stats_eps", 0.0), ("stats_eps", -1.0), ("lr", 0.0), ("lr", -1e-3),
-     ("c_sim", -0.1), ("c_td", -0.1), ("distance", "kl"), ("episodes", 0)],
+     ("c_sim", -0.1), ("c_td", -0.1), ("distance", "kl"), ("episodes", 0), ("seed", -1)],
 )
 def test_config_rejects_out_of_range(name, value):
     with pytest.raises(ValueError, match=name):
@@ -285,14 +287,12 @@ def test_weights_of_a_stack_match_each_row(method):
     for m in tr.modalities:
         tr.stats[m].mu = rng.normal(size=32)
         tr.stats[m].var = rng.uniform(0.5, 2.0, size=32)
-    stack = {m: 3.0 * rng.normal(size=(6, 32)) for m in tr.modalities}
-    scales = tr._scales()
-    lams = tr._weights(stack, scales)
+    stack = 3.0 * rng.normal(size=(len(tr.modalities), 6, 32))
+    norm = tr._norm()
+    lams = tr._weights(stack, norm)
+    assert lams.shape == stack.shape
     for t in range(6):
-        row = tr._weights({m: stack[m][t] for m in tr.modalities}, scales)
-        for m in tr.modalities:
-            assert lams[m].shape == (6, 32)
-            np.testing.assert_array_equal(lams[m][t], row[m])
+        np.testing.assert_array_equal(lams[:, t], tr._weights(stack[:, t].copy(), norm))
 
 
 def test_maie_lambdas_on_simplex():
@@ -582,7 +582,7 @@ def test_lambda_weighted_adjoint_through_train_pipeline():
 def _uncached(tr):
     """Make every extractor of ``tr`` drop the input-drive memo it is handed."""
     for e in tr.extractors.values():
-        e.forward = lambda obs, state, drives=None, record=None, forward=e.forward: forward(obs, state, None, record)
+        e.forward = lambda obs, arrays, drives=None, record=None, forward=e.forward: forward(obs, arrays, None, record)
     return tr
 
 
@@ -590,9 +590,9 @@ def _count_memos(tr) -> dict:
     """Per modality, the memo ``tr`` hands its extractor on each call, in call order."""
     memos = {m: [] for m in tr.modalities}
     for m, e in tr.extractors.items():
-        def counting(obs, state, drives=None, record=None, forward=e.forward, handed=memos[m]):
+        def counting(obs, arrays, drives=None, record=None, forward=e.forward, handed=memos[m]):
             handed.append(drives)
-            return forward(obs, state, drives, record)
+            return forward(obs, arrays, drives, record)
 
         e.forward = counting
     return memos
@@ -640,6 +640,43 @@ def test_acting_memo_changes_no_result(env_name):
     assert 0 < len(memos["visual"][steps]) < episode_steps  # the grid does
 
 
+@pytest.mark.parametrize("method", ["maie", "concat", "fixed_weights"])
+@pytest.mark.parametrize("env_name", list(envs.ENV_NAMES))
+def test_acting_step_is_the_per_modality_step(env_name, method):
+    # a training rollout, then an evaluation episode, each stepping all modalities at once, beside a
+    # twin stepping them one by one: every action, λ-trace row, embedding, state and record is the same
+    cfg = ag.TrainConfig(method=method, seed=6, fixed_weight=0.7)
+    stacked, oracle = (ag.Trainer(envs.make_env(env_name, 6), cfg) for _ in range(2))
+    oracle._act_step = types.MethodType(method_oracles.per_modality_act_step, oracle)
+    rng = np.random.default_rng(6)
+    for m in stacked.modalities:  # statistics away from their start, so the normalization shows
+        mu, var = rng.normal(size=32) * 0.1, rng.uniform(0.5, 2.0, size=32)
+        for tr in (stacked, oracle):
+            tr.stats[m].mu, tr.stats[m].var = mu.copy(), var.copy()
+    actions = {id(tr): _record_actions(tr) for tr in (stacked, oracle)}
+
+    bufs = [tr.collect_rollout() for tr in (stacked, oracle)]
+    assert bufs[0].actions == bufs[1].actions and bufs[0].episode_starts == bufs[1].episode_starts
+    for m in stacked.modalities:
+        got, want = bufs[0].recorded[m], bufs[1].recorded[m]
+        for a, b in zip([*got.conv, got.gates, got.h, got.c], [*want.conv, want.gates, want.h, want.c], strict=True):
+            assert len(a) == len(b) == len(bufs[0].actions)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    for tr in (stacked, oracle):
+        assert tr._states.h.shape == tr._states.c.shape == (len(tr.modalities), 32)
+    assert stacked._states.h.tobytes() == oracle._states.h.tobytes()
+    assert stacked._states.c.tobytes() == oracle._states.c.tobytes()
+
+    assert stacked.run_eval(1) == oracle.run_eval(1)
+    assert stacked._states.h.tobytes() == oracle._states.h.tobytes()
+    assert stacked._states.c.tobytes() == oracle._states.c.tobytes()
+    assert actions[id(stacked)] == actions[id(oracle)]
+    assert stacked.lambda_rows == oracle.lambda_rows
+    assert len(stacked.embedding_rows) == len(oracle.embedding_rows) > 0
+    for a, b in zip(stacked.embedding_rows, oracle.embedding_rows):
+        assert a[:4] == b[:4] and a[4].tobytes() == b[4].tobytes()
+
+
 def test_acting_memo_lives_only_while_parameters_are_fixed(monkeypatch):
     # after updates, and after a conv weight is changed by hand between rollouts, every
     # bootstrap value and feature equals a never-memoising twin's and an uncached forward's
@@ -650,8 +687,8 @@ def test_acting_memo_lives_only_while_parameters_are_fixed(monkeypatch):
         bufs.setdefault(id(self), []).append(collect(self))
         return bufs[id(self)][-1]
 
-    def keep_bootstrap(self, final_states, scales):
-        boots.setdefault(id(self), []).append(bootstrap(self, final_states, scales))
+    def keep_bootstrap(self, final_states):
+        boots.setdefault(id(self), []).append(bootstrap(self, final_states))
         return boots[id(self)][-1]
 
     monkeypatch.setattr(ag.Trainer, "collect_rollout", keep_buf)
@@ -666,7 +703,7 @@ def test_acting_memo_lives_only_while_parameters_are_fixed(monkeypatch):
         tr.extractors["visual"].params["conv1.w"].data[0, 0, 1, 1] += 0.5
     obs = cached._obs
     assert obs is not None  # the next rollout continues the episode
-    expected = {m: cached.extractors[m].forward(obs.modalities()[m], cached._states[m])[0] for m in cached.modalities}
+    expected = {m: cached.extractors[m].step(obs.modalities()[m], cached._states[m])[0] for m in cached.modalities}
     for tr in (cached, plain):
         tr.collect_rollout()
     new, twin = bufs[id(cached)][-1], bufs[id(plain)][-1]

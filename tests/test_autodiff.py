@@ -444,6 +444,19 @@ def test_lstm_step_is_the_op_forward():
     np.testing.assert_array_equal(h_last, h_new)
     np.testing.assert_array_equal(c_last, c_new)
 
+    # M modalities stepped at once: each row is its own single step, bit for bit, saturated gates included
+    m = 4
+    sx, whh = rng.normal(size=(m, 4 * hd)), rng.normal(size=(m, 4 * hd, hd)) * 0.3
+    h, c = rng.normal(size=(m, hd)), rng.normal(size=(m, hd))
+    sx[1] *= 60.0  # every gate of this row at or next to 0 or 1
+    sx[2, :hd], sx[2, 3 * hd :] = 50.0, -50.0  # input gate open, output gate shut
+    stacked = ad.lstm_step(sx, whh, h, c)
+    assert [a.shape for a in stacked] == [(m, hd), (m, hd), (m, 4 * hd)]
+    assert np.isin(stacked[2][1], (0.0, 1.0)).any()
+    for i in range(m):
+        for got, want in zip(stacked, ad.lstm_step(sx[i], whh[i], h[i], c[i])):
+            assert got[i].tobytes() == want.tobytes()
+
 
 def test_lstm_cell_rejects_bad_starts():
     hd = 2

@@ -1,7 +1,11 @@
 import importlib.util
 import os
+import platform
 
+import numpy as np
 import pytest
+
+from maie import autodiff as ad
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -103,3 +107,11 @@ def test_cpu_wall_ratio_is_the_median_of_cpu_ms_per_step_times_steps_per_second(
     ratio = bench_pairs.summarize(runs, METRICS)["cpu_wall_ratio"]
     assert ratio["base"] == pytest.approx(1.8)  # the median of 2.0, 1.8 and 1.8
     assert ratio["change"] == pytest.approx(1.0)
+
+
+def test_machine_names_the_blas_kernels_and_versions():
+    # files written under other kernels or versions are not comparable bit for bit or in speed
+    entry = bench_pairs.machine()
+    assert entry == {"blas_core": ad.blas_core(), "numpy": np.__version__, "python": platform.python_version(),
+                     "cpu_count": os.cpu_count()}
+    assert entry["cpu_count"] >= 1

@@ -120,12 +120,13 @@ def test_mistyped_config_field_is_a_configuration_error(field, value, tmp_path, 
 
 
 @pytest.mark.parametrize("content, match", [
-    ("null", "holds NoneType, not a JSON object"),
-    ("[1]", "holds list, not a JSON object"),
-    ("misspelt", "unknown keys ['lrr']"),
-    ("old_schema", "metrics_schema 'maie-metrics-v0' is not 'maie-metrics-v1'"),
-    (None, "cannot read it: No such file or directory"),
-], ids=["null", "list", "misspelt_key", "other_metrics_schema", "missing_file"])
+    ("null", "config {path}: holds NoneType, not a JSON object"),
+    ("[1]", "config {path}: holds list, not a JSON object"),
+    ("misspelt", "config {path}: unknown keys ['lrr']"),
+    ("old_schema", "config {path}: metrics_schema 'maie-metrics-v0' is not 'maie-metrics-v1'"),
+    (None, "config {path}: cannot read it: No such file or directory"),
+    ("negative_seed", "seed must be >= 0, got -1"),
+], ids=["null", "list", "misspelt_key", "other_metrics_schema", "missing_file", "negative_seed"])
 def test_unusable_config_file_is_a_configuration_error(content, match, tmp_path, capsys):
     # never the default config, a traceback or a dropped key: exit 1 and no output directory
     path = tmp_path / "cfg.json"
@@ -133,11 +134,13 @@ def test_unusable_config_file_is_a_configuration_error(content, match, tmp_path,
         content = json.dumps({**dataclasses.asdict(_run_args(tmp_path)), "lrr": 0.5})
     if content == "old_schema":  # a run of another metrics.csv layout does not replay as this one
         content = json.dumps({**dataclasses.asdict(_run_args(tmp_path)), "metrics_schema": "maie-metrics-v0"})
+    if content == "negative_seed":  # a valid file with a value its RunConfig rejects
+        content = json.dumps({**dataclasses.asdict(_run_args(tmp_path)), "seed": -1})
     if content is not None:
         path.write_text(content)
     out = tmp_path / "x"
     assert cli.main(["run", "--config", str(path), "--max-env-steps", "8", "--out", str(out)]) == 1
-    assert f"configuration error: config {path}: {match}" in capsys.readouterr().err
+    assert "configuration error: " + match.format(path=path) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -203,7 +206,8 @@ def test_unknown_method_in_sweep(tmp_path, capsys):
     (["--seeds", "1,01"], "sweep lists a seed twice"),
     (["--jobs", "0"], "jobs must be >= 1, got 0"),
     (["--jobs", "-2"], "jobs must be >= 1, got -2"),
-], ids=["method_twice", "seed_twice", "same_seed_spelt_twice", "jobs_0", "jobs_-2"])
+    (["--seeds", "1,-1"], "seed must be >= 0, got -1"),
+], ids=["method_twice", "seed_twice", "same_seed_spelt_twice", "jobs_0", "jobs_-2", "negative_seed"])
 def test_sweep_input_is_a_configuration_error_before_any_run(flags, match, tmp_path, capsys):
     # a repeated method or seed would run into one directory and count each run again in summary.csv
     out = tmp_path / "sw"
@@ -348,10 +352,10 @@ def test_checkpoint_load_restores_features(tmp_path, trained_checkpoint):
     trainer, path = trained_checkpoint()
     other = _fresh_trainer(tmp_path, seed=99)
     obs = envs.make_env("hetero_nav", 5).reset().modalities()["visual"]
-    before, _ = other.extractors["visual"].forward(obs, other.extractors["visual"].initial_state())
+    before, _ = other.extractors["visual"].step(obs, other.extractors["visual"].initial_state())
     cli.load_checkpoint(str(path), other)
-    want, _ = trainer.extractors["visual"].forward(obs, trainer.extractors["visual"].initial_state())
-    got, _ = other.extractors["visual"].forward(obs, other.extractors["visual"].initial_state())
+    want, _ = trainer.extractors["visual"].step(obs, trainer.extractors["visual"].initial_state())
+    got, _ = other.extractors["visual"].step(obs, other.extractors["visual"].initial_state())
     assert not np.array_equal(before, want)
     np.testing.assert_array_equal(got, want)
 

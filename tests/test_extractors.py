@@ -55,7 +55,7 @@ def test_output_is_feature_dim():
         (ex.ConvLstmExtractor("visual", VIS_SHAPE, 0), VIS_SHAPE),
         (ex.ConvLstmExtractor("audio", AUD_SHAPE, 1), AUD_SHAPE),
     ]:
-        f, state = e.forward(_rand_obs(rng, shape), e.initial_state())
+        f, state = e.step(_rand_obs(rng, shape), e.initial_state())
         assert f.shape == (32,)
         assert state.h.shape == (32,) and state.c.shape == (32,)
 
@@ -63,24 +63,24 @@ def test_output_is_feature_dim():
 def test_text_output_is_feature_dim():
     e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=3)
     ids = np.array([1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0])
-    f, _ = e.forward(ids, e.initial_state())
+    f, _ = e.step(ids, e.initial_state())
     assert f.shape == (32,)
 
 
 def test_text_length_comes_from_the_modality_shape():
     e = ex.build_extractor("text", (7,), seed=3, vocab_size=19)
     assert e.input_shape == (7,)
-    f, _ = e.forward(np.arange(7) % 19, e.initial_state())
+    f, _ = e.step(np.arange(7) % 19, e.initial_state())
     assert f.shape == (32,)
     with pytest.raises(ValueError, match="shape"):
-        e.forward(np.zeros(12, dtype=int), e.initial_state())
+        e.step(np.zeros(12, dtype=int), e.initial_state())
 
 
 def test_zero_observation_is_deterministic():
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=5)
     obs = np.zeros(VIS_SHAPE)
-    f1, _ = e.forward(obs, e.initial_state())
-    f2, _ = e.forward(obs, e.initial_state())
+    f1, _ = e.step(obs, e.initial_state())
+    f2, _ = e.step(obs, e.initial_state())
     np.testing.assert_array_equal(f1, f2)
 
 
@@ -88,21 +88,21 @@ def test_different_observations_give_different_features():
     rng = np.random.default_rng(11)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=11)
     st = e.initial_state()
-    f1, _ = e.forward(_rand_obs(rng, VIS_SHAPE), st)
-    f2, _ = e.forward(_rand_obs(rng, VIS_SHAPE), st)
+    f1, _ = e.step(_rand_obs(rng, VIS_SHAPE), st)
+    f2, _ = e.step(_rand_obs(rng, VIS_SHAPE), st)
     assert np.abs(f1 - f2).max() > 1e-9
 
 
 def test_shape_mismatch_names_modality():
     e = ex.ConvLstmExtractor("audio", AUD_SHAPE, seed=0)
     with pytest.raises(ValueError, match="audio"):
-        e.forward(np.zeros((1, 8, 8)), e.initial_state())
+        e.step(np.zeros((1, 8, 8)), e.initial_state())
 
 
 def test_text_rejects_out_of_vocab_ids():
     e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=5, seed=0)
     with pytest.raises(ValueError, match="vocabulary"):
-        e.forward(np.array([0, 1, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0]), e.initial_state())
+        e.step(np.array([0, 1, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0]), e.initial_state())
 
 
 def test_forward_sequence_matches_stepwise():
@@ -119,7 +119,7 @@ def test_forward_sequence_matches_stepwise():
         for o, s in zip(obs, starts):
             if s:
                 st = e.initial_state()
-            f, st = e.forward(o, st)
+            f, st = e.step(o, st)
             stepped.append(f)
 
         feats, final = e.forward_sequence(obs, starts, e.initial_state())
@@ -140,7 +140,7 @@ def test_text_forward_sequence_matches_stepwise():
     for o, s in zip(obs, starts):
         if s:
             st = e.initial_state()
-        f, st = e.forward(o, st)
+        f, st = e.step(o, st)
         stepped.append(f)
     feats, final = e.forward_sequence(obs, starts, e.initial_state())
     for a, b in zip(stepped, feats):
@@ -178,7 +178,7 @@ def test_forward_builds_no_graph():
     # acting gives plain arrays: the features and the state carry no graph
     rng = np.random.default_rng(7)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=7)
-    f, st = e.forward(_rand_obs(rng, VIS_SHAPE), e.initial_state())
+    f, st = e.step(_rand_obs(rng, VIS_SHAPE), e.initial_state())
     for arr in (f, st.h, st.c):
         assert type(arr) is np.ndarray and arr.shape == (ex.FEATURE_DIM,)
 
@@ -193,8 +193,9 @@ def _env_extractors():
 
 
 def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
-    # each layer's flat (F, oh*ow) acting buffer holds the bits of the autodiff stack's layer, at batch 1,
-    # on all 13 conv geometries, each layer gathered through the op's own cached index of its geometry
+    # each layer's acting buffer holds the bits of the autodiff stack's layer, at batch 1, then the 0.0
+    # its padding taps read, on all 13 conv geometries, each layer gathered through the op's own cached
+    # index of its geometry; the last buffer feeds the input projection of the drive
     geometries, op_indices = set(), []
     gather_index = ad.gather_index
 
@@ -208,15 +209,17 @@ def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
     for e, obs in _env_extractors():
         noisy = rng.integers(0, e.vocab_size, size=obs.shape) if e.name == "text" else obs + rng.normal(size=obs.shape)
         for o in (obs, noisy):
-            x = e._conv_input(o)
-            layers = e._conv_stack_array(x)
+            layers, w_ih, b = e.acting_arrays()
             assert len(layers) == 3
-            want = ad.Value(x)
-            for got, i in zip(layers, (1, 2, 3)):
+            x, want = e._conv_input(o), e._conv_batch([o])
+            assert np.array_equal(x, np.append(ad._lift(want).data.ravel(), 0.0))
+            for (index, w2d, b_col), i in zip(layers, (1, 2, 3)):
+                x = ad.conv_gemm(x, w2d, b_col, index)
                 want = ad.conv2d(want, e.params[f"conv{i}.w"], e.params[f"conv{i}.b"], stride=e.STRIDE, padding=e.PADDING)
-                assert type(got) is np.ndarray and got.shape == (want.shape[1], want.data[0, 0].size)
-                assert np.array_equal(got, want.data.reshape(got.shape)), e.name
-            assert np.array_equal(layers[-1], e._conv_stack(ad.Value(x)).data.reshape(layers[-1].shape))
+                assert type(x) is np.ndarray and x.shape == (want.data.size + 1,) and x[-1] == 0.0
+                assert np.array_equal(x[:-1], want.data.ravel()), e.name
+            drive = w_ih @ x[:-1] + b
+            assert np.array_equal(e.forward(o, e.acting_arrays()), drive)
             assert len(e._act_index) == 3 and all(a is b for a, b in zip(e._act_index, op_indices[-3:]))
     assert len(geometries) == 13
     assert all(shape[0] == 1 for shape, _, _, _ in geometries)
@@ -243,7 +246,7 @@ def test_forward_creates_no_value_and_calls_no_conv2d(monkeypatch):
     monkeypatch.setattr(ad, "_node", counting_node)
     monkeypatch.setattr(ad, "conv2d", counting_conv2d)
     for e, obs in pairs:
-        e.forward(obs, e.initial_state())
+        e.step(obs, e.initial_state())
     assert counts == {"values": 0, "conv2d": 0}
     for e, obs in pairs:  # the counters see the replay path's Values and convolutions
         e.forward_sequence([obs], [True], e.initial_state())
@@ -255,15 +258,15 @@ def test_state_carries_within_episode():
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=6)
     obs = _rand_obs(rng, VIS_SHAPE)
     st = e.initial_state()
-    f1, st = e.forward(obs, st)
-    f2, _ = e.forward(obs, st)
+    f1, st = e.step(obs, st)
+    f2, _ = e.step(obs, st)
     assert np.abs(f1 - f2).max() > 1e-9  # same obs, different state
 
 
 def test_detached_state_blocks_gradient():
     rng = np.random.default_rng(8)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=8)
-    f, st = e.forward(_rand_obs(rng, VIS_SHAPE), e.initial_state())
+    f, st = e.step(_rand_obs(rng, VIS_SHAPE), e.initial_state())
     d = st.detached()
     assert not (np.shares_memory(d.h, st.h) or np.shares_memory(d.c, st.c))
     np.testing.assert_array_equal(d.h, st.h)
@@ -311,12 +314,12 @@ def test_memo_hit_returns_the_miss_drive_and_the_same_numbers():
     obs = np.random.default_rng(0).random(VIS_SHAPE)
     state = ex.RecurrentState(np.full(32, 0.1), np.full(32, -0.2))
     drives = {}
-    miss, miss_state = e.forward(obs, state, drives)
+    miss, miss_state = e.step(obs, state, drives)
     (key, drive), = drives.items()
     assert key == (obs.dtype.str, obs.tobytes())
-    hit, hit_state = e.forward(obs.copy(), state, drives)  # a new array with the same bytes
+    hit, hit_state = e.step(obs.copy(), state, drives)  # a new array with the same bytes
     assert len(drives) == 1 and drives[key] is drive
-    plain, plain_state = e.forward(obs, state)
+    plain, plain_state = e.step(obs, state)
     for a, b, c in ((miss, hit, plain), (miss_state.c, hit_state.c, plain_state.c)):
         np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(b, c)
@@ -328,7 +331,7 @@ def test_memo_hit_records_the_arrays_its_miss_stored():
     obs = np.random.default_rng(1).random(VIS_SHAPE)
     drives, record, state = {}, ex.ActingRecord(), e.initial_state()
     for o in (obs, obs.copy(), obs):
-        feat, state = e.forward(o, state, drives, record)
+        feat, state = e.step(o, state, drives, record)
     (convs, _), = drives.values()
     assert len(convs) == 3
     for layer, out in zip(record.conv, convs):
@@ -337,7 +340,7 @@ def test_memo_hit_records_the_arrays_its_miss_stored():
     assert record.h[-1] is feat is state.h and record.c[-1] is state.c
     # a span that records nothing (evaluation) keeps the drive alone
     drives = {}
-    e.forward(obs, state, drives)
+    e.step(obs, state, drives)
     assert [convs for convs, _ in drives.values()] == [None]
 
 
@@ -358,7 +361,7 @@ def test_recorded_replay_is_acting_bit_for_bit(kind):
     record, drives, state = ex.ActingRecord(), {}, initial
     for o, start in zip(obs, starts):
         state = e.initial_state() if start else state
-        _, state = e.forward(o, state, drives, record)
+        _, state = e.step(o, state, drives, record)
     grads = []
     for recorded in (record, None):
         feats, final = e.forward_sequence(obs, starts, initial, recorded)
@@ -376,19 +379,19 @@ def test_memo_path_still_checks_every_observation():
     vis = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=0)
     obs = np.random.default_rng(0).random(VIS_SHAPE)
     drives = {}
-    vis.forward(obs, vis.initial_state(), drives)
+    vis.step(obs, vis.initial_state(), drives)
     reshaped = obs.reshape(4, 5, 10)
     assert (reshaped.dtype.str, reshaped.tobytes()) in drives  # a lookup before the check would hit
     with pytest.raises(ValueError, match="shape"):
-        vis.forward(reshaped, vis.initial_state(), drives)
+        vis.step(reshaped, vis.initial_state(), drives)
 
     text = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=3)
     ids = np.arange(12) % 19
     drives = {}
-    text.forward(ids, text.initial_state(), drives)
+    text.step(ids, text.initial_state(), drives)
     for bad_id in (19, -1):
         bad = ids.copy()
         bad[0] = bad_id
         with pytest.raises(ValueError, match="vocabulary"):
-            text.forward(bad, text.initial_state(), drives)
+            text.step(bad, text.initial_state(), drives)
     assert list(drives) == [(ids.dtype.str, ids.tobytes())]

@@ -18,7 +18,11 @@ worse than the base's by more than the metric's ``bound`` in BENCHMARK.json,
 a fraction of the base's median. Per side, ``cpu_wall_ratio`` is the median
 over the runs of process CPU time over wall time, ``cpu_ms_per_env_step ×
 env_steps_per_s / 1000``: about 1 for a process that runs one thread, and
-higher for each thread that runs beside it.
+higher for each thread that runs beside it. The ``machine`` entry names what
+the figures depend on besides the code: the OpenBLAS kernel set
+(``blas_core``, read through the working tree's ``maie.autodiff``), numpy's
+and Python's versions and ``os.cpu_count()``, so that files written on
+different machines are not compared by mistake.
 perfbench exits 0 on wrong outputs too, so the script exits 1 after writing
 the file when any run was wrong or any operation failed.
 """
@@ -29,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -61,6 +66,19 @@ def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"bench_pairs: perfbench in {tree} exited {proc.returncode} on {workload} seed {seed}")
     return json.loads(lines[-1])
+
+
+def machine() -> dict:
+    """The BLAS kernel set, numpy's and Python's versions and the CPU count of the runs."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    try:
+        import numpy
+
+        from maie import autodiff
+    finally:
+        sys.path.pop(0)
+    return {"blas_core": autodiff.blas_core(), "numpy": numpy.__version__,
+            "python": platform.python_version(), "cpu_count": os.cpu_count()}
 
 
 GAIN_PAIR_SHARE = 0.9  # a claimed gain must win at least this share of the pairs
@@ -129,6 +147,7 @@ def main(argv=None) -> int:
     result = {
         "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
         "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+        "machine": machine(),
         "seconds": args.seconds,
         "seeds": seeds,
         "workloads": {},
