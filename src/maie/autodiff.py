@@ -19,8 +19,10 @@ built, so a forward graph waiting for its backward holds no gradient
 buffers; a parameter (a leaf made with ``requires_grad=True``) keeps its
 zero buffer from construction, since the optimiser helpers read it. A conv
 layer is one ``conv2d`` node, its ReLU included, so it holds one output
-array, and no node keeps its patch matrix: the weight adjoint gathers it
-again when the walk runs it and drops it on return.
+array, and no node keeps its patch matrix. Its backward never forms a whole
+patch matrix or patch gradient either: the input and weight adjoints run
+one block of input channels at a time (``_channel_blocks``). ``Adam.step``
+runs each parameter through two scratch arrays.
 
 The elementwise ops (add, sub, mul, div, neg, relu, square, sqrt, log) are
 one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
@@ -383,6 +385,30 @@ def conv_gemm(x: np.ndarray, w2d: np.ndarray, b: np.ndarray, index: np.ndarray) 
     return buf
 
 
+_MIN_BLOCK_ROWS = 64
+
+
+def _channel_blocks(c: int, taps: int) -> list:
+    """(start, stop) ranges over a conv layer's ``c`` input channels, in order, that its backward runs one at a time.
+
+    As many blocks as leave each at least ``_MIN_BLOCK_ROWS`` patch rows
+    (``taps`` per channel), and one where there are fewer; their sizes
+    differ by one at most, the larger first.
+
+    On OpenBLAS's SkylakeX kernels the blocked products have the bits of the
+    whole ones for every conv layer of the five envs at the default rollout
+    length and for the shapes the tests check. A block under 64 rows (under 8
+    channels of a 3x3 layer) goes to other kernels, whose sums can differ in
+    the last bit. Other shapes can differ too: most layers of 22 to 39 input
+    channels, and input adjoints of over 192 patch columns whose number is
+    not a multiple of 8.
+    """
+    n = max(1, c // -(-_MIN_BLOCK_ROWS // taps))
+    q, r = divmod(c, n)
+    bounds = [i * q + min(i, r) for i in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | None = None) -> Value:
     """A conv layer: 2-D convolution of a (N,C,H,W) batch with (F,C,kh,kw) filters and (F,) biases, then ReLU.
 
@@ -392,11 +418,16 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | Non
     im2col + matmul (Chellapilla et al. 2006) in ``conv_gemm``: the patch
     matrix is one gather through the cached ``gather_index`` of this
     geometry, looked up once per call. The three adjoints share one
-    (F, N*oh*ow) copy of ``g * (out > 0)``, the ReLU's adjoint; the input's
-    sums the patch gradients back with one ``np.bincount`` over the same
-    index, tap by tap in the order of its rows. No node keeps the patch
-    matrix: the weight adjoint gathers it again when the walk runs it and
-    drops it on return.
+    (F, N*oh*ow) copy of ``g * (out > 0)``, the ReLU's adjoint. The input's
+    and the weights' run one block of input channels (``_channel_blocks``)
+    at a time, so neither holds more than a block's patch rows. The input's
+    forms the block's patch gradient, ``w2d[:, rows].T @`` that copy, and adds
+    it with ``np.add.at`` through the block's index rows into one zeroed
+    buffer in ``zero_tail`` layout. A pixel's contributions all come from
+    its own channel's rows, so they arrive in the order of one sum over the
+    whole index, tap by tap in the order of its rows. The weights' gathers
+    the block's patch rows and writes the block's columns of the weight
+    gradient. No node keeps a patch matrix.
 
     ``recorded``, when given, is the (N,F,oh,ow) output an earlier forward
     computed from these same operands: the node takes it as its output and
@@ -424,18 +455,23 @@ def conv2d(x, w, b, *, stride: tuple, padding: tuple, recorded: np.ndarray | Non
             raise ShapeError(f"conv2d: recorded output shape {recorded.shape} != {(n, f, oh, ow)}")
         out_data = recorded
     g_flat = _once(lambda g: (g * (out_data > 0.0)).transpose(1, 0, 2, 3).reshape(f, -1))
+    rows = [slice(lo * kh * kw, hi * kh * kw) for lo, hi in _channel_blocks(c, kh * kw)]
 
     def x_adjoint(g):
-        gcols = w.data.reshape(f, -1).T @ g_flat(g)
-        gx = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=x.data.size + 1)
+        w2d, gf = w.data.reshape(f, -1), g_flat(g)
+        gx = np.zeros(x.data.size + 1)
+        for r in rows:
+            np.add.at(gx, idx[r].ravel(), (w2d[:, r].T @ gf).ravel())  # 1-D operands take numpy's fast loop
         return gx[:-1].reshape(n, c, h, width)
 
-    return _node(
-        out_data, (x, w, b), "conv2d",
-        x_adjoint,
-        lambda g: (g_flat(g) @ zero_tail(x.data)[idx].T).reshape(w.data.shape),
-        lambda g: g_flat(g).sum(axis=1),
-    )
+    def w_adjoint(g):
+        xt, gf = zero_tail(x.data), g_flat(g)
+        gw = np.empty((f, c * kh * kw))
+        for r in rows:
+            gw[:, r] = gf @ xt[idx[r]].T
+        return gw.reshape(w.data.shape)
+
+    return _node(out_data, (x, w, b), "conv2d", x_adjoint, w_adjoint, lambda g: g_flat(g).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +750,12 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam (Kingma & Ba, arXiv:1412.6980); ``state`` maps each parameter stepped so far to its [m, v, t]."""
+    """Adam (Kingma & Ba, arXiv:1412.6980); ``state`` maps each parameter stepped so far to its [m, v, t].
+
+    ``step`` runs each parameter through two scratch arrays of its shape,
+    written with ``out=``, instead of a new array per operation. The
+    operations and their order are the formulas', and so are the bits.
+    """
 
     def __init__(self, lr: float):
         self.lr = lr
@@ -732,13 +773,18 @@ class Adam:
                 self.state[p] = st
             m, v, t = st
             t += 1
+            step, denom = np.empty((2, *p.data.shape))
             m *= b1
-            m += (1.0 - b1) * p.grad
+            m += np.multiply(p.grad, 1.0 - b1, out=step)
             v *= b2
-            v += (1.0 - b2) * (p.grad * p.grad)
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.multiply(p.grad, p.grad, out=denom)
+            v += np.multiply(denom, 1.0 - b2, out=denom)
+            np.divide(m, 1.0 - b1**t, out=step)  # the bias-corrected moments
+            np.divide(v, 1.0 - b2**t, out=denom)
+            step *= self.lr
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            p.data -= np.divide(step, denom, out=step)
             st[2] = t
 
 

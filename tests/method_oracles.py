@@ -11,6 +11,9 @@ gradient-check them.
 into a copy, reads the patch matrix through a strided view and scatters the
 input gradient back with one strided ``+=`` per kernel tap.
 
+``adam_reference`` is ``autodiff.Adam.step`` written the direct way, a new
+array for each operation of the formulas.
+
 ``checkpoint_text`` is ``cli.save_checkpoint``'s file built the direct way:
 the whole payload in memory, then one ``json.dumps``.
 
@@ -28,7 +31,7 @@ import numpy as np
 from maie import agent as ag
 from maie import enhancement as en
 from maie.alignment import distance
-from maie.autodiff import Value
+from maie.autodiff import ADAM_BETAS, ADAM_EPS, Value
 from maie.enhancement import ModalityStats
 from maie.extractors import RecurrentState
 
@@ -113,6 +116,23 @@ def conv2d_reference(x, w, b, g, stride: tuple, padding: tuple):
         for j in range(kw):
             gxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += gcols[:, i, j].transpose(1, 0, 2, 3)
     return out, gxp[:, :, ph : ph + h, pw : pw + width], gw, gb
+
+
+def adam_reference(opt, params):
+    """``opt.step(params)``: the same Adam update of each parameter, with a new array for each operation."""
+    b1, b2 = ADAM_BETAS
+    for p in params:
+        st = opt.state.setdefault(p, [np.zeros_like(p.data), np.zeros_like(p.data), 0])
+        m, v, t = st
+        t += 1
+        m *= b1
+        m += (1.0 - b1) * p.grad
+        v *= b2
+        v += (1.0 - b2) * (p.grad * p.grad)
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        st[2] = t
 
 
 def checkpoint_text(trainer) -> str:

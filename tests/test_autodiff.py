@@ -9,7 +9,7 @@ from maie import autodiff as ad
 from maie.extractors import TEXT_EMBED_DIM, ConvLstmExtractor, TextExtractor
 
 from grad_check import grad_check
-from method_oracles import conv2d_reference
+from method_oracles import adam_reference, conv2d_reference
 from op_cases import CASES, check_op, conv2d_output, lstm_steps
 
 
@@ -78,8 +78,23 @@ CONV_GEOMETRIES = list(dict.fromkeys(
 ))
 
 
-@pytest.mark.parametrize("batch", [1, 32])
-@pytest.mark.parametrize("geom,kind", CONV_GEOMETRIES, ids=[f"{k}-{c}x{h}x{w}" for (c, h, w), k in CONV_GEOMETRIES])
+# a layer whose input channels end in a short block: 21 run as 11 and 10 in its backward
+PARTIAL_BLOCK = ((21, 10, 10), "convlstm")
+CONV_CASES = [(geom, kind, batch) for geom, kind in CONV_GEOMETRIES for batch in (1, 32)] + [(*PARTIAL_BLOCK, 32)]
+
+
+def test_channel_blocks_cover_the_channels_in_order():
+    assert ad._channel_blocks(21, 9) == [(0, 11), (11, 21)]  # PARTIAL_BLOCK's
+    assert ad._channel_blocks(32, 9) == [(0, 8), (8, 16), (16, 24), (24, 32)]  # each 72 patch rows
+    for c, taps in [(1, 9), (5, 9), (15, 9), (16, 9), (33, 9), (100, 9), (8, 2), (3, 2), (100, 2)]:
+        blocks = ad._channel_blocks(c, taps)
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == c
+        sizes = [hi - lo for lo, hi in blocks]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+        assert len(blocks) == 1 or sizes[-1] * taps >= ad._MIN_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("geom,kind,batch", CONV_CASES, ids=[f"{k}-{c}x{h}x{w}-{b}" for (c, h, w), k, b in CONV_CASES])
 def test_conv2d_bitwise_equals_padded_reference(geom, kind, batch):
     spec = _CONV_SPECS[kind]
     rng = np.random.default_rng(batch * 1000 + sum(geom))
@@ -606,6 +621,33 @@ def test_adam_subset_step_advances_only_touched_params():
     assert opt.state[a][2] == 1
     assert b not in opt.state
     np.testing.assert_array_equal(b.data, [0.0])
+
+
+def test_adam_equals_the_step_that_allocates_per_operation():
+    # two groups at different step counts, as maie steps the extractors twice per update and the head
+    # once; grads with -0.0 and 0.0 entries, each left as it was
+    rng = np.random.default_rng(46)
+    shapes = {"extractor": [(32, 1, 3, 3), (32,), (128, 32)], "head": [(64, 3), (3,)]}
+    groups = {k: [rng.normal(size=s) for s in v] for k, v in shapes.items()}
+    runs = []
+    for step in (ad.Adam.step, adam_reference):
+        opt = ad.Adam(lr=3e-3)
+        params = {k: [ad.Value(a.copy(), requires_grad=True) for a in v] for k, v in groups.items()}
+        grad_rng = np.random.default_rng(47)
+        for _ in range(3):
+            for name in ("extractor", "extractor", "head"):
+                for p in params[name]:
+                    p.grad[...] = grad_rng.normal(size=p.data.shape)
+                    p.grad.flat[::4] = -0.0
+                    p.grad.flat[1::4] = 0.0
+                before = [p.grad.copy() for p in params[name]]
+                step(opt, params[name])
+                assert all(p.grad.tobytes() == g.tobytes() for p, g in zip(params[name], before))
+        runs.append([(p.data, *opt.state[p]) for name in ("extractor", "head") for p in params[name]])
+    got, want = runs
+    assert [t for *_, t in got] == [t for *_, t in want] == [6, 6, 6, 3, 3]
+    for (data, m, v, _), (data_ref, m_ref, v_ref, _) in zip(got, want):
+        assert data.tobytes() == data_ref.tobytes() and m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
 
 
 def test_clip_grad_norm():

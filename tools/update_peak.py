@@ -1,4 +1,4 @@
-"""Peak memory of one warmed training update, and the live memory before each of its backward passes.
+"""Peak memory of one warmed training update, where it fell, and the live memory before each of its backward passes.
 
     PYTHONPATH=src python tools/update_peak.py
 
@@ -13,6 +13,13 @@ buffers to tracemalloc, so both count every array the update made. The
 figures repeat exactly on one numpy version: a deterministic proxy beside the
 benchmark's ``peak_rss_mb``, which also counts the interpreter, the
 libraries and the checkpoint writes.
+
+It also names where the peak fell: the op kind, operand index and operand
+shape of the adjoint the backward walk was running (the walk adds each
+adjoint through ``_accum`` right after computing it, so a span runs from one
+``_accum`` to the end of the next), ``Adam.step``, or ``elsewhere``: the
+rollout, the forward passes and the losses. It wraps the walk, ``_accum``
+and ``Adam.step`` for the traced update only.
 """
 
 from __future__ import annotations
@@ -27,35 +34,89 @@ WORKLOADS = (("hetero_nav", "maie"), ("mining_plus", "concat"))  # the benchmark
 SEED = 1
 WARMUP = 3  # updates run before the traced one
 MB = float(1 << 20)
+ELSEWHERE = "elsewhere"
+
+
+class _Spans:
+    """The highest tracemalloc peak of the spans of one traced update, and the name of the span it fell in."""
+
+    def __init__(self):
+        self.peak, self.where, self.name = 0, ELSEWHERE, ELSEWHERE
+
+    def enter(self, name):
+        """End the running span, keeping its peak if it is the highest so far, and start one called ``name``."""
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > self.peak:
+            self.peak, self.where = peak, self.name
+        tracemalloc.reset_peak()
+        self.name = name
+
+
+def _adjoints(graph, kinds: set):
+    """``(op kind, operand index, operand shape)`` of each adjoint ``graph.run_backward`` runs, in its order."""
+    for node in reversed(graph.nodes):
+        kinds.add(node._op)
+        for i, p in enumerate(node._parents):
+            if p.requires_grad:
+                yield node._op, i, p.data.shape
 
 
 def update_peak(env: str, method: str) -> tuple:
-    """(peak MB of one update after ``WARMUP`` updates, [MB live as each of its backward passes began])."""
+    """(peak MB of one update after ``WARMUP`` updates, [MB live as each of its backward passes began],
+    where the peak fell, the op kinds its backward walks ran).
+
+    ``where`` is ``(op kind, operand index, operand shape)`` of an adjoint,
+    ``"Adam.step"`` or ``ELSEWHERE``.
+    """
     trainer = agent.Trainer(envs.make_env(env, SEED), cli.RunConfig(env=env, method=method, seed=SEED).train_config())
     for _ in range(WARMUP):
         trainer.train_step()
-    live, backward = [], ad.backward
+    live, kinds, spans = [], set(), _Spans()
+    backward, walk, accum, step = ad.backward, ad.Graph.run_backward, ad._accum, ad.Adam.step
+    adjoints = iter(())
 
     def measured(loss):
         live.append(tracemalloc.get_traced_memory()[0] / MB)
-        return backward(loss)
+        spans.enter("the walk's start")  # tracing the graph and seeding the loss's gradient
+        try:
+            return backward(loss)
+        finally:
+            spans.enter(ELSEWHERE)
 
-    ad.backward = measured
+    def walked(graph, root):
+        nonlocal adjoints
+        adjoints = _adjoints(graph, kinds)
+        return walk(graph, root)
+
+    def accumulated(p, g):
+        accum(p, g)
+        spans.enter(next(adjoints, ELSEWHERE))
+
+    def stepped(opt, params):
+        spans.enter("Adam.step")
+        try:
+            return step(opt, params)
+        finally:
+            spans.enter(ELSEWHERE)
+
+    ad.backward, ad.Graph.run_backward, ad._accum, ad.Adam.step = measured, walked, accumulated, stepped
     tracemalloc.start()
     try:
         trainer.train_step()
-        peak = tracemalloc.get_traced_memory()[1] / MB
+        spans.enter(ELSEWHERE)
     finally:
         tracemalloc.stop()
-        ad.backward = backward
-    return peak, live
+        ad.backward, ad.Graph.run_backward, ad._accum, ad.Adam.step = backward, walk, accum, step
+    return spans.peak / MB, live, spans.where, kinds
 
 
 def main() -> int:
     for env, method in WORKLOADS:
-        peak, live = update_peak(env, method)
+        peak, live, where, _ = update_peak(env, method)
+        if isinstance(where, tuple):  # printed as ``conv2d operand 1 (32, 32, 3, 3)``
+            where = "{} operand {} {}".format(*where)
         before = " ".join(f"{mb:.2f}" for mb in live)
-        print(f"{env:<14} {method:<14} peak {peak:6.2f} MB  live before each backward {before} MB")
+        print(f"{env:<14} {method:<14} peak {peak:6.2f} MB at {where}  live before each backward {before} MB")
     return 0
 
 
