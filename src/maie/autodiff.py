@@ -13,11 +13,11 @@ arrays they held. Walking the same nodes a second time raises (prevents
 silent double accumulation). Gradients on leaves accumulate additively
 until the caller zeroes them.
 
-An array is held only while something still reads it. A recorded node gets
-its ``grad`` when the first adjoint reaches it in the walk, not when it is
+An array is held only while something still reads it. Every Value, a
+parameter (a leaf made with ``requires_grad=True``) included, gets its
+``grad`` when the first adjoint reaches it in the walk, not when it is
 built, so a forward graph waiting for its backward holds no gradient
-buffers; a parameter (a leaf made with ``requires_grad=True``) keeps its
-zero buffer from construction, since the optimiser helpers read it. A conv
+buffers, and neither does a model that only acts. A conv
 layer is one ``conv2d`` node, its ReLU included, so it holds one output
 array, and no node keeps its patch matrix. Its backward never forms a whole
 patch matrix or patch gradient either: the input and weight adjoints run
@@ -161,23 +161,20 @@ class GraphError(RuntimeError):
 class Value:
     """A float64 array plus the bookkeeping for reverse-mode gradients.
 
-    ``grad`` is None without ``requires_grad``. A leaf made with
-    ``requires_grad=True`` (a parameter) gets zeros of ``data``'s shape at
-    construction, which ``Adam``, ``clip_grad_norm`` and ``zero_grads``
-    read. A recorded node's ``grad`` stays None until the backward walk
-    reaches it, and is then an array of ``data``'s shape that no other
-    Value shares. Either accumulates across backward passes. The operators
-    and ``sum``, ``relu``, ``reshape``, ... are the op functions, bound after
-    the ops.
+    ``grad`` is None until a backward walk reaches the Value, and is then
+    an array of ``data``'s shape that no other Value shares; it accumulates
+    across backward passes, and ``zero_grad`` zeroes it in place. This holds
+    for a parameter (a leaf made with ``requires_grad=True``) and a recorded
+    node alike. The operators and ``sum``, ``relu``, ``reshape``, ... are the
+    op functions, bound after the ops.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_adjoints", "_op", "_spent")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
         self._parents = ()
         self._adjoints = ()
         self._op = "leaf"
@@ -239,12 +236,13 @@ def _accum(p: Value, g: np.ndarray):
     axes it broadcasts up to (a reduction's adjoint), which the write into
     the parent's grad spreads without a full-size copy of ``g``.
 
-    The first contribution to a node without a grad becomes its grad as a
-    fresh array, ``g + 0.0`` broadcast to the node's shape: the bits of
-    adding ``g`` into zeros, ``-0.0`` included. ``g`` itself is never kept,
-    since an adjoint may return the output's own grad (add, reshape) or a
-    view of it (transpose, concat), or hand one array to two operands.
-    Later contributions are added in place.
+    The first contribution to a Value without a grad, a parameter or a
+    recorded node, becomes its grad as a fresh array, ``g + 0.0`` broadcast
+    to the Value's shape: the bits of adding ``g`` into zeros, ``-0.0``
+    included. ``g`` itself is never kept, since an adjoint may return the
+    output's own grad (add, reshape) or a view of it (transpose, concat), or
+    hand one array to two operands.
+    Later contributions, in this walk or a later one, are added in place.
     """
     shape = p.data.shape
     if g.shape != shape:
@@ -752,9 +750,12 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adam (Kingma & Ba, arXiv:1412.6980); ``state`` maps each parameter stepped so far to its [m, v, t].
 
-    ``step`` runs each parameter through two scratch arrays of its shape,
-    written with ``out=``, instead of a new array per operation. The
-    operations and their order are the formulas', and so are the bits.
+    ``step`` takes only parameters that a backward pass has reached, since
+    a Value gets its grad then (see ``Value``); it raises ValueError, and
+    steps none, if one has no grad. It runs each parameter through two
+    scratch arrays of its shape, written with ``out=``, instead of a new
+    array per operation. The operations and their order are the formulas',
+    and so are the bits.
     """
 
     def __init__(self, lr: float):
@@ -763,10 +764,10 @@ class Adam:
 
     def step(self, params):
         """One Adam update of ``params`` in place; grads are left untouched for the caller to zero."""
+        if any(p.grad is None for p in params):  # checked first, so a rejected step changes nothing
+            raise ValueError("Adam.step: a parameter has no grad; no backward pass has reached it")
         b1, b2 = ADAM_BETAS
         for p in params:
-            if p.grad is None:
-                raise ValueError("Adam.step: parameter has no grad buffer")
             st = self.state.get(p)
             if st is None:
                 st = [np.zeros_like(p.data), np.zeros_like(p.data), 0]
@@ -794,9 +795,15 @@ def zero_grads(params):
 
 
 def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale grads in place so their global L2 norm is at most ``max_norm`` (> 0); returns the norm before."""
+    """Scale grads in place so their global L2 norm is at most ``max_norm`` (> 0); returns the norm before.
+
+    Like ``Adam.step``, it takes only parameters that a backward pass has
+    reached, and raises ValueError, scaling none, if one has no grad.
+    """
     total = 0.0
     for p in params:
+        if p.grad is None:
+            raise ValueError("clip_grad_norm: a parameter has no grad; no backward pass has reached it")
         total += float(np.sum(p.grad * p.grad))
     norm = total**0.5
     if norm > max_norm:

@@ -243,7 +243,8 @@ def load_checkpoint(path: str, trainer: Trainer):
     an Adam step count ``t`` that is not an integer >= 1 (a float or a bool
     included), or stats saved at another xi or stats_eps, and KeyError on a
     missing entry. The file is checked whole first, so a rejected one changes
-    nothing.
+    nothing. An accepted one replaces Adam's state whole: a parameter with
+    no saved entry has none after the load, as in the trainer that saved it.
     """
     with open(path) as fh:
         payload = _object(json.load(fh), "file")
@@ -287,7 +288,7 @@ def load_checkpoint(path: str, trainer: Trainer):
     for name, p in params.items():
         p.data[...] = arrays[name]
     trainer.stats.update(stats)
-    opt.state.update(state)
+    opt.state = state
 
 
 def _refuse_used(directory: str) -> None:

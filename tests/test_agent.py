@@ -449,11 +449,12 @@ def test_srl_graph_is_freed_before_the_second_replay(monkeypatch):
 
 
 def _pass_grads(tr, monkeypatch, updates: int = 1) -> list:
-    """Each parameter's gradient before clipping, per backward pass of ``updates`` train steps of ``tr``."""
+    """The gradient of each parameter being clipped, by name, per backward pass of ``updates`` train steps of ``tr``."""
     passes, clip = [], ad.clip_grad_norm
+    names = {p: k for k, p in tr.named_parameters().items()}
 
     def keeping(params, max_norm):
-        passes.append({k: p.grad.copy() for k, p in tr.named_parameters().items()})
+        passes.append({names[p]: p.grad.copy() for p in params})
         return clip(params, max_norm)
 
     with monkeypatch.context() as mp:
@@ -557,6 +558,15 @@ def test_eval_mode_freezes_stats_and_params():
         np.testing.assert_array_equal(tr.stats[m].mu, mu[m])
     np.testing.assert_array_equal(tr.head.params["actor1.w"].data, param)
     assert any(phase == "eval" for phase, *_ in tr.lambda_rows)
+
+
+def test_a_trainer_that_only_acts_holds_no_grad_buffer():
+    # acting builds no graph, so no backward pass reaches a parameter and none gets a grad
+    tr = _make_trainer(method="maie")
+    assert len(tr.run_eval(episodes=2)) == 2
+    assert [k for k, p in tr.named_parameters().items() if p.grad is not None] == []
+    tr.train_step()  # the first update gives every parameter its grad, zeroed after the step
+    assert all(p.grad is not None and not p.grad.any() for p in tr.named_parameters().values())
 
 
 def test_lambda_weighted_adjoint_through_train_pipeline():

@@ -241,10 +241,37 @@ def test_recorded_node_gets_its_grad_when_the_walk_reaches_it():
     np.testing.assert_array_equal(y.grad, np.full((2, 3), 1.0 / 6.0))
 
 
-def test_a_parameter_leaf_has_its_zero_buffer_before_any_backward():
+def test_a_parameter_gets_its_grad_when_a_backward_pass_first_reaches_it():
     p = ad.Value(np.ones((2, 3)), requires_grad=True)
-    assert p.grad.shape == (2, 3) and not p.grad.any()
-    assert ad.clip_grad_norm([p], 1.0) == 0.0  # the optimiser helpers read it
+    q = ad.Value(np.ones(3), requires_grad=True)  # never reached
+    assert p.grad is None and q.grad is None
+    ad.zero_grads([p, q])  # nothing to zero
+    assert p.grad is None
+    with pytest.raises(ValueError, match="no grad"):
+        ad.clip_grad_norm([p], 1.0)
+    opt = ad.Adam(lr=0.1)
+    with pytest.raises(ValueError, match="no grad"):
+        opt.step([p])
+
+    ad.backward((p * -0.0).sum())  # p's adjoint is -0.0s; its grad has the bits of zeros plus them, 0.0s
+    assert q.grad is None
+    assert p.grad.tobytes() == (np.zeros((2, 3)) + np.full((2, 3), -0.0)).tobytes()
+    buffer = p.grad
+    ad.zero_grads([p])
+    ad.backward((p * 2.0).sum())
+    assert p.grad is buffer  # the buffer stays; later passes zero and add into it
+    np.testing.assert_array_equal(p.grad, np.full((2, 3), 2.0))
+
+    before = p.data.copy()
+    with pytest.raises(ValueError, match="no grad"):
+        opt.step([p, q])
+    with pytest.raises(ValueError, match="no grad"):
+        ad.clip_grad_norm([p, q], 1.0)
+    assert p.data.tobytes() == before.tobytes() and not opt.state  # a rejected step changes nothing
+    np.testing.assert_array_equal(p.grad, np.full((2, 3), 2.0))
+    assert ad.clip_grad_norm([p], 1.0) == pytest.approx(np.sqrt(24.0))
+    opt.step([p])
+    assert opt.state[p][2] == 1
 
 
 SHARING_CASES = {
@@ -573,6 +600,7 @@ def test_slice_accumulates_repeated_indices():
 
 def test_adam_zero_grad_is_noop():
     p = ad.Value(np.array([1.0, -2.0]), requires_grad=True)
+    p.grad = np.zeros(2)
     ad.Adam(lr=0.1).step([p])
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
@@ -580,7 +608,7 @@ def test_adam_zero_grad_is_noop():
 def test_adam_first_step_is_unit_lr_step():
     # bias-corrected first step with constant grad 1 moves by ~ -lr
     p = ad.Value(np.array([0.0]), requires_grad=True)
-    p.grad[:] = 1.0
+    p.grad = np.array([1.0])
     ad.Adam(lr=0.1).step([p])
     np.testing.assert_allclose(p.data, [-0.1], atol=1e-8)
 
@@ -589,7 +617,7 @@ def test_adam_two_steps_hand_evaluated():
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
     assert (ad.ADAM_BETAS, ad.ADAM_EPS) == ((b1, b2), eps)
     p = ad.Value(np.array([0.0]), requires_grad=True)
-    p.grad[:] = 1.0
+    p.grad = np.array([1.0])
     opt = ad.Adam(lr=lr)
     opt.step([p])
     opt.step([p])
@@ -606,7 +634,7 @@ def test_adam_two_steps_hand_evaluated():
 
 def test_adam_grads_left_untouched():
     p = ad.Value(np.array([1.0]), requires_grad=True)
-    p.grad[:] = 2.5
+    p.grad = np.array([2.5])
     ad.Adam(lr=0.01).step([p])
     np.testing.assert_array_equal(p.grad, [2.5])
 
@@ -614,8 +642,8 @@ def test_adam_grads_left_untouched():
 def test_adam_subset_step_advances_only_touched_params():
     a = ad.Value(np.array([0.0]), requires_grad=True)
     b = ad.Value(np.array([0.0]), requires_grad=True)
-    a.grad[:] = 1.0
-    b.grad[:] = 1.0
+    a.grad = np.array([1.0])
+    b.grad = np.array([1.0])
     opt = ad.Adam(lr=0.1)
     opt.step([a])
     assert opt.state[a][2] == 1
@@ -637,7 +665,7 @@ def test_adam_equals_the_step_that_allocates_per_operation():
         for _ in range(3):
             for name in ("extractor", "extractor", "head"):
                 for p in params[name]:
-                    p.grad[...] = grad_rng.normal(size=p.data.shape)
+                    p.grad = grad_rng.normal(size=p.data.shape)
                     p.grad.flat[::4] = -0.0
                     p.grad.flat[1::4] = 0.0
                 before = [p.grad.copy() for p in params[name]]
@@ -653,8 +681,8 @@ def test_adam_equals_the_step_that_allocates_per_operation():
 def test_clip_grad_norm():
     a = ad.Value(np.array([3.0]), requires_grad=True)
     b = ad.Value(np.array([4.0]), requires_grad=True)
-    a.grad[:] = 3.0
-    b.grad[:] = 4.0
+    a.grad = np.array([3.0])
+    b.grad = np.array([4.0])
     norm = ad.clip_grad_norm([a, b], 1.0)
     assert norm == pytest.approx(5.0)
     total = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
@@ -663,7 +691,6 @@ def test_clip_grad_norm():
 
 def test_grad_shape_matches_data_shape():
     v = ad.Value(np.zeros((3, 4)), requires_grad=True)
-    assert v.grad.shape == v.data.shape
     out = v.relu()
     ad.backward(out.sum())
-    assert out.grad.shape == out.data.shape
+    assert v.grad.shape == v.data.shape and out.grad.shape == out.data.shape

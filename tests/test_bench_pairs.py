@@ -115,3 +115,24 @@ def test_machine_names_the_blas_kernels_and_versions():
     assert entry == {"blas_core": ad.blas_core(), "numpy": np.__version__, "python": platform.python_version(),
                      "cpu_count": os.cpu_count()}
     assert entry["cpu_count"] >= 1
+
+
+def test_unresolved_when_the_base_spread_exceeds_the_bound_and_not_every_change_run_is_better():
+    # as setup_s on hetero_nav in BENCH_26.json, whose base quartiles 0.159-0.259 s about a median of 0.216 s
+    # lie 46% of it apart, wider than its 25% bound
+    metrics = {"env_steps_per_s": {"better": "higher", "bound": 0.25}}
+    wide = [60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0, 140.0]  # IQR 40 about a median of 100
+    within = bench_pairs.summarize(_pairs(wide, [w + 1.0 for w in wide]), metrics)["env_steps_per_s"]
+    assert within["unresolved"] and not within["worse_beyond_bound"]  # a close median shows nothing
+    above_all = bench_pairs.summarize(_pairs(wide, [141.0 + i for i in range(9)]), metrics)["env_steps_per_s"]
+    assert not above_all["unresolved"] and above_all["gain_shown"]  # every change run beats every base run
+    one_short = [141.0 + i for i in range(8)] + [139.0]
+    assert bench_pairs.summarize(_pairs(wide, one_short), metrics)["env_steps_per_s"]["unresolved"]
+    tight = [100.0 + 0.5 * i for i in range(9)]  # IQR 2, within the bound
+    assert not bench_pairs.summarize(_pairs(tight, [t - 1.0 for t in tight]), metrics)["env_steps_per_s"]["unresolved"]
+    lower = {"op_ms_p50": {"better": "lower", "bound": 0.25}}
+    runs = [{"seed": i, "first": "base", "base": _side(b, 100.0), "change": _side(c, 100.0)}
+            for i, (b, c) in enumerate(zip(wide, [59.0 - i for i in range(9)]))]
+    assert not bench_pairs.summarize(runs, lower)["op_ms_p50"]["unresolved"]  # every change run is faster
+    runs[0]["change"] = _side(61.0, 100.0)
+    assert bench_pairs.summarize(runs, lower)["op_ms_p50"]["unresolved"]

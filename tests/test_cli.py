@@ -360,6 +360,35 @@ def test_checkpoint_load_restores_features(tmp_path, trained_checkpoint):
     np.testing.assert_array_equal(got, want)
 
 
+def test_checkpoint_load_replaces_the_adam_state_whole(tmp_path):
+    # a trainer that has stepped loads a file saved before any update: it keeps no moments of its own
+    path = tmp_path / "before_any_update.json"
+    cli.save_checkpoint(str(path), _fresh_trainer(tmp_path))
+    assert json.loads(path.read_text())["adam"] == {}
+    trainer = _fresh_trainer(tmp_path, seed=2)
+    for _ in range(3):
+        trainer.train_step()
+    state = trainer.opt.state
+    assert len(state) == len(trainer.named_parameters())
+
+    def unknown_position(payload):
+        payload["adam"]["999"] = {}
+
+    before = {k: p.data.copy() for k, p in trainer.named_parameters().items()}
+    with pytest.raises(ValueError, match="no parameter at that position"):
+        cli.load_checkpoint(_rewrite(path, unknown_position), trainer)
+    assert trainer.opt.state is state and len(state) == len(before)  # a rejected file changes nothing
+    for name, p in trainer.named_parameters().items():
+        np.testing.assert_array_equal(p.data, before[name])
+
+    cli.load_checkpoint(str(path), trainer)
+    fresh = _fresh_trainer(tmp_path, seed=3)
+    cli.load_checkpoint(str(path), fresh)
+    assert trainer.opt.state == fresh.opt.state == {}
+    for name, p in fresh.named_parameters().items():
+        np.testing.assert_array_equal(trainer.named_parameters()[name].data, p.data)
+
+
 def test_checkpoint_rejects_parameter_shape_mismatch(tmp_path, trained_checkpoint):
     _, path = trained_checkpoint()
 

@@ -11,11 +11,14 @@ The output file holds every run's result; per side the operations attempted
 and failed and the runs whose outputs were wrong; and per metric each side's
 median and quartiles and the number of pairs in which the working tree was
 better (``better`` is taken from BENCHMARK.json; ties count for neither side).
-Each metric also gets two verdicts. ``gain_shown``: the working tree won at
+Each metric also gets three verdicts. ``gain_shown``: the working tree won at
 least nine pairs in ten, and its median is better than the base's by more
 than the base's interquartile range. ``worse_beyond_bound``: its median is
 worse than the base's by more than the metric's ``bound`` in BENCHMARK.json,
-a fraction of the base's median. Per side, ``cpu_wall_ratio`` is the median
+a fraction of the base's median. ``unresolved``: the base's interquartile
+range is wider than that bound, so a median within the bound does not show
+the metric unchanged, and not every run of the working tree is better than
+every run of the base. Per side, ``cpu_wall_ratio`` is the median
 over the runs of process CPU time over wall time, ``cpu_ms_per_env_step ×
 env_steps_per_s / 1000``: about 1 for a process that runs one thread, and
 higher for each thread that runs beside it. The ``machine`` entry names what
@@ -85,7 +88,7 @@ GAIN_PAIR_SHARE = 0.9  # a claimed gain must win at least this share of the pair
 
 
 def summarize(runs: list, metrics: dict) -> dict:
-    """Each side's operation counts and median CPU/wall ratio; per metric each side's median and quartiles, the pairs the change won, and the verdicts.
+    """Each side's operation counts and median CPU/wall ratio; per metric each side's median and quartiles, the pairs the change won, and the three verdicts.
 
     ``metrics`` maps each metric's name to its BENCHMARK.json entry, of which
     ``better`` and ``bound`` are read.
@@ -122,6 +125,10 @@ def summarize(runs: list, metrics: dict) -> dict:
             entry["change_better_pairs"] >= GAIN_PAIR_SHARE * len(runs) and gain > base["q3"] - base["q1"]
         )
         entry["worse_beyond_bound"] = bool(-gain > spec["bound"] * abs(base["median"]))
+        every_run_better = min(sign * c for c in sides["change"]) > max(sign * b for b in sides["base"])
+        entry["unresolved"] = bool(
+            base["q3"] - base["q1"] > spec["bound"] * abs(base["median"]) and not every_run_better
+        )
         out[name] = entry
     return out
 

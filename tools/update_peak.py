@@ -1,4 +1,5 @@
-"""Peak memory of one warmed training update, where it fell, and the live memory before each of its backward passes.
+"""Peak memory of one warmed training update, where it fell, and the live memory before each of its backward passes;
+and the memory of a trainer that only acts.
 
     PYTHONPATH=src python tools/update_peak.py
 
@@ -20,6 +21,16 @@ adjoint through ``_accum`` right after computing it, so a span runs from one
 ``_accum`` to the end of the next), ``Adam.step``, or ``elsewhere``: the
 rollout, the forward passes and the losses. It wraps the walk, ``_accum``
 and ``Adam.step`` for the traced update only.
+
+For the benchmark's evaluation workload (``EVAL_WORKLOAD``, built as
+perfbench builds it, with seed ``SEED``) it prints the memory a trainer holds
+once built, the peak while it then plays ``EVAL_EPISODES`` evaluation
+episodes one ``run_eval(1)`` at a time, both traced from just before it is
+built, and the bytes of its parameters' arrays. A first trainer plays one
+episode untraced, so what the process keeps for any trainer (lazy imports,
+``gather_index``'s cache) is not counted. The held figure then repeats
+exactly whatever ran before in the process; the peak moves by a few
+hundredths of a MB from run to run.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ from maie import agent, cli, envs
 from maie import autodiff as ad
 
 WORKLOADS = (("hetero_nav", "maie"), ("mining_plus", "concat"))  # the benchmark's train workloads
+EVAL_WORKLOAD = ("av_nav", "maie")  # the benchmark's evaluation workload
+EVAL_EPISODES = 10
 SEED = 1
 WARMUP = 3  # updates run before the traced one
 MB = float(1 << 20)
@@ -110,6 +123,25 @@ def update_peak(env: str, method: str) -> tuple:
     return spans.peak / MB, live, spans.where, kinds
 
 
+def acting_memory(env: str, method: str) -> tuple:
+    """(MB held by a trainer once built, peak MB over it and ``EVAL_EPISODES`` evaluation episodes, MB of its parameters)."""
+    def build():
+        return agent.Trainer(envs.make_env(env, SEED), agent.TrainConfig(method=method, seed=SEED))
+
+    build().run_eval(1)
+    tracemalloc.start()
+    try:
+        trainer = build()
+        held = tracemalloc.get_traced_memory()[0]
+        for _ in range(EVAL_EPISODES):
+            trainer.run_eval(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    params = sum(p.data.nbytes for p in trainer.named_parameters().values())
+    return held / MB, peak / MB, params / MB
+
+
 def main() -> int:
     for env, method in WORKLOADS:
         peak, live, where, _ = update_peak(env, method)
@@ -117,6 +149,9 @@ def main() -> int:
             where = "{} operand {} {}".format(*where)
         before = " ".join(f"{mb:.2f}" for mb in live)
         print(f"{env:<14} {method:<14} peak {peak:6.2f} MB at {where}  live before each backward {before} MB")
+    held, peak, params = acting_memory(*EVAL_WORKLOAD)
+    print(f"{EVAL_WORKLOAD[0]:<14} {EVAL_WORKLOAD[1]:<14} acting only: held once built {held:.2f} MB, "
+          f"peak over {EVAL_EPISODES} evaluation episodes {peak:.2f} MB, parameters {params:.2f} MB")
     return 0
 
 
