@@ -20,8 +20,9 @@ the stats as JSON number lists, and stores each of Adam's moments as base64
 of its raw little-endian float64 bytes next to its shape: the moments are two
 thirds of the floats, and float text is the slow part of saving them. The
 file is written as a stream, one parameter, stats entry or Adam entry at a
-time, so a save never holds the whole payload or its text; the bytes are
-those of ``json.dumps(payload, separators=(",", ":"))``.
+time, and within an entry each array ``SLICE_FLOATS`` values at a time, so
+what a save holds does not grow with the payload or its largest array; the
+bytes are those of ``json.dumps(payload, separators=(",", ":"))``.
 
 A run refuses an output directory that already holds a file, so a
 directory holds one run's files only. All files are written atomically
@@ -136,6 +137,34 @@ def _write_embeddings(path: str, rows: list):
 
 
 _dumps = functools.partial(json.dumps, separators=(",", ":"))
+SLICE_FLOATS = 3 * 256  # floats encoded at a time; a multiple of 3, as 24 bytes are 32 base64 characters
+
+
+@dataclass(frozen=True)
+class _Floats:
+    """A float array that ``_json_chunks`` writes ``SLICE_FLOATS`` values at a time.
+
+    As a JSON number list by default: the text of ``_dumps`` of each slice's
+    list, brackets stripped and the slices joined by commas, is that of the
+    whole list. With ``as_base64``, as one JSON string of the array's raw
+    little-endian float64 bytes: a slice of a multiple of 3 floats encodes
+    with no padding, so the slices' base64 run together into the whole's.
+    """
+
+    arr: np.ndarray
+    as_base64: bool = False
+
+    def chunks(self) -> Iterator[str]:
+        flat = np.ascontiguousarray(self.arr, dtype="<f8").reshape(-1)
+        slices = (flat[i : i + SLICE_FLOATS] for i in range(0, flat.size, SLICE_FLOATS))
+        if self.as_base64:
+            yield '"'
+            yield from (base64.b64encode(s).decode("ascii") for s in slices)
+            yield '"'
+        else:
+            yield "["
+            yield from (("," if i else "") + _dumps(s.tolist())[1:-1] for i, s in enumerate(slices))
+            yield "]"
 
 
 def _json_chunks(value) -> Iterator[str]:
@@ -143,11 +172,14 @@ def _json_chunks(value) -> Iterator[str]:
 
     A JSON object is a dict or an iterator of ``(key, value)`` pairs. An
     iterator is advanced only as its entries are written, so it can build
-    each value when it is reached and drop it after. Any other value is
-    dumped whole.
+    each value when it is reached and drop it after. A ``_Floats`` is
+    written a slice at a time, and any other value is dumped whole.
     """
     if isinstance(value, dict):
         value = iter(value.items())
+    if isinstance(value, _Floats):
+        yield from value.chunks()
+        return
     if not isinstance(value, Iterator):
         yield _dumps(value)
         return
@@ -158,12 +190,8 @@ def _json_chunks(value) -> Iterator[str]:
     yield "}"
 
 
-def _moment_text(arr: np.ndarray) -> str:
-    return base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
-
-
 def _moment_array(text: str, shape: tuple, what: str) -> np.ndarray:
-    """Decode ``_moment_text`` strictly into a fresh writable array of the stored shape."""
+    """Decode a moment's base64 strictly into a fresh writable array of the stored shape."""
     try:
         raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as e:
@@ -186,10 +214,18 @@ def _numbers(values, what: str) -> np.ndarray:
     return arr
 
 
-def _object(value, what: str) -> dict:
-    """A JSON object of the checkpoint, or a ValueError naming ``what``."""
+def _object(value, what: str, keys=None) -> dict:
+    """A JSON object of the checkpoint, or a ValueError naming ``what``.
+
+    With ``keys``, also a ValueError naming the first entry not among them:
+    a save would not write it again, so the file would not round-trip.
+    """
     if type(value) is not dict:
         raise ValueError(f"checkpoint {what}: not a JSON object")
+    if keys is not None:
+        extra = next((k for k in value if k not in keys), None)
+        if extra is not None:
+            raise ValueError(f"checkpoint {what}: an entry {extra!r} that the trainer does not save")
     return value
 
 
@@ -213,17 +249,20 @@ def save_checkpoint(path: str, trainer: Trainer):
     Each stats entry records the xi and stats_eps it ran at; Adam's [m, v, t]
     are keyed by ``str`` of the parameter's position in
     ``trainer.named_parameters()``, with the moments' shape once and each
-    moment as ``_moment_text``. The file is streamed through ``_json_chunks``:
-    one parameter's number list, stats entry or Adam entry is built at a
-    time, and the bytes are those of ``_dumps`` of the whole payload.
+    moment as base64 of its little-endian float64 bytes. The file is streamed
+    through ``_json_chunks``: one entry at a time, and within an entry every
+    array as a ``_Floats``, ``SLICE_FLOATS`` values at a time, so what a save
+    holds does not grow with the largest parameter. The bytes are those of
+    ``_dumps`` of the whole payload.
     """
     cfg, opt, params = trainer.cfg, trainer.opt, trainer.named_parameters()
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "params": ((k, {"shape": list(v.data.shape), "data": v.data.reshape(-1).tolist()}) for k, v in params.items()),
-        "stats": ((m, {"mu": st.mu.tolist(), "var": st.var.tolist(), "xi": cfg.xi, "eps": cfg.stats_eps})
+        "params": ((k, {"shape": list(v.data.shape), "data": _Floats(v.data)}) for k, v in params.items()),
+        "stats": ((m, {"mu": _Floats(st.mu), "var": _Floats(st.var), "xi": cfg.xi, "eps": cfg.stats_eps})
                   for m, st in trainer.stats.items()),
-        "adam": ((str(i), {"shape": list(st[0].shape), "t": st[2], "m": _moment_text(st[0]), "v": _moment_text(st[1])})
+        "adam": ((str(i), {"shape": list(st[0].shape), "t": st[2], "m": _Floats(st[0], as_base64=True),
+                           "v": _Floats(st[1], as_base64=True)})
                  for i, p in enumerate(params.values()) if (st := opt.state.get(p)) is not None),
     }
     _atomic_write(path, _json_chunks(payload))
@@ -241,26 +280,30 @@ def load_checkpoint(path: str, trainer: Trainer):
     moment that is not base64, whose byte count does not fit its stored shape
     or that holds a NaN or an infinity, an Adam ``v`` with a negative entry,
     an Adam step count ``t`` that is not an integer >= 1 (a float or a bool
-    included), or stats saved at another xi or stats_eps, and KeyError on a
-    missing entry. The file is checked whole first, so a rejected one changes
-    nothing. An accepted one replaces Adam's state whole: a parameter with
-    no saved entry has none after the load, as in the trainer that saved it.
+    included), stats saved at another xi or stats_eps, or an entry that
+    ``save_checkpoint`` would not write again (a table, a parameter or stats
+    modality the trainer does not have, or a field of an entry), and
+    KeyError on a missing entry. The file is checked whole first, so a
+    rejected one changes nothing. An accepted one replaces Adam's state
+    whole: a parameter with no saved entry has none after the load, as in
+    the trainer that saved it.
     """
     with open(path) as fh:
         payload = _object(json.load(fh), "file")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {payload.get('format')!r} is not {CHECKPOINT_FORMAT!r}")
+    _object(payload, "file", ("format", "params", "stats", "adam"))
     cfg, opt = trainer.cfg, trainer.opt
     params = trainer.named_parameters()
-    arrays, saved = {}, _object(payload["params"], "params")
+    arrays, saved = {}, _object(payload["params"], "params", params)
     for name, p in params.items():
         what = f"parameter {name}"
-        entry = _object(saved[name], what)
+        entry = _object(saved[name], what, ("shape", "data"))
         data = _numbers(entry["data"], what).reshape(_shape(entry["shape"], what))
         arrays[name] = _checked(data, p.data.shape, what)
-    stats, saved = {}, _object(payload["stats"], "stats")
+    stats, saved = {}, _object(payload["stats"], "stats", trainer.modalities)
     for m in trainer.modalities:
-        entry = _object(saved[m], f"stats {m}")
+        entry = _object(saved[m], f"stats {m}", ("mu", "var", "xi", "eps"))
         if (entry["xi"], entry["eps"]) != (cfg.xi, cfg.stats_eps):
             raise ValueError(f"checkpoint stats {m}: saved at xi={entry['xi']}, stats_eps={entry['eps']}, "
                              f"but the trainer has xi={cfg.xi}, stats_eps={cfg.stats_eps}")
@@ -275,7 +318,7 @@ def load_checkpoint(path: str, trainer: Trainer):
         p = by_position.get(key)
         if p is None:
             raise ValueError(f"checkpoint adam {key}: no parameter at that position")
-        entry = _object(entry, f"adam {key}")
+        entry = _object(entry, f"adam {key}", ("shape", "t", "m", "v"))
         shape = _shape(entry["shape"], f"adam {key}")
         m, v = (_checked(_moment_array(entry[k], shape, f"adam {key} {k}"), p.data.shape, f"adam {key} {k}")
                 for k in ("m", "v"))

@@ -25,6 +25,15 @@ def test_a_warmed_update_stays_under_its_memory_bound(env, method):
     assert isinstance(where, tuple) and where[0] in kinds, where  # an adjoint the walk ran
 
 
+@pytest.mark.parametrize("env, method", update_peak.WORKLOADS)
+def test_saving_a_checkpoint_holds_a_bound_that_does_not_grow_with_the_largest_parameter(env, method):
+    # save peak, load peak, file: hetero_nav/maie 0.12, 13.34 and 5.87 MB, mining_plus/concat 0.12, 14.76
+    # and 6.48 MB (its largest parameter holds 24,576 floats). Encoding each entry whole made the save's
+    # peak 2.19 and 3.24 MB; the load parses the whole file
+    save, load, size = update_peak.checkpoint_peaks(env, method)
+    assert save < 0.5 < size, (save, load, size)
+
+
 def test_a_trainer_that_only_acts_holds_little_more_than_its_parameters():
     # av_nav/maie, seed 1: held once built 1.14 MB, peak over 10 evaluation episodes 1.74-1.77 MB,
     # parameters 1.11 MB. A zero grad buffer per parameter from construction made them 2.25 and 2.86 MB

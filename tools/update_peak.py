@@ -22,6 +22,12 @@ adjoint through ``_accum`` right after computing it, so a span runs from one
 rollout, the forward passes and the losses. It wraps the walk, ``_accum``
 and ``Adam.step`` for the traced update only.
 
+For the same workloads it prints the traced peak of ``cli.save_checkpoint``
+of a trainer after ``WARMUP`` updates, the peak of ``cli.load_checkpoint`` of
+that file into a new trainer, and the file's size. The save writes each
+array a slice at a time, so its peak does not grow with the largest
+parameter; the load parses the whole file.
+
 For the benchmark's evaluation workload (``EVAL_WORKLOAD``, built as
 perfbench builds it, with seed ``SEED``) it prints the memory a trainer holds
 once built, the peak while it then plays ``EVAL_EPISODES`` evaluation
@@ -35,7 +41,9 @@ hundredths of a MB from run to run.
 
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
 import tracemalloc
 
 from maie import agent, cli, envs
@@ -74,6 +82,14 @@ def _adjoints(graph, kinds: set):
                 yield node._op, i, p.data.shape
 
 
+def _trainer(env: str, method: str, updates: int = 0) -> agent.Trainer:
+    """A trainer of the workload's config with seed ``SEED``, after ``updates`` updates."""
+    trainer = agent.Trainer(envs.make_env(env, SEED), cli.RunConfig(env=env, method=method, seed=SEED).train_config())
+    for _ in range(updates):
+        trainer.train_step()
+    return trainer
+
+
 def update_peak(env: str, method: str) -> tuple:
     """(peak MB of one update after ``WARMUP`` updates, [MB live as each of its backward passes began],
     where the peak fell, the op kinds its backward walks ran).
@@ -81,9 +97,7 @@ def update_peak(env: str, method: str) -> tuple:
     ``where`` is ``(op kind, operand index, operand shape)`` of an adjoint,
     ``"Adam.step"`` or ``ELSEWHERE``.
     """
-    trainer = agent.Trainer(envs.make_env(env, SEED), cli.RunConfig(env=env, method=method, seed=SEED).train_config())
-    for _ in range(WARMUP):
-        trainer.train_step()
+    trainer = _trainer(env, method, WARMUP)
     live, kinds, spans = [], set(), _Spans()
     backward, walk, accum, step = ad.backward, ad.Graph.run_backward, ad._accum, ad.Adam.step
     adjoints = iter(())
@@ -123,6 +137,27 @@ def update_peak(env: str, method: str) -> tuple:
     return spans.peak / MB, live, spans.where, kinds
 
 
+def _traced_peak(fn, *args) -> float:
+    """The tracemalloc peak, in MB, of ``fn(*args)``, traced from just before the call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / MB
+    finally:
+        tracemalloc.stop()
+
+
+def checkpoint_peaks(env: str, method: str) -> tuple:
+    """(peak MB of saving a trainer after ``WARMUP`` updates, peak MB of loading the file into a new trainer,
+    MB of the file)."""
+    trainer, fresh = _trainer(env, method, WARMUP), _trainer(env, method)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "checkpoint.json")
+        save = _traced_peak(cli.save_checkpoint, path, trainer)
+        load = _traced_peak(cli.load_checkpoint, path, fresh)
+        return save, load, os.path.getsize(path) / MB
+
+
 def acting_memory(env: str, method: str) -> tuple:
     """(MB held by a trainer once built, peak MB over it and ``EVAL_EPISODES`` evaluation episodes, MB of its parameters)."""
     def build():
@@ -149,6 +184,8 @@ def main() -> int:
             where = "{} operand {} {}".format(*where)
         before = " ".join(f"{mb:.2f}" for mb in live)
         print(f"{env:<14} {method:<14} peak {peak:6.2f} MB at {where}  live before each backward {before} MB")
+        save, load, size = checkpoint_peaks(env, method)
+        print(f"{env:<14} {method:<14} checkpoint: save peak {save:.2f} MB, load peak {load:.2f} MB, file {size:.2f} MB")
     held, peak, params = acting_memory(*EVAL_WORKLOAD)
     print(f"{EVAL_WORKLOAD[0]:<14} {EVAL_WORKLOAD[1]:<14} acting only: held once built {held:.2f} MB, "
           f"peak over {EVAL_EPISODES} evaluation episodes {peak:.2f} MB, parameters {params:.2f} MB")
