@@ -27,16 +27,14 @@ LSTM input drives keyed by observation bytes, which holds at most
 ``envs.NOISY_MODALITIES`` gets none, since its fresh noise never repeats.
 An update takes the statistics' stacks once, after its statistics update,
 for its λ; the bootstrap value steps once under an acting span of its own.
-The recorded observations are replayed in batch form for both backward
-passes, each modality's features as one (T, 32) matrix. Acting records its
-forward in the buffer (``RolloutBuffer.recorded``, whose LSTM h rows are the
-features), and the first replay, which runs before any parameter changes,
-builds its nodes from that record, taking the conv outputs out of it, since
-nothing else reads them: its features are acting's, bit for bit, and the
-statistics update, λ, the SRL loss and the gradient all read the forward
-that chose the actions. maie's second replay, after the SRL step,
-recomputes the forward; recomputed under unchanged parameters, it
-reproduces the acting features to within 1e-12. One λ rule, ``_weights``,
+Both backward passes replay the rollout in batch form
+(``_ExtractorBase.forward_sequence``), each modality's features as one
+(T, 32) matrix. Acting records its forward in the buffer
+(``RolloutBuffer.recorded``, whose LSTM h rows are the features), and the
+first replay, which runs before any parameter changes, is built from that
+record: the statistics update, λ, the SRL loss and the gradient all read
+the forward that chose the actions. maie's second replay, after the SRL
+step, recomputes the forward. One λ rule, ``_weights``,
 takes one step's (M, L) feature stack or a rollout's (M, T, L) one, and
 gives each row of the rollout the λ it gives that step alone.
 
@@ -56,7 +54,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -511,9 +508,8 @@ class Trainer:
         }
 
     def train_step(self) -> dict:
-        """Collect one rollout and apply the two-step update; returns metrics."""
+        """Collect one rollout and apply the two-step update; returns its losses, keyed by ``LOSS_COLUMNS``."""
         cfg = self.cfg
-        t0 = time.perf_counter()
         initial_states = self._states.detached()
         buf = self.collect_rollout()
 
@@ -552,16 +548,8 @@ class Trainer:
         self._apply(total, self._params.values())
 
         # recurrent state for the next rollout keeps flowing from acting time
-        metrics = {
-            "loss_actor": float(aloss.data),
-            "loss_critic": float(closs.data),
-            "loss_sim": sim_val,
-            "loss_td": td_val,
-            "mean_return_target": float(returns.mean()),
-            "wall_ms": (time.perf_counter() - t0) * 1e3,
-        }
-        self._last_losses = {k: metrics[k] for k in LOSS_COLUMNS}
-        return metrics
+        self._last_losses = dict(zip(LOSS_COLUMNS, (float(aloss.data), float(closs.data), sim_val, td_val)))
+        return dict(self._last_losses)
 
     def _srl_step(self, buf: RolloutBuffer, initial_states: dict) -> tuple:
         """Step one: the representation loss over acting's features, backward into the extractors only.

@@ -590,8 +590,10 @@ def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts, recorded: tuple | 
     ``recorded``, when given, is ``(gates, h_out, c_out)``: the (T, 4H)
     gate activations and the (T, H) states leaving each step that
     ``lstm_step`` computed from these same operands, step by step. The node
-    is built from them and no step runs; the states entering each step are
-    ``h`` and ``c``, the zero reset state, or the previous step's output.
+    is built from them and no step runs; without it, the steps run and fill
+    the same three arrays. Either way the state entering each step is ``h``
+    and ``c``, the zero reset state, or the previous step's output, and the
+    state after the last step is a copy of the last rows.
 
     Backprop through time runs once per walk, in one loop over the steps,
     and gives the pre-activation adjoints ``dz``, which are ``sx``'s adjoint;
@@ -611,14 +613,13 @@ def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts, recorded: tuple | 
 
     zeros = np.zeros(hd)
     if recorded is None:
-        h_in, c_in, h_out, c_out = np.empty((4, n, hd))  # the state entering each step, after any reset, and leaving it
-        gates = np.empty((n, 4 * hd))
+        gates, (h_out, c_out) = np.empty((n, 4 * hd)), np.empty((2, n, hd))
+        hs, cs = h, c
         for t in range(n):
             if resets[t]:
-                h, c = zeros, zeros
-            h_in[t], c_in[t] = h, c
-            h, c, gates[t] = lstm_step(drives[t], w_hh.data, h, c)
-            h_out[t], c_out[t] = h, c
+                hs, cs = zeros, zeros
+            hs, cs, gates[t] = lstm_step(drives[t], w_hh.data, hs, cs)
+            h_out[t], c_out[t] = hs, cs
     else:
         gates, h_out, c_out = recorded
         if gates.shape != (n, 4 * hd) or h_out.shape != (n, hd) or c_out.shape != (n, hd):
@@ -626,12 +627,12 @@ def lstm_cell(sx, w_hh, h: np.ndarray, c: np.ndarray, starts, recorded: tuple | 
                 f"lstm_cell: want recorded gates ({n}, {4 * hd}), h and c ({n}, {hd}); "
                 f"got {gates.shape}, {h_out.shape}, {c_out.shape}"
             )
-        h_in, c_in = np.empty((2, n, hd))
-        for state_in, first, state_out in ((h_in, h, h_out), (c_in, c, c_out)):
-            state_in[:1], state_in[1:] = first, state_out[:-1]
-            state_in[resets] = 0.0
-        if n:
-            h, c = h_out[-1].copy(), c_out[-1].copy()
+    h_in, c_in = np.empty((2, n, hd))  # the state entering each step, after any reset
+    for state_in, first, state_out in ((h_in, h, h_out), (c_in, c, c_out)):
+        state_in[:1], state_in[1:] = first, state_out[:-1]
+        state_in[resets] = 0.0
+    if n:
+        h, c = h_out[-1].copy(), c_out[-1].copy()
 
     def bptt(g):
         gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))

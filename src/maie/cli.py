@@ -273,9 +273,9 @@ def load_checkpoint(path: str, trainer: Trainer):
 
     Raises ValueError on another format, a file, table or entry that is not
     a JSON object, a stored shape that is not a list of integers >= 0, a
-    parameter or stats entry that is not a finite JSON number (a string or a
-    bool included), a negative stats variance, a stored shape that differs
-    from its parameter's, an Adam key other than ``str`` of a position in
+    parameter, stats entry, stats xi or stats eps that is not a finite JSON
+    number (a string or a bool included), a negative stats variance, a
+    stored shape that differs from its parameter's, an Adam key other than ``str`` of a position in
     ``trainer.named_parameters()`` (``"01"`` and ``"+1"`` included), an Adam
     moment that is not base64, whose byte count does not fit its stored shape
     or that holds a NaN or an infinity, an Adam ``v`` with a negative entry,
@@ -304,6 +304,9 @@ def load_checkpoint(path: str, trainer: Trainer):
     stats, saved = {}, _object(payload["stats"], "stats", trainer.modalities)
     for m in trainer.modalities:
         entry = _object(saved[m], f"stats {m}", ("mu", "var", "xi", "eps"))
+        for k in ("xi", "eps"):
+            if type(entry[k]) not in (int, float):  # true == 1.0, so a bool would load and be saved as 1.0
+                raise ValueError(f"checkpoint stats {m} {k}: {entry[k]!r} is not a JSON number")
         if (entry["xi"], entry["eps"]) != (cfg.xi, cfg.stats_eps):
             raise ValueError(f"checkpoint stats {m}: saved at xi={entry['xi']}, stats_eps={entry['eps']}, "
                              f"but the trainer has xi={cfg.xi}, stats_eps={cfg.stats_eps}")
@@ -402,7 +405,7 @@ def run(cfg: RunConfig) -> int:
         "artifacts_seconds": t2 - t1,
         "checkpoint_seconds": t3 - t2,
         "env_steps": trainer.env_steps,
-        "episodes": trainer.episode,
+        "episodes": len(trainer.metrics_rows),
         "ms_per_env_step": 1e3 * (t_eval - t0) / max(trainer.env_steps, 1),
         "max_rss_mb": _max_rss_mb(),
         "minor_faults": f3 - f0,

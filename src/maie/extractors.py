@@ -8,35 +8,26 @@ modality's feature vector, so all modalities share FEATURE_DIM = 32.
 
 ``forward`` computes one observation's LSTM input drive while acting,
 entirely on plain arrays: each conv layer, ReLU included, is one
-``autodiff.conv_gemm``, the arithmetic ``autodiff.conv2d`` also runs,
-through the three batch-one gather indices each extractor takes from the
-geometry once, at construction; each layer writes its output into a buffer
-with one trailing 0.0, which the next layer gathers from with no copy; then
-the input projection. The parameter arrays it reads (``acting_arrays``) are
-taken once per span of unchanged parameters. A trainer steps the LSTM of all
-its modalities at once on the stacked drives; ``step`` is ``forward`` plus
-one ``autodiff.lstm_step`` for this modality alone, the same arithmetic.
-Given a memo dict, ``forward`` computes the drive, and while recording the
-conv outputs too, once per distinct observation and reads them back when
-the same bytes recur, as grids and text often do within an episode; the
-hit is the very arrays the miss computed, so every output is bitwise the
-same. The trainer hands a memo only to a modality whose observations can
-repeat. Given an ``ActingRecord``, ``forward`` also appends the step's conv
-outputs to it, and whoever steps the LSTM appends the gates and new state.
+``autodiff.conv_gemm`` through the batch-one gather index the extractor
+takes from the geometry at construction, and writes a buffer with one
+trailing 0.0 that the next layer gathers from with no copy; then the input
+projection. The LSTM step is the trainer's, one for all its modalities
+(``agent.Trainer._features``). Given a memo dict, ``forward`` computes the
+drive, and while recording the conv outputs too, once per distinct
+observation and reads them back when the same bytes recur; a hit is the
+very arrays its miss computed, so every output is bitwise the same. Given an
+``ActingRecord``, it appends the step's conv outputs to it, and the trainer
+appends the gates and new state.
 
-``forward_sequence`` replays a whole rollout for the backward passes: one
-batched ``autodiff.conv2d`` stack over time, one input projection for all
-steps, and the whole LSTM unroll in a single ``autodiff.lstm_cell`` node,
-episode resets included; that node is the (T, 32) feature matrix, and the
-state after its last step comes back beside it as plain arrays. Given the
-rollout's ``ActingRecord`` and unchanged parameters, it builds the same
-nodes from acting's arrays (no conv2d node computes anything until its
-adjoints run in the backward, and the LSTM runs no step), so its features
-are acting's, bit for bit. It takes the conv outputs out of the record as
-it stacks them, so the stack is their one copy. Without one it
-recomputes the forward, and its features match acting's within 1e-12:
-batched and batch-one products of the same numbers differ in their last
-bits.
+``forward_sequence`` replays a rollout for the backward passes: one batched
+``autodiff.conv2d`` stack over time, one input projection for all steps, and
+the whole LSTM unroll, episode resets included, in one ``autodiff.lstm_cell``
+node, which is the (T, 32) feature matrix. Given the rollout's
+``ActingRecord`` and unchanged parameters, it builds those nodes from
+acting's arrays, taking the conv outputs out of the record as it stacks
+them, so its features are acting's, bit for bit. Without one it recomputes
+the forward, which matches acting's within 1e-12: batched and batch-one
+products of the same numbers differ in their last bits.
 
 Both kinds are built by one constructor and run their convolutions through
 the same base-class code, driven by each class's FILTERS, KERNEL, STRIDE
@@ -148,20 +139,16 @@ class _ExtractorBase:
         rng = np.random.default_rng(seed)
         self.params = self._input_params(rng)
         probe = self._conv_batch([np.zeros(self.input_shape)])
-        in_ch = probe.shape[1]
+        (h, w), in_ch = probe.shape[2:], probe.shape[1]
+        self._act_index = []  # acting's batch-one gather index of each conv layer, fixed by the geometry alone
         for i in range(3):
             fan = in_ch * self.KERNEL[0] * self.KERNEL[1]
             self.params[f"conv{i + 1}.w"] = Value(uniform_init(rng, (self.FILTERS, in_ch, *self.KERNEL), fan), requires_grad=True)
             self.params[f"conv{i + 1}.b"] = Value(uniform_init(rng, (self.FILTERS,), fan), requires_grad=True)
-            in_ch = self.FILTERS
-        self.flat_dim = self._conv_stack(probe).data.size
-        self.params.update(_lstm_params(rng, self.flat_dim))
-        # acting's batch-one gather index of each conv layer, fixed by the geometry alone
-        self._act_index = []
-        (h, w), in_ch = probe.shape[2:], probe.shape[1]
-        for _ in range(3):
             self._act_index.append(ad.gather_index((1, in_ch, h, w), self.KERNEL, self.STRIDE, self.PADDING))
             (h, w), in_ch = ad.conv_out_hw(h, w, self.KERNEL, self.STRIDE, self.PADDING), self.FILTERS
+        self.flat_dim = self._conv_stack(probe).data.size
+        self.params.update(_lstm_params(rng, self.flat_dim))
 
     def _input_params(self, rng: np.random.Generator) -> dict:
         """Parameters drawn before the conv layers; none unless the input needs a table."""
@@ -195,14 +182,11 @@ class _ExtractorBase:
         )
         return layers, p["lstm.w_ih"].data, p["lstm.b"].data
 
-    def initial_state(self) -> RecurrentState:
-        return RecurrentState(np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM))
-
     def _check_obs(self, obs: np.ndarray):
         if tuple(obs.shape) != self.input_shape:
             raise ValueError(f"{self.name}: observation shape {obs.shape} != expected {self.input_shape}")
 
-    def forward(self, obs: np.ndarray, arrays: tuple, drives: dict | None = None, record: ActingRecord | None = None):
+    def forward(self, obs: np.ndarray, arrays: tuple, drives: dict | None, record: ActingRecord | None):
         """One observation's LSTM input drive, graph-free: the (4H,) ``w_ih @ conv output + b``.
 
         ``arrays`` is ``acting_arrays()`` under the current parameters. Each
@@ -240,20 +224,6 @@ class _ExtractorBase:
                 layer.append(out)
         return sx
 
-    def step(self, obs: np.ndarray, state: RecurrentState, drives: dict | None = None, record: ActingRecord | None = None):
-        """One timestep of this modality alone: returns (the (32,) feature array, new state).
-
-        ``forward``'s drive, then one ``autodiff.lstm_step``, the arithmetic a
-        trainer runs for all its modalities at once; ``drives`` and ``record``
-        are ``forward``'s, and the record also gets the step's gates and new
-        state.
-        """
-        sx = self.forward(obs, self.acting_arrays(), drives, record)
-        h, c, gates = ad.lstm_step(sx, self.params["lstm.w_hh"].data, state.h, state.c)
-        if record is not None:
-            record.append_state(gates, h, c)
-        return h, RecurrentState(h, c)
-
     def forward_sequence(self, observations, episode_starts, state: RecurrentState, recorded: ActingRecord | None = None):
         """Replay a rollout: batched conv over time, then one fused LSTM unroll.
 
@@ -261,13 +231,10 @@ class _ExtractorBase:
         Returns the (T, 32) feature matrix and the final state, which is a
         constant: gradients stop at the rollout's end.
 
-        ``recorded``, when given, is the ``ActingRecord`` that acting
-        filled while stepping through these observations from ``state``,
-        under the current parameters. The replay then builds the same nodes
-        from acting's arrays, taking the conv outputs out of ``recorded``:
-        no conv2d node computes its output and the lstm_cell node runs no
-        step. Its features are acting's, bit for bit. Without it the whole
-        forward is recomputed in batch form.
+        ``recorded``, when given, is the ``ActingRecord`` that acting filled
+        while stepping through these observations from ``state`` under the
+        current parameters; the nodes are built from its arrays, and its conv
+        outputs are taken out. Without it the forward is recomputed.
         """
         for obs in observations:
             self._check_obs(obs)

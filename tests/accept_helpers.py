@@ -12,6 +12,7 @@ from maie.agent import PolicyValueHead, TrainConfig, actor_loss, critic_loss, co
 from maie.autodiff import Value
 
 from grad_check import grad_check
+from method_oracles import zero_state
 
 
 # -- criterion 1: end-to-end pipeline gradient check -------------------------
@@ -38,8 +39,8 @@ def pipeline_grad_check() -> float:
     rewards = [0.3, -0.2]
 
     def forward_losses(lam_frozen=None, targets=None):
-        f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
-        f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
+        f1, _ = e1.forward_sequence(obs1, starts, zero_state())
+        f2, _ = e2.forward_sequence(obs2, starts, zero_state())
         mats = [f1, f2]  # (T, 32) feature matrices
         if lam_frozen is None:
             lam_frozen = en.importance([s.normalize_array(m.data, s.scale(eps)) for s, m in zip(stats, mats)])
@@ -100,14 +101,14 @@ def alignment_effect(seed: int, max_steps: int = 500):
     opt = ad.Adam(lr=1e-3)
 
     def mean_cross_distance():
-        f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
-        f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
+        f1, _ = e1.forward_sequence(obs1, starts, zero_state())
+        f2, _ = e2.forward_sequence(obs2, starts, zero_state())
         return float(np.mean([al.distance(a, b, "cosine").data.item() for a, b in zip(f1, f2)]))
 
     d0 = mean_cross_distance()
     for step in range(1, max_steps + 1):
-        f1, _ = e1.forward_sequence(obs1, starts, e1.initial_state())
-        f2, _ = e2.forward_sequence(obs2, starts, e2.initial_state())
+        f1, _ = e1.forward_sequence(obs1, starts, zero_state())
+        f2, _ = e2.forward_sequence(obs2, starts, zero_state())
         loss = al.srl_loss([f1, f2], 1.0, 0.0, "cosine", starts).total
         ad.backward(loss)
         opt.step(params)
@@ -132,11 +133,11 @@ def temporal_effect(seed: int, c_td: float, steps: int = 400) -> float:
     params = [*e_const.params.values(), *e_vary.params.values()]
     opt = ad.Adam(lr=1e-3)
     for _ in range(steps):
-        f1, _ = e_const.forward_sequence(const_obs, starts, e_const.initial_state())
-        f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
+        f1, _ = e_const.forward_sequence(const_obs, starts, zero_state())
+        f2, _ = e_vary.forward_sequence(vary_obs, starts, zero_state())
         loss = al.srl_loss([f1, f2], 0.1, c_td, "cosine", starts).total
         ad.backward(loss)
         opt.step(params)
         ad.zero_grads(params)
-    f2, _ = e_vary.forward_sequence(vary_obs, starts, e_vary.initial_state())
+    f2, _ = e_vary.forward_sequence(vary_obs, starts, zero_state())
     return float(np.mean([al.distance(f2[t], f2[t + 1], "cosine").data.item() for t in range(t_len - 1)]))

@@ -17,10 +17,14 @@ array for each operation of the formulas.
 ``checkpoint_text`` is ``cli.save_checkpoint``'s file built the direct way:
 the whole payload in memory, then one ``json.dumps``.
 
+``modality_step`` is one timestep of one modality alone: the extractor's
+LSTM input drive (``_ExtractorBase.forward``), then its own LSTM step spelled
+out, the arithmetic ``agent.Trainer._features`` runs for all modalities at
+once; ``zero_state`` is the state an episode starts from.
 ``per_modality_act_step`` is ``agent.Trainer._act_step`` one modality at a
-time, as acting ran before it stacked the modalities: each extractor's LSTM
-input drive, then its own LSTM step spelled out, its own normalization, λ,
-weighted slice of the fused state and λ-trace mean.
+time, as acting ran before it stacked the modalities: each modality's
+``modality_step``, then its own normalization, λ, weighted slice of the
+fused state and λ-trace mean.
 """
 
 import base64
@@ -33,7 +37,7 @@ from maie import enhancement as en
 from maie.alignment import distance
 from maie.autodiff import ADAM_BETAS, ADAM_EPS, Value
 from maie.enhancement import ModalityStats
-from maie.extractors import RecurrentState
+from maie.extractors import FEATURE_DIM, RecurrentState
 
 
 def similarity_loss(features: list, kind: str = "cosine") -> Value:
@@ -164,6 +168,24 @@ def _lstm_step(sx, w_hh, h, c):
     return gates[3 * hd :] * np.tanh(c_new), c_new, gates
 
 
+def zero_state() -> RecurrentState:
+    """One modality's zero (32,) ``h`` and ``c``, the state every episode starts from."""
+    return RecurrentState(np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM))
+
+
+def modality_step(ex, obs, state: RecurrentState, drives=None, record=None):
+    """One timestep of extractor ``ex`` alone from ``state``: returns (the (32,) feature array, new state).
+
+    ``drives`` and ``record`` are ``ex.forward``'s; the record also gets the
+    step's gates and new state.
+    """
+    sx = ex.forward(obs, ex.acting_arrays(), drives, record)
+    h, c, gates = _lstm_step(sx, ex.params["lstm.w_hh"].data, state.h, state.c)
+    if record is not None:
+        record.append_state(gates, h, c)
+    return h, RecurrentState(h, c)
+
+
 def per_modality_act_step(tr, phase: str, span, buf=None):
     """``tr._act_step(phase, span, buf)`` computed modality by modality; bind it to ``tr`` to replace the stacked step.
 
@@ -179,17 +201,10 @@ def per_modality_act_step(tr, phase: str, span, buf=None):
     obs = tr._obs.modalities()
     feats, lams, h_rows, c_rows = {}, {}, [], []
     for m in tr.modalities:
-        ex, state = tr.extractors[m], tr._states[m]
-        record = None if buf is None else buf.recorded[m]
-        sx = ex.forward(obs[m], ex.acting_arrays(), None, record)
-        h, c, gates = _lstm_step(sx, ex.params["lstm.w_hh"].data, state.h, state.c)
-        if record is not None:
-            record.gates.append(gates)
-            record.h.append(h)
-            record.c.append(c)
-        feats[m] = h
-        h_rows.append(h)
-        c_rows.append(c)
+        feats[m], state = modality_step(tr.extractors[m], obs[m], tr._states[m], None,
+                                        None if buf is None else buf.recorded[m])
+        h_rows.append(state.h)
+        c_rows.append(state.c)
     tr._states = RecurrentState(np.array(h_rows), np.array(c_rows), tuple(tr.modalities))
     n = len(tr.modalities)
     if tr.use_ie:

@@ -713,7 +713,8 @@ def test_acting_memo_lives_only_while_parameters_are_fixed(monkeypatch):
         tr.extractors["visual"].params["conv1.w"].data[0, 0, 1, 1] += 0.5
     obs = cached._obs
     assert obs is not None  # the next rollout continues the episode
-    expected = {m: cached.extractors[m].step(obs.modalities()[m], cached._states[m])[0] for m in cached.modalities}
+    expected = {m: method_oracles.modality_step(cached.extractors[m], obs.modalities()[m], cached._states[m])[0]
+                for m in cached.modalities}
     for tr in (cached, plain):
         tr.collect_rollout()
     new, twin = bufs[id(cached)][-1], bufs[id(plain)][-1]

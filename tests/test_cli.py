@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,6 @@ import shutil
 import resource
 import subprocess
 import sys
-import tracemalloc
 import types
 
 import numpy as np
@@ -19,7 +19,7 @@ from maie import autodiff as ad
 from maie import cli, envs
 from maie.agent import LOSS_COLUMNS, Trainer
 from maie.cli import RunConfig, final_window_stats, read_metrics_csv
-from method_oracles import checkpoint_text
+from method_oracles import checkpoint_text, modality_step, zero_state
 
 
 _NUMPY_HAS_OPENBLAS = "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
@@ -311,8 +311,8 @@ def trained_checkpoint(trained_runs, tmp_path):
     return get
 
 
-def _fresh_trainer(tmp_path, seed=1, method="maie"):
-    cfg = _run_args(tmp_path, method=method, seed=seed)
+def _fresh_trainer(tmp_path, seed=1, method="maie", **kw):
+    cfg = _run_args(tmp_path, method=method, seed=seed, **kw)
     return Trainer(envs.make_env(cfg.env, cfg.seed), cfg.train_config())
 
 
@@ -352,10 +352,10 @@ def test_checkpoint_load_restores_features(tmp_path, trained_checkpoint):
     trainer, path = trained_checkpoint()
     other = _fresh_trainer(tmp_path, seed=99)
     obs = envs.make_env("hetero_nav", 5).reset().modalities()["visual"]
-    before, _ = other.extractors["visual"].step(obs, other.extractors["visual"].initial_state())
+    before, _ = modality_step(other.extractors["visual"], obs, zero_state())
     cli.load_checkpoint(str(path), other)
-    want, _ = trainer.extractors["visual"].step(obs, trainer.extractors["visual"].initial_state())
-    got, _ = other.extractors["visual"].step(obs, other.extractors["visual"].initial_state())
+    want, _ = modality_step(trainer.extractors["visual"], obs, zero_state())
+    got, _ = modality_step(other.extractors["visual"], obs, zero_state())
     assert not np.array_equal(before, want)
     np.testing.assert_array_equal(got, want)
 
@@ -409,9 +409,9 @@ def test_checkpoint_rejects_unknown_format(tmp_path, trained_checkpoint):
         cli.load_checkpoint(_rewrite(path, other_format), _fresh_trainer(tmp_path))
 
 
-def _assert_rejected_unchanged(bad_path, match, tmp_path):
-    """Loading ``bad_path`` raises ValueError matching ``match`` and leaves a fresh trainer as it was."""
-    fresh = _fresh_trainer(tmp_path)
+def _assert_rejected_unchanged(bad_path, match, tmp_path, **kw):
+    """Loading ``bad_path`` raises ValueError matching ``match`` and leaves a fresh trainer (of config ``kw``) as it was."""
+    fresh = _fresh_trainer(tmp_path, **kw)
     before = {k: v.data.copy() for k, v in fresh.named_parameters().items()}
     stats_before = {m: (st.mu.copy(), st.var.copy()) for m, st in fresh.stats.items()}
     with pytest.raises(ValueError, match=match):
@@ -623,6 +623,17 @@ def test_adam_state_and_checkpoint_keys_follow_the_registry(tmp_path):
         assert base64.b64decode(adam[str(i)]["m"]) == m.astype("<f8").tobytes()
 
 
+def _assert_same_text(got: str, want: str):
+    """``got == want``, compared by length and sha256 so that a mismatch of megabytes reports in moments.
+
+    On a mismatch the message names the first offset at which the texts differ.
+    """
+    if (len(got), hashlib.sha256(got.encode()).digest()) != (len(want), hashlib.sha256(want.encode()).digest()):
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters first differ at offset {at}: "
+                    f"{got[at : at + 40]!r} != {want[at : at + 40]!r}")
+
+
 @pytest.mark.parametrize("method, trained", [("maie", True), ("concat", True), ("maie", False)],
                          ids=["maie", "concat", "before_any_update"])
 def test_checkpoint_streams_the_bytes_of_the_whole_payload(method, trained, tmp_path, trained_runs):
@@ -631,27 +642,13 @@ def test_checkpoint_streams_the_bytes_of_the_whole_payload(method, trained, tmp_
     path, again = tmp_path / "checkpoint.json", tmp_path / "again.json"
     cli.save_checkpoint(str(path), trainer)
     text = path.read_text()
-    assert text == checkpoint_text(trainer)
+    _assert_same_text(text, checkpoint_text(trainer))
     assert text.endswith(',"adam":{}}') != trained
     fresh = _fresh_trainer(tmp_path, seed=2, method=method)
     assert checkpoint_text(fresh) != text
     cli.load_checkpoint(str(path), fresh)
     cli.save_checkpoint(str(again), fresh)
-    assert again.read_text() == text
-
-
-def test_saving_a_checkpoint_holds_less_memory_than_its_file(tmp_path, trained_runs):
-    # the stream encodes SLICE_FLOATS values at a time, never an entry, the payload or its whole text:
-    # 0.12 MB here for a 5.9 MB file. Whole entries peaked at 2.19 MB, the whole payload at 3.4 times the file
-    trainer, _ = trained_runs()
-    path = tmp_path / "checkpoint.json"
-    tracemalloc.start()
-    try:
-        cli.save_checkpoint(str(path), trainer)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * 2**20 < path.stat().st_size / 10, (peak, path.stat().st_size)
+    _assert_same_text(again.read_text(), text)
 
 
 K = cli.SLICE_FLOATS
@@ -755,6 +752,19 @@ def test_checkpoint_rejects_stats_of_another_xi(tmp_path, trained_checkpoint):
         cli.load_checkpoint(str(path), _fresh_trainer(tmp_path))
 
 
+@pytest.mark.parametrize("key, field", [("xi", "xi"), ("eps", "stats_eps")])
+def test_checkpoint_rejects_a_stats_setting_stored_as_true(key, field, tmp_path, trained_checkpoint):
+    # true == 1.0, so a check by value alone would load it into a trainer at 1.0, whose save writes 1.0, not true
+    _, path = trained_checkpoint(**{field: 1.0})
+    cli.load_checkpoint(str(path), _fresh_trainer(tmp_path, **{field: 1.0}))  # the file as saved loads
+
+    def as_true(payload):
+        payload["stats"]["visual"][key] = True
+
+    _assert_rejected_unchanged(_rewrite(path, as_true), f"stats visual {key}: True is not a JSON number", tmp_path,
+                               **{field: 1.0})
+
+
 def test_run_info_splits_out_the_write_seconds(tmp_path):
     for eval_episodes in (0, 2):
         out = tmp_path / f"eval{eval_episodes}"
@@ -770,7 +780,8 @@ def test_run_info_splits_out_the_write_seconds(tmp_path):
         assert info["blas_core"] == ad.blas_core()
         assert (type(info["blas_core"]) is str and info["blas_core"] != "") if _NUMPY_HAS_OPENBLAS else info["blas_core"] is None
         assert 0.0 < info["cpu_seconds"] <= 1.05 * info["wall_seconds"] + 0.01
-        # env_steps counts training steps only, so ms_per_env_step leaves the evaluation seconds out
+        # episodes and env_steps count training only, so ms_per_env_step leaves the evaluation seconds out
+        assert info["episodes"] == len(read_metrics_csv(out / "metrics.csv")["episode"])
         train_seconds = info["wall_seconds"] - info["eval_seconds"]
         assert info["ms_per_env_step"] == pytest.approx(1e3 * train_seconds / info["env_steps"], rel=1e-9)
         # the run's memory: the process's peak so far, and the page faults of training and the writes

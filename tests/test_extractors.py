@@ -6,6 +6,7 @@ from maie import envs
 from maie import extractors as ex
 
 from grad_check import grad_check
+from method_oracles import modality_step, zero_state
 
 
 VIS_SHAPE = (2, 10, 10)
@@ -55,7 +56,7 @@ def test_output_is_feature_dim():
         (ex.ConvLstmExtractor("visual", VIS_SHAPE, 0), VIS_SHAPE),
         (ex.ConvLstmExtractor("audio", AUD_SHAPE, 1), AUD_SHAPE),
     ]:
-        f, state = e.step(_rand_obs(rng, shape), e.initial_state())
+        f, state = modality_step(e, _rand_obs(rng, shape), zero_state())
         assert f.shape == (32,)
         assert state.h.shape == (32,) and state.c.shape == (32,)
 
@@ -63,46 +64,46 @@ def test_output_is_feature_dim():
 def test_text_output_is_feature_dim():
     e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=3)
     ids = np.array([1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0])
-    f, _ = e.step(ids, e.initial_state())
+    f, _ = modality_step(e, ids, zero_state())
     assert f.shape == (32,)
 
 
 def test_text_length_comes_from_the_modality_shape():
     e = ex.build_extractor("text", (7,), seed=3, vocab_size=19)
     assert e.input_shape == (7,)
-    f, _ = e.step(np.arange(7) % 19, e.initial_state())
+    f, _ = modality_step(e, np.arange(7) % 19, zero_state())
     assert f.shape == (32,)
     with pytest.raises(ValueError, match="shape"):
-        e.step(np.zeros(12, dtype=int), e.initial_state())
+        modality_step(e, np.zeros(12, dtype=int), zero_state())
 
 
 def test_zero_observation_is_deterministic():
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=5)
     obs = np.zeros(VIS_SHAPE)
-    f1, _ = e.step(obs, e.initial_state())
-    f2, _ = e.step(obs, e.initial_state())
+    f1, _ = modality_step(e, obs, zero_state())
+    f2, _ = modality_step(e, obs, zero_state())
     np.testing.assert_array_equal(f1, f2)
 
 
 def test_different_observations_give_different_features():
     rng = np.random.default_rng(11)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=11)
-    st = e.initial_state()
-    f1, _ = e.step(_rand_obs(rng, VIS_SHAPE), st)
-    f2, _ = e.step(_rand_obs(rng, VIS_SHAPE), st)
+    st = zero_state()
+    f1, _ = modality_step(e, _rand_obs(rng, VIS_SHAPE), st)
+    f2, _ = modality_step(e, _rand_obs(rng, VIS_SHAPE), st)
     assert np.abs(f1 - f2).max() > 1e-9
 
 
 def test_shape_mismatch_names_modality():
     e = ex.ConvLstmExtractor("audio", AUD_SHAPE, seed=0)
     with pytest.raises(ValueError, match="audio"):
-        e.step(np.zeros((1, 8, 8)), e.initial_state())
+        modality_step(e, np.zeros((1, 8, 8)), zero_state())
 
 
 def test_text_rejects_out_of_vocab_ids():
     e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=5, seed=0)
     with pytest.raises(ValueError, match="vocabulary"):
-        e.step(np.array([0, 1, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0]), e.initial_state())
+        modality_step(e, np.array([0, 1, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0]), zero_state())
 
 
 def test_forward_sequence_matches_stepwise():
@@ -114,15 +115,15 @@ def test_forward_sequence_matches_stepwise():
         obs = [_rand_obs(rng, shape) for _ in range(6)]
         starts = [True, False, False, True, False, False]
 
-        st = e.initial_state()
+        st = zero_state()
         stepped = []
         for o, s in zip(obs, starts):
             if s:
-                st = e.initial_state()
-            f, st = e.step(o, st)
+                st = zero_state()
+            f, st = modality_step(e, o, st)
             stepped.append(f)
 
-        feats, final = e.forward_sequence(obs, starts, e.initial_state())
+        feats, final = e.forward_sequence(obs, starts, zero_state())
         for a, b in zip(stepped, feats):
             np.testing.assert_allclose(a, b.data, atol=1e-12)
         # the final state is the one chaining forward reaches
@@ -135,14 +136,14 @@ def test_text_forward_sequence_matches_stepwise():
     e = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=4)
     obs = [rng.integers(0, 19, size=12) for _ in range(5)]
     starts = [True, False, False, False, True]
-    st = e.initial_state()
+    st = zero_state()
     stepped = []
     for o, s in zip(obs, starts):
         if s:
-            st = e.initial_state()
-        f, st = e.step(o, st)
+            st = zero_state()
+        f, st = modality_step(e, o, st)
         stepped.append(f)
-    feats, final = e.forward_sequence(obs, starts, e.initial_state())
+    feats, final = e.forward_sequence(obs, starts, zero_state())
     for a, b in zip(stepped, feats):
         np.testing.assert_allclose(a, b.data, atol=1e-12)
     np.testing.assert_allclose(final.h, st.h, rtol=0, atol=1e-12)
@@ -163,7 +164,7 @@ def test_replay_graph_size_is_independent_of_rollout_length(kind):
     sizes = []
     for t_len in (8, 32):
         starts = [t % 5 == 0 for t in range(t_len)]
-        feats, _ = e.forward_sequence([draw() for _ in range(t_len)], starts, e.initial_state())
+        feats, _ = e.forward_sequence([draw() for _ in range(t_len)], starts, zero_state())
         assert feats.shape == (t_len, ex.FEATURE_DIM)
         nodes = ad.Graph.trace(feats.sum()).nodes
         assert sum(n._op == "lstm_cell" for n in nodes) == 1
@@ -178,7 +179,7 @@ def test_forward_builds_no_graph():
     # acting gives plain arrays: the features and the state carry no graph
     rng = np.random.default_rng(7)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=7)
-    f, st = e.step(_rand_obs(rng, VIS_SHAPE), e.initial_state())
+    f, st = modality_step(e, _rand_obs(rng, VIS_SHAPE), zero_state())
     for arr in (f, st.h, st.c):
         assert type(arr) is np.ndarray and arr.shape == (ex.FEATURE_DIM,)
 
@@ -219,7 +220,7 @@ def test_array_conv_stack_is_the_op_stack_on_every_env_geometry(monkeypatch):
                 assert type(x) is np.ndarray and x.shape == (want.data.size + 1,) and x[-1] == 0.0
                 assert np.array_equal(x[:-1], want.data.ravel()), e.name
             drive = w_ih @ x[:-1] + b
-            assert np.array_equal(e.forward(o, e.acting_arrays()), drive)
+            assert np.array_equal(e.forward(o, e.acting_arrays(), None, None), drive)
             assert len(e._act_index) == 3 and all(a is b for a, b in zip(e._act_index, op_indices[-3:]))
     assert len(geometries) == 13
     assert all(shape[0] == 1 for shape, _, _, _ in geometries)
@@ -246,10 +247,10 @@ def test_forward_creates_no_value_and_calls_no_conv2d(monkeypatch):
     monkeypatch.setattr(ad, "_node", counting_node)
     monkeypatch.setattr(ad, "conv2d", counting_conv2d)
     for e, obs in pairs:
-        e.step(obs, e.initial_state())
+        modality_step(e, obs, zero_state())
     assert counts == {"values": 0, "conv2d": 0}
     for e, obs in pairs:  # the counters see the replay path's Values and convolutions
-        e.forward_sequence([obs], [True], e.initial_state())
+        e.forward_sequence([obs], [True], zero_state())
     assert counts["values"] > 0 and counts["conv2d"] == 3 * len(pairs)
 
 
@@ -257,16 +258,16 @@ def test_state_carries_within_episode():
     rng = np.random.default_rng(6)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=6)
     obs = _rand_obs(rng, VIS_SHAPE)
-    st = e.initial_state()
-    f1, st = e.step(obs, st)
-    f2, _ = e.step(obs, st)
+    st = zero_state()
+    f1, st = modality_step(e, obs, st)
+    f2, _ = modality_step(e, obs, st)
     assert np.abs(f1 - f2).max() > 1e-9  # same obs, different state
 
 
 def test_detached_state_blocks_gradient():
     rng = np.random.default_rng(8)
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=8)
-    f, st = e.step(_rand_obs(rng, VIS_SHAPE), e.initial_state())
+    f, st = modality_step(e, _rand_obs(rng, VIS_SHAPE), zero_state())
     d = st.detached()
     assert not (np.shares_memory(d.h, st.h) or np.shares_memory(d.c, st.c))
     np.testing.assert_array_equal(d.h, st.h)
@@ -292,7 +293,7 @@ def test_gradient_check_through_extractor(kind):
         for name, v in zip(checked, vals):
             e.params[name] = v
         try:
-            feats, _ = e.forward_sequence(obs, starts, e.initial_state())
+            feats, _ = e.forward_sequence(obs, starts, zero_state())
             return ad.concat(feats, axis=0).square().sum()
         finally:
             for name in checked:
@@ -314,12 +315,12 @@ def test_memo_hit_returns_the_miss_drive_and_the_same_numbers():
     obs = np.random.default_rng(0).random(VIS_SHAPE)
     state = ex.RecurrentState(np.full(32, 0.1), np.full(32, -0.2))
     drives = {}
-    miss, miss_state = e.step(obs, state, drives)
+    miss, miss_state = modality_step(e, obs, state, drives)
     (key, drive), = drives.items()
     assert key == (obs.dtype.str, obs.tobytes())
-    hit, hit_state = e.step(obs.copy(), state, drives)  # a new array with the same bytes
+    hit, hit_state = modality_step(e, obs.copy(), state, drives)  # a new array with the same bytes
     assert len(drives) == 1 and drives[key] is drive
-    plain, plain_state = e.step(obs, state)
+    plain, plain_state = modality_step(e, obs, state)
     for a, b, c in ((miss, hit, plain), (miss_state.c, hit_state.c, plain_state.c)):
         np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(b, c)
@@ -329,9 +330,9 @@ def test_memo_hit_records_the_arrays_its_miss_stored():
     # each conv layer's output is kept once per distinct observation; the LSTM steps on every call
     e = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=0)
     obs = np.random.default_rng(1).random(VIS_SHAPE)
-    drives, record, state = {}, ex.ActingRecord(), e.initial_state()
+    drives, record, state = {}, ex.ActingRecord(), zero_state()
     for o in (obs, obs.copy(), obs):
-        feat, state = e.step(o, state, drives, record)
+        feat, state = modality_step(e, o, state, drives, record)
     (convs, _), = drives.values()
     assert len(convs) == 3
     for layer, out in zip(record.conv, convs):
@@ -340,7 +341,7 @@ def test_memo_hit_records_the_arrays_its_miss_stored():
     assert record.h[-1] is feat is state.h and record.c[-1] is state.c
     # a span that records nothing (evaluation) keeps the drive alone
     drives = {}
-    e.step(obs, state, drives)
+    modality_step(e, obs, state, drives)
     assert [convs for convs, _ in drives.values()] == [None]
 
 
@@ -360,8 +361,8 @@ def test_recorded_replay_is_acting_bit_for_bit(kind):
     initial = ex.RecurrentState(rng.normal(size=32) * 0.3, rng.normal(size=32) * 0.3)
     record, drives, state = ex.ActingRecord(), {}, initial
     for o, start in zip(obs, starts):
-        state = e.initial_state() if start else state
-        _, state = e.step(o, state, drives, record)
+        state = zero_state() if start else state
+        _, state = modality_step(e, o, state, drives, record)
     grads = []
     for recorded in (record, None):
         feats, final = e.forward_sequence(obs, starts, initial, recorded)
@@ -379,19 +380,19 @@ def test_memo_path_still_checks_every_observation():
     vis = ex.ConvLstmExtractor("visual", VIS_SHAPE, seed=0)
     obs = np.random.default_rng(0).random(VIS_SHAPE)
     drives = {}
-    vis.step(obs, vis.initial_state(), drives)
+    modality_step(vis, obs, zero_state(), drives)
     reshaped = obs.reshape(4, 5, 10)
     assert (reshaped.dtype.str, reshaped.tobytes()) in drives  # a lookup before the check would hit
     with pytest.raises(ValueError, match="shape"):
-        vis.step(reshaped, vis.initial_state(), drives)
+        modality_step(vis, reshaped, zero_state(), drives)
 
     text = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=3)
     ids = np.arange(12) % 19
     drives = {}
-    text.step(ids, text.initial_state(), drives)
+    modality_step(text, ids, zero_state(), drives)
     for bad_id in (19, -1):
         bad = ids.copy()
         bad[0] = bad_id
         with pytest.raises(ValueError, match="vocabulary"):
-            text.step(bad, text.initial_state(), drives)
+            modality_step(text, bad, zero_state(), drives)
     assert list(drives) == [(ids.dtype.str, ids.tobytes())]
