@@ -57,23 +57,17 @@ def normalize(f: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return (f - mu) * scale
 
 
-def importance(normalized) -> np.ndarray:
+def importance(normalized: np.ndarray) -> np.ndarray:
     """Per-dimension softmax of |normalized| across modalities.
 
     Takes the (M, ...) float64 stack of the modalities' normalized features,
-    each (L,) or (T, L), or a list of them, and returns the (M, ...) stack of
-    coefficients: constants to any backward pass (the RL gradient treats
-    lambda as a fixed multiplier).
+    each (L,) or (T, L), and returns the (M, ...) stack of coefficients:
+    constants to any backward pass (the RL gradient treats lambda as a fixed
+    multiplier).
     """
     if len(normalized) == 0:
         raise ValueError("importance needs at least one modality")
-    if isinstance(normalized, list):
-        shape = normalized[0].shape
-        for a in normalized:
-            if a.shape != shape:
-                raise ValueError(f"importance: feature shapes differ, {a.shape} vs {shape}")
-    mags = np.abs(normalized)  # np.abs stacks a list itself; np.stack gives the same array at several times the cost
-    return ad.softmax_array(mags, axis=0)
+    return ad.softmax_array(np.abs(normalized), axis=0)
 
 
 def fuse(raw: list, lambdas: list) -> Value:

@@ -43,7 +43,7 @@ def pipeline_grad_check() -> float:
         f2, _ = e2.forward_sequence(obs2, starts, zero_state())
         mats = [f1, f2]  # (T, 32) feature matrices
         if lam_frozen is None:
-            lam_frozen = en.importance([s.normalize_array(m.data, s.scale(eps)) for s, m in zip(stats, mats)])
+            lam_frozen = en.importance(np.stack([s.normalize_array(m.data, s.scale(eps)) for s, m in zip(stats, mats)]))
         fused = ad.concat([m * Value(l) for m, l in zip(mats, lam_frozen)], axis=1)
         logits = head.actor_logits(fused)
         values = head.critic_values(fused)

@@ -209,7 +209,7 @@ def per_modality_act_step(tr, phase: str, span, buf=None):
     n = len(tr.modalities)
     if tr.use_ie:
         normalized = [(feats[m] - tr.stats[m].mu) * tr.stats[m].scale(tr.cfg.stats_eps) for m in tr.modalities]
-        lams = dict(zip(tr.modalities, en.importance(normalized)))
+        lams = dict(zip(tr.modalities, en.importance(np.stack(normalized))))
     elif tr.cfg.method == "fixed_weights":
         rest = (1.0 - tr.cfg.fixed_weight) / (n - 1) if n > 1 else 1.0
         lams = {m: np.full(feats[m].shape, tr.cfg.fixed_weight if i == 0 else rest) for i, m in enumerate(tr.modalities)}

@@ -93,7 +93,7 @@ def test_c01_gradient_fidelity():
     stats = [en.ModalityStats(mu=rng.normal(size=dim), var=rng.uniform(0.5, 2.0, size=dim)) for _ in range(m)]
     feats0 = [rng.normal(size=dim) for _ in range(m)]
     eps = TrainConfig().stats_eps
-    lam_frozen = en.importance([s.normalize_array(f, s.scale(eps)) for s, f in zip(stats, feats0)])
+    lam_frozen = en.importance(np.stack([s.normalize_array(f, s.scale(eps)) for s, f in zip(stats, feats0)]))
 
     def f_fuse(v):
         fused = en.fuse(list(v), lam_frozen)
@@ -126,7 +126,7 @@ def test_c02_simplex_and_proportionality():
     for _ in range(10_000):
         m = int(rng.integers(2, 4))
         feats = [Value(rng.normal(size=dim) * rng.uniform(0.2, 5.0), requires_grad=True) for _ in range(m)]
-        lam = en.importance([f.data for f in feats])
+        lam = en.importance(np.stack([f.data for f in feats]))
         total = np.sum(lam, axis=0)
         worst_sum = max(worst_sum, float(np.abs(total - 1.0).max()))
 

@@ -574,7 +574,7 @@ def test_lambda_weighted_adjoint_through_train_pipeline():
     rng = np.random.default_rng(3)
     t_len, m = 4, 2
     mats = [Value(rng.normal(size=(t_len, 32)), requires_grad=True) for _ in range(m)]
-    lams = ag.en.importance([mat.data for mat in mats])
+    lams = ag.en.importance(np.stack([mat.data for mat in mats]))
     weighted = [mat * Value(lam) for mat, lam in zip(mats, lams)]
     fused = ad.concat(weighted, axis=1)
     head = ag.PolicyValueHead(input_dim=64, n_actions=3, seed=0)

@@ -14,6 +14,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maie import autodiff as ad
 from maie import cli, envs
@@ -663,7 +665,7 @@ def _floats(n: int) -> np.ndarray:
     return arr
 
 
-@pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 2 * K + 1])
+@pytest.mark.parametrize("n", [0, 1, K // 2 - 1, K // 2, K // 2 + 1, K - 1, K, K + 1, 2 * K + 1])
 def test_a_float_list_written_in_slices_is_the_text_of_the_whole_list(n):
     arr = _floats(n)
     chunks = list(cli._json_chunks(cli._Floats(arr)))
@@ -674,7 +676,7 @@ def test_a_float_list_written_in_slices_is_the_text_of_the_whole_list(n):
                                                                         separators=(",", ":"))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, K + 1, 2 * K + 2])
+@pytest.mark.parametrize("n", [1, 2, 3, K // 2 + 1, K + 1, K + 2, 2 * K + 2])
 def test_a_moment_written_in_slices_is_the_base64_of_the_whole_array(n):
     # K is a multiple of 3 floats, 24 bytes, so no slice but the last ends in base64 padding
     assert K % 3 == 0
@@ -682,6 +684,62 @@ def test_a_moment_written_in_slices_is_the_base64_of_the_whole_array(n):
     chunks = list(cli._json_chunks(cli._Floats(arr, as_base64=True)))
     assert "".join(chunks) == json.dumps(base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"))
     assert len(chunks) == 2 + -(-n // K)  # the quotes, then one chunk per slice
+
+
+def _assert_float_text(values):
+    """``cli._float_text`` of the values is ``_dumps`` of their list, brackets stripped; a mismatch names its value."""
+    values = np.asarray(values, dtype=np.float64)
+    got = cli._float_text(values).split(",")
+    want = json.dumps(values.tolist(), separators=(",", ":"))[1:-1].split(",")
+    wrong = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert wrong is None, f"value {wrong}, {values[wrong]!r}: {got[wrong]!r} != {want[wrong]!r}"
+    assert len(got) == len(want)
+
+
+def _within_the_digit_rows(value: float, n: int = cli._FAST_MIN) -> np.ndarray:
+    """``n`` values of the digit rows' range with ``value`` first, in the middle and last."""
+    arr = np.random.default_rng(0).uniform(-1.0, 1.0, n) * 10.0 ** -(np.arange(n) % 4)
+    arr[[0, n // 2, -1]] = value
+    return arr
+
+
+_EDGES = [np.nextafter(b, to).item() for b in (1e-4, 1e-3, 0.01, 0.1, 1.0) for to in (0.0, 2.0)]
+_SHORTEST = {0.12345678901234: 14, -0.000999999999999999: 15, 0.123456789012345: 15, 0.1234567890123456: 16,
+             0.0001234567890123457: 16, 0.12345678901234568: 17, 0.30000000000000004: 17, 0.3: 1, 0.001: 1,
+             0.20223617553710938: 17, 0.6206016540527344: 16}  # the last two, j / 2**18, are ties at 17 digits
+
+
+@pytest.mark.parametrize("value", [*_EDGES, 1e-4, 1e-3, 0.01, 0.1, 0.0625, -0.5, 2.0**-14, *_SHORTEST,
+                                   0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0, -1e16])
+def test_the_digit_rows_write_each_hard_case_as_repr_does(value):
+    # a decade's edges both ways, powers of two, shortest forms of 1 to 17 digits, and values left out
+    if value in _SHORTEST:
+        assert len(repr(abs(value)).split(".")[1].lstrip("0")) == _SHORTEST[value]
+    _assert_float_text(_within_the_digit_rows(value))
+    _assert_float_text(-_within_the_digit_rows(value))
+
+
+@pytest.mark.parametrize("n", [cli._FAST_MIN - 1, cli._FAST_MIN, cli._FAST_MIN + 1, K - 1, K, K + 1])
+def test_an_array_around_the_cutoff_and_the_slice_size_is_written_as_repr_does(n):
+    arr = _within_the_digit_rows(0.1, n)
+    _assert_float_text(arr)
+    assert "".join(cli._json_chunks(cli._Floats(arr))) == json.dumps(arr.tolist(), separators=(",", ":"))
+
+
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64)))
+_IN_RANGE = st.floats(1e-4, 1.0, exclude_max=True) | st.floats(-1.0, -1e-4, exclude_min=True)
+_SHORT = st.integers(1, 10**6).flatmap(lambda i: st.sampled_from([i / 10**k for k in range(7, 11)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_BITS | _IN_RANGE | _SHORT | st.floats(), min_size=1, max_size=64), st.integers(0, 2**32 - 1))
+def test_any_float64_is_written_as_repr_does(drawn, seed):
+    # arbitrary bit patterns (NaN, infinities, zeros, subnormals, powers of two), the digit rows' range and
+    # short decimals, placed at random among uniform draws of that range so that the digit rows run
+    rng = np.random.default_rng(seed)
+    arr = rng.uniform(-1.0, 1.0, cli._FAST_MIN + len(drawn))
+    arr[rng.choice(arr.size, len(drawn), replace=False)] = drawn
+    _assert_float_text(arr)
 
 
 def _bogus_parameter(payload):

@@ -68,31 +68,31 @@ def test_update_stats_empty_batch_errors():
 
 
 def test_importance_symmetric_inputs():
-    lam = en.importance([np.zeros(4), np.zeros(4)])
+    lam = en.importance(np.zeros((2, 4)))
     np.testing.assert_allclose(lam[0], 0.5)
     np.testing.assert_allclose(lam[1], 0.5)
 
 
 def test_importance_scalar_example():
-    lam = en.importance([np.array([1.0]), np.array([0.0])])
+    lam = en.importance(np.array([[1.0], [0.0]]))
     e = np.e
     assert lam[0][0] == pytest.approx(e / (e + 1.0))  # ~0.7311
     assert lam[1][0] == pytest.approx(1.0 / (e + 1.0))
 
 
 def test_importance_single_modality_is_one():
-    lam = en.importance([np.array([3.0, -2.0])])
+    lam = en.importance(np.array([[3.0, -2.0]]))
     np.testing.assert_allclose(lam[0], 1.0)
 
 
 def test_importance_length_mismatch():
-    with pytest.raises(ValueError, match="shapes"):
-        en.importance([np.zeros(3), np.zeros(4)])
+    with pytest.raises(ValueError, match="same shape"):  # the modalities' features do not stack
+        en.importance(np.stack([np.zeros(3), np.zeros(4)]))
 
 
 def test_importance_sign_invariant():
-    lam_pos = en.importance([np.array([1.5]), np.array([0.5])])
-    lam_neg = en.importance([np.array([-1.5]), np.array([-0.5])])
+    lam_pos = en.importance(np.array([[1.5], [0.5]]))
+    lam_neg = en.importance(np.array([[-1.5], [-0.5]]))
     np.testing.assert_allclose(lam_pos[0], lam_neg[0])
 
 
@@ -100,7 +100,7 @@ def test_importance_sign_invariant():
 @given(st.integers(0, 2**31 - 1), st.integers(1, 4))
 def test_importance_simplex_invariant(seed, m):
     rng = np.random.default_rng(seed)
-    fhats = [rng.normal(size=6) * rng.uniform(0.1, 10) for _ in range(m)]
+    fhats = np.stack([rng.normal(size=6) * rng.uniform(0.1, 10) for _ in range(m)])
     lam = en.importance(fhats)
     total = np.sum(lam, axis=0)
     np.testing.assert_allclose(total, 1.0, atol=1e-9)
@@ -110,10 +110,10 @@ def test_importance_simplex_invariant(seed, m):
 def test_importance_monotonicity():
     rng = np.random.default_rng(7)
     base = [rng.normal(size=5), rng.normal(size=5)]
-    lam0 = en.importance(base)
+    lam0 = en.importance(np.stack(base))
     bigger = [base[0].copy(), base[1].copy()]
     bigger[0][2] = abs(bigger[0][2]) * 2 + 1.0
-    lam1 = en.importance(bigger)
+    lam1 = en.importance(np.stack(bigger))
     assert lam1[0][2] > lam0[0][2]
 
 
@@ -131,7 +131,7 @@ def test_fuse_halving_lambda():
 def test_fuse_adjoint_is_lambda_times_upstream():
     rng = np.random.default_rng(8)
     raw = [Value(rng.normal(size=4), requires_grad=True) for _ in range(3)]
-    lam = en.importance([normalize(f, _fresh(4), CFG.stats_eps).data for f in raw])
+    lam = en.importance(np.stack([normalize(f, _fresh(4), CFG.stats_eps).data for f in raw]))
     fused = en.fuse(raw, lam)
     g = rng.normal(size=12)
     ad.backward((fused * Value(g)).sum())
@@ -141,7 +141,7 @@ def test_fuse_adjoint_is_lambda_times_upstream():
 
 def test_fuse_gradient_against_finite_differences():
     rng = np.random.default_rng(9)
-    lam = en.importance([rng.normal(size=4), rng.normal(size=4)])
+    lam = en.importance(rng.normal(size=(2, 4)))
 
     def f(vals):
         return en.fuse(list(vals), lam).square().sum()
@@ -175,7 +175,7 @@ def test_enhance_bundle_consistency():
     rng = np.random.default_rng(10)
     feats = [Value(rng.normal(size=4)) for _ in range(2)]
     stats = [_fresh(4) for _ in range(2)]
-    lam = en.importance([normalize(f, s, CFG.stats_eps).data for f, s in zip(feats, stats)])
+    lam = en.importance(np.stack([normalize(f, s, CFG.stats_eps).data for f, s in zip(feats, stats)]))
     fused = en.fuse(feats, lam)
     weighted = [l * f.data for f, l in zip(feats, lam)]
     for i, w in enumerate(weighted):

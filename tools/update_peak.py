@@ -24,9 +24,13 @@ and ``Adam.step`` for the traced update only.
 
 For the same workloads it prints the traced peak of ``cli.save_checkpoint``
 of a trainer after ``WARMUP`` updates, the peak of ``cli.load_checkpoint`` of
-that file into a new trainer, and the file's size. The save writes each
-array a slice at a time, so its peak does not grow with the largest
-parameter; the load parses the whole file.
+that file into a new trainer, the file's size, and the share of the
+parameters' values whose text ``cli._digit_rows`` wrote rather than the
+per-value ``repr``, counted over an untraced save before the traced one (it
+also builds the digit tables, so the traced peak does not hang on which save
+of the process ran first). The save writes each array a slice at a time, so
+its peak does not grow with the largest parameter; the load parses the whole
+file.
 
 For the benchmark's evaluation workload (``EVAL_WORKLOAD``, built as
 perfbench builds it, with seed ``SEED``) it prints the memory a trainer holds
@@ -147,15 +151,34 @@ def _traced_peak(fn, *args) -> float:
         tracemalloc.stop()
 
 
+def _digit_rows_share(path: str, trainer: agent.Trainer) -> float:
+    """Save ``trainer`` to ``path``; return the share of its parameters' values that ``cli._digit_rows`` wrote."""
+    rows, written = cli._digit_rows, 0
+
+    def counted(values):
+        nonlocal written
+        out = rows(values)
+        written += values.size - int(out[1].sum())  # less the values it left to the per-value text
+        return out
+
+    cli._digit_rows = counted
+    try:
+        cli.save_checkpoint(path, trainer)
+    finally:
+        cli._digit_rows = rows
+    return written / sum(p.data.size for p in trainer.named_parameters().values())
+
+
 def checkpoint_peaks(env: str, method: str) -> tuple:
     """(peak MB of saving a trainer after ``WARMUP`` updates, peak MB of loading the file into a new trainer,
-    MB of the file)."""
+    MB of the file, share of the parameters' values the digit rows wrote)."""
     trainer, fresh = _trainer(env, method, WARMUP), _trainer(env, method)
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "checkpoint.json")
+        share = _digit_rows_share(path, trainer)
         save = _traced_peak(cli.save_checkpoint, path, trainer)
         load = _traced_peak(cli.load_checkpoint, path, fresh)
-        return save, load, os.path.getsize(path) / MB
+        return save, load, os.path.getsize(path) / MB, share
 
 
 def acting_memory(env: str, method: str) -> tuple:
@@ -184,8 +207,9 @@ def main() -> int:
             where = "{} operand {} {}".format(*where)
         before = " ".join(f"{mb:.2f}" for mb in live)
         print(f"{env:<14} {method:<14} peak {peak:6.2f} MB at {where}  live before each backward {before} MB")
-        save, load, size = checkpoint_peaks(env, method)
-        print(f"{env:<14} {method:<14} checkpoint: save peak {save:.2f} MB, load peak {load:.2f} MB, file {size:.2f} MB")
+        save, load, size, share = checkpoint_peaks(env, method)
+        print(f"{env:<14} {method:<14} checkpoint: save peak {save:.2f} MB, load peak {load:.2f} MB, file {size:.2f} MB, "
+              f"digit rows wrote {share:.4f} of the parameters' values")
     held, peak, params = acting_memory(*EVAL_WORKLOAD)
     print(f"{EVAL_WORKLOAD[0]:<14} {EVAL_WORKLOAD[1]:<14} acting only: held once built {held:.2f} MB, "
           f"peak over {EVAL_EPISODES} evaluation episodes {peak:.2f} MB, parameters {params:.2f} MB")
