@@ -15,18 +15,24 @@ the memo, the conv stack and the input projection); everything after it
 runs once per step on (M, ·) stacks. The recurrent state is one
 ``RecurrentState`` of (M, 32) ``h`` and ``c``, one ``autodiff.lstm_step``
 steps all M rows, and the normalization, ``importance``, the fusion and the
-λ-trace means each run once on the (M, L) stack. An acting span is one
-``collect_rollout`` or one ``run_eval`` episode; neither the parameters nor
-the modality statistics change within it, so ``_acting_span`` takes once
-per span what depends only on them (an ``ActingSpan``): each extractor's
-``acting_arrays``, the (M, 4H, H) stack of the recurrent weights, the
-statistics' μ and scale stacks (``_norm``) and the actor's three (w, b)
-pairs. Each modality whose observations can repeat gets a fresh memo of
-LSTM input drives keyed by observation bytes, which holds at most
-``rollout_length`` or ``EPISODE_CAP`` entries; a modality in
-``envs.NOISY_MODALITIES`` gets none, since its fresh noise never repeats.
-An update takes the statistics' stacks once, after its statistics update,
-for its λ; the bootstrap value steps once under an acting span of its own.
+λ-trace means each run once on the (M, L) stack. Neither the parameters
+nor the modality statistics change within an acting span, so
+``_acting_span`` takes once per span what depends only on them (an
+``ActingSpan``): each extractor's ``acting_arrays``, the (M, 4H, H) stack of
+the recurrent weights, the statistics' μ and scale stacks (``_norm``) and
+the actor's three (w, b) pairs. Each modality whose observations can repeat
+gets a fresh memo of LSTM input drives keyed by observation bytes; a
+modality in ``envs.NOISY_MODALITIES`` gets none, since its fresh noise never
+repeats. A training span is one ``collect_rollout``, whose memo holds at
+most ``rollout_length`` entries and is dropped with it. Evaluation keeps one
+span, memos included, across episodes and ``run_eval`` calls, until
+``drop_eval_span`` forgets it: ``_apply`` calls it before the Adam step,
+``train_step`` before the statistics update, and ``cli.load_checkpoint``
+once a file is accepted. An evaluation memo keeps the drive alone, and one
+that holds ``EPISODE_CAP`` entries when an episode starts is emptied, so it
+stays below 2 × ``EPISODE_CAP``. An update takes the statistics' stacks
+once, after its statistics update, for its λ; the bootstrap value steps
+once under an acting span of its own.
 Both backward passes replay the rollout in batch form
 (``_ExtractorBase.forward_sequence``), each modality's features as one
 (T, 32) matrix. Acting records its forward in the buffer
@@ -64,6 +70,7 @@ from . import alignment as al
 from . import enhancement as en
 from .autodiff import Value
 from .envs import NOISY_MODALITIES
+from .envs.base import EPISODE_CAP
 from .extractors import FEATURE_DIM, ActingRecord, RecurrentState, build_extractor, uniform_init
 
 METHODS = ("maie", "concat", "fixed_weights", "no_align", "no_ie")
@@ -318,6 +325,7 @@ class Trainer:
 
         self._obs = None
         self._states = self._initial_states()
+        self._eval_span = None  # run_eval's ActingSpan, held until drop_eval_span
         self.episode = 0
         self.env_steps = 0
         self._ep_return = 0.0
@@ -418,7 +426,12 @@ class Trainer:
         return row
 
     def _acting_span(self) -> ActingSpan:
-        """What a span of acting reads, taken once; it holds only while no parameter or statistic changes."""
+        """What a span of acting reads, taken once, with fresh memos; it holds only while no parameter or statistic changes.
+
+        ``collect_rollout`` and ``_bootstrap_value`` take one per call and
+        hold none; ``run_eval`` keeps one in ``_eval_span`` until
+        ``drop_eval_span``.
+        """
         exs = self.extractors
         inputs = tuple((m, exs[m], exs[m].acting_arrays(), None if m in NOISY_MODALITIES else {}) for m in self.modalities)
         w_hh = np.array([exs[m].params["lstm.w_hh"].data for m in self.modalities])
@@ -516,6 +529,7 @@ class Trainer:
         sim_val, td_val = self._srl_step(buf, initial_states) if self.use_align else (0.0, 0.0)
 
         if self.use_ie:
+            self.drop_eval_span()
             # the rollout is the statistics mini-batch
             for m in self.modalities:
                 self.stats[m].update(np.stack(buf.features[m]), cfg.xi)
@@ -571,6 +585,7 @@ class Trainer:
         """The one update step: backward, clip the global grad norm to grad_clip, Adam, zero the grads."""
         ad.backward(loss)
         ad.clip_grad_norm(params, self.cfg.grad_clip)
+        self.drop_eval_span()
         self.opt.step(params)
         ad.zero_grads(params)
 
@@ -583,15 +598,35 @@ class Trainer:
         return self.metrics_rows
 
     def run_eval(self, episodes: int) -> list:
-        """Roll episodes with frozen parameters and statistics; returns episode rows."""
+        """Roll episodes with frozen parameters and statistics; returns episode rows.
+
+        Every episode, of this call and of later ones, acts under one held
+        ``ActingSpan``, built on first use, so a memo keeps the drives of
+        observations seen in earlier episodes; one that holds ``EPISODE_CAP``
+        entries when an episode starts is emptied first. The span lives
+        until ``drop_eval_span``, which ``_apply``, ``train_step`` and
+        ``cli.load_checkpoint`` call before they change what it read. Code
+        that writes a parameter's ``Value.data`` or a ``ModalityStats``
+        directly must call ``drop_eval_span`` too, or the next evaluation
+        acts on what the span took before the write.
+        """
+        if self._eval_span is None:
+            self._eval_span = self._acting_span()
+        span = self._eval_span
         rows = []
         for _ in range(episodes):
             self._obs = None  # every evaluation episode starts fresh
-            span = self._acting_span()  # a memo holds at most one entry per step of the episode
+            for *_, memo in span.inputs:  # an episode adds at most EPISODE_CAP entries
+                if memo is not None and len(memo) >= EPISODE_CAP:
+                    memo.clear()
             while (row := self._act_step("eval", span)) is None:
                 pass
             rows.append(row)
         return rows
+
+    def drop_eval_span(self):
+        """Forget ``run_eval``'s held span and its memos; call it before a parameter or a statistic changes."""
+        self._eval_span = None
 
     # -- parameters ----------------------------------------------------------
 

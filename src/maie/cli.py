@@ -127,17 +127,48 @@ def read_metrics_csv(path: str) -> dict:
     return {h: np.asarray(v) for h, v in cols.items()}
 
 
+def _float_lines(rows: list, width: int) -> Iterator[str]:
+    """``_write_csv``'s lines of rows ``(*columns, floats)``, each of ``width`` floats, a block of rows at a time.
+
+    The floats of a block of up to ``SLICE_FLOATS`` values go to
+    ``_float_text`` as one array, with ``repr``'s spelling of a non-finite
+    value, and each row's other columns, strings and integers that ``str``
+    writes as ``_fmt`` does, are spliced in before its floats.
+    """
+    per = max(1, SLICE_FLOATS // width)
+    head = "%s," * (len(rows[0]) - 1) if rows else ""
+    for i in range(0, len(rows), per):
+        block = rows[i : i + per]
+        text = _float_text(np.array([r[-1] for r in block], dtype=np.float64).reshape(-1), _repr_text)
+        ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord(","))[width - 1 :: width].tolist()
+        starts = [0, *[end + 1 for end in ends]]
+        ends.append(len(text))
+        yield "".join([head % row[:-1] + text[a:b] + "\n" for row, a, b in zip(block, starts, ends)])
+
+
 def _write_lambda_trace(path: str, rows: list, modalities: list):
     header = ["phase", "episode", "step", "audio_class"] + [f"lambda_{m}" for m in modalities]
-    _write_csv(path, header, ((phase, ep, st, ac, *lams) for phase, ep, st, ac, lams in rows))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], _float_lines(rows, len(modalities))))
 
 
 def _write_embeddings(path: str, rows: list):
     header = ["phase", "episode", "step", "modality"] + [f"f{i}" for i in range(FEATURE_DIM)]
-    _write_csv(path, header, ((phase, ep, st, mod, *vec.tolist()) for phase, ep, st, mod, vec in rows))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], _float_lines(rows, FEATURE_DIM)))
 
 
 _dumps = functools.partial(json.dumps, separators=(",", ":"))
+
+
+def _json_text(values: list) -> str:
+    """``_dumps`` of a list of floats, brackets stripped: ``NaN`` and ``Infinity`` for the non-finite."""
+    return _dumps(values)[1:-1]
+
+
+def _repr_text(values: list) -> str:
+    """The ``repr`` of each float, joined by commas: ``nan`` and ``inf`` for the non-finite, as ``_fmt`` writes them."""
+    return ",".join(map(repr, values))
+
+
 SLICE_FLOATS = 3 * 512  # floats encoded at a time; a multiple of 3, as 24 bytes are 32 base64 characters
 _FAST_MIN = 256  # below this many values the per-value text costs less than the digit rows' fixed cost
 _TIE = 1e-9  # a rounding decision this near a tie or the half spacing is left to the per-value text
@@ -253,16 +284,22 @@ def _digit_rows(values: np.ndarray) -> tuple:
     return rows, slow
 
 
-def _float_text(values: np.ndarray) -> str:
-    """``_dumps(values.tolist())[1:-1]`` of a 1-D float64 array, most values written by ``_digit_rows``."""
+def _float_text(values: np.ndarray, text=_json_text) -> str:
+    """``text(values.tolist())`` of a 1-D float64 array, most values written by ``_digit_rows``.
+
+    ``text`` is ``_json_text`` or ``_repr_text``, which differ only in the
+    spelling of a non-finite value; ``_digit_rows`` leaves those to it.
+    """
     if values.size < _FAST_MIN:
-        return _dumps(values.tolist())[1:-1]
+        return text(values.tolist())
     rows, slow = _digit_rows(values)
     cuts = np.flatnonzero(slow)
-    per_value = _dumps(values[cuts].tolist())[1:-1].encode("ascii").split(b",")
+    if 2 * cuts.size > values.size:  # splicing most values in costs more than writing them all one by one
+        return text(values.tolist())
+    per_value = text(values[cuts].tolist()).encode("ascii").split(b",")
     raw, width, start, pieces = memoryview(rows).cast("B"), rows.strides[0], 0, []
-    for cut, text in zip(cuts.tolist(), per_value):
-        pieces += (raw[start * width : cut * width], b",", text)
+    for cut, piece in zip(cuts.tolist(), per_value):
+        pieces += (raw[start * width : cut * width], b",", piece)
         start = cut + 1
     pieces.append(raw[start * width :])
     return b"".join(pieces).translate(None, b"\0")[1:].decode("ascii")
@@ -485,6 +522,7 @@ def load_checkpoint(path: str, trainer: Trainer):
         if type(t) is not int or t < 1:  # a step count below 1 divides by zero in the bias correction
             raise ValueError(f"checkpoint adam {key}: step count t={t!r} is not an integer >= 1")
         state[p] = [m, v, t]
+    trainer.drop_eval_span()
     for name, p in params.items():
         p.data[...] = arrays[name]
     trainer.stats.update(stats)

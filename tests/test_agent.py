@@ -10,7 +10,7 @@ import pytest
 
 from maie import agent as ag
 from maie import autodiff as ad
-from maie import envs
+from maie import cli, envs
 from maie.autodiff import Value
 from maie.envs.base import EPISODE_CAP
 
@@ -649,6 +649,12 @@ def test_acting_memo_changes_no_result(env_name):
     assert len({o.audio.tobytes() for o in bufs[0].observations}) == steps  # noisy audio never repeats
     assert 0 < len(memos["visual"][steps]) < episode_steps  # the grid does
 
+    # later evaluation episodes, of this call and the next, act under the same span and memos
+    assert cached.run_eval(2) == plain.run_eval(2)
+    assert cached.lambda_rows == plain.lambda_rows
+    for m in set(cached.modalities) - envs.NOISY_MODALITIES:
+        assert all(d is memos[m][steps] for d in memos[m][steps:]), m
+
 
 @pytest.mark.parametrize("method", ["maie", "concat", "fixed_weights"])
 @pytest.mark.parametrize("env_name", list(envs.ENV_NAMES))
@@ -725,3 +731,114 @@ def test_acting_memo_lives_only_while_parameters_are_fixed(monkeypatch):
     # a memo kept from the last rollout would have been read: its grids recur in this one
     seen = {o.visual.tobytes() for o in bufs[id(cached)][-2].observations}
     assert any(o.visual.tobytes() in seen for o in new.observations)
+
+
+# -- the evaluation span ---------------------------------------------------------
+
+
+def _span_per_episode(tr):
+    """Make ``tr`` build a new acting span, memos included, for every evaluation episode."""
+    run_eval = tr.run_eval
+
+    def per_episode(episodes):
+        rows = []
+        for _ in range(episodes):
+            tr.drop_eval_span()
+            rows += run_eval(1)
+        return rows
+
+    tr.run_eval = per_episode
+    return tr
+
+
+def _assert_same_evaluation(held, twin, calls):
+    """``run_eval(n)`` for each n of ``calls`` on both trainers: rows, λ trace, embeddings and state bitwise equal."""
+    for n in calls:
+        assert repr(held.run_eval(n)) == repr(twin.run_eval(n))
+    assert repr(held.lambda_rows) == repr(twin.lambda_rows)
+    assert len(held.embedding_rows) == len(twin.embedding_rows)
+    for a, b in zip(held.embedding_rows, twin.embedding_rows):
+        assert a[:4] == b[:4] and a[4].tobytes() == b[4].tobytes()
+    assert held._states.h.tobytes() == twin._states.h.tobytes()
+    assert held._states.c.tobytes() == twin._states.c.tobytes()
+
+
+@pytest.mark.parametrize("method", ag.METHODS)
+@pytest.mark.parametrize("env_name", list(envs.ENV_NAMES))
+def test_evaluation_keeps_one_span_across_episodes_and_calls(env_name, method):
+    held, twin = _make_trainer(method, env_name, seed=5), _span_per_episode(_make_trainer(method, env_name, seed=5))
+    memos = _count_memos(held)
+    _assert_same_evaluation(held, twin, (1, 1, 1, 2))
+    visual = memos["visual"]
+    assert len(visual) > 5 and type(visual[0]) is dict and all(d is visual[0] for d in visual)
+
+
+@pytest.mark.parametrize("method", ["maie", "no_align"])
+def test_evaluation_span_is_dropped_before_a_parameter_or_statistic_changes(method, tmp_path):
+    held, twin = _make_trainer(method, seed=7), _span_per_episode(_make_trainer(method, seed=7))
+    _assert_same_evaluation(held, twin, (1,))
+    for tr in (held, twin):
+        tr.train_step()
+    _assert_same_evaluation(held, twin, (1,))
+
+    for tr in (held, twin):  # a lone update step, outside any train_step, moving every parameter
+        params = list(tr.named_parameters().values())
+        loss = params[0].square().sum()
+        for p in params[1:]:
+            loss = loss + p.square().sum()
+        tr._apply(loss, params)
+    _assert_same_evaluation(held, twin, (1,))
+
+    for tr in (held, twin):  # a train_step that aborts after its statistics update, before any Adam step of no_align
+        tr.head.critic_values = lambda fused: Value(np.full(fused.data.shape[0], np.nan))
+        with pytest.raises(ag.NumericalError):
+            tr.train_step()
+        del tr.head.critic_values
+    _assert_same_evaluation(held, twin, (1,))
+
+    other = _make_trainer(method, seed=8)
+    other.train_step()
+    path = str(tmp_path / "checkpoint.json")
+    cli.save_checkpoint(path, other)
+    for tr in (held, twin):
+        cli.load_checkpoint(path, tr)
+    _assert_same_evaluation(held, twin, (1,))
+
+
+def test_a_rollout_after_evaluation_records_every_step():
+    # the rollout takes a span of its own, though evaluation's memo holds some of its observations
+    tr = _make_trainer(seed=9)
+    tr.run_eval(1)
+    buf = tr.collect_rollout()
+    steps = tr.cfg.rollout_length
+    for m in tr.modalities:
+        assert [len(layer) for layer in buf.recorded[m].conv] == [steps] * 3, m
+        assert all(type(out) is np.ndarray for layer in buf.recorded[m].conv for out in layer), m
+    memo = tr._eval_span.inputs[tr.modalities.index("visual")][3]
+    assert all(convs is None for convs, _ in memo.values())  # an evaluation entry keeps the drive alone
+    assert any((o.visual.dtype.str, o.visual.tobytes()) in memo for o in buf.observations)
+
+
+def test_an_evaluation_memo_stays_below_twice_the_episode_cap():
+    # mining_plus shows about 200 distinct grids over 500 untrained episodes
+    tr = _make_trainer(env_name="mining_plus", seed=3)
+    sizes, forward = {m: [] for m in tr.modalities}, {}
+    for m, e in tr.extractors.items():
+        def sized(obs, arrays, drives=None, record=None, forward=e.forward, seen=sizes[m]):
+            out = forward(obs, arrays, drives, record)
+            seen.append(-1 if drives is None else len(drives))
+            return out
+
+        e.forward = sized
+    starts = []
+    for _ in range(40):
+        starts.append(len(sizes["visual"]))
+        tr.run_eval(1)
+    for m, seen in sizes.items():
+        if m in envs.NOISY_MODALITIES:
+            assert set(seen) == {-1}, m
+            continue
+        assert max(seen) < 2 * EPISODE_CAP, m
+        assert all(seen[i] <= EPISODE_CAP for i in starts), m  # emptied at an episode start, then one entry
+    ends = [sizes["visual"][i - 1] for i in starts[1:]]
+    assert any(n >= EPISODE_CAP for n in ends)  # the memo passed the cap, and was emptied

@@ -726,6 +726,16 @@ def test_an_array_around_the_cutoff_and_the_slice_size_is_written_as_repr_does(n
     assert "".join(cli._json_chunks(cli._Floats(arr))) == json.dumps(arr.tolist(), separators=(",", ":"))
 
 
+@pytest.mark.parametrize("value", [1.0, 0.5, 0.0, math.nan])
+def test_an_array_of_mostly_left_out_values_is_written_as_repr_does(value):
+    # concat's λ trace is all 1.0 and fixed_weights' mostly 0.5: every value, or most, is left to the per-value text
+    arr = np.full(K, value)
+    _assert_float_text(arr)
+    arr[::3] = 0.25 + np.arange(arr[::3].size) * 1e-5
+    _assert_float_text(arr)
+    assert cli._float_text(arr, cli._repr_text) == ",".join(map(repr, arr.tolist()))
+
+
 _BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64)))
 _IN_RANGE = st.floats(1e-4, 1.0, exclude_max=True) | st.floats(-1.0, -1e-4, exclude_min=True)
 _SHORT = st.integers(1, 10**6).flatmap(lambda i: st.sampled_from([i / 10**k for k in range(7, 11)]))
@@ -740,6 +750,32 @@ def test_any_float64_is_written_as_repr_does(drawn, seed):
     arr = rng.uniform(-1.0, 1.0, cli._FAST_MIN + len(drawn))
     arr[rng.choice(arr.size, len(drawn), replace=False)] = drawn
     _assert_float_text(arr)
+
+
+@pytest.mark.parametrize("width", [1, 3, 32])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, cli.SLICE_FLOATS // 32 + 1, cli.SLICE_FLOATS // 3 + 1])
+def test_the_trace_and_embedding_lines_are_those_of_repr(width, n_rows, tmp_path):
+    # the float text goes a block of rows at a time through the digit rows, and a non-finite value keeps
+    # repr's nan and inf (json writes NaN and Infinity), against the per-value _write_csv the writers replace
+    rng = np.random.default_rng(width * 1000 + n_rows)
+    floats = rng.uniform(-1.0, 1.0, (n_rows, width)) * 10.0 ** -rng.integers(0, 6, (n_rows, width))
+    special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 0.5, 5e-324, 1e300, 0.1]
+    floats.flat[rng.choice(floats.size, min(floats.size, len(special)), replace=False)] = special[: floats.size]
+    for write, columns, vec in ((cli._write_lambda_trace, ("eval", 3, 17, -1), tuple),
+                                (cli._write_embeddings, ("train", 0, 5, "visual"), np.array)):
+        rows = [(*columns[:2], i, columns[3], vec(f.tolist())) for i, f in enumerate(floats)]
+        want = [["h"] * 5] + [[*r[:-1], *np.asarray(r[-1]).tolist()] for r in rows]
+        cli._write_csv(str(tmp_path / "want.csv"), want[0], want[1:])
+        if write is cli._write_lambda_trace:
+            write(str(tmp_path / "got.csv"), rows, [f"m{i}" for i in range(width)])
+        elif width == 32:
+            write(str(tmp_path / "got.csv"), rows)
+        else:
+            continue
+        got, want = ((tmp_path / f).read_text().split("\n")[1:] for f in ("got.csv", "want.csv"))
+        wrong = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert wrong is None, (wrong, got[wrong], want[wrong])
+        assert len(got) == len(want) == n_rows + 1  # the last line's newline, then nothing
 
 
 def _bogus_parameter(payload):

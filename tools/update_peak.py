@@ -40,7 +40,11 @@ built, and the bytes of its parameters' arrays. A first trainer plays one
 episode untraced, so what the process keeps for any trainer (lazy imports,
 ``gather_index``'s cache) is not counted. The held figure then repeats
 exactly whatever ran before in the process; the peak moves by a few
-hundredths of a MB from run to run.
+hundredths of a MB from run to run. It also prints how many LSTM input
+drives those episodes computed for the modalities with a memo (those not in
+``envs.NOISY_MODALITIES``): the memo's misses, counted as calls of the
+extractor's ``_conv_input``, which ``forward`` makes on a miss only. The
+count is exact for a seed and a BLAS kernel set.
 """
 
 from __future__ import annotations
@@ -181,8 +185,22 @@ def checkpoint_peaks(env: str, method: str) -> tuple:
         return save, load, os.path.getsize(path) / MB, share
 
 
+def _count_drives(trainer: agent.Trainer) -> list:
+    """Count in the returned one-item list the input drives ``trainer`` computes for its modalities with a memo."""
+    computed = [0]
+    for m, ex in trainer.extractors.items():
+        if m not in envs.NOISY_MODALITIES:
+            def counted(obs, conv_input=ex._conv_input):
+                computed[0] += 1
+                return conv_input(obs)
+
+            ex._conv_input = counted
+    return computed
+
+
 def acting_memory(env: str, method: str) -> tuple:
-    """(MB held by a trainer once built, peak MB over it and ``EVAL_EPISODES`` evaluation episodes, MB of its parameters)."""
+    """(MB held by a trainer once built, peak MB over it and ``EVAL_EPISODES`` evaluation episodes, MB of its parameters,
+    input drives those episodes computed for the modalities with a memo)."""
     def build():
         return agent.Trainer(envs.make_env(env, SEED), agent.TrainConfig(method=method, seed=SEED))
 
@@ -191,13 +209,14 @@ def acting_memory(env: str, method: str) -> tuple:
     try:
         trainer = build()
         held = tracemalloc.get_traced_memory()[0]
+        computed = _count_drives(trainer)
         for _ in range(EVAL_EPISODES):
             trainer.run_eval(1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     params = sum(p.data.nbytes for p in trainer.named_parameters().values())
-    return held / MB, peak / MB, params / MB
+    return held / MB, peak / MB, params / MB, computed[0]
 
 
 def main() -> int:
@@ -210,9 +229,10 @@ def main() -> int:
         save, load, size, share = checkpoint_peaks(env, method)
         print(f"{env:<14} {method:<14} checkpoint: save peak {save:.2f} MB, load peak {load:.2f} MB, file {size:.2f} MB, "
               f"digit rows wrote {share:.4f} of the parameters' values")
-    held, peak, params = acting_memory(*EVAL_WORKLOAD)
+    held, peak, params, computed = acting_memory(*EVAL_WORKLOAD)
     print(f"{EVAL_WORKLOAD[0]:<14} {EVAL_WORKLOAD[1]:<14} acting only: held once built {held:.2f} MB, "
-          f"peak over {EVAL_EPISODES} evaluation episodes {peak:.2f} MB, parameters {params:.2f} MB")
+          f"peak over {EVAL_EPISODES} evaluation episodes {peak:.2f} MB, parameters {params:.2f} MB, "
+          f"input drives computed {computed}")
     return 0
 
 
