@@ -49,6 +49,12 @@ Each episode fact is stored once. The step count is the environment's
 (``lambda_rows``, one row of per-modality means per step) is the one
 record of λ, and a metrics row's λ is the mean of its episode's trace
 rows. Both backward passes go through one update step, ``Trainer._apply``.
+The parameter registry lives in one ``autodiff.FlatStore``, in registry
+order, so each of the update's Adam step, clipping and zeroing does each
+operation once per run of parameters at one step count: maie's alignment
+step has one run, the extractors, and its actor-critic step two, the
+extractors at step count 2k and the head at k; the other methods' one step
+has one.
 
 An update holds each array only while something still reads it. The SRL
 step runs in its own method, ``Trainer._srl_step``, so its graph (the first
@@ -318,6 +324,7 @@ class Trainer:
         self._params = {f"{m}.{k}": p for m in self.modalities for k, p in self.extractors[m].params.items()}
         self.phi_params = list(self._params.values())
         self._params.update({f"head.{k}": p for k, p in self.head.params.items()})
+        ad.FlatStore(self._params.values())  # each parameter's data a view of one buffer, in registry order
         self.opt = ad.Adam(cfg.lr)
 
         self.use_align = cfg.method in ("maie", "no_ie")
@@ -631,6 +638,10 @@ class Trainer:
     # -- parameters ----------------------------------------------------------
 
     def named_parameters(self) -> dict:
-        """The one parameter registry, name -> Value: extractors by modality, then the head."""
+        """The one parameter registry, name -> Value: extractors by modality, then the head.
+
+        Each parameter's ``data`` is a view of the registry's ``FlatStore``, in
+        this order; write it in place, never rebind it.
+        """
         return self._params
 

@@ -210,15 +210,20 @@ def _digit_tables() -> tuple:
             np.frombuffer(keep, "<u8").reshape(-1, 2).T.copy())
 
 
-def _digit_rows(values: np.ndarray) -> tuple:
+def _left_out(x: np.ndarray) -> np.ndarray:
+    """Where the digit rows leave a value to the per-value text whatever its digits, given the values' ``np.abs``:
+    outside ``[1e-4, 1)`` (NaN included) or a power of two."""
+    slow = ~((x >= 1e-4) & (x < 1.0))
+    slow |= x.view(np.int64) & _MANTISSA == 0  # a power of two's lower neighbour is half as far as its upper one
+    return slow
+
+
+def _digit_rows(values: np.ndarray, x: np.ndarray, slow: np.ndarray) -> tuple:
     """``(rows, slow)`` of a 1-D float64 array: row ``i`` holds ``"," + repr(values[i])`` as three uint64 words
-    padded with NULs, except where ``slow[i]``, which marks the values left to the per-value text. ``_Floats``
-    gives the method.
+    padded with NULs, except where ``slow[i]``, which marks the values left to the per-value text. ``x`` is
+    ``np.abs(values)`` and ``slow`` its ``_left_out``, both taken over. ``_Floats`` gives the method.
     """
     groups, heads, keep = _digit_tables()
-    x = np.abs(values)
-    slow = ~((x >= 1e-4) & (x < 1.0))  # NaN included
-    slow |= x.view(np.int64) & _MANTISSA == 0  # a power of two's lower neighbour is half as far as its upper one
     np.copyto(x, 0.5, where=slow)  # a value in range, so that no step below warns; their rows are not read
     z = (x < 0.1).astype(np.intp)  # zeros after "0."
     z += x < 0.01
@@ -292,9 +297,13 @@ def _float_text(values: np.ndarray, text=_json_text) -> str:
     """
     if values.size < _FAST_MIN:
         return text(values.tolist())
-    rows, slow = _digit_rows(values)
+    x = np.abs(values)
+    slow = _left_out(x)
+    if 2 * np.count_nonzero(slow) > values.size:  # splicing most values in costs more than writing them one by one
+        return text(values.tolist())
+    rows, slow = _digit_rows(values, x, slow)
     cuts = np.flatnonzero(slow)
-    if 2 * cuts.size > values.size:  # splicing most values in costs more than writing them all one by one
+    if 2 * cuts.size > values.size:  # the values left out at a rounding tie tipped the count
         return text(values.tolist())
     per_value = text(values[cuts].tolist()).encode("ascii").split(b",")
     raw, width, start, pieces = memoryview(rows).cast("B"), rows.strides[0], 0, []
@@ -475,9 +484,11 @@ def load_checkpoint(path: str, trainer: Trainer):
     ``save_checkpoint`` would not write again (a table, a parameter or stats
     modality the trainer does not have, or a field of an entry), and
     KeyError on a missing entry. The file is checked whole first, so a
-    rejected one changes nothing. An accepted one replaces Adam's state
-    whole: a parameter with no saved entry has none after the load, as in
-    the trainer that saved it.
+    rejected one changes nothing. An accepted one writes the parameters in
+    place, so they stay views of the trainer's ``FlatStore``, and replaces
+    Adam's state whole (``Adam.restore``): the saved moments are copied into
+    the moment buffers, and a parameter with no saved entry has none after
+    the load, its slots zeroed, as in the trainer that saved it.
     """
     with open(path) as fh:
         payload = _object(json.load(fh), "file")
@@ -521,12 +532,12 @@ def load_checkpoint(path: str, trainer: Trainer):
         t = entry["t"]
         if type(t) is not int or t < 1:  # a step count below 1 divides by zero in the bias correction
             raise ValueError(f"checkpoint adam {key}: step count t={t!r} is not an integer >= 1")
-        state[p] = [m, v, t]
+        state[p] = (m, v, t)
     trainer.drop_eval_span()
     for name, p in params.items():
         p.data[...] = arrays[name]
     trainer.stats.update(stats)
-    opt.state = state
+    opt.restore(state)
 
 
 def _refuse_used(directory: str) -> None:

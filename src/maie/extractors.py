@@ -182,9 +182,12 @@ class _ExtractorBase:
         )
         return layers, p["lstm.w_ih"].data, p["lstm.b"].data
 
-    def _check_obs(self, obs: np.ndarray):
-        if tuple(obs.shape) != self.input_shape:
-            raise ValueError(f"{self.name}: observation shape {obs.shape} != expected {self.input_shape}")
+    def _check_shape(self, obs: np.ndarray):
+        if np.shape(obs) != self.input_shape:
+            raise ValueError(f"{self.name}: observation shape {np.shape(obs)} != expected {self.input_shape}")
+
+    def _check_values(self, observations):
+        """Check the values of one observation, or of a list of them at once; any values pass unless a subclass says."""
 
     def forward(self, obs: np.ndarray, arrays: tuple, drives: dict | None, record: ActingRecord | None):
         """One observation's LSTM input drive, graph-free: the (4H,) ``w_ih @ conv output + b``.
@@ -198,14 +201,16 @@ class _ExtractorBase:
         that records hands a record on every call, so its memo also keeps each
         miss's conv outputs for the hits to append. A span that does not
         (evaluation) keeps the drive alone and builds no list of outputs. The
-        observation is checked on every call.
+        observation's shape is checked on every call, since the memo key holds
+        none, and its values on a miss: a hit's bytes passed on their miss.
         """
-        self._check_obs(obs)
+        self._check_shape(obs)
         key = hit = None
         if drives is not None:
             key = (obs.dtype.str, obs.tobytes())
             hit = drives.get(key)
         if hit is None:
+            self._check_values(obs)
             layers, w_ih, b = arrays
             x = self._conv_input(obs)
             convs = None if record is None else []
@@ -234,10 +239,12 @@ class _ExtractorBase:
         ``recorded``, when given, is the ``ActingRecord`` that acting filled
         while stepping through these observations from ``state`` under the
         current parameters; the nodes are built from its arrays, and its conv
-        outputs are taken out. Without it the forward is recomputed.
+        outputs are taken out. Without it the forward is recomputed. Each
+        observation's shape is checked, then the values of all at once.
         """
         for obs in observations:
-            self._check_obs(obs)
+            self._check_shape(obs)
+        self._check_values(observations)
         p = self.params
         z = self._conv_stack(self._conv_batch(observations), recorded).reshape((len(observations), self.flat_dim))
         sx = ad.matmul(z, ad.transpose(p["lstm.w_ih"], (1, 0))) + p["lstm.b"]  # (T, 4H)
@@ -276,10 +283,10 @@ class TextExtractor(_ExtractorBase):
     def _input_params(self, rng: np.random.Generator) -> dict:
         return {"embed.table": Value(uniform_init(rng, (TEXT_EMBED_DIM, self.vocab_size), TEXT_EMBED_DIM), requires_grad=True)}
 
-    def _check_obs(self, obs: np.ndarray):
-        obs = np.asarray(obs)
-        super()._check_obs(obs)
-        if obs.max(initial=0) >= self.vocab_size or obs.min(initial=0) < 0:
+    def _check_values(self, observations):
+        """Every token id lies in ``[0, vocab_size)``: two reductions over one observation or a stacked list of them."""
+        ids = np.asarray(observations)
+        if ids.max(initial=0) >= self.vocab_size or ids.min(initial=0) < 0:
             raise ValueError(f"{self.name}: token id outside vocabulary of size {self.vocab_size}")
 
     def _conv_input(self, obs: np.ndarray) -> np.ndarray:

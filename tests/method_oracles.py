@@ -14,6 +14,9 @@ input gradient back with one strided ``+=`` per kernel tap.
 ``adam_reference`` is ``autodiff.Adam.step`` written the direct way, a new
 array for each operation of the formulas.
 
+``clip_reference`` is ``autodiff.clip_grad_norm`` one parameter at a time:
+each one's squares summed by ``np.sum``, each one's grad scaled alone.
+
 ``checkpoint_text`` is ``cli.save_checkpoint``'s file built the direct way:
 the whole payload in memory, then one ``json.dumps``.
 
@@ -137,6 +140,21 @@ def adam_reference(opt, params):
         v_hat = v / (1.0 - b2**t)
         p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         st[2] = t
+
+
+def clip_reference(params, max_norm: float) -> float:
+    """``autodiff.clip_grad_norm(params, max_norm)``, one parameter at a time."""
+    total = 0.0
+    for p in params:
+        if p.grad is None:
+            raise ValueError("clip_reference: a parameter has no grad")
+        total += float(np.sum(p.grad * p.grad))
+    norm = total**0.5
+    if norm > max_norm:
+        scale = max_norm / (norm + 1e-12)
+        for p in params:
+            p.grad *= scale
+    return norm
 
 
 def checkpoint_text(trainer) -> str:

@@ -369,6 +369,22 @@ def test_graph_nodes_per_update_are_pinned_per_kind(recorded_nodes):
     assert {env: dict(c) for env, c in recorded_nodes.items()} == NODES_PER_UPDATE
 
 
+# the runs each Adam.step of one update steps (autodiff._runs: consecutive slots of the one buffer at one step
+# count), for the benchmark's train workloads: maie's alignment step takes the extractors, and its actor-critic
+# step the extractors at step count 2k and the head at k; concat steps the whole registry at once
+ADAM_RUNS_PER_UPDATE = {("hetero_nav", "maie"): [1, 2], ("mining_plus", "concat"): [1]}
+
+
+@pytest.mark.parametrize("env_name, method", list(ADAM_RUNS_PER_UPDATE))
+def test_adam_runs_per_update_are_pinned(env_name, method, monkeypatch):
+    runs, step = [], ad.Adam.step
+    monkeypatch.setattr(ad.Adam, "step", lambda opt, params: runs.append(step(opt, params)))
+    tr = _make_trainer(method=method, env_name=env_name)
+    for _ in range(3):
+        tr.train_step()
+    assert runs == 3 * ADAM_RUNS_PER_UPDATE[env_name, method]
+
+
 def test_training_records_every_case_kind(recorded_kinds):
     # an op kind that no update of the full method records is one no run needs
     assert set(CASES) - recorded_kinds == set()

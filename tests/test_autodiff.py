@@ -5,11 +5,12 @@ import zlib
 import numpy as np
 import pytest
 
+from maie import agent, envs
 from maie import autodiff as ad
 from maie.extractors import TEXT_EMBED_DIM, ConvLstmExtractor, TextExtractor
 
 from grad_check import grad_check
-from method_oracles import adam_reference, conv2d_reference
+from method_oracles import adam_reference, clip_reference, conv2d_reference
 from op_cases import CASES, check_op, conv2d_output, lstm_steps
 
 
@@ -676,6 +677,87 @@ def test_adam_equals_the_step_that_allocates_per_operation():
     assert [t for *_, t in got] == [t for *_, t in want] == [6, 6, 6, 3, 3]
     for (data, m, v, _), (data_ref, m_ref, v_ref, _) in zip(got, want):
         assert data.tobytes() == data_ref.tobytes() and m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
+def _maie_trainer(**kw) -> agent.Trainer:
+    return agent.Trainer(envs.make_env("hetero_nav", 4), agent.TrainConfig(method="maie", seed=4, rollout_length=8, **kw))
+
+
+def _at(p) -> int:
+    """The address of ``p.data``'s first value."""
+    return p.data.__array_interface__["data"][0]
+
+
+def test_a_trainer_holds_its_registry_in_one_buffer_in_registry_order():
+    # each slot starts on a 64-byte boundary, where BLAS reads a matrix fastest, right after the one before it
+    tr = _maie_trainer()
+    params = list(tr.named_parameters().values())
+    store = params[0]._store
+    assert isinstance(store, ad.FlatStore)
+    start, end = store.data.__array_interface__["data"][0], 0
+    for p in params:
+        assert p._store is store and p._at % ad.SLOT_ALIGN == 0 and 0 <= p._at - end < ad.SLOT_ALIGN
+        assert _at(p) == start + 8 * p._at and _at(p) % 64 == 0
+        assert not store.data[end : p._at].any()  # the values between two slots are zeros
+        end = p._at + p.data.size
+    assert 0 <= store.data.size - end < ad.SLOT_ALIGN
+
+
+def test_a_trainers_updates_are_the_per_parameter_reference_bitwise(monkeypatch):
+    # maie steps the extractors twice per update and the head once, so its actor-critic step takes two runs at
+    # two step counts; a grad_clip this small scales every pass, so the clip's scaling runs too
+    flat, ref = _maie_trainer(grad_clip=1e-3), _maie_trainer(grad_clip=1e-3)
+    passes = []
+    clip = ad.clip_grad_norm
+    monkeypatch.setattr(ad, "clip_grad_norm", lambda params, max_norm: passes.append(clip(params, max_norm)))
+    for _ in range(3):
+        flat.train_step()
+    monkeypatch.setattr(ad.Adam, "step", adam_reference)
+    monkeypatch.setattr(ad, "clip_grad_norm", lambda params, max_norm: passes.append(clip_reference(params, max_norm)))
+    monkeypatch.setattr(ad, "zero_grads", lambda params: [p.zero_grad() for p in params])
+    for _ in range(3):
+        ref.train_step()
+    assert passes[:6] == passes[6:] and min(passes) > 1e-3  # the same norms, each clipped
+    store = next(iter(flat.named_parameters().values()))._store
+    moments = flat.opt._moments[store]
+    gaps = np.ones(store.data.size, dtype=bool)
+    for (name, p), q in zip(flat.named_parameters().items(), ref.named_parameters().values()):
+        gaps[p._at : p._at + p.data.size] = False
+        (m, v, t), (m_ref, v_ref, t_ref) = flat.opt.state[p], ref.opt.state[q]
+        assert t == t_ref == (3 if name.startswith("head.") else 6), name
+        assert p.data.tobytes() == q.data.tobytes() and p.grad.tobytes() == q.grad.tobytes(), name
+        assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes(), name
+        assert not p.grad.any() and np.shares_memory(p.grad, store.grad), name
+        assert np.shares_memory(m, moments[0]) and np.shares_memory(v, moments[1]), name
+    assert flat.lambda_rows == ref.lambda_rows
+    assert not any(buf[..., gaps].any() for buf in (store.data, store.grad, moments))  # the runs kept them zeros
+
+
+def test_a_rejected_step_or_clip_of_stored_parameters_changes_nothing():
+    tr = _maie_trainer()
+    params = list(tr.named_parameters().values())
+    store = params[0]._store
+    assert store.grad is None
+    ad.backward((params[0] * 2.0).sum())  # reaches the first parameter alone
+    assert np.shares_memory(params[0].grad, store.grad) and params[1].grad is None
+    data, grad = store.data.copy(), store.grad.copy()
+    with pytest.raises(ValueError, match="no grad"):
+        tr.opt.step(params[:2])
+    with pytest.raises(ValueError, match="no grad"):
+        ad.clip_grad_norm(params[:2], 1e-6)
+    assert store.data.tobytes() == data.tobytes() and store.grad.tobytes() == grad.tobytes()
+    assert tr.opt.state == {} and tr.opt._moments == {}
+    ad.zero_grads(params)  # zeroes the one grad there is
+    assert not store.grad.any() and params[1].grad is None
+
+
+def test_a_trainer_that_only_acts_allocates_no_grad_or_moment_buffer():
+    tr = _maie_trainer()
+    tr.run_eval(2)
+    tr.collect_rollout()
+    store = next(iter(tr.named_parameters().values()))._store
+    assert store.grad is None and all(p.grad is None for p in tr.named_parameters().values())
+    assert tr.opt.state == {} and tr.opt._moments == {}
 
 
 def test_clip_grad_norm():

@@ -391,6 +391,69 @@ def test_checkpoint_load_replaces_the_adam_state_whole(tmp_path):
         np.testing.assert_array_equal(trainer.named_parameters()[name].data, p.data)
 
 
+def _assert_stored(trainer):
+    """Every parameter's data and grad, and every Adam moment, is still a view of its buffer."""
+    params = list(trainer.named_parameters().values())
+    store = params[0]._store
+    for p in params:
+        assert p._store is store and np.shares_memory(p.data, store.data)
+        assert p.grad is None or np.shares_memory(p.grad, store.grad)
+        if p in trainer.opt.state:
+            m, v, _ = trainer.opt.state[p]
+            assert np.shares_memory(m, trainer.opt._moments[store][0]) and np.shares_memory(v, trainer.opt._moments[store][1])
+
+
+def _assert_same_update_state(got, want):
+    """Two trainers hold the same parameters, Adam moments and step counts, bit for bit."""
+    for (name, p), q in zip(got.named_parameters().items(), want.named_parameters().values()):
+        assert p.data.tobytes() == q.data.tobytes(), name
+        assert (p in got.opt.state) == (q in want.opt.state), name
+        if p in got.opt.state:
+            (m, v, t), (m_want, v_want, t_want) = got.opt.state[p], want.opt.state[q]
+            assert (m.tobytes(), v.tobytes(), t) == (m_want.tobytes(), v_want.tobytes(), t_want), name
+
+
+def _scramble(trainer):
+    """Step ``trainer`` on a loss of its own, outside ``train_step``: its parameters, moments and step counts move,
+    and its rollout, environment and random streams do not."""
+    params = list(trainer.named_parameters().values())
+    trainer._apply(ad.reduce_sum(ad.concat([p.reshape((-1,)) for p in params])).square(), params)
+
+
+def test_a_loaded_trainer_keeps_its_buffers_and_steps_as_the_one_that_saved(tmp_path):
+    # two twins train alike; one saves, the other moves on its own, then loads the file: the next
+    # update of both is the same, bit for bit
+    saver, loader = _fresh_trainer(tmp_path), _fresh_trainer(tmp_path)
+    for tr in (saver, loader):
+        for _ in range(2):
+            tr.train_step()
+    path = tmp_path / "checkpoint.json"
+    cli.save_checkpoint(str(path), saver)
+    _scramble(loader)
+    _scramble(loader)
+    cli.load_checkpoint(str(path), loader)
+    _assert_stored(loader)
+    _assert_same_update_state(loader, saver)
+    assert loader.train_step() == saver.train_step()
+    _assert_stored(loader)
+    _assert_same_update_state(loader, saver)
+
+
+def test_a_trained_trainer_that_loads_a_file_saved_before_any_update_steps_as_a_fresh_one(tmp_path):
+    # the stale moments are dropped, their slots zeroed, so the next update starts Adam afresh
+    path = tmp_path / "before_any_update.json"
+    fresh, trained = _fresh_trainer(tmp_path), _fresh_trainer(tmp_path)
+    cli.save_checkpoint(str(path), fresh)
+    _scramble(trained)
+    assert trained.opt.state and trained.opt._moments
+    cli.load_checkpoint(str(path), trained)
+    assert trained.opt.state == {} and not any(buf.any() for buf in trained.opt._moments.values())
+    _assert_stored(trained)
+    assert trained.train_step() == fresh.train_step()
+    _assert_stored(trained)
+    _assert_same_update_state(trained, fresh)
+
+
 def test_checkpoint_rejects_parameter_shape_mismatch(tmp_path, trained_checkpoint):
     _, path = trained_checkpoint()
 

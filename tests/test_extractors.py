@@ -396,3 +396,32 @@ def test_memo_path_still_checks_every_observation():
         with pytest.raises(ValueError, match="vocabulary"):
             modality_step(text, bad, zero_state(), drives)
     assert list(drives) == [(ids.dtype.str, ids.tobytes())]
+
+
+def test_token_ids_are_range_checked_once_per_replay_and_on_each_acting_miss(monkeypatch):
+    text = ex.TextExtractor("text", TEXT_SHAPE, vocab_size=19, seed=3)
+    rng = np.random.default_rng(4)
+    batch = [rng.integers(0, 19, size=TEXT_SHAPE) for _ in range(8)]
+    starts = [True] + [False] * 7
+    checked, check = [], text._check_values
+    monkeypatch.setattr(text, "_check_values", lambda obs: checked.append(len(obs)) or check(obs))
+    text.forward_sequence(batch, starts, zero_state())
+    assert checked == [8]  # the stacked ids, once
+    for bad_id in (19, -1):  # in the middle of the batch
+        bad = [ids.copy() for ids in batch]
+        bad[4][5] = bad_id
+        with pytest.raises(ValueError, match="token id outside vocabulary of size 19"):
+            text.forward_sequence(bad, starts, zero_state())
+
+    checked.clear()
+    drives = {}
+    for ids in (batch[0], batch[1], batch[0], batch[0], batch[1]):
+        modality_step(text, ids, zero_state(), drives)
+    assert checked == [12, 12]  # the two misses; a hit's bytes passed on their miss
+    bad = batch[2].copy()
+    bad[7] = 19
+    with pytest.raises(ValueError, match="token id outside vocabulary of size 19"):
+        modality_step(text, bad, zero_state(), drives)  # a miss
+    assert len(drives) == 2
+    with pytest.raises(ValueError, match="shape"):  # the shape is checked on a hit too
+        modality_step(text, batch[0].reshape(3, 4), zero_state(), drives)

@@ -12,14 +12,15 @@ _spec.loader.exec_module(update_peak)
 @pytest.mark.parametrize("env, method", update_peak.WORKLOADS)
 def test_a_warmed_update_stays_under_its_memory_bound(env, method):
     # tracemalloc's figures repeat exactly for a seed. Peak, then live before the last backward:
-    # hetero_nav/maie 5.34 and 2.47 MB, mining_plus/concat 5.31 and 2.69 MB, both peaking in the audio
+    # hetero_nav/maie 5.34 and 2.48 MB, mining_plus/concat 5.31 and 2.69 MB, both peaking in the audio
     # conv layer 1's weight adjoint. Forming the conv input adjoint and the weight adjoint's patch matrix
     # whole, and Adam's per-operation temporaries, made them 6.68 and 6.62 MB, peaking in audio conv
     # layer 2's input adjoint; each conv layer's pre-ReLU output beside its relu node's, the patch
     # matrices of maie's recomputed replay and a second, stacked copy of acting's recorded conv outputs
     # made them 10.13 / 6.77 and 8.50 / 4.25 MB before that
-    peak, live, where, kinds = update_peak.update_peak(env, method)
+    peak, live, where, kinds, runs = update_peak.update_peak(env, method)
     assert len(live) == (2 if method == "maie" else 1)  # maie's alignment backward, then the actor-critic one
+    assert runs == (3 if method == "maie" else 1)  # the extractors, then the extractors and the head; or all at once
     assert peak < 6.0 and live[-1] < 3.5, (peak, live)
     assert {"conv2d", "lstm_cell", "matmul"} <= kinds
     assert isinstance(where, tuple) and where[0] in kinds, where  # an adjoint the walk ran
@@ -40,10 +41,11 @@ def test_saving_a_checkpoint_holds_a_bound_that_does_not_grow_with_the_largest_p
 
 
 def test_a_trainer_that_only_acts_holds_little_more_than_its_parameters():
-    # av_nav/maie, seed 1: held once built 1.14 MB, peak over 10 evaluation episodes 1.67-1.81 MB,
-    # parameters 1.11 MB. A zero grad buffer per parameter from construction made them 2.25 and 2.86 MB.
-    # The episodes share one acting span, whose visual memo, about 0.2 MB at 51 entries, outlives each of
-    # them: the peak stood 0.06 MB lower with a span per episode, which computed 287 visual drives, not 51
+    # av_nav/maie, seed 1: held once built 1.14 MB, peak 2.25 MB, parameters 1.11 MB. The peak falls in
+    # the construction, which holds the parameters twice while it moves them onto one buffer; the 10
+    # evaluation episodes after it peak at 1.67-1.81 MB. A zero grad buffer per parameter from construction
+    # made the held figure 2.25 MB. The episodes share one acting span, whose visual memo, about 0.2 MB at
+    # 51 entries, outlives each of them: a span per episode computed 287 visual drives, not 51
     held, peak, params, computed = update_peak.acting_memory(*update_peak.EVAL_WORKLOAD)
     assert params < held < 1.3, (held, params)
     assert held <= peak < 2.5, (held, peak)

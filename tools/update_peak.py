@@ -20,7 +20,9 @@ shape of the adjoint the backward walk was running (the walk adds each
 adjoint through ``_accum`` right after computing it, so a span runs from one
 ``_accum`` to the end of the next), ``Adam.step``, or ``elsewhere``: the
 rollout, the forward passes and the losses. It wraps the walk, ``_accum``
-and ``Adam.step`` for the traced update only.
+and ``Adam.step`` for the traced update only, and prints the runs (see
+``autodiff.Adam``) that update's ``Adam.step`` calls stepped, a count that
+holds for every update of a config.
 
 For the same workloads it prints the traced peak of ``cli.save_checkpoint``
 of a trainer after ``WARMUP`` updates, the peak of ``cli.load_checkpoint`` of
@@ -100,13 +102,13 @@ def _trainer(env: str, method: str, updates: int = 0) -> agent.Trainer:
 
 def update_peak(env: str, method: str) -> tuple:
     """(peak MB of one update after ``WARMUP`` updates, [MB live as each of its backward passes began],
-    where the peak fell, the op kinds its backward walks ran).
+    where the peak fell, the op kinds its backward walks ran, the runs its ``Adam.step`` calls stepped).
 
     ``where`` is ``(op kind, operand index, operand shape)`` of an adjoint,
     ``"Adam.step"`` or ``ELSEWHERE``.
     """
     trainer = _trainer(env, method, WARMUP)
-    live, kinds, spans = [], set(), _Spans()
+    live, kinds, spans, runs = [], set(), _Spans(), []
     backward, walk, accum, step = ad.backward, ad.Graph.run_backward, ad._accum, ad.Adam.step
     adjoints = iter(())
 
@@ -130,7 +132,8 @@ def update_peak(env: str, method: str) -> tuple:
     def stepped(opt, params):
         spans.enter("Adam.step")
         try:
-            return step(opt, params)
+            runs.append(step(opt, params))
+            return runs[-1]
         finally:
             spans.enter(ELSEWHERE)
 
@@ -142,7 +145,7 @@ def update_peak(env: str, method: str) -> tuple:
     finally:
         tracemalloc.stop()
         ad.backward, ad.Graph.run_backward, ad._accum, ad.Adam.step = backward, walk, accum, step
-    return spans.peak / MB, live, spans.where, kinds
+    return spans.peak / MB, live, spans.where, kinds, sum(runs)
 
 
 def _traced_peak(fn, *args) -> float:
@@ -159,9 +162,9 @@ def _digit_rows_share(path: str, trainer: agent.Trainer) -> float:
     """Save ``trainer`` to ``path``; return the share of its parameters' values that ``cli._digit_rows`` wrote."""
     rows, written = cli._digit_rows, 0
 
-    def counted(values):
+    def counted(values, *args):
         nonlocal written
-        out = rows(values)
+        out = rows(values, *args)
         written += values.size - int(out[1].sum())  # less the values it left to the per-value text
         return out
 
@@ -221,11 +224,12 @@ def acting_memory(env: str, method: str) -> tuple:
 
 def main() -> int:
     for env, method in WORKLOADS:
-        peak, live, where, _ = update_peak(env, method)
+        peak, live, where, _, runs = update_peak(env, method)
         if isinstance(where, tuple):  # printed as ``conv2d operand 1 (32, 32, 3, 3)``
             where = "{} operand {} {}".format(*where)
         before = " ".join(f"{mb:.2f}" for mb in live)
-        print(f"{env:<14} {method:<14} peak {peak:6.2f} MB at {where}  live before each backward {before} MB")
+        print(f"{env:<14} {method:<14} peak {peak:6.2f} MB at {where}  live before each backward {before} MB  "
+              f"Adam runs {runs}")
         save, load, size, share = checkpoint_peaks(env, method)
         print(f"{env:<14} {method:<14} checkpoint: save peak {save:.2f} MB, load peak {load:.2f} MB, file {size:.2f} MB, "
               f"digit rows wrote {share:.4f} of the parameters' values")
