@@ -156,59 +156,48 @@ class TrainConfig:
             raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
 
 
-def _affine_params(rng, sizes, prefix):
-    params = {}
-    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
-        params[f"{prefix}{i}.w"] = Value(uniform_init(rng, (n_in, n_out), n_in), requires_grad=True)
-        params[f"{prefix}{i}.b"] = Value(uniform_init(rng, (n_out,), n_in), requires_grad=True)
-    return params
-
-
 class PolicyValueHead:
     """Actor and critic MLPs (256 then 64 units, ReLU) over the fused state."""
 
     def __init__(self, input_dim: int, n_actions: int, seed: int):
         rng = np.random.default_rng(seed)
-        self.params = _affine_params(rng, (input_dim, 256, 64, n_actions), "actor")
-        self.params.update(_affine_params(rng, (input_dim, 256, 64, 1), "critic"))
+        self.params = {}
+        for prefix, n_out in (("actor", n_actions), ("critic", 1)):
+            sizes = (input_dim, 256, 64, n_out)
+            for i, (fan_in, width) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
+                self.params[f"{prefix}{i}.w"] = Value(uniform_init(rng, (fan_in, width), fan_in), requires_grad=True)
+                self.params[f"{prefix}{i}.b"] = Value(uniform_init(rng, (width,), fan_in), requires_grad=True)
 
-    def _mlp(self, fused: Value, prefix: str) -> Value:
-        h = ad.matmul(fused, self.params[f"{prefix}1.w"]) + self.params[f"{prefix}1.b"]
-        h = h.relu()
-        h = ad.matmul(h, self.params[f"{prefix}2.w"]) + self.params[f"{prefix}2.b"]
-        h = h.relu()
-        return ad.matmul(h, self.params[f"{prefix}3.w"]) + self.params[f"{prefix}3.b"]
+    def layers(self, prefix: str) -> tuple:
+        """The three (w, b) pairs of the ``"actor"`` or ``"critic"`` MLP, as ``params`` holds them now."""
+        return tuple((self.params[f"{prefix}{i}.w"], self.params[f"{prefix}{i}.b"]) for i in (1, 2, 3))
+
+    def array_layers(self, prefix: str) -> tuple:
+        """``layers(prefix)`` as arrays, for acting; they hold while no parameter changes."""
+        return tuple((w.data, b.data) for w, b in self.layers(prefix))
+
+    @staticmethod
+    def mlp(x, layers: tuple, layer):
+        """The one layer walk, a ReLU after all but the last: ``layer`` is ``autodiff.dense`` over ``layers``' Values
+        (the replay) or ``autodiff.affine`` over ``array_layers`` (acting)."""
+        for i, (w, b) in enumerate(layers, start=1):
+            x = layer(x, w, b, relu=i < len(layers))
+        return x
 
     def actor_logits(self, fused: Value) -> Value:
         """(T, D) fused states -> (T, |A|) logits."""
-        return self._mlp(fused, "actor")
+        return self.mlp(fused, self.layers("actor"), ad.dense)
 
     def critic_values(self, fused: Value) -> Value:
         """(T, D) fused states -> (T,) value estimates."""
-        out = self._mlp(fused, "critic")
-        return out.reshape((out.data.shape[0],))
-
-    def array_layers(self, prefix: str) -> tuple:
-        """The three (w, b) array pairs of the ``"actor"`` or ``"critic"`` MLP; they hold while no parameter changes."""
-        p = self.params
-        return tuple((p[f"{prefix}{i}.w"].data, p[f"{prefix}{i}.b"].data) for i in (1, 2, 3))
-
-    @staticmethod
-    def _mlp_np(x: np.ndarray, layers: tuple) -> np.ndarray:
-        """``_mlp`` on plain arrays over ``array_layers``, each layer's bias and ReLU applied in place."""
-        for i, (w, b) in enumerate(layers, start=1):
-            x = x @ w
-            x += b
-            if i < len(layers):
-                np.maximum(x, 0.0, out=x)
-        return x
+        return self.mlp(fused, self.layers("critic"), ad.dense).reshape((fused.data.shape[0],))
 
     def logits_array(self, fused: np.ndarray, actor: tuple) -> np.ndarray:
         """Graph-free actor forward for acting (one (D,) state), over the actor's ``array_layers``."""
-        return self._mlp_np(fused, actor)
+        return self.mlp(fused, actor, ad.affine)
 
     def value_array(self, fused: np.ndarray) -> float:
-        return float(self._mlp_np(fused, self.array_layers("critic"))[0])
+        return float(self.mlp(fused, self.array_layers("critic"), ad.affine)[0])
 
 
 def sample_action(logits: np.ndarray, rng: np.random.Generator) -> int:

@@ -17,11 +17,13 @@ An array is held only while something still reads it. Every Value, a
 parameter (a leaf made with ``requires_grad=True``) included, gets its
 ``grad`` when the first adjoint reaches it in the walk, not when it is
 built, so a forward graph waiting for its backward holds no gradient
-buffers, and neither does a model that only acts. A conv
-layer is one ``conv2d`` node, its ReLU included, so it holds one output
-array, and no node keeps its patch matrix. Its backward never forms a whole
-patch matrix or patch gradient either: the input and weight adjoints run
-one block of input channels at a time (``_channel_blocks``).
+buffers, and neither does a model that only acts. A conv layer is one
+``conv2d`` node and a dense layer (matmul, bias, optional ReLU) one ``dense``
+node, ReLU included, so each holds one output array; their arithmetic on
+plain arrays, ``conv_gemm`` and ``affine``, is acting's too. No node keeps a
+patch matrix, and a conv backward never forms a whole patch matrix or patch
+gradient either: the input and weight adjoints run one block of input
+channels at a time (``_channel_blocks``).
 
 A model's parameters live in one ``FlatStore``, and this is the one storage
 rule: a registered parameter's ``data``, its ``grad`` and its Adam moments
@@ -34,8 +36,8 @@ at first use. Code that rebinds a registered ``Value.data`` (or its
 (``_runs``) rather than once per parameter. A parameter of no store is a
 run of one, on its own arrays.
 
-The elementwise ops (add, sub, mul, div, neg, relu, square, sqrt, log) are
-one table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
+The elementwise ops (add, sub, mul, div, neg, square, sqrt, log) are one
+table, a ``_elementwise(kind, forward, *adjoints)`` line each, and
 ``Value``'s operators and methods are bound straight to the op functions.
 
 ``conv2d`` and ``lstm_cell``, the two ops whose forward costs the most, also
@@ -76,7 +78,8 @@ __all__ = [
     "GraphError",
     "ShapeError",
     "backward",
-    "matmul",
+    "affine",
+    "dense",
     "conv2d",
     "conv_gemm",
     "conv_out_hw",
@@ -178,7 +181,7 @@ class Value:
     for a parameter (a leaf made with ``requires_grad=True``) and a recorded
     node alike. A parameter registered in a ``FlatStore`` has its ``data``
     and ``grad`` as views of the store's buffers; write them in place, never
-    rebind them. The operators and ``sum``, ``relu``, ``reshape``, ... are
+    rebind them. The operators and ``sum``, ``square``, ``reshape``, ... are
     the op functions, bound after the ops.
     """
 
@@ -321,7 +324,6 @@ sub = _elementwise("sub", np.subtract, lambda g, out, a, b: g, lambda g, out, a,
 mul = _elementwise("mul", np.multiply, lambda g, out, a, b: g * b, lambda g, out, a, b: g * a)
 div = _elementwise("div", np.divide, lambda g, out, a, b: g / b, lambda g, out, a, b: -g * a / (b * b))
 neg = _elementwise("neg", np.negative, lambda g, out, a: -g)
-relu = _elementwise("relu", lambda x: np.maximum(x, 0.0), lambda g, out, x: g * (x > 0.0))
 square = _elementwise("square", lambda x: x * x, lambda g, out, x: g * 2.0 * x)
 sqrt = _elementwise("sqrt", np.sqrt, lambda g, out, x: g * 0.5 / out)
 log = _elementwise("log", np.log, lambda g, out, x: g / x)
@@ -332,15 +334,25 @@ log = _elementwise("log", np.log, lambda g, out, x: g / x)
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Value:
-    """Matrix product of two 2-D operands: (m,k) @ (k,n)."""
-    a, b = _lift(a), _lift(b)
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ShapeError(f"matmul: only 2-D operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    return _node(ad @ bd, (a, b), "matmul", lambda g: g @ bd.T, lambda g: ad.T @ g)
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """The arithmetic of every dense layer: ``x @ w``, then ``+= b``, then, if ``relu``, the ReLU in place."""
+    out = x @ w
+    out += b
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def dense(x, w, b, *, relu: bool) -> Value:
+    """A dense layer, one node over ``affine``: (T, K) batch @ (K, N) weights + (N,) biases, then the ReLU if ``relu``.
+    Its three adjoints share one ``g * (out > 0)``, the ReLU's adjoint, or take ``g`` itself without the ReLU."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"dense: want 2-D (T, K) @ (K, N) + (N,), got {xd.shape} @ {wd.shape} + {b.data.shape}")
+    out = affine(xd, wd, b.data, relu)
+    gm = _once(lambda g: g * (out > 0.0)) if relu else (lambda g: g)
+    return _node(out, (x, w, b), "dense", lambda g: gm(g) @ wd.T, lambda g: xd.T @ gm(g), lambda g: gm(g).sum(axis=0))
 
 
 def conv_out_hw(h: int, w: int, kernel: tuple, stride: tuple, padding: tuple) -> tuple:
@@ -685,7 +697,6 @@ Value.__neg__ = neg
 Value.__getitem__ = narrow
 Value.sum = reduce_sum
 Value.mean = reduce_mean
-Value.relu = relu
 Value.square = square
 Value.sqrt = sqrt
 Value.log = log
@@ -915,7 +926,7 @@ class Adam:
     def _update(self, data, grad, m, v, t: int):
         """The formulas' operations, in their order, on arrays of one shape at step count ``t``."""
         b1, b2 = ADAM_BETAS
-        step, denom = np.empty((2, *data.shape))
+        step, denom = np.empty_like(data), np.empty_like(data)  # arrays for a 0-d parameter too
         m *= b1
         m += np.multiply(grad, 1.0 - b1, out=step)
         v *= b2

@@ -218,8 +218,7 @@ class _ExtractorBase:
                 x = ad.conv_gemm(x, w2d, bias, index)
                 if convs is not None:
                     convs.append(x[:-1])
-            sx = w_ih @ x[:-1]
-            sx += b
+            sx = ad.affine(x[:-1], w_ih.T, b, False)
             if key is not None:
                 drives[key] = convs, sx
         else:
@@ -247,7 +246,7 @@ class _ExtractorBase:
         self._check_values(observations)
         p = self.params
         z = self._conv_stack(self._conv_batch(observations), recorded).reshape((len(observations), self.flat_dim))
-        sx = ad.matmul(z, ad.transpose(p["lstm.w_ih"], (1, 0))) + p["lstm.b"]  # (T, 4H)
+        sx = ad.dense(z, ad.transpose(p["lstm.w_ih"], (1, 0)), p["lstm.b"], relu=False)  # (T, 4H)
         steps = None if recorded is None else (np.array(recorded.gates), np.array(recorded.h), np.array(recorded.c))
         feats, (h, c) = ad.lstm_cell(sx, p["lstm.w_hh"], state.h, state.c, starts=episode_starts, recorded=steps)
         return feats, RecurrentState(h, c)

@@ -11,6 +11,9 @@ gradient-check them.
 into a copy, reads the patch matrix through a strided view and scatters the
 input gradient back with one strided ``+=`` per kernel tap.
 
+``dense_reference`` is ``autodiff.dense`` as the unfused ops computed it: a
+matrix product, a bias add and a ReLU, each with its own adjoint.
+
 ``adam_reference`` is ``autodiff.Adam.step`` written the direct way, a new
 array for each operation of the formulas.
 
@@ -96,7 +99,7 @@ def conv2d_reference(x, w, b, g, stride: tuple, padding: tuple):
     """Output and (x, w, b) gradients of a conv layer: a (N,C,H,W) by (F,C,kh,kw) convolution, then ReLU.
 
     ``g`` is the gradient arriving at the (N,F,oh,ow) output; the adjoints
-    are those of ``g * (out > 0)``, as relu's adjoint masks ``g``. The
+    are those of ``g * (out > 0)``, as the ReLU's adjoint masks ``g``. The
     arithmetic is that of ``autodiff.conv2d``, laid out through a padded
     copy instead of a gather index.
     """
@@ -123,6 +126,19 @@ def conv2d_reference(x, w, b, g, stride: tuple, padding: tuple):
         for j in range(kw):
             gxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += gcols[:, i, j].transpose(1, 0, 2, 3)
     return out, gxp[:, :, ph : ph + h, pw : pw + width], gw, gb
+
+
+def dense_reference(x, w, b, g, relu: bool):
+    """Output and (x, w, b) gradients of a dense layer: ``x @ w``, then ``+ b``, then, if ``relu``, the ReLU.
+
+    ``g`` is the gradient arriving at the (T, N) output. The ReLU's adjoint
+    zeroes ``g`` where its input, the pre-activation, is not above 0; the
+    bias add passes that masked ``g`` on to the product, and to the bias
+    summed over the batch; the product's adjoints are two matrix products.
+    """
+    pre = x @ w + b
+    out, gp = (np.maximum(pre, 0.0), g * (pre > 0.0)) if relu else (pre, g)
+    return out, gp @ w.T, x.T @ gp, gp.sum(axis=0)
 
 
 def adam_reference(opt, params):

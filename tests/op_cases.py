@@ -1,7 +1,7 @@
 """Randomized grad-check case generators, one per op kind that training records.
 
 Each generator returns (f, inputs) where f maps a list of Values to a
-scalar Value. Inputs are sampled away from kinks (relu at 0) and
+scalar Value. Inputs are sampled away from kinks (dense's ReLU at 0) and
 domain edges (sqrt/log near 0) so central differences are valid. conv2d's
 ReLU is left to the draw: no fixed-seed case has a pre-activation within
 3e-4 of 0, far outside the finite-difference step, and the squared output
@@ -57,10 +57,15 @@ def case_neg(rng):
     return _wrap(lambda v: -v[0]), [rng.normal(size=(5,))]
 
 
-def case_matmul(rng):
+def case_dense(rng):
+    # with the ReLU or without; with it, the draw is repeated until every pre-activation lies 0.1 or more
+    # from the kink at 0
+    relu = bool(rng.integers(0, 2))
     m, k, n = (int(d) for d in rng.integers(1, 4, size=3))
-    sa, sb = (m, k), (k, n)
-    return _wrap(lambda v: ad.matmul(v[0], v[1])), [rng.normal(size=sa), rng.normal(size=sb)]
+    while True:
+        x, w, b = rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=(n,))
+        if not relu or np.abs(x @ w + b).min() >= 0.1:
+            return _wrap(lambda v: ad.dense(v[0], v[1], v[2], relu=relu)), [x, w, b]
 
 
 def conv2d_output(x, w, b, stride, padding) -> np.ndarray:
@@ -142,10 +147,6 @@ def case_softmax_axis(rng):
     return f, [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
 
 
-def case_relu(rng):
-    return _wrap(lambda v: v[0].relu()), [_away_from_zero(rng, (3, 3))]
-
-
 def case_sum(rng):
     if rng.random() < 0.5:
         return (lambda v: v[0].sum().square()), [rng.normal(size=(3, 2))]
@@ -196,14 +197,13 @@ CASES = {
     "mul": case_mul,
     "div": case_div,
     "neg": case_neg,
-    "matmul": case_matmul,
+    "dense": case_dense,
     "conv2d": case_conv2d,
     "concat": case_concat,
     "slice": case_slice,
     "reshape": case_reshape,
     "transpose": case_transpose,
     "softmax_axis": case_softmax_axis,
-    "relu": case_relu,
     "sum": case_sum,
     "mean": case_mean,
     "square": case_square,

@@ -234,6 +234,22 @@ def test_trainer_modalities_and_head_dims():
     assert tr3.head.params["actor1.w"].data.shape == (96, 256)
 
 
+@pytest.mark.parametrize("env_name", envs.ENV_NAMES)
+def test_head_walk_over_arrays_is_the_walk_over_values_bitwise(env_name):
+    # one layer walk, mlp: dense over the parameter Values (the replay) and affine over array_layers
+    # (acting) give the same bits on one (T, D) batch of fused states at the env's fused width
+    env = envs.make_env(env_name, 0)
+    width = len(env.modality_shapes) * ag.FEATURE_DIM
+    head = ag.PolicyValueHead(width, env.n_actions, seed=5)
+    fused = np.random.default_rng(6).uniform(-1.0, 1.0, size=(16, width))
+    logits = head.actor_logits(Value(fused))
+    values = head.critic_values(Value(fused))
+    assert logits.requires_grad and logits._op == "dense"
+    assert logits.data.tobytes() == head.logits_array(fused, head.array_layers("actor")).tobytes()
+    assert values.data.tobytes() == head.mlp(fused, head.array_layers("critic"), ad.affine)[:, 0].tobytes()
+    assert values.data.shape == (16,) and logits.data.shape == (16, env.n_actions)
+
+
 def test_extractor_seeds_differ_per_modality():
     tr = _make_trainer(env_name="av_nav")
     a = tr.extractors["visual"].params["lstm.w_hh"].data
@@ -349,16 +365,17 @@ def recorded_kinds(recorded_nodes):
 
 
 # both backward passes of one update (alignment, then actor-critic), the same at every seed:
-# 171 nodes on hetero_nav and 261 on mining_plus
+# 157 nodes on hetero_nav and 245 on mining_plus. A dense layer is one node; as matmul, bias add and
+# relu nodes they were 171 and 261
 NODES_PER_UPDATE = {
     "hetero_nav": {
-        "add": 17, "concat": 1, "conv2d": 12, "div": 4, "leaf": 48, "log": 1, "lstm_cell": 4, "matmul": 10,
-        "mean": 3, "mul": 18, "neg": 3, "relu": 4, "reshape": 5, "slice": 5, "softmax_axis": 1, "sqrt": 6,
+        "add": 7, "concat": 1, "conv2d": 12, "dense": 10, "div": 4, "leaf": 48, "log": 1, "lstm_cell": 4,
+        "mean": 3, "mul": 18, "neg": 3, "reshape": 5, "slice": 5, "softmax_axis": 1, "sqrt": 6,
         "square": 7, "sub": 5, "sum": 13, "transpose": 4,
     },
     "mining_plus": {
-        "add": 25, "concat": 1, "conv2d": 18, "div": 7, "leaf": 68, "log": 1, "lstm_cell": 6, "matmul": 12,
-        "mean": 3, "mul": 26, "neg": 3, "relu": 4, "reshape": 11, "slice": 9, "softmax_axis": 1, "sqrt": 12,
+        "add": 13, "concat": 1, "conv2d": 18, "dense": 12, "div": 7, "leaf": 68, "log": 1, "lstm_cell": 6,
+        "mean": 3, "mul": 26, "neg": 3, "reshape": 11, "slice": 9, "softmax_axis": 1, "sqrt": 12,
         "square": 13, "sub": 8, "sum": 25, "transpose": 8,
     },
 }

@@ -10,7 +10,7 @@ from maie import autodiff as ad
 from maie.extractors import TEXT_EMBED_DIM, ConvLstmExtractor, TextExtractor
 
 from grad_check import grad_check
-from method_oracles import adam_reference, clip_reference, conv2d_reference
+from method_oracles import adam_reference, clip_reference, conv2d_reference, dense_reference
 from op_cases import CASES, check_op, conv2d_output, lstm_steps
 
 
@@ -102,7 +102,7 @@ def test_conv2d_bitwise_equals_padded_reference(geom, kind, batch):
     x = rng.normal(size=(batch, *geom))
     w = rng.normal(size=(spec["filters"], geom[0], *spec["kernel"]))
     # each filter's bias is minus its least positive pre-activation without one, which is then
-    # exactly 0.0: the ReLU's mask must drop it, as relu's adjoint drops a 0.0 input
+    # exactly 0.0: the ReLU's mask must drop it, as the ReLU's own adjoint drops a 0.0 input
     unbiased = ad.conv2d(x, w, np.zeros(spec["filters"]), stride=spec["stride"], padding=spec["padding"]).data
     least = np.where(unbiased > 0.0, unbiased, np.inf).min(axis=(0, 2, 3))
     b = np.where(np.isfinite(least), -least, 0.0)
@@ -116,6 +116,31 @@ def test_conv2d_bitwise_equals_padded_reference(geom, kind, batch):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert out.data.flags.c_contiguous
+
+
+# the head's three layers and the LSTM input projection, at hetero_nav's fused width and a short rollout
+DENSE_SHAPES = [(16, 96, 256), (16, 256, 64), (16, 64, 5), (16, 288, 128)]
+
+
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("t,k,n", DENSE_SHAPES)
+def test_dense_bitwise_equals_the_unfused_ops(t, k, n, relu):
+    rng = np.random.default_rng(t * k + n)
+    x, w = rng.normal(size=(t, k)), rng.normal(size=(k, n)) / np.sqrt(k)
+    # each column's bias is minus its least positive pre-activation without one, which is then
+    # exactly 0.0: the ReLU's mask must drop it, as the ReLU's own adjoint drops a 0.0 input
+    unbiased = x @ w
+    b = -np.where(unbiased > 0.0, unbiased, np.inf).min(axis=0)
+    assert np.isfinite(b).all()
+    xv, wv, bv = (ad.Value(a, requires_grad=True) for a in (x, w, b))
+    out = ad.dense(xv, wv, bv, relu=relu)
+    assert out._op == "dense" and (out.data == 0.0).any()
+    g = rng.normal(size=out.shape)
+    g.flat[::5] = -0.0
+    ad.backward((out * ad.Value(g)).sum())
+    for got, want in zip((out.data, xv.grad, wv.grad, bv.grad), dense_reference(x, w, b, g, relu)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_conv2d_kernel_larger_than_padded_input_error():
@@ -161,11 +186,11 @@ def test_reflected_operator_is_the_op_on_the_lifted_constant(kind, const):
 
 
 def test_ops_take_only_their_one_form():
-    # matmul is 2-D @ 2-D, conv2d takes a (N,C,H,W) batch, lstm_cell a (T, 4H) drive matrix
-    with pytest.raises(ad.ShapeError, match="2-D"):
-        ad.matmul(np.ones((2, 3)), np.ones(3))
-    with pytest.raises(ad.ShapeError, match="2-D"):
-        ad.matmul(np.ones(3), np.ones((3, 2)))
+    # dense is a 2-D batch @ 2-D weights + (N,) biases, conv2d takes a (N,C,H,W) batch, lstm_cell a
+    # (T, 4H) drive matrix
+    for x, w, b in [((2, 3), (3,), ()), ((3,), (3, 2), (2,)), ((2, 3), (4, 2), (2,)), ((2, 3), (3, 2), (1, 2))]:
+        with pytest.raises(ad.ShapeError, match=r"^dense: want 2-D"):
+            ad.dense(np.ones(x), np.ones(w), np.ones(b), relu=False)
     with pytest.raises(ad.ShapeError, match="N,C,H,W"):
         ad.conv2d(np.zeros((3, 8, 8)), np.zeros((4, 3, 3, 3)), np.zeros(4), stride=(1, 1), padding=(0, 0))
     with pytest.raises(ad.ShapeError, match="T, 4H"):
@@ -374,7 +399,7 @@ def test_op_grad_check(kind):
     assert worst < 1e-4
 
 
-MULTI_OPERAND_KINDS = ["add", "sub", "mul", "div", "matmul", "conv2d", "concat", "lstm_cell"]
+MULTI_OPERAND_KINDS = ["add", "sub", "mul", "div", "dense", "conv2d", "concat", "lstm_cell"]
 
 
 @pytest.mark.parametrize("kind", MULTI_OPERAND_KINDS)
@@ -679,6 +704,26 @@ def test_adam_equals_the_step_that_allocates_per_operation():
         assert data.tobytes() == data_ref.tobytes() and m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
 
 
+def test_adam_steps_a_0d_parameter_as_the_reference_does():
+    # alone, a run of one on its own arrays, and registered in a store, a run of one on views of its slots
+    grads = np.random.default_rng(48).normal(size=4)
+    for stored in (False, True):
+        got, want = (ad.Value(np.array(0.25), requires_grad=True) for _ in range(2))
+        if stored:
+            ad.FlatStore([got])
+            got.grad = got._store.grad_slot(got)
+        else:
+            got.grad = np.empty(())
+        opt, ref = ad.Adam(lr=3e-3), ad.Adam(lr=3e-3)
+        for grad in grads:
+            got.grad[...], want.grad = grad, np.array(grad)
+            assert opt.step([got]) == 1
+            adam_reference(ref, [want])
+        assert got.data.shape == () and (got._store is not None) == stored
+        assert [a.tobytes() for a in (got.data, *opt.state[got][:2])] == [a.tobytes() for a in (want.data, *ref.state[want][:2])]
+        assert opt.state[got][2] == ref.state[want][2] == 4
+
+
 def _maie_trainer(**kw) -> agent.Trainer:
     return agent.Trainer(envs.make_env("hetero_nav", 4), agent.TrainConfig(method="maie", seed=4, rollout_length=8, **kw))
 
@@ -773,6 +818,6 @@ def test_clip_grad_norm():
 
 def test_grad_shape_matches_data_shape():
     v = ad.Value(np.zeros((3, 4)), requires_grad=True)
-    out = v.relu()
+    out = ad.dense(v, np.ones((4, 2)), np.zeros(2), relu=True)
     ad.backward(out.sum())
     assert v.grad.shape == v.data.shape and out.grad.shape == out.data.shape
